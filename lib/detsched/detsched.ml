@@ -254,13 +254,13 @@ let explore_dfs ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10) sc =
       (* Decisions below the prefix length were forced by the prefix;
          their siblings are enqueued when the ancestor run is expanded. *)
       let plen = Array.length prefix in
+      let cs = Schedule.choices sched in
       let ext = ref [] in
       for i = plen to Array.length sched - 1 do
         let e = sched.(i) in
         for c = e.Schedule.chosen + 1 to e.Schedule.alts - 1 do
-          let p =
-            Array.append (Schedule.choices (Array.sub sched 0 i)) [| c |]
-          in
+          let p = Array.sub cs 0 (i + 1) in
+          p.(i) <- c;
           ext := p :: !ext
         done
       done;
@@ -372,13 +372,32 @@ type dpor_report = {
 module Dpor = struct
   module Obs = Detrt.Obs
   module ISet = Set.Make (Int)
+  module IH = Hashtbl.Make (Int)
 
   exception Diverged of string
+
+  let nondeterministic msg =
+    failwith ("Detsched.explore_dpor: scenario is not deterministic: " ^ msg)
+
+  (* Objects are keyed by a private int: the kind in the low two bits over
+     the ordinal. Injective for every id the runtime hands out (ordinals
+     are >= -1, task ids >= 0), leaving 0 for the scheduler-global
+     pseudo-object. *)
+  let global = 0
+
+  let key : Obs.objid -> int = function
+    | Obs.Global -> global
+    | Task_o i -> (4 * i) + 4
+    | Mutex_o i -> (4 * i) + 5
+    | Cond_o i -> (4 * i) + 6
+    | Reg_o i -> (4 * i) + 7
+
+  let rec mem (o : int) = function [] -> false | x :: r -> x = o || mem o r
 
   (* A sleeping task id together with the objects its already-explored
      transition touched: the entry wakes (is dropped) as soon as any
      executed quantum is dependent with it. *)
-  type sleeper = { s_tid : int; s_objs : Obs.objid list }
+  type sleeper = { s_tid : int; s_objs : int list }
 
   (* One decision of the explored run. Task frames carry persistent
      backtrack/sleep state across re-executions; waiter frames (which
@@ -392,32 +411,34 @@ module Dpor = struct
     mutable f_backtrack : ISet.t;
     mutable f_done : ISet.t;
     mutable f_sleep : sleeper list;
-    mutable f_objs : Obs.objid list; (* objs of the chosen quantum *)
+    mutable f_objs : int list; (* objs of the chosen quantum *)
   }
 
   type quantum = {
     q_proc : int;
     q_dec : int; (* decision index that dispatched it; -1 when forced *)
     q_enabled : int array;
-    mutable q_objs : Obs.objid list;
-    mutable q_seq : int; (* per-task sequence number (vector-clock row) *)
+    mutable q_objs : int list;
   }
 
   let dependent objs1 objs2 =
-    List.mem Obs.Global objs1
-    || List.mem Obs.Global objs2
-    || List.exists (fun o -> List.mem o objs2) objs1
+    mem global objs1 || mem global objs2
+    || List.exists (fun o -> mem o objs2) objs1
 
   (* Execute one run: decisions below the stack are dictated by the
      frames, decisions beyond it extend the stack, preferring tasks not
      in the current sleep set. Returns the verdict, the quantum sequence,
-     the full frame stack and the count of sleep-redundant extensions. *)
+     the full frame stack, the count of sleep-redundant extensions and
+     [fresh_from]: how many quanta closed before the stack's top
+     (mutated) decision, i.e. the prefix that replays the previous run. *)
   let run_one ?max_steps sc (stack : frame array) =
     let n_stack = Array.length stack in
     let dec_i = ref 0 in
     let pending = ref None in
     let new_frames = ref [] in
     let quanta_rev = ref [] in
+    let closed = ref 0 in
+    let fresh_from = ref 0 in
     let q_open = ref None in
     let dec_for_sched = ref (-1) in
     let online_sleep = ref [] in
@@ -429,6 +450,7 @@ module Dpor = struct
       | Some q ->
         quanta_rev := q :: !quanta_rev;
         unconsumed := q :: !unconsumed;
+        incr closed;
         q_open := None
     in
     let sync_sleep () =
@@ -453,9 +475,7 @@ module Dpor = struct
         let dec = !dec_for_sched in
         dec_for_sched := -1;
         q_open :=
-          Some
-            { q_proc = tid; q_dec = dec; q_enabled = runnable; q_objs = [];
-              q_seq = 0 }
+          Some { q_proc = tid; q_dec = dec; q_enabled = runnable; q_objs = [] }
       | Obs.Op { tid; obj; _ } ->
         let q =
           match !q_open with
@@ -463,13 +483,13 @@ module Dpor = struct
           | None ->
             (* ops of the main task before its first dispatch *)
             let q =
-              { q_proc = tid; q_dec = -1; q_enabled = [| tid |]; q_objs = [];
-                q_seq = 0 }
+              { q_proc = tid; q_dec = -1; q_enabled = [| tid |]; q_objs = [] }
             in
             q_open := Some q;
             q
         in
-        if not (List.mem obj q.q_objs) then q.q_objs <- obj :: q.q_objs
+        let o = key obj in
+        if not (mem o q.q_objs) then q.q_objs <- o :: q.q_objs
     in
     let pick alts =
       let kind =
@@ -481,6 +501,7 @@ module Dpor = struct
       in
       let d = !dec_i in
       incr dec_i;
+      if d = n_stack - 1 then fresh_from := !closed;
       let tid =
         if d < n_stack then begin
           let f = stack.(d) in
@@ -542,13 +563,21 @@ module Dpor = struct
     let v = run ?max_steps ~observe ~pick sc in
     close_quantum ();
     (match v.outcome.result with
-    | Error (Diverged msg) ->
-      failwith ("Detsched.explore_dpor: scenario is not deterministic: " ^ msg)
+    | Error (Diverged msg) -> nondeterministic msg
     | _ -> ());
     let frames =
       Array.append stack (Array.of_list (List.rev !new_frames))
     in
-    (v, Array.of_list (List.rev !quanta_rev), frames, !redundant)
+    (v, Array.of_list (List.rev !quanta_rev), frames, !redundant, !fresh_from)
+
+  (* What a shard's previous run leaves for the next one's analysis: its
+     quanta and their vector clocks. [h_ntids] is the widest clock so far
+     and never shrinks, so a reused clock is never wider than a fresh one. *)
+  type history = {
+    mutable h_quanta : quantum array;
+    mutable h_vcs : int array array;
+    mutable h_ntids : int;
+  }
 
   (* Post-run analysis: vector clocks over the quantum sequence, then
      reversible-race detection. For a race (j, i) the candidate witnesses
@@ -557,48 +586,76 @@ module Dpor = struct
      none is enabled the whole frontier is expanded. Returns how many
      backtrack points were planted. Races whose decision frame lies below
      [pin] belong to another exploration shard and are discarded — sound
-     because the pinned levels are fully expanded across shards. *)
-  let analyze ~pin (frames : frame array) (quanta : quantum array) =
+     because the pinned levels are fully expanded across shards.
+
+     The analysis is incremental. The first [fresh_from] quanta replay the
+     shard's previous run ([h]), so their clocks are taken from it
+     and only the tables that index them are rebuilt; races and backtrack
+     points are computed for the fresh quanta alone. A race between two
+     prefix quanta depends only on that prefix, so the run that first
+     executed it already planted its backtrack point, on a frame below the
+     mutated decision that is still on the stack; planting is idempotent,
+     so skipping it changes neither the frames nor the race count. *)
+  let analyze ~pin (h : history) ~fresh_from (frames : frame array)
+      (quanta : quantum array) =
     let n = Array.length quanta in
-    let ntids =
-      let m = ref 1 in
-      Array.iter
-        (fun q ->
-          m := max !m (q.q_proc + 1);
-          Array.iter (fun t -> m := max !m (t + 1)) q.q_enabled)
-        quanta;
-      !m
-    in
+    let reuse = min fresh_from (Array.length h.h_quanta) in
+    let ntids = ref h.h_ntids in
+    for i = reuse to n - 1 do
+      ntids := max !ntids (quanta.(i).q_proc + 1)
+    done;
+    let ntids = !ntids in
     let vcs = Array.make n [||] in
-    let proc_vc = Array.make ntids [||] in
-    let obj_vc : (Obs.objid, int array) Hashtbl.t = Hashtbl.create 32 in
-    let all_vc = Array.make ntids 0 in
+    (* latest quantum per task, per object, and scheduler-global; -1 none *)
+    let last_of_proc = Array.make ntids (-1) in
+    let last_touch = IH.create 32 in
     let last_global = ref (-1) in
-    let last_global_vc = ref [||] in
-    let last_touch : (Obs.objid, int) Hashtbl.t = Hashtbl.create 32 in
-    let seq = Array.make ntids 0 in
-    let join dst src =
-      if src <> [||] then
-        Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
+    let touch i q =
+      last_of_proc.(q.q_proc) <- i;
+      List.iter (fun o -> IH.replace last_touch o i) q.q_objs;
+      if mem global q.q_objs then last_global := i
     in
+    for i = 0 to reuse - 1 do
+      let q = quanta.(i) and p = h.h_quanta.(i) in
+      if q.q_proc <> p.q_proc || not (List.equal Int.equal q.q_objs p.q_objs)
+      then
+        nondeterministic
+          (Printf.sprintf "replayed quantum %d changed task or objects" i);
+      vcs.(i) <- h.h_vcs.(i);
+      touch i q
+    done;
+    (* a shorter [src] is a prefix clock from a run with fewer tasks *)
+    let join dst src =
+      for t = 0 to Array.length src - 1 do
+        if src.(t) > dst.(t) then dst.(t) <- src.(t)
+      done
+    in
+    let join_last dst j = if j >= 0 then join dst vcs.(j) in
+    (* each task's clocks only grow, so its last one joins all of them *)
+    let all_vc = Array.make ntids 0 in
+    Array.iter (join_last all_vc) last_of_proc;
     (* [hb j k]: quantum [j] happens-before quantum [k] (for j < k). *)
-    let hb j k = vcs.(k).(quanta.(j).q_proc) >= quanta.(j).q_seq in
+    let hb j k =
+      let p = quanta.(j).q_proc in
+      vcs.(k).(p) >= vcs.(j).(p)
+    in
     let planted = ref 0 in
-    for i = 0 to n - 1 do
+    for i = reuse to n - 1 do
       let q = quanta.(i) in
-      let has_global = List.mem Obs.Global q.q_objs in
-      q.q_seq <- seq.(q.q_proc) + 1;
-      seq.(q.q_proc) <- q.q_seq;
+      if q.q_dec >= 0 then frames.(q.q_dec).f_objs <- q.q_objs;
+      let has_global = mem global q.q_objs in
       let vc = Array.make ntids 0 in
-      join vc proc_vc.(q.q_proc);
+      join_last vc last_of_proc.(q.q_proc);
       List.iter
         (fun o ->
-          match Hashtbl.find_opt obj_vc o with
-          | Some v -> join vc v
+          match IH.find_opt last_touch o with
+          | Some j -> join vc vcs.(j)
           | None -> ())
         q.q_objs;
-      if has_global then join vc all_vc else join vc !last_global_vc;
-      vc.(q.q_proc) <- q.q_seq;
+      if has_global then join vc all_vc else join_last vc !last_global;
+      (* the joins leave the task's own entry at its previous quantum's
+         count, since no clock runs ahead of a task on its own entry *)
+      vc.(q.q_proc) <- vc.(q.q_proc) + 1;
       vcs.(i) <- vc;
       (* candidate race partners: the latest earlier quantum per shared
          object, plus — for scheduler-global quanta — the immediately
@@ -606,7 +663,7 @@ module Dpor = struct
       let partners = ref ISet.empty in
       List.iter
         (fun o ->
-          match Hashtbl.find_opt last_touch o with
+          match IH.find_opt last_touch o with
           | Some j when quanta.(j).q_proc <> q.q_proc ->
             partners := ISet.add j !partners
           | _ -> ())
@@ -642,7 +699,7 @@ module Dpor = struct
               let to_add =
                 match List.filter witness enabled with
                 | [] -> enabled
-                | es -> if List.mem q.q_proc es then [ q.q_proc ] else [ List.hd es ]
+                | es -> if mem q.q_proc es then [ q.q_proc ] else [ List.hd es ]
               in
               List.iter
                 (fun p ->
@@ -654,18 +711,12 @@ module Dpor = struct
             end
           end)
         !partners;
-      List.iter
-        (fun o ->
-          Hashtbl.replace last_touch o i;
-          Hashtbl.replace obj_vc o vc)
-        q.q_objs;
-      join all_vc vc;
-      if has_global then begin
-        last_global := i;
-        last_global_vc := vc
-      end;
-      proc_vc.(q.q_proc) <- vc
+      touch i q;
+      join all_vc vc
     done;
+    h.h_quanta <- quanta;
+    h.h_vcs <- vcs;
+    h.h_ntids <- ntids;
     !planted
 
   type acc = {
@@ -689,6 +740,7 @@ module Dpor = struct
         a_deepest = 0; a_races = 0; a_redundant = 0 }
     in
     let stack = ref init_stack in
+    let h = { h_quanta = [||]; h_vcs = [||]; h_ntids = 1 } in
     let running = ref true in
     while !running do
       if Atomic.fetch_and_add budget 1 >= max_schedules then begin
@@ -696,7 +748,7 @@ module Dpor = struct
         running := false
       end
       else begin
-        let v, quanta, frames, red = run_one ?max_steps sc !stack in
+        let v, quanta, frames, red, fresh_from = run_one ?max_steps sc !stack in
         a.a_explored <- a.a_explored + 1;
         a.a_redundant <- a.a_redundant + red;
         a.a_deepest <- max a.a_deepest (Array.length v.outcome.schedule);
@@ -705,10 +757,7 @@ module Dpor = struct
           a.a_failures <- (v.outcome.schedule, m) :: a.a_failures;
           a.a_nfail <- a.a_nfail + 1
         | _ -> ());
-        Array.iter
-          (fun q -> if q.q_dec >= 0 then frames.(q.q_dec).f_objs <- q.q_objs)
-          quanta;
-        a.a_races <- a.a_races + analyze ~pin frames quanta;
+        a.a_races <- a.a_races + analyze ~pin h ~fresh_from frames quanta;
         let next_stack = ref None in
         let i = ref (Array.length frames - 1) in
         while !next_stack = None && !i >= pin do
@@ -790,7 +839,7 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
        candidate to a shard with that first decision pinned. The root is
        thereby fully expanded, so races crossing shard boundaries need no
        backtrack points (every alternative root choice is explored). *)
-    let v0, _, frames0, _ = Dpor.run_one ?max_steps sc [||] in
+    let v0, _, frames0, _, _ = Dpor.run_one ?max_steps sc [||] in
     if Array.length frames0 = 0 then
       (* no decisions at all: the tree is a single schedule *)
       let a =

@@ -18,6 +18,16 @@ let scen name =
 let distinct_messages failures =
   List.sort_uniq compare (List.map snd failures)
 
+(* Exact DPOR counts for the scenarios the dpor-certify benchmark
+   explores: classes explored, backtrack points planted by races, and
+   sleep-redundant runs. They pin the analysis itself, so a change that
+   makes it cheaper must leave all three where they are. *)
+let check_counts name (r : D.dpor_report) counts =
+  Alcotest.(check (triple int int int))
+    (name ^ ": explored, races, redundant")
+    counts
+    (r.explored, r.races, r.redundant)
+
 (* ------------------------------------------------------------------ *)
 (* Small mutex/counter programs over raw [Detrt] tasks: the lost-update
    pattern (read under the lock, yield, write under the lock) fails with
@@ -192,10 +202,7 @@ let test_fn3_complete () =
   Alcotest.(check bool) "naive DFS exceeds the budget" false dfs.complete;
   let r = D.explore_dpor ~max_schedules:budget ~max_failures:1_000 sc in
   Alcotest.(check bool) "DPOR covers every class" true r.complete;
-  Alcotest.(check bool)
-    (Printf.sprintf "DPOR finished under the DFS budget (%d < %d)" r.explored
-       budget)
-    true (r.explored < budget);
+  check_counts "rw-fig1" r (42240, 92484, 0);
   Alcotest.(check bool) "anomaly schedules found" true (r.failures <> []);
   List.iter
     (fun (_, m) ->
@@ -238,6 +245,7 @@ let test_bakery_complete () =
   Alcotest.(check bool) "naive DFS exceeds the budget" false dfs.complete;
   let r = D.explore_dpor ~max_schedules:budget sc in
   Alcotest.(check bool) "DPOR covers every class" true r.complete;
+  check_counts "bakery-excl-2t1r" r (942, 2032, 0);
   Alcotest.(check (list string)) "exclusion holds on every schedule" []
     (distinct_messages r.failures)
 
@@ -245,6 +253,7 @@ let test_ticket_complete () =
   let sc = scen "ticket-excl-2t2r" in
   let r = D.explore_dpor ~max_schedules:50_000 sc in
   Alcotest.(check bool) "DPOR covers every class" true r.complete;
+  check_counts "ticket-excl-2t2r" r (5034, 9839, 0);
   Alcotest.(check (list string)) "exclusion holds on every schedule" []
     (distinct_messages r.failures)
 
@@ -252,6 +261,7 @@ let test_ticket_sem_complete () =
   let sc = scen "ticket-sem-handoff-3t" in
   let r = D.explore_dpor ~max_schedules:150_000 sc in
   Alcotest.(check bool) "DPOR covers every class" true r.complete;
+  check_counts "ticket-sem-handoff-3t" r (82310, 176498, 168);
   Alcotest.(check (list string))
     "no lost wakeup, no exclusion breach, on any schedule" []
     (distinct_messages r.failures)
@@ -269,6 +279,7 @@ let test_swap_complete () =
   Alcotest.(check bool) "naive DFS exceeds the budget" false dfs.complete;
   let r = D.explore_dpor ~max_schedules:budget sc in
   Alcotest.(check bool) "DPOR covers every class" true r.complete;
+  check_counts "swap-excl-1t1r1f" r (3445, 6582, 0);
   Alcotest.(check (list string))
     "exclusion holds across the flip on every schedule" []
     (distinct_messages r.failures)
@@ -277,12 +288,60 @@ let test_swap_norecheck_found () =
   let sc = scen "swap-excl-norecheck-1t1r1f" in
   let r = D.explore_dpor ~max_schedules:50_000 ~max_failures:1_000 sc in
   Alcotest.(check bool) "DPOR covers every class" true r.complete;
+  check_counts "swap-excl-norecheck-1t1r1f" r (5383, 8531, 0);
   Alcotest.(check bool) "violations found" true (r.failures <> []);
   List.iter
     (fun (_, m) ->
       if not (Astring.String.is_infix ~affix:"exclusion violation" m) then
         Alcotest.failf "unexpected failure mode: %s" m)
     r.failures
+
+(* The rest of the dpor-certify catalog: the E23 queue locks and the
+   E25 broken-lock control, which the tests above do not explore. *)
+let test_queue_lock_counts () =
+  List.iter
+    (fun (name, counts, broken) ->
+      let r = D.explore_dpor ~max_schedules:50_000 (scen name) in
+      Alcotest.(check bool) (name ^ ": DPOR covers every class") true r.complete;
+      check_counts name r counts;
+      Alcotest.(check bool) (name ^ ": failures iff broken") broken
+        (r.failures <> []))
+    [ ("mcs-excl-2t1r", (911, 2068, 0), false);
+      ("clh-excl-2t1r", (208, 428, 0), false);
+      ("naive-rw-excl-2t1r", (3475, 5055, 0), true) ]
+
+(* ------------------------------------------------------------------ *)
+(* Determinism is checked, not assumed: state that survives from one run
+   to the next makes a replayed prefix touch other objects than the run
+   it replays, and the explorer must refuse rather than reuse that run's
+   analysis. Both tasks lock the same mutex, chosen by the parity of a
+   counter outside the scenario, so every decision keeps its shape and
+   only the objects differ. *)
+let test_divergence_caught () =
+  let runs = ref 0 in
+  let sc =
+    D.scenario ~name:"persistent-parity" ~descr:"lock choice read across runs"
+      (fun () ->
+        incr runs;
+        let ms = [| Mutex.create (); Mutex.create () |] in
+        let m = ms.(!runs land 1) in
+        let task () =
+          for _ = 1 to 2 do
+            Mutex.lock m;
+            Mutex.unlock m
+          done
+        in
+        { D.body =
+            (fun () ->
+              let ts = List.init 2 (fun _ -> Detrt.spawn task) in
+              List.iter Detrt.join ts);
+          check = (fun () -> Ok ()) })
+  in
+  match D.explore_dpor sc with
+  | r -> Alcotest.failf "explored %d runs without noticing" r.explored
+  | exception Failure m ->
+    if not (Astring.String.is_infix ~affix:"scenario is not deterministic" m)
+    then Alcotest.failf "unexpected failure: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sharding: partitioning the top-level frontier across domains
@@ -413,7 +472,12 @@ let () =
           Alcotest.test_case "hot-swap flip exclusion beyond DFS reach"
             `Quick test_swap_complete;
           Alcotest.test_case "hot-swap without re-check caught" `Quick
-            test_swap_norecheck_found ] );
+            test_swap_norecheck_found;
+          Alcotest.test_case "queue locks + broken control counts" `Quick
+            test_queue_lock_counts ] );
+      ( "determinism",
+        [ Alcotest.test_case "state persisting across runs caught" `Quick
+            test_divergence_caught ] );
       ( "parallel",
         [ Alcotest.test_case "sharded = sequential" `Quick test_workers ] );
       ( "regression",

@@ -116,7 +116,7 @@ let e23_sanity_cells =
 let cell_id (m, p, d) = Printf.sprintf "%s/%s d=%d" m p d
 
 let tiered_id (m, p, d, tier) =
-  Printf.sprintf "%s [%s]" (cell_id (m, p, d)) (Target.tier_name tier)
+  Printf.sprintf "%s [%s]" (cell_id (m, p, d)) (Sync_prims.Tier.name tier)
 
 let run_cell ?(tier = `Default) ~duration_ms (mechanism, problem, domains) =
   match Target.create ~tier ~problem ~mechanism () with
@@ -147,7 +147,7 @@ let baseline_throughput ?tier doc ~cell:(mechanism, problem, domains) =
         | None -> true
         | Some t -> (
           match field "tier" r with
-          | Some (Emit.Str s) -> s = Target.tier_name t
+          | Some (Emit.Str s) -> s = Sync_prims.Tier.name t
           | _ -> false)
       in
       match (field "mechanism" r, field "problem" r, field "domains" r) with
@@ -724,7 +724,7 @@ let e27_grid out =
     (List.length spec.A.cells)
     (String.concat ", " (List.map Loadgen.arrival_name spec.A.arrivals))
     (String.concat ", " (List.map string_of_int spec.A.domains))
-    (String.concat ", " (List.map Target.tier_name spec.A.static_tiers))
+    (String.concat ", " (List.map Sync_prims.Tier.name spec.A.static_tiers))
     spec.A.duration_ms spec.A.warmup_ms spec.A.rate_per_s spec.A.seed
     (Domain.recommended_domain_count ());
   let progress (r : A.row) =

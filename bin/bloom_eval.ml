@@ -264,15 +264,16 @@ let load_cmd =
   let tier_arg =
     Arg.(value & opt string "default"
          & info [ "tier" ] ~docv:"TIER"
-             ~doc:"platform substrate: $(b,default) for the stdlib-backed \
-                   tier, $(b,fast) for the contention-adaptive fast paths \
-                   (E22: adaptive mutex, fetch-and-add weak semaphore, \
-                   Vyukov bounded buffer), a restricted atomic class \
-                   (E25: $(b,rw), $(b,cas), $(b,faa), $(b,llsc), \
-                   $(b,native)), a local-spin queue lock kind (E23: \
-                   $(b,mcs), $(b,clh), $(b,ticket)), or $(b,adaptive) \
-                   (E27: hot-swappable sites the feedback controller \
-                   retiers live; implies probe tracing)")
+             ~doc:
+               ("platform substrate, one of "
+               ^ String.concat ", "
+                   (List.map (fun t -> "$(b," ^ Sync_prims.Tier.name t ^ ")")
+                      Sync_prims.Tier.all)
+               ^ ". $(b,default) is the stdlib-backed tier; the others are \
+                  the contention-adaptive fast paths (E22), the restricted \
+                  atomic classes (E25), the local-spin queue locks (E23) and \
+                  the hot-swappable sites a feedback controller retiers \
+                  live (E27; implies probe tracing)"))
   in
   let json =
     Arg.(value & opt (some string) None
@@ -299,22 +300,13 @@ let load_cmd =
       arrival_arg backend_arg seed capacity work read_pct tracks hot_pct
       think_us sweep tier_arg json csv trace_out =
     let tier =
-      match tier_arg with
-      | "default" -> `Default
-      | "fast" -> `Fast
-      | "adaptive" -> `Adaptive
-      | s -> (
-        match Sync_prims.Queuelock.kind_of_string s with
-        | Some k -> `Queue k
-        | None -> (
-          match Sync_prims.Prims.cls_of_string s with
-          | Some c -> `Prim c
-          | None ->
-            fail
-              (Printf.sprintf
-                 "unknown tier %S (default | fast | rw | cas | faa | llsc | \
-                  native | mcs | clh | ticket | adaptive)"
-                 s)))
+      match Sync_prims.Tier.of_string tier_arg with
+      | Some t -> t
+      | None ->
+        fail
+          (Printf.sprintf "unknown tier %S (%s)" tier_arg
+             (String.concat " | "
+                (List.map Sync_prims.Tier.name Sync_prims.Tier.all)))
     in
     let arrival =
       match Loadgen.arrival_of_string arrival_arg with
@@ -519,9 +511,9 @@ let hierarchy_cmd =
       | Some cs ->
         List.map
           (fun s ->
-            match Sync_prims.Prims.cls_of_string s with
-            | Some c -> c
-            | None ->
+            match Sync_prims.Tier.of_string s with
+            | Some (`Prim c) -> c
+            | _ ->
               fail
                 (Printf.sprintf
                    "unknown class %S (rw | cas | faa | llsc | native)" s))
@@ -652,9 +644,9 @@ let scaling_cmd =
       | Some ks ->
         List.map
           (fun s ->
-            match Sync_prims.Queuelock.kind_of_string s with
-            | Some k -> k
-            | None ->
+            match Sync_prims.Tier.of_string s with
+            | Some (`Queue k) -> k
+            | _ ->
               fail (Printf.sprintf "unknown kind %S (mcs | clh | ticket)" s))
           ks
     in

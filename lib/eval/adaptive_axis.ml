@@ -85,8 +85,6 @@ let dead_row ~problem ~mechanism ~arrival ~domains ~tier status =
   { problem; mechanism; arrival; domains; tier; status;
     throughput_per_s = 0.; p50_ns = 0; p99_ns = 0; flips = 0 }
 
-let tier_label : Target.tier -> string = Target.tier_name
-
 let cell spec ~problem ~mechanism ~arrival ~domains ~(tier : Target.tier) =
   let cfg =
     { Loadgen.workers = domains; backend = `Domain;
@@ -94,7 +92,7 @@ let cell spec ~problem ~mechanism ~arrival ~domains ~(tier : Target.tier) =
       mode = Loadgen.Open_loop { rate_per_s = spec.rate_per_s; arrival };
       seed = spec.seed; think_us = 0 }
   in
-  let tier_s = tier_label tier in
+  let tier_s = Sync_prims.Tier.name tier in
   let dead = dead_row ~problem ~mechanism ~arrival ~domains ~tier:tier_s in
   match Target.create ~tier ~problem ~mechanism () with
   | Error e -> dead (Failed e)
@@ -286,7 +284,9 @@ let to_json spec t =
             (fun (p, m) -> Emit.List [ Emit.Str p; Emit.Str m ])
             spec.cells));
       ("static_tiers",
-       Emit.List (List.map (fun s -> Emit.Str (tier_label s)) spec.static_tiers));
+       Emit.List
+         (List.map (fun s -> Emit.Str (Sync_prims.Tier.name s))
+            spec.static_tiers));
       ("arrivals",
        Emit.List
          (List.map (fun a -> Emit.Str (Loadgen.arrival_name a)) spec.arrivals));

@@ -20,7 +20,7 @@ type row = {
   mechanism : string;
   arrival : Sync_workload.Loadgen.arrival;
   domains : int;
-  tier : string;  (** {!Sync_workload.Target.tier_name} *)
+  tier : string;  (** {!Sync_prims.Tier.name} *)
   status : status;
   throughput_per_s : float;
   p50_ns : int;

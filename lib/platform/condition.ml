@@ -1,15 +1,14 @@
 module Probe = Sync_trace.Probe
-module Prims = Sync_prims.Prims
-module Queuelock = Sync_prims.Queuelock
 
 (* A condition pairs with whatever mutex the caller hands to [wait], and
-   adaptive (Fast) mutexes cannot use [Stdlib.Condition.wait] — that
-   needs a stdlib mutex to atomically release. So every real-thread
-   condition carries two faces: the plain stdlib condvar [sys] for
-   waits under Sys mutexes, and a private park lot [pk_m]/[pk_c]/[seq]
-   for waits under Fast mutexes. The dispatch happens per wait, on the
-   mutex's impl, because conditions are routinely created at runtime
-   (Waitq allocates one per wait) and must work with either tier.
+   only a Sys mutex can use [Stdlib.Condition.wait] — that needs a
+   stdlib mutex to atomically release. So every real-thread condition
+   carries two faces: the plain stdlib condvar [sys] for waits under
+   Sys mutexes, and a private park lot [pk_m]/[pk_c]/[seq] for waits
+   under every other real mutex (cells and swappable sites). The
+   dispatch happens per wait, on the mutex's impl, because conditions
+   are routinely created at runtime (Waitq allocates one per wait) and
+   must work with any tier.
 
    Park protocol: the waiter takes [pk_m], snapshots [seq], bumps
    [parked], and only then releases the user mutex; a signaler that ran
@@ -63,63 +62,21 @@ let wait c (m : Mutex.t) =
   close_hold m;
   (match (c, m.Mutex.impl) with
   | Real r, Mutex.Sys sm -> Stdlib.Condition.wait r.sys sm
-  | Real r, Mutex.Fast f ->
+  | Real r, (Mutex.Cell _ | Mutex.Swap _) ->
+    (* A swappable site re-acquires through its indirection, so a
+       waiter parked across a tier flip wakes up into the new tier. *)
     Stdlib.Mutex.lock r.pk_m;
     let s = r.seq in
     Atomic.incr r.parked;
-    Mutex.fast_unlock_raw f;
+    Mutex.raw_unlock m;
     while r.seq = s do
       Stdlib.Condition.wait r.pk_c r.pk_m
     done;
     Atomic.decr r.parked;
     Stdlib.Mutex.unlock r.pk_m;
-    Mutex.fast_lock_raw f
-  | Real r, Mutex.Prim p ->
-    (* Class-restricted (E25) mutexes park exactly like Fast ones: the
-       prim lock cannot feed [Stdlib.Condition.wait] either, so reuse
-       the park lot with the prim's own release/acquire. *)
-    Stdlib.Mutex.lock r.pk_m;
-    let s = r.seq in
-    Atomic.incr r.parked;
-    p.Prims.lk_unlock ();
-    while r.seq = s do
-      Stdlib.Condition.wait r.pk_c r.pk_m
-    done;
-    Atomic.decr r.parked;
-    Stdlib.Mutex.unlock r.pk_m;
-    p.Prims.lk_lock ()
-  | Real r, Mutex.Queue q ->
-    (* Queue-tier (E23) mutexes park like Fast/Prim ones, releasing and
-       re-acquiring through the queue lock's own closures. *)
-    Stdlib.Mutex.lock r.pk_m;
-    let s = r.seq in
-    Atomic.incr r.parked;
-    q.Queuelock.qk_unlock ();
-    while r.seq = s do
-      Stdlib.Condition.wait r.pk_c r.pk_m
-    done;
-    Atomic.decr r.parked;
-    Stdlib.Mutex.unlock r.pk_m;
-    q.Queuelock.qk_lock ()
-  | Real r, Mutex.Swap sw ->
-    (* Swappable (E27) sites park the same way; the re-acquire goes
-       back through the indirection, so a waiter parked across a tier
-       flip wakes up into the site's new tier. *)
-    Stdlib.Mutex.lock r.pk_m;
-    let s = r.seq in
-    Atomic.incr r.parked;
-    Mutex.swap_unlock_raw sw;
-    while r.seq = s do
-      Stdlib.Condition.wait r.pk_c r.pk_m
-    done;
-    Atomic.decr r.parked;
-    Stdlib.Mutex.unlock r.pk_m;
-    Mutex.swap_lock_raw sw
+    Mutex.raw_lock m
   | Det c, Mutex.Det dm -> Detrt.cond_wait c dm
-  | Real _, Mutex.Det _
-  | ( Det _,
-      ( Mutex.Sys _ | Mutex.Fast _ | Mutex.Prim _ | Mutex.Queue _
-      | Mutex.Swap _ ) ) ->
+  | Real _, Mutex.Det _ | Det _, (Mutex.Sys _ | Mutex.Cell _ | Mutex.Swap _) ->
     worlds_mismatch ());
   reopen_hold m
 
@@ -135,31 +92,11 @@ let wait_for c (m : Mutex.t) ~deadline =
   if Deadline.expired deadline then false
   else begin
     close_hold m;
+    Mutex.raw_unlock m;
     (match m.Mutex.impl with
-    | Mutex.Sys sm ->
-      Stdlib.Mutex.unlock sm;
-      Thread.yield ();
-      Stdlib.Mutex.lock sm
-    | Mutex.Fast f ->
-      Mutex.fast_unlock_raw f;
-      Thread.yield ();
-      Mutex.fast_lock_raw f
-    | Mutex.Prim p ->
-      p.Prims.lk_unlock ();
-      Thread.yield ();
-      p.Prims.lk_lock ()
-    | Mutex.Queue q ->
-      q.Queuelock.qk_unlock ();
-      Thread.yield ();
-      q.Queuelock.qk_lock ()
-    | Mutex.Swap sw ->
-      Mutex.swap_unlock_raw sw;
-      Thread.yield ();
-      Mutex.swap_lock_raw sw
-    | Mutex.Det dm ->
-      Detrt.mutex_unlock dm;
-      Detrt.yield ();
-      Detrt.mutex_lock dm);
+    | Mutex.Det _ -> Detrt.yield ()
+    | Mutex.Sys _ | Mutex.Cell _ | Mutex.Swap _ -> Thread.yield ());
+    Mutex.raw_lock m;
     reopen_hold m;
     true
   end

@@ -1,4 +1,5 @@
 module Probe = Sync_trace.Probe
+module Tier = Sync_prims.Tier
 module Prims = Sync_prims.Prims
 module Queuelock = Sync_prims.Queuelock
 
@@ -34,32 +35,27 @@ type fast = {
    [cur] moved, back out, and retry — the old impl drains. Cells are
    never reused across swaps (each flip allocates a fresh cell), so the
    physical-equality re-check cannot be fooled by A-B-A. *)
-type swap_cell =
-  | C_sys of Stdlib.Mutex.t
-  | C_fast of fast
-  | C_queue of Queuelock.lock
-
 type swap = {
-  cur : swap_cell Atomic.t;
+  cur : Tier.cell Atomic.t;
   (* The cell the current critical-section owner actually locked.
      Written after a successful re-check, read at unlock; both happen
      with the cell lock held, and consecutive owners are ordered by the
      cell locks plus the [cur] swap chain, so plain mutable is safe. *)
-  mutable held : swap_cell;
+  mutable held : Tier.cell;
 }
 
+(* Every real tier but the default is one closure cell; see mutex.mli
+   for why [Sys] stays a direct constructor. *)
 type impl =
-  | Sys of Stdlib.Mutex.t
   | Det of Detrt.mutex
-  | Fast of fast
-  | Prim of Prims.lock
-  | Queue of Queuelock.lock
+  | Sys of Stdlib.Mutex.t
+  | Cell of Tier.cell
   | Swap of swap
 
 type t = {
   impl : impl;
-  (* Watchdog resource id for the Sys/Fast halves; -1 when the watchdog
-     was off at creation. Det mutexes carry their own id inside Detrt. *)
+  (* Watchdog resource id; -1 when the watchdog was off at creation and
+     always for Det mutexes, which carry their own id inside Detrt. *)
   rid : int;
   name : string;
   (* Timestamp of the last successful acquire by the current holder; 0
@@ -67,127 +63,6 @@ type t = {
      is safe. Condition.wait resets it when the waiter re-acquires. *)
   mutable acquired_at : int;
 }
-
-(* The retierable universe: the tiers a swappable site can move
-   between. Det is a different world and Prim is a deliberate class
-   restriction, so neither participates. *)
-type tier = [ `Sys | `Fast | `Queue of Queuelock.kind ]
-
-let tier_name = function
-  | `Sys -> "sys"
-  | `Fast -> "fast"
-  | `Queue k -> "queue-" ^ Queuelock.kind_name k
-
-let all_tiers : tier list =
-  `Sys :: `Fast :: List.map (fun k -> `Queue k) Queuelock.all
-
-(* Stable small integers for the Flip probe argument, so a timeline can
-   decode which tier a site flipped to without string events. *)
-let tier_index = function
-  | `Sys -> 0
-  | `Fast -> 1
-  | `Queue Queuelock.MCS -> 2
-  | `Queue Queuelock.CLH -> 3
-  | `Queue Queuelock.Ticket -> 4
-
-let tier_of_index = function
-  | 0 -> Some `Sys
-  | 1 -> Some `Fast
-  | 2 -> Some (`Queue Queuelock.MCS)
-  | 3 -> Some (`Queue Queuelock.CLH)
-  | 4 -> Some (`Queue Queuelock.Ticket)
-  | _ -> None
-
-let make_cell : tier -> swap_cell = function
-  | `Sys -> C_sys (Stdlib.Mutex.create ())
-  | `Fast ->
-    C_fast
-      { state = Atomic.make 0;
-        pm = Stdlib.Mutex.create ();
-        pc = Stdlib.Condition.create () }
-  | `Queue k -> C_queue (Queuelock.make_lock k)
-
-let cell_tier = function
-  | C_sys _ -> `Sys
-  | C_fast _ -> `Fast
-  | C_queue q -> `Queue q.Queuelock.qk_kind
-
-(* Creation-scoped opt-in for swappable mutexes, the same shape as
-   [Fastpath.with_enabled]. The scope also owns the site registry the
-   adaptive controller enumerates: entering a scope starts an empty
-   registry, leaving restores the previous one, so a controller only
-   ever sees the sites of its own run. *)
-let swappable_flag = Atomic.make false
-
-let swappable_selected () =
-  Atomic.get swappable_flag && not (Detrt.active ())
-
-let sites_lock = Stdlib.Mutex.create ()
-
-let sites : t list ref = ref []
-
-let swap_sites () =
-  Stdlib.Mutex.lock sites_lock;
-  let s = !sites in
-  Stdlib.Mutex.unlock sites_lock;
-  s
-
-let with_swappable f =
-  let saved_flag = Atomic.get swappable_flag in
-  Stdlib.Mutex.lock sites_lock;
-  (* Clear on entry, keep on exit: the controller typically starts
-     after the build scope closes (Target.create wraps only the
-     build), and must still be able to enumerate the run's sites. The
-     next scope clears the slate. *)
-  sites := [];
-  Stdlib.Mutex.unlock sites_lock;
-  Atomic.set swappable_flag true;
-  Fun.protect
-    ~finally:(fun () -> Atomic.set swappable_flag saved_flag)
-    f
-
-let create ?(name = "mutex") () =
-  if Detrt.active () then
-    { impl = Det (Detrt.mutex ()); rid = -1; name; acquired_at = 0 }
-  else begin
-    let impl =
-      (* Precedence: Det (above) > Swap (E27 adaptive scope) > Prim
-         (E25 class restriction) > Queue (E23 scalable-lock tier) >
-         Fast (E22 adaptive tier) > Sys. *)
-      if swappable_selected () then begin
-        let c = make_cell `Sys in
-        Swap { cur = Atomic.make c; held = c }
-      end
-      else
-        match Prims.selected () with
-        | Some c -> Prim (Prims.make_lock c)
-        | None -> (
-          match Queuelock.selected () with
-          | Some k -> Queue (Queuelock.make_lock k)
-          | None ->
-          if Fastpath.active () then
-            Fast
-              { state = Atomic.make 0;
-                pm = Stdlib.Mutex.create ();
-                pc = Stdlib.Condition.create () }
-          else Sys (Stdlib.Mutex.create ()))
-    in
-    let t =
-      { impl;
-        rid =
-          (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
-           else -1);
-        name;
-        acquired_at = 0 }
-    in
-    (match t.impl with
-    | Swap _ ->
-      Stdlib.Mutex.lock sites_lock;
-      sites := t :: !sites;
-      Stdlib.Mutex.unlock sites_lock
-    | _ -> ());
-    t
-  end
 
 (* How many backoff rounds to spin before parking. Backoff doubles its
    randomized spin bound each round, so this covers short critical
@@ -214,61 +89,147 @@ let set_spin_rounds n =
   if n < 0 then invalid_arg "Mutex.set_spin_rounds: negative round count";
   Atomic.set spin_rounds_cell n
 
-let fast_lock_raw f =
-  if not (Atomic.compare_and_set f.state 0 1) then begin
-    (* Bounded spin: cheap loads with exponential backoff between CAS
-       retries, so brief contention never pays a futex round trip. *)
-    let b = Backoff.create () in
-    let rec spin n =
-      n > 0
-      && ((Atomic.get f.state = 0 && Atomic.compare_and_set f.state 0 1)
-         ||
-         (Backoff.once b;
-          spin (n - 1)))
+let fast_lock_slow f =
+  (* Bounded spin: cheap loads with exponential backoff between CAS
+     retries, so brief contention never pays a futex round trip. *)
+  let b = Backoff.create () in
+  let rec spin n =
+    n > 0
+    && ((Atomic.get f.state = 0 && Atomic.compare_and_set f.state 0 1)
+       ||
+       (Backoff.once b;
+        spin (n - 1)))
+  in
+  if not (spin (spin_rounds ())) then begin
+    (* Park. From here on we advertise 2 (waiters present): whoever
+       unlocks while the state is 2 must signal. The exchange both
+       attempts the acquire and publishes the pessimistic state. *)
+    let rec park () =
+      if Atomic.exchange f.state 2 <> 0 then begin
+        Stdlib.Mutex.lock f.pm;
+        (* Re-check under [pm]: unlock signals under [pm], so either
+           the state already left 2 (no sleep) or the signal cannot
+           fire before we are actually waiting. Spurious wakeups just
+           re-run the exchange. *)
+        if Atomic.get f.state = 2 then Stdlib.Condition.wait f.pc f.pm;
+        Stdlib.Mutex.unlock f.pm;
+        park ()
+      end
     in
-    if not (spin (spin_rounds ())) then begin
-      (* Park. From here on we advertise 2 (waiters present): whoever
-         unlocks while the state is 2 must signal. The exchange both
-         attempts the acquire and publishes the pessimistic state. *)
-      let rec park () =
-        if Atomic.exchange f.state 2 <> 0 then begin
+    park ()
+  end
+
+let fast_cell () : Tier.cell =
+  let f =
+    { state = Atomic.make 0; pm = Stdlib.Mutex.create ();
+      pc = Stdlib.Condition.create () }
+  in
+  { lock =
+      (fun () ->
+        if not (Atomic.compare_and_set f.state 0 1) then fast_lock_slow f);
+    try_lock = (fun () -> Atomic.compare_and_set f.state 0 1);
+    unlock =
+      (fun () ->
+        if Atomic.exchange f.state 0 = 2 then begin
           Stdlib.Mutex.lock f.pm;
-          (* Re-check under [pm]: unlock signals under [pm], so either
-             the state already left 2 (no sleep) or the signal cannot
-             fire before we are actually waiting. Spurious wakeups just
-             re-run the exchange. *)
-          if Atomic.get f.state = 2 then Stdlib.Condition.wait f.pc f.pm;
-          Stdlib.Mutex.unlock f.pm;
-          park ()
-        end
-      in
-      park ()
-    end
+          Stdlib.Condition.signal f.pc;
+          Stdlib.Mutex.unlock f.pm
+        end);
+    tier = `Fast }
+
+(* -- hot-swappable sites ------------------------------------------- *)
+
+(* The retierable universe: the tiers a swappable site can move
+   between. Det is a different world and Prim is a deliberate class
+   restriction, so neither participates. *)
+type tier = [ `Sys | `Fast | `Queue of Queuelock.kind ]
+
+let tier_name = function
+  | `Sys -> "sys"
+  | `Fast -> "fast"
+  | `Queue k -> "queue-" ^ Queuelock.kind_name k
+
+let all_tiers : tier list =
+  `Sys :: `Fast :: List.map (fun k -> `Queue k) Queuelock.all
+
+(* Stable small integers for the Flip probe argument, so a timeline can
+   decode which tier a site flipped to without string events: the
+   position in [all_tiers]. *)
+let tier_index t =
+  let rec find i = function
+    | x :: rest -> if x = t then i else find (i + 1) rest
+    | [] -> invalid_arg "Mutex.tier_index"
+  in
+  find 0 all_tiers
+
+let tier_of_index i = if i < 0 then None else List.nth_opt all_tiers i
+
+let swap_cell : tier -> Tier.cell = function
+  | `Sys ->
+    let m = Stdlib.Mutex.create () in
+    { lock = (fun () -> Stdlib.Mutex.lock m);
+      try_lock = (fun () -> Stdlib.Mutex.try_lock m);
+      unlock = (fun () -> Stdlib.Mutex.unlock m);
+      tier = `Default }
+  | `Fast -> fast_cell ()
+  | `Queue k -> Queuelock.make_lock k
+
+let cell_tier (c : Tier.cell) : tier =
+  match c.tier with (`Fast | `Queue _) as t -> t | _ -> `Sys
+
+(* The site registry the adaptive controller enumerates: entering a
+   [with_swappable] scope starts an empty registry, so a controller
+   only ever sees the sites of its own run. *)
+let sites_lock = Stdlib.Mutex.create ()
+
+let sites : t list ref = ref []
+
+let swap_sites () =
+  Stdlib.Mutex.lock sites_lock;
+  let s = !sites in
+  Stdlib.Mutex.unlock sites_lock;
+  s
+
+let with_swappable f =
+  Stdlib.Mutex.lock sites_lock;
+  (* Clear on entry, keep on exit: the controller typically starts
+     after the build scope closes (Target.create wraps only the
+     build), and must still be able to enumerate the run's sites. The
+     next scope clears the slate. *)
+  sites := [];
+  Stdlib.Mutex.unlock sites_lock;
+  Tier.with_tier `Adaptive f
+
+let create ?(name = "mutex") () =
+  if Detrt.active () then
+    { impl = Det (Detrt.mutex ()); rid = -1; name; acquired_at = 0 }
+  else begin
+    let impl =
+      match Tier.current () with
+      | `Default | `Prim Native -> Sys (Stdlib.Mutex.create ())
+      | `Fast -> Cell (fast_cell ())
+      | `Prim c -> Cell (Prims.make_lock c)
+      | `Queue k -> Cell (Queuelock.make_lock k)
+      | `Adaptive ->
+        let c = swap_cell `Sys in
+        Swap { cur = Atomic.make c; held = c }
+    in
+    let t =
+      { impl;
+        rid =
+          (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
+           else -1);
+        name;
+        acquired_at = 0 }
+    in
+    (match impl with
+    | Swap _ ->
+      Stdlib.Mutex.lock sites_lock;
+      sites := t :: !sites;
+      Stdlib.Mutex.unlock sites_lock
+    | _ -> ());
+    t
   end
-
-let fast_unlock_raw f =
-  if Atomic.exchange f.state 0 = 2 then begin
-    Stdlib.Mutex.lock f.pm;
-    Stdlib.Condition.signal f.pc;
-    Stdlib.Mutex.unlock f.pm
-  end
-
-(* -- hot-swap cell operations -------------------------------------- *)
-
-let cell_lock_raw = function
-  | C_sys m -> Stdlib.Mutex.lock m
-  | C_fast f -> fast_lock_raw f
-  | C_queue q -> q.Queuelock.qk_lock ()
-
-let cell_try_raw = function
-  | C_sys m -> Stdlib.Mutex.try_lock m
-  | C_fast f -> Atomic.compare_and_set f.state 0 1
-  | C_queue q -> q.Queuelock.qk_try ()
-
-let cell_unlock_raw = function
-  | C_sys m -> Stdlib.Mutex.unlock m
-  | C_fast f -> fast_unlock_raw f
-  | C_queue q -> q.Queuelock.qk_unlock ()
 
 (* Acquire through the indirection: lock the cell [cur] points at, then
    re-check [cur]. A swap can only publish while holding the cell it
@@ -276,27 +237,25 @@ let cell_unlock_raw = function
    cell is (or can become) lockable until we release — see the protocol
    note on [swap]. The retry loop terminates because each iteration
    rides a distinct published swap, and swaps are controller-paced. *)
-let rec swap_lock_raw s =
+let rec swap_lock s =
   let c = Atomic.get s.cur in
-  cell_lock_raw c;
+  c.lock ();
   if Atomic.get s.cur == c then s.held <- c
   else begin
-    cell_unlock_raw c;
-    swap_lock_raw s
+    c.unlock ();
+    swap_lock s
   end
 
-let swap_unlock_raw s = cell_unlock_raw s.held
-
-let rec swap_try_raw s =
+let rec swap_try s =
   let c = Atomic.get s.cur in
-  if cell_try_raw c then
+  if c.try_lock () then
     if Atomic.get s.cur == c then begin
       s.held <- c;
       true
     end
     else begin
-      cell_unlock_raw c;
-      swap_try_raw s
+      c.unlock ();
+      swap_try s
     end
   else false
 
@@ -311,64 +270,58 @@ let rec swap_to t tier =
     let old = Atomic.get s.cur in
     if cell_tier old = tier then false
     else begin
-      cell_lock_raw old;
+      old.lock ();
       if Atomic.get s.cur != old then begin
         (* Lost a race with a concurrent swapper: back out and retry
            against the freshly published cell. *)
-        cell_unlock_raw old;
+        old.unlock ();
         swap_to t tier
       end
       else begin
         (* We hold the live cell: every acquirer either waits on it or
            will fail its re-check. Publish the fresh cell — new
            arrivals route there immediately — then drain by release. *)
-        Atomic.set s.cur (make_cell tier);
-        cell_unlock_raw old;
+        Atomic.set s.cur (swap_cell tier);
+        old.unlock ();
         Probe.instant Flip ~site:t.name ~arg:(tier_index tier);
         true
       end
     end
   | _ -> false
 
+(* -- lock operations ----------------------------------------------- *)
+
+(* The bookkeeping-free operations, one arm per representation. The
+   public ones below wrap them in the single watchdog and probe
+   bracket; Condition calls them directly to release and re-acquire
+   around a park. *)
+let[@inline] raw_lock t =
+  match t.impl with
+  | Sys m -> Stdlib.Mutex.lock m
+  | Cell c -> c.lock ()
+  | Swap s -> swap_lock s
+  | Det m -> Detrt.mutex_lock m
+
+let[@inline] raw_unlock t =
+  match t.impl with
+  | Sys m -> Stdlib.Mutex.unlock m
+  | Cell c -> c.unlock ()
+  | Swap s -> s.held.unlock ()
+  | Det m -> Detrt.mutex_unlock m
+
+let[@inline] raw_try t =
+  match t.impl with
+  | Sys m -> Stdlib.Mutex.try_lock m
+  | Cell c -> c.try_lock ()
+  | Swap s -> swap_try s
+  | Det m -> Detrt.mutex_try_lock m
+
 let lock t =
   let t0 = Probe.now () in
-  (match t.impl with
-  | Sys m ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      Stdlib.Mutex.lock m;
-      Deadlock.acquired t.rid
-    end
-    else Stdlib.Mutex.lock m
-  | Fast f ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      fast_lock_raw f;
-      Deadlock.acquired t.rid
-    end
-    else fast_lock_raw f
-  | Prim p ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      p.Prims.lk_lock ();
-      Deadlock.acquired t.rid
-    end
-    else p.Prims.lk_lock ()
-  | Queue q ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      q.Queuelock.qk_lock ();
-      Deadlock.acquired t.rid
-    end
-    else q.Queuelock.qk_lock ()
-  | Swap s ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      swap_lock_raw s;
-      Deadlock.acquired t.rid
-    end
-    else swap_lock_raw s
-  | Det m -> Detrt.mutex_lock m);
+  let watched = t.rid >= 0 && Deadlock.enabled () in
+  if watched then Deadlock.blocked t.rid;
+  raw_lock t;
+  if watched then Deadlock.acquired t.rid;
   if t0 <> 0 then begin
     Probe.span Acquire ~site:t.name ~since:t0 ~arg:0;
     t.acquired_at <- Probe.now ()
@@ -379,50 +332,13 @@ let unlock t =
     Probe.span Hold ~site:t.name ~since:t.acquired_at ~arg:0;
     t.acquired_at <- 0
   end;
-  match t.impl with
-  | Sys m ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    Stdlib.Mutex.unlock m
-  | Fast f ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    fast_unlock_raw f
-  | Prim p ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    p.Prims.lk_unlock ()
-  | Queue q ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    q.Queuelock.qk_unlock ()
-  | Swap s ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    swap_unlock_raw s
-  | Det m -> Detrt.mutex_unlock m
+  if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
+  raw_unlock t
 
 let try_lock t =
-  let ok =
-    match t.impl with
-    | Sys m ->
-      let ok = Stdlib.Mutex.try_lock m in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Fast f ->
-      let ok = Atomic.compare_and_set f.state 0 1 in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Prim p ->
-      let ok = p.Prims.lk_try () in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Queue q ->
-      let ok = q.Queuelock.qk_try () in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Swap s ->
-      let ok = swap_try_raw s in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Det m -> Detrt.mutex_try_lock m
-  in
+  let ok = raw_try t in
   if ok then begin
+    if t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
     (* A successful try_lock is a zero-wait acquire; emit the span so
        profiled acquire counts include try-lock users. *)
     let n = Probe.now () in
@@ -433,35 +349,28 @@ let try_lock t =
   end;
   ok
 
+(* Timed attempts poll [try_lock]. Deterministic runs pause with
+   [Detrt.relax], so every poll is a scheduling point the recorded
+   schedule controls; real threads back off. Queue-tier attempts poll
+   too: the queue locks' try never publishes a waiter node, so a
+   timeout cannot strand a wakeup in the FIFO queue. *)
 let try_lock_for t ~timeout_ns =
   let deadline = Deadline.after_ns timeout_ns in
-  match t.impl with
-  | Det _ ->
-    (* Deterministic runs: every poll must be a scheduling point the
-       recorded schedule controls, so no wall-clock backoff here. *)
-    let rec loop () =
-      if try_lock t then true
-      else if Deadline.expired deadline then false
-      else begin
-        Detrt.relax ();
-        loop ()
-      end
-    in
-    loop ()
-  | Sys _ | Fast _ | Prim _ | Queue _ | Swap _ ->
-    (* Queue-tier timed attempts poll [try_lock] too: the queue locks'
-       try never publishes a waiter node, so a timeout cannot strand a
-       wakeup in the FIFO queue. *)
-    let b = Backoff.create () in
-    let rec loop () =
-      if try_lock t then true
-      else if Deadline.expired deadline then false
-      else begin
-        Backoff.once b;
-        loop ()
-      end
-    in
-    loop ()
+  let pause =
+    match t.impl with
+    | Det _ -> Detrt.relax
+    | Sys _ | Cell _ | Swap _ ->
+      let b = Backoff.create () in
+      fun () -> Backoff.once b
+  in
+  let rec loop () =
+    try_lock t
+    || ((not (Deadline.expired deadline))
+       &&
+       (pause ();
+        loop ()))
+  in
+  loop ()
 
 let protect m f =
   lock m;

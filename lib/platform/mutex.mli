@@ -1,58 +1,42 @@
 (** Mutual-exclusion locks, deterministic-run aware.
 
     This module shadows the stdlib [Mutex] inside [Sync_platform] (and in
-    every file that opens it). A mutex created during a {!Detrt} run is a
-    virtual-task mutex whose blocking is controlled by the deterministic
-    scheduler; anywhere else it is a plain system mutex. Mechanism code is
-    written against the ordinary stdlib signature and needs no changes.
+    every file that opens it); mechanism code is written against the
+    ordinary stdlib signature. A mutex is built once, at {!create}:
+    inside a {!Detrt} run it is always a virtual-task mutex the
+    deterministic scheduler controls ([Det]); otherwise it takes the
+    tier {!Sync_prims.Tier.current} names. [`Default] and
+    [`Prim Native] give a stdlib mutex ([Sys]); [`Fast] (E22), [`Prim c]
+    (E25) and [`Queue k] (E23) give that tier's lock cell ([Cell]);
+    [`Adaptive] (E27) gives a hot-swappable site ([Swap]). The contract
+    is identical on every tier; only the cost profile changes.
 
-    When the {!Deadlock} watchdog is enabled at creation time the mutex
-    reports its holder/waiter edges to the wait-for graph.
+    [lock], [unlock] and [try_lock] wrap one bookkeeping-free operation
+    in a single bracket: the {!Deadlock} watchdog's edges when it was
+    enabled at creation, and acquire/hold probe spans when tracing.
 
-    When {!Fastpath} is active at creation time the mutex instead uses
-    the contention-adaptive tier (E22): a single-word atomic with a CAS
-    fast path, a bounded randomized spin on contention, and a parked
-    slow path on a private stdlib mutex/condition pair. The observable
-    contract is identical; only the cost profile changes.
-
-    When a {!Sync_prims.Prims} class is selected at creation time (E25
-    hierarchy runs) the mutex is instead built from that restricted
-    atomic class — bakery on read/write registers, test-and-CAS on CAS,
-    ticket on fetch-and-add, or an LL/SC-emulated lock.
-
-    When a {!Sync_prims.Queuelock} kind is selected at creation time
-    (E23 scalable-lock runs) the mutex is a queue lock with local
-    spinning — MCS, CLH, or a proportional-backoff ticket lock — whose
-    contended handoff touches one waiter's cache line instead of
-    invalidating every spinner. Selection precedence is Det > Prim >
-    Queue > Fast > Sys.
+    [Sys] stays a direct constructor: [Stdlib.Condition.wait] needs the
+    raw stdlib mutex, and every default-tier mutex would otherwise pay a
+    closure call. The fast tier is a cell whose closure holds the
+    uncontended CAS inline.
 
     The representation is exposed so that {!Condition} can pair det
-    conditions with det mutexes and park waiters of adaptive mutexes;
-    treat it as internal. *)
+    conditions with det mutexes and park waiters of cell and swap
+    mutexes; treat it as internal. *)
 
-type fast = {
-  state : int Atomic.t;
-  pm : Stdlib.Mutex.t;
-  pc : Stdlib.Condition.t;
+type swap = {
+  cur : Sync_prims.Tier.cell Atomic.t;
+  mutable held : Sync_prims.Tier.cell;
 }
-
-(** Hot-swappable (E27) cell: the static impl a swappable site is
-    currently routed to. Cells are never reused across swaps, so the
-    acquire re-check can rely on physical equality. *)
-type swap_cell =
-  | C_sys of Stdlib.Mutex.t
-  | C_fast of fast
-  | C_queue of Sync_prims.Queuelock.lock
-
-type swap = { cur : swap_cell Atomic.t; mutable held : swap_cell }
+(** A hot-swappable (E27) site: the cell it currently routes to, and
+    the cell its current holder actually locked. Cells are never reused
+    across swaps, so the acquire re-check can rely on physical
+    equality. *)
 
 type impl =
-  | Sys of Stdlib.Mutex.t
   | Det of Detrt.mutex
-  | Fast of fast
-  | Prim of Sync_prims.Prims.lock
-  | Queue of Sync_prims.Queuelock.lock
+  | Sys of Stdlib.Mutex.t
+  | Cell of Sync_prims.Tier.cell
   | Swap of swap
 
 type t = {
@@ -62,25 +46,16 @@ type t = {
   mutable acquired_at : int;
 }
 
-val fast_lock_raw : fast -> unit
-(** Acquire the adaptive lock with no probe/watchdog bookkeeping.
-    Internal: used by {!Condition} to re-acquire after a park. *)
+val raw_lock : t -> unit
+(** Acquire with no probe/watchdog bookkeeping. Internal: used by
+    {!Condition} to re-acquire after a park or a timed-wait yield. *)
 
-val fast_unlock_raw : fast -> unit
-(** Release the adaptive lock with no probe/watchdog bookkeeping.
-    Internal: used by {!Condition} to release before a park. *)
-
-val swap_lock_raw : swap -> unit
-(** Acquire a swappable site with no probe/watchdog bookkeeping: lock
-    the current cell, re-check the indirection, retry if a swap was
-    published in between. Internal: used by {!Condition}. *)
-
-val swap_unlock_raw : swap -> unit
-(** Release the cell the current holder actually locked. Internal:
-    used by {!Condition}. *)
+val raw_unlock : t -> unit
+(** Release with no probe/watchdog bookkeeping. Internal: used by
+    {!Condition}. *)
 
 val create : ?name:string -> unit -> t
-(** System mutex normally; deterministic mutex inside a {!Detrt} run.
+(** A mutex on the current tier; deterministic inside a {!Detrt} run.
     [name] (default ["mutex"]) is the trace site label: when tracing is
     on, [lock]/[unlock] emit acquire and hold spans against it. *)
 
@@ -132,16 +107,12 @@ val tier_index : tier -> int
 val tier_of_index : int -> tier option
 
 val with_swappable : (unit -> 'a) -> 'a
-(** Run a thunk with swappable mutex creation selected (precedence Det
-    > Swap > Prim > Queue > Fast > Sys), restoring the previous
-    selection afterwards. Mutexes created inside the scope start on
-    [`Sys]. The site registry is cleared on entry and {e kept} on exit,
-    so a controller started after the build scope closes still
-    enumerates the run's sites via {!swap_sites}; the next scope clears
-    the slate. Concurrent scopes are not supported (same rule as
-    {!Fastpath}). *)
-
-val swappable_selected : unit -> bool
+(** [with_swappable f] is [Tier.with_tier `Adaptive f] plus a fresh
+    site registry. Mutexes created inside the scope start on [`Sys].
+    The registry is cleared on entry and {e kept} on exit, so a
+    controller started after the build scope closes still enumerates
+    the run's sites via {!swap_sites}; the next scope clears the slate.
+    Concurrent scopes are not supported (see {!Sync_prims.Tier}). *)
 
 val swap_sites : unit -> t list
 (** Every swappable mutex created in the most recent scope, newest

@@ -51,50 +51,47 @@ module Counting = struct
 
   type t = Queued of queued | Fast of fast | Prim of prim
 
+  let queued ~fairness n ~srid =
+    Queued
+      { mutex = Mutex.create ~name:"sem.lock" (); fairness;
+        queue = Waitq.create ~name:"sem.q" (); cond = Condition.create ();
+        value = n; weak_waiters = 0; srid }
+
   let create ?(fairness = `Strong) n =
     if n < 0 then invalid_arg "Semaphore.Counting.create: negative value";
-    let cls =
-      if Detrt.active () then None
-      else
-        match Prims.selected () with
-        | Some _ as c -> c
-        | None -> (
-          (* Queue tier (E23): semaphores map onto the FAA-class
-             constructions — the FIFO ticket semaphore for [`Strong],
-             value-netting for [`Weak] — so the tier's ticket
-             discipline covers semaphores too, not just mutexes. *)
-          match Sync_prims.Queuelock.selected () with
-          | Some _ -> Some Prims.FAA
-          | None -> None)
+    let rid () =
+      if Deadlock.enabled () then Deadlock.register ~kind:"semaphore" ()
+      else -1
     in
-    match cls with
-    | Some c ->
-      Prim
-        { psem = Prims.make_sem c ~fairness n;
-          prid =
-            (if Deadlock.enabled () then
-               Deadlock.register ~kind:"semaphore" ()
-             else -1) }
-    | None ->
-      if fairness = `Weak && Fastpath.active () then
-        Fast
-          { fvalue = Atomic.make n;
-            fwaiters = Atomic.make 0;
-            flock = Stdlib.Mutex.create ();
-            fcond = Stdlib.Condition.create ();
-            frid =
-              (if Deadlock.enabled () then
-                 Deadlock.register ~kind:"semaphore" ()
-               else -1) }
-      else
-        Queued
-          { mutex = Mutex.create ~name:"sem.lock" (); fairness;
-            queue = Waitq.create ~name:"sem.q" ();
-            cond = Condition.create (); value = n; weak_waiters = 0;
-            srid =
-              (if Deadlock.enabled () then
-                 Deadlock.register ~kind:"semaphore" ()
-               else -1) }
+    let prim c = Prim { psem = Prims.make_sem c ~fairness n; prid = rid () } in
+    match if Detrt.active () then `Default else Sync_prims.Tier.current () with
+    | `Fast when fairness = `Weak ->
+      Fast
+        { fvalue = Atomic.make n;
+          fwaiters = Atomic.make 0;
+          flock = Stdlib.Mutex.create ();
+          fcond = Stdlib.Condition.create ();
+          frid = rid () }
+    | `Prim ((RW | CAS | FAA | LLSC) as c) -> prim c
+    (* Queue tier (E23): semaphores map onto the FAA-class
+       constructions — the FIFO ticket semaphore for [`Strong],
+       value-netting for [`Weak] — so the tier's ticket discipline
+       covers semaphores too, not just mutexes. *)
+    | `Queue _ -> prim Prims.FAA
+    | `Default | `Fast | `Prim Native | `Adaptive ->
+      queued ~fairness n ~srid:(rid ())
+
+  (* The watchdog bracket around a blocking wait: while [f x] runs,
+     this thread waits on resource [rid] (-1: watchdog off). *)
+  let blocked_on rid f x =
+    if rid >= 0 then Deadlock.blocked rid;
+    match f x with
+    | v ->
+      if rid >= 0 then Deadlock.unblocked ();
+      v
+    | exception e ->
+      if rid >= 0 then Deadlock.unblocked ();
+      raise e
 
   (* ---------------- queued (default) tier ---------------- *)
 
@@ -103,6 +100,19 @@ module Counting = struct
      counter) before propagating. *)
   let redonate t () =
     if not (Waitq.wake_first t.queue) then t.value <- t.value + 1
+
+  (* Weak P's wait for a unit, under the semaphore's mutex. *)
+  let weak_await t =
+    if t.value = 0 then begin
+      let t0 = Probe.now () in
+      Condition.wait t.cond t.mutex;
+      while t.value = 0 do
+        (* Broadcast race lost: another woken waiter took the unit. *)
+        Probe.instant Spurious ~site:"sem.cond" ~arg:0;
+        Condition.wait t.cond t.mutex
+      done;
+      Probe.span Wait ~site:"sem.cond" ~since:t0 ~arg:t.weak_waiters
+    end
 
   let queued_p t =
     Mutex.protect t.mutex (fun () ->
@@ -115,25 +125,11 @@ module Counting = struct
           else Waitq.wait t.queue ~lock:t.mutex () ~on_abort:(redonate t)
         | `Weak -> (
           t.weak_waiters <- t.weak_waiters + 1;
-          if t.srid >= 0 then Deadlock.blocked t.srid;
-          match
-            if t.value = 0 then begin
-              let t0 = Probe.now () in
-              Condition.wait t.cond t.mutex;
-              while t.value = 0 do
-                (* Broadcast race lost: another woken waiter took the unit. *)
-                Probe.instant Spurious ~site:"sem.cond" ~arg:0;
-                Condition.wait t.cond t.mutex
-              done;
-              Probe.span Wait ~site:"sem.cond" ~since:t0 ~arg:t.weak_waiters
-            end
-          with
+          match blocked_on t.srid weak_await t with
           | () ->
-            if t.srid >= 0 then Deadlock.unblocked ();
             t.weak_waiters <- t.weak_waiters - 1;
             t.value <- t.value - 1
           | exception e ->
-            if t.srid >= 0 then Deadlock.unblocked ();
             t.weak_waiters <- t.weak_waiters - 1;
             raise e))
 
@@ -151,20 +147,17 @@ module Counting = struct
               ~on_abort:(redonate t)
         | `Weak -> (
           t.weak_waiters <- t.weak_waiters + 1;
-          if t.srid >= 0 then Deadlock.blocked t.srid;
           let rec poll () =
             if t.value > 0 then true
             else if Condition.wait_for t.cond t.mutex ~deadline then poll ()
             else t.value > 0
           in
-          match poll () with
+          match blocked_on t.srid poll () with
           | got ->
-            if t.srid >= 0 then Deadlock.unblocked ();
             t.weak_waiters <- t.weak_waiters - 1;
             if got then t.value <- t.value - 1;
             got
           | exception e ->
-            if t.srid >= 0 then Deadlock.unblocked ();
             t.weak_waiters <- t.weak_waiters - 1;
             raise e))
 
@@ -234,7 +227,6 @@ module Counting = struct
       let t0 = Probe.now () in
       Stdlib.Mutex.lock f.flock;
       Atomic.incr f.fwaiters;
-      if f.frid >= 0 then Deadlock.blocked f.frid;
       let rec park first =
         if not (fast_try_dec f b) then begin
           if not first then
@@ -244,15 +236,13 @@ module Counting = struct
           park false
         end
       in
-      (match park true with
+      (match blocked_on f.frid park true with
       | () -> ()
       | exception e ->
         Atomic.decr f.fwaiters;
-        if f.frid >= 0 then Deadlock.unblocked ();
         Stdlib.Mutex.unlock f.flock;
         raise e);
       Atomic.decr f.fwaiters;
-      if f.frid >= 0 then Deadlock.unblocked ();
       Stdlib.Mutex.unlock f.flock;
       if t0 <> 0 then
         Probe.span Wait ~site:"sem.fast" ~since:t0 ~arg:(Atomic.get f.fwaiters)
@@ -296,12 +286,7 @@ module Counting = struct
     Fault.site "semaphore.pre-wait";
     if not (p.psem.Prims.sm_try ()) then begin
       let t0 = Probe.now () in
-      if p.prid >= 0 then Deadlock.blocked p.prid;
-      (match p.psem.Prims.sm_p () with
-      | () -> if p.prid >= 0 then Deadlock.unblocked ()
-      | exception e ->
-        if p.prid >= 0 then Deadlock.unblocked ();
-        raise e);
+      blocked_on p.prid p.psem.Prims.sm_p ();
       if t0 <> 0 then
         Probe.span Wait ~site:"sem.prim" ~since:t0
           ~arg:(p.psem.Prims.sm_waiters ())
@@ -310,18 +295,8 @@ module Counting = struct
   let prim_acquire_for p ~deadline =
     Fault.site "semaphore.pre-wait";
     p.psem.Prims.sm_try ()
-    || begin
-         if p.prid >= 0 then Deadlock.blocked p.prid;
-         match
-           p.psem.Prims.sm_p_poll (fun () -> Deadline.expired deadline)
-         with
-         | got ->
-           if p.prid >= 0 then Deadlock.unblocked ();
-           got
-         | exception e ->
-           if p.prid >= 0 then Deadlock.unblocked ();
-           raise e
-       end
+    || blocked_on p.prid p.psem.Prims.sm_p_poll (fun () ->
+           Deadline.expired deadline)
 
   let prim_v p n =
     p.psem.Prims.sm_v n;

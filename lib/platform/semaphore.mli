@@ -16,14 +16,14 @@
     translation and for the baseline semaphore solutions of the six
     canonical problems.
 
-    When {!Fastpath} is active at creation time, a [`Weak] counting
-    semaphore uses the contention-adaptive tier (E22): the value lives
-    in a non-negative atomic, [P] consumes a unit by CAS when the value
-    is positive, [V] publishes with one fetch-and-add, and the internal
-    lock is touched only when the value exhausts and a waiter parks.
-    [`Strong] (FCFS) mode always keeps the queued slow path — a CAS
-    fast path is a barging path, and arrival-order grants must not
-    change — but still inherits the adaptive mutex for its lock. *)
+    A counting semaphore takes its tier from {!Sync_prims.Tier} at
+    creation (inside {!Detrt}, always the queued construction). On
+    [`Fast] a [`Weak] semaphore uses the contention-adaptive tier (E22):
+    a non-negative atomic value, CAS [P], fetch-and-add [V], and the
+    internal lock touched only when a waiter parks ([`Strong] stays
+    queued: a CAS fast path barges). [`Prim c] builds the protocol from
+    atomic class [c] (E25) and [`Queue k] from the FAA class (E23); any
+    other tier uses the queued construction on a mutex of that tier. *)
 
 type fairness = [ `Strong | `Weak ]
 

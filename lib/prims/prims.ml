@@ -1,52 +1,25 @@
 (* The E25 primitive-class abstraction: which atomic operations the
    synchronization substrate may use. Each restricted class has its own
    lock and counting-semaphore construction (functors over {!Regs}
-   signatures, instantiated here over {!Regs.Shared}); [with_class]
-   scopes class selection over primitive creation exactly like
-   {!Fastpath.with_enabled} scopes the E22 tier, and the platform's
-   [Mutex]/[Semaphore] facades consult {!selected} at creation time.
+   signatures, instantiated here over {!Regs.Shared}); the platform's
+   [Mutex]/[Semaphore] facades build on them when the creation-time
+   {!Tier} is [`Prim c].
 
    What a class cannot express surfaces as the typed {!Unsupported}
    exception, never as a crash or a silent downgrade — the hierarchy
    scorecard records these as first-class results. *)
 
-type cls = RW | CAS | FAA | LLSC | Native
+type cls = Tier.cls = RW | CAS | FAA | LLSC | Native
 
 exception Unsupported of { cls : cls; feature : string; reason : string }
 
-let cls_name = function
-  | RW -> "rw"
-  | CAS -> "cas"
-  | FAA -> "faa"
-  | LLSC -> "llsc"
-  | Native -> "native"
+let cls_name c = Tier.name (`Prim c)
 
-let cls_of_string = function
-  | "rw" -> Some RW
-  | "cas" -> Some CAS
-  | "faa" -> Some FAA
-  | "llsc" -> Some LLSC
-  | "native" -> Some Native
-  | _ -> None
-
-let restricted = [ RW; CAS; FAA; LLSC ]
-
-let all = restricted @ [ Native ]
+let all = [ RW; CAS; FAA; LLSC; Native ]
 
 let unsupported cls feature reason = raise (Unsupported { cls; feature; reason })
 
-(* ------------------------------------------------------------------ *)
-(* Creation-scoped class selection. [Native] is the resting state: no
-   restriction, the platform picks its usual tier. *)
-
-let flag = Atomic.make Native
-
-let selected () = match Atomic.get flag with Native -> None | c -> Some c
-
-let with_class c f =
-  let prev = Atomic.get flag in
-  Atomic.set flag c;
-  Fun.protect ~finally:(fun () -> Atomic.set flag prev) f
+let with_class c f = Tier.with_tier (`Prim c) f
 
 (* ------------------------------------------------------------------ *)
 (* Production instances: every class over the same SC-atomic registers,
@@ -61,80 +34,44 @@ module T_cas = Ticket_sem.Make (Regs.Faa_of_cas (Regs.Shared))
 module T_llsc = Ticket_sem.Make (L.Faa_regs)
 
 (* The bakery is a static-process algorithm: per-lock slot assignment
-   maps real threads onto register indices. The registry is ordinary
-   bookkeeping outside the protocol (the protocol itself never touches
-   it while contending), so a stdlib mutex here does not launder an
-   unsupported primitive into the RW class. *)
+   maps real threads onto register indices (see {!Slots}). *)
 let bakery_slots = 64
 
-type rw_slots = {
-  reg_m : Stdlib.Mutex.t;
-  tbl : (int, int) Hashtbl.t;
-  mutable next_slot : int;
-}
-
-let slot_of_self r =
-  let tid = Thread.id (Thread.self ()) in
-  Stdlib.Mutex.lock r.reg_m;
-  let s =
-    match Hashtbl.find_opt r.tbl tid with
-    | Some s -> s
-    | None ->
-      if r.next_slot >= bakery_slots then begin
-        Stdlib.Mutex.unlock r.reg_m;
-        failwith
-          (Printf.sprintf
-             "Prims: more than %d distinct threads on one RW-class lock"
-             bakery_slots)
-      end;
-      let s = r.next_slot in
-      r.next_slot <- s + 1;
-      Hashtbl.add r.tbl tid s;
-      s
-  in
-  Stdlib.Mutex.unlock r.reg_m;
-  s
-
 let rw_slots () =
-  { reg_m = Stdlib.Mutex.create (); tbl = Hashtbl.create 16; next_slot = 0 }
+  Slots.create ~size:bakery_slots ~owner:"Prims" ~what:"RW-class lock"
 
 (* ------------------------------------------------------------------ *)
-(* Locks: one closure record regardless of class, so the platform mutex
-   carries a single [Prim] representation. *)
+(* Locks: one closure cell regardless of class, so the platform mutex
+   carries a single representation for every tier. *)
 
-type lock = {
-  lk_cls : cls;
-  lk_lock : unit -> unit;
-  lk_try : unit -> bool;
-  lk_unlock : unit -> unit;
-}
-
-let make_lock = function
+let make_lock cls : Tier.cell =
+  let tier = `Prim cls in
+  match cls with
   | RW ->
     let b = B.create ~bound:4096 ~slots:bakery_slots () in
     let slots = rw_slots () in
-    { lk_cls = RW;
-      lk_lock = (fun () -> B.lock b ~slot:(slot_of_self slots));
-      lk_try = (fun () -> B.try_lock b ~slot:(slot_of_self slots));
-      lk_unlock = (fun () -> B.unlock b ~slot:(slot_of_self slots)) }
+    { Tier.lock = (fun () -> B.lock b ~slot:(Slots.self slots));
+      try_lock = (fun () -> B.try_lock b ~slot:(Slots.self slots));
+      unlock = (fun () -> B.unlock b ~slot:(Slots.self slots));
+      tier }
   | CAS ->
     let l = C.Lock.create () in
-    { lk_cls = CAS;
-      lk_lock = (fun () -> C.Lock.lock l);
-      lk_try = (fun () -> C.Lock.try_lock l);
-      lk_unlock = (fun () -> C.Lock.unlock l) }
+    { Tier.lock = (fun () -> C.Lock.lock l);
+      try_lock = (fun () -> C.Lock.try_lock l);
+      unlock = (fun () -> C.Lock.unlock l);
+      tier }
   | FAA ->
     let l = F.Lock.create () in
-    { lk_cls = FAA;
-      lk_lock = (fun () -> F.Lock.lock l);
-      lk_try = (fun () -> F.Lock.try_lock l);
-      lk_unlock = (fun () -> F.Lock.unlock l) }
+    { Tier.lock = (fun () -> F.Lock.lock l);
+      try_lock = (fun () -> F.Lock.try_lock l);
+      unlock = (fun () -> F.Lock.unlock l);
+      tier }
   | LLSC ->
     let l = L.Lock.create () in
-    { lk_cls = LLSC;
-      lk_lock = (fun () -> L.Lock.lock l);
-      lk_try = (fun () -> L.Lock.try_lock l);
-      lk_unlock = (fun () -> L.Lock.unlock l) }
+    { Tier.lock = (fun () -> L.Lock.lock l);
+      try_lock = (fun () -> L.Lock.try_lock l);
+      unlock = (fun () -> L.Lock.unlock l);
+      tier }
   | Native ->
     unsupported Native "lock"
       "the native class is the platform's own default/fast tier, not a \
@@ -148,7 +85,6 @@ let make_lock = function
    after [expired ()] was observed true. *)
 
 type sem = {
-  sm_cls : cls;
   sm_p : unit -> unit;
   sm_try : unit -> bool;
   sm_p_poll : (unit -> bool) -> bool;
@@ -157,66 +93,63 @@ type sem = {
   sm_waiters : unit -> int;
 }
 
+module type SEM = sig
+  type t
+
+  val create : int -> t
+  val p : t -> unit
+  val try_p : t -> bool
+  val p_poll : t -> (unit -> bool) -> bool
+  val v_n : t -> int -> unit
+  val value : t -> int
+end
+
 (* RW-only weak semaphore: a bakery-guarded counter with an invisible
    pre-wait on the value register. Barging (hence weak): the pre-wait
    carries no order. *)
-let rw_sem n =
-  let b = B.create ~bound:4096 ~slots:bakery_slots () in
-  let slots = rw_slots () in
-  let value = Regs.Shared.make n in
-  let locked f =
-    let s = slot_of_self slots in
-    B.lock b ~slot:s;
+module Rw_sem = struct
+  type t = { b : B.t; slots : Slots.t; value : Regs.Shared.t }
+
+  let create n =
+    let b = B.create ~bound:4096 ~slots:bakery_slots () in
+    let slots = rw_slots () in
+    { b; slots; value = Regs.Shared.make n }
+
+  let locked t f =
+    let s = Slots.self t.slots in
+    B.lock t.b ~slot:s;
     let r = f () in
-    B.unlock b ~slot:s;
+    B.unlock t.b ~slot:s;
     r
-  in
-  let try_p () =
-    locked (fun () ->
-        let v = Regs.Shared.get value in
+
+  let try_p t =
+    locked t (fun () ->
+        let v = Regs.Shared.get t.value in
         if v > 0 then begin
-          Regs.Shared.set value (v - 1);
+          Regs.Shared.set t.value (v - 1);
           true
         end
         else false)
-  in
-  let rec p () =
-    Regs.Shared.await ~watch:[| value |] (fun () -> Regs.Shared.get value > 0);
-    if not (try_p ()) then p ()
-  in
-  let rec p_poll expired =
-    if try_p () then true
+
+  let rec p t =
+    Regs.Shared.await ~watch:[| t.value |] (fun () ->
+        Regs.Shared.get t.value > 0);
+    if not (try_p t) then p t
+
+  let rec p_poll t expired =
+    if try_p t then true
     else if expired () then false
     else begin
-      Regs.Shared.await ~watch:[| value |] (fun () ->
-          Regs.Shared.get value > 0 || expired ());
-      p_poll expired
+      Regs.Shared.await ~watch:[| t.value |] (fun () ->
+          Regs.Shared.get t.value > 0 || expired ());
+      p_poll t expired
     end
-  in
-  ( p,
-    try_p,
-    p_poll,
-    (fun k ->
-      locked (fun () -> Regs.Shared.set value (Regs.Shared.get value + k))),
-    fun () -> Regs.Shared.get value )
 
-let with_waiters (p, try_p, p_poll, v_n, value) cls =
-  (* Blocked-caller bookkeeping for introspection ([waiters]); not part
-     of any protocol, so a plain atomic is fine in every class. *)
-  let w = Atomic.make 0 in
-  let guarded f =
-    Atomic.incr w;
-    Fun.protect ~finally:(fun () -> Atomic.decr w) f
-  in
-  { sm_cls = cls;
-    sm_p = (fun () -> if not (try_p ()) then guarded p);
-    sm_try = try_p;
-    sm_p_poll =
-      (fun expired ->
-        if try_p () then true else guarded (fun () -> p_poll expired));
-    sm_v = v_n;
-    sm_value = value;
-    sm_waiters = (fun () -> Atomic.get w) }
+  let v_n t k =
+    locked t (fun () -> Regs.Shared.set t.value (Regs.Shared.get t.value + k))
+
+  let value t = Regs.Shared.get t.value
+end
 
 let strong_reason =
   "FCFS grants need an arrival-order-assigning read-modify-write (ticket \
@@ -224,63 +157,32 @@ let strong_reason =
 
 let make_sem cls ~fairness n =
   if n < 0 then invalid_arg "Prims.make_sem: negative value";
+  let sem (module S : SEM) =
+    let s = S.create n in
+    (* Blocked-caller bookkeeping for introspection ([waiters]); not part
+       of any protocol, so a plain atomic is fine in every class. *)
+    let w = Atomic.make 0 in
+    let guarded f =
+      Atomic.incr w;
+      Fun.protect ~finally:(fun () -> Atomic.decr w) f
+    in
+    { sm_p = (fun () -> if not (S.try_p s) then guarded (fun () -> S.p s));
+      sm_try = (fun () -> S.try_p s);
+      sm_p_poll =
+        (fun expired -> S.try_p s || guarded (fun () -> S.p_poll s expired));
+      sm_v = S.v_n s;
+      sm_value = (fun () -> S.value s);
+      sm_waiters = (fun () -> Atomic.get w) }
+  in
   match (cls, fairness) with
   | RW, `Strong -> unsupported RW "semaphore.strong" strong_reason
-  | RW, `Weak -> with_waiters (rw_sem n) RW
-  | CAS, `Weak ->
-    let s = C.Sem.create n in
-    with_waiters
-      ( (fun () -> C.Sem.p s),
-        (fun () -> C.Sem.try_p s),
-        (fun e -> C.Sem.p_poll s e),
-        (fun k -> C.Sem.v_n s k),
-        fun () -> C.Sem.value s )
-      CAS
-  | CAS, `Strong ->
-    let s = T_cas.create n in
-    with_waiters
-      ( (fun () -> T_cas.p s),
-        (fun () -> T_cas.try_p s),
-        (fun e -> T_cas.p_poll s e),
-        (fun k -> T_cas.v_n s k),
-        fun () -> T_cas.value s )
-      CAS
-  | FAA, `Weak ->
-    let s = F.Sem.create n in
-    with_waiters
-      ( (fun () -> F.Sem.p s),
-        (fun () -> F.Sem.try_p s),
-        (fun e -> F.Sem.p_poll s e),
-        (fun k -> F.Sem.v_n s k),
-        fun () -> F.Sem.value s )
-      FAA
-  | FAA, `Strong ->
-    let s = T_faa.create n in
-    with_waiters
-      ( (fun () -> T_faa.p s),
-        (fun () -> T_faa.try_p s),
-        (fun e -> T_faa.p_poll s e),
-        (fun k -> T_faa.v_n s k),
-        fun () -> T_faa.value s )
-      FAA
-  | LLSC, `Weak ->
-    let s = L.Sem.create n in
-    with_waiters
-      ( (fun () -> L.Sem.p s),
-        (fun () -> L.Sem.try_p s),
-        (fun e -> L.Sem.p_poll s e),
-        (fun k -> L.Sem.v_n s k),
-        fun () -> L.Sem.value s )
-      LLSC
-  | LLSC, `Strong ->
-    let s = T_llsc.create n in
-    with_waiters
-      ( (fun () -> T_llsc.p s),
-        (fun () -> T_llsc.try_p s),
-        (fun e -> T_llsc.p_poll s e),
-        (fun k -> T_llsc.v_n s k),
-        fun () -> T_llsc.value s )
-      LLSC
+  | RW, `Weak -> sem (module Rw_sem)
+  | CAS, `Weak -> sem (module C.Sem)
+  | CAS, `Strong -> sem (module T_cas)
+  | FAA, `Weak -> sem (module F.Sem)
+  | FAA, `Strong -> sem (module T_faa)
+  | LLSC, `Weak -> sem (module L.Sem)
+  | LLSC, `Strong -> sem (module T_llsc)
   | Native, _ ->
     unsupported Native "semaphore"
       "the native class is the platform's own default/fast tier, not a \

@@ -1,10 +1,9 @@
 (** Primitive classes: which atomic operations the synchronization
     substrate may use (E25).
 
-    The platform's [Mutex]/[Semaphore] facades consult {!selected} at
-    creation time (the same creation-scoped plumbing as the E22
-    [Fastpath] tier) and, when a restricted class is selected, build on
-    this module's per-class constructions:
+    The platform's [Mutex]/[Semaphore] facades build on this module's
+    per-class constructions when the creation-time {!Tier} is
+    [`Prim c]:
 
     - {b RW} — atomic read/write registers only: Lamport's bakery lock
       with the bounded-timestamp fix; a bakery-guarded weak counting
@@ -16,14 +15,14 @@
     - {b LLSC} — load-linked/store-conditional, emulated from CAS with
       ABA tagging ({!Llsc}); locks and semaphores built only from the
       emulation.
-    - {b Native} — no restriction: the platform's own default/fast
-      tiers. {!selected} reports [None]; the factories reject it.
+    - {b Native} — no restriction: [`Prim Native] builds the
+      platform's default tier; the factories here reject it.
 
     Classes that cannot express a primitive raise {!Unsupported} with a
     typed reason — the hierarchy scorecard records these as results,
     never as crashes. *)
 
-type cls = RW | CAS | FAA | LLSC | Native
+type cls = Tier.cls = RW | CAS | FAA | LLSC | Native
 
 exception Unsupported of { cls : cls; feature : string; reason : string }
 (** A class cannot express a requested primitive (e.g. [RW] ×
@@ -33,46 +32,25 @@ exception Unsupported of { cls : cls; feature : string; reason : string }
 val cls_name : cls -> string
 (** ["rw"], ["cas"], ["faa"], ["llsc"], ["native"] — report labels. *)
 
-val cls_of_string : string -> cls option
-
-val restricted : cls list
-(** [[RW; CAS; FAA; LLSC]] — the classes with prims constructions. *)
-
 val all : cls list
-(** {!restricted} plus [Native]. *)
-
-val selected : unit -> cls option
-(** The restricted class a primitive created right now should build on;
-    [None] when unrestricted ([Native]). The platform checks its
-    deterministic runtime first, so [Detrt] always outranks this. *)
+(** [[RW; CAS; FAA; LLSC; Native]]; all but [Native] have prims
+    constructions. *)
 
 val with_class : cls -> (unit -> 'a) -> 'a
-(** [with_class c f] runs [f] with class [c] selected, restoring the
-    previous selection on any exit. [with_class Native] is an explicit
-    "no restriction" scope. *)
+(** [with_class c f] is [Tier.with_tier (`Prim c) f]. *)
 
-(** A class-restricted mutual-exclusion lock, as closures so the
-    platform mutex carries one representation for every class. *)
-type lock = {
-  lk_cls : cls;
-  lk_lock : unit -> unit;
-  lk_try : unit -> bool;
-      (** Non-blocking attempt; may fail spuriously (RW), and on FAA may
-          briefly wait out a lost race — fetch-and-add cannot withdraw a
-          committed ticket (see docs/hierarchy.md). *)
-  lk_unlock : unit -> unit;
-}
-
-val make_lock : cls -> lock
-(** @raise Unsupported for [Native]. RW-class locks assign bakery slots
-    per calling thread (at most 64 distinct threads per lock). *)
+val make_lock : cls -> Tier.cell
+(** A class-restricted lock as a {!Tier.cell} tagged [`Prim cls].
+    @raise Unsupported for [Native]. RW-class locks assign bakery slots
+    per calling thread: at most 64 distinct threads per lock; the 65th
+    fails with [Failure "Prims: more than 64 distinct threads on one
+    RW-class lock"]. *)
 
 (** A class-restricted counting semaphore. [sm_p_poll expired] is the
     timed P: it returns [false] only after observing [expired ()] true,
     and conservation holds on that path (an abandoned FIFO turn is
     covered by a donated unit). *)
 type sem = {
-  sm_cls : cls;
   sm_p : unit -> unit;
   sm_try : unit -> bool;
   sm_p_poll : (unit -> bool) -> bool;

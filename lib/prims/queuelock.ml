@@ -8,9 +8,9 @@
    {!Detrt} recorded registers for DPOR certification.
 
    All three are static-process algorithms in the bakery mould: MCS and
-   CLH map threads onto per-lock slot indices via an out-of-protocol
-   registry (the protocol itself never reads it while contending); the
-   ticket lock needs no slots at all. None are reentrant. *)
+   CLH map threads onto per-lock slot indices via the out-of-protocol
+   {!Slots} registry; the ticket lock needs no slots at all. None are
+   reentrant. *)
 
 (* Cache-line spacing for the per-slot spin registers: OCaml 5.1 has no
    [Atomic.make_contended], so we reuse the Fastring idiom — allocate a
@@ -197,98 +197,44 @@ module Make (R : Regs.FULL) = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Kind selection, scoped over primitive creation exactly like
-   {!Prims.with_class} / [Fastpath.with_enabled]. Precedence against
-   the other tiers is decided in the platform mutex (Det > Prim >
-   Queue > Fast > Sys). *)
+(* Kinds, and production instances over SC atomics behind one closure
+   cell, so the platform mutex carries a single representation. *)
 
-type kind = MCS | CLH | Ticket
+type kind = Tier.kind = MCS | CLH | Ticket
 
-let kind_name = function MCS -> "mcs" | CLH -> "clh" | Ticket -> "ticket"
-
-let kind_of_string = function
-  | "mcs" -> Some MCS
-  | "clh" -> Some CLH
-  | "ticket" -> Some Ticket
-  | _ -> None
+let kind_name k = Tier.name (`Queue k)
 
 let all = [ MCS; CLH; Ticket ]
 
-let flag : kind option Atomic.t = Atomic.make None
-
-let selected () = Atomic.get flag
-
-let with_kind k f =
-  let prev = Atomic.get flag in
-  Atomic.set flag (Some k);
-  Fun.protect ~finally:(fun () -> Atomic.set flag prev) f
-
-(* ------------------------------------------------------------------ *)
-(* Production instances over SC atomics, behind one closure record so
-   the platform mutex carries a single [Queue] representation. *)
+let with_kind k f = Tier.with_tier (`Queue k) f
 
 module Q = Make (Regs.Shared)
 
 let queue_slots = 64
 
-(* Per-lock thread -> slot assignment for the slot-indexed locks; the
-   same out-of-protocol registry idiom as the E25 bakery. *)
-type q_slots = {
-  reg_m : Stdlib.Mutex.t;
-  tbl : (int, int) Hashtbl.t;
-  mutable next_slot : int;
-}
-
-let slot_of_self r =
-  let tid = Thread.id (Thread.self ()) in
-  Stdlib.Mutex.lock r.reg_m;
-  let s =
-    match Hashtbl.find_opt r.tbl tid with
-    | Some s -> s
-    | None ->
-      if r.next_slot >= queue_slots then begin
-        Stdlib.Mutex.unlock r.reg_m;
-        failwith
-          (Printf.sprintf
-             "Queuelock: more than %d distinct threads on one queue lock"
-             queue_slots)
-      end;
-      let s = r.next_slot in
-      r.next_slot <- s + 1;
-      Hashtbl.add r.tbl tid s;
-      s
-  in
-  Stdlib.Mutex.unlock r.reg_m;
-  s
-
 let q_slots () =
-  { reg_m = Stdlib.Mutex.create (); tbl = Hashtbl.create 16; next_slot = 0 }
+  Slots.create ~size:queue_slots ~owner:"Queuelock" ~what:"queue lock"
 
-type lock = {
-  qk_kind : kind;
-  qk_lock : unit -> unit;
-  qk_try : unit -> bool;
-  qk_unlock : unit -> unit;
-}
-
-let make_lock = function
+let make_lock kind : Tier.cell =
+  let tier = `Queue kind in
+  match kind with
   | MCS ->
     let l = Q.Mcs.create ~slots:queue_slots () in
     let slots = q_slots () in
-    { qk_kind = MCS;
-      qk_lock = (fun () -> Q.Mcs.lock l ~slot:(slot_of_self slots));
-      qk_try = (fun () -> Q.Mcs.try_lock l ~slot:(slot_of_self slots));
-      qk_unlock = (fun () -> Q.Mcs.unlock l ~slot:(slot_of_self slots)) }
+    { Tier.lock = (fun () -> Q.Mcs.lock l ~slot:(Slots.self slots));
+      try_lock = (fun () -> Q.Mcs.try_lock l ~slot:(Slots.self slots));
+      unlock = (fun () -> Q.Mcs.unlock l ~slot:(Slots.self slots));
+      tier }
   | CLH ->
     let l = Q.Clh.create ~slots:queue_slots () in
     let slots = q_slots () in
-    { qk_kind = CLH;
-      qk_lock = (fun () -> Q.Clh.lock l ~slot:(slot_of_self slots));
-      qk_try = (fun () -> Q.Clh.try_lock l ~slot:(slot_of_self slots));
-      qk_unlock = (fun () -> Q.Clh.unlock l ~slot:(slot_of_self slots)) }
+    { Tier.lock = (fun () -> Q.Clh.lock l ~slot:(Slots.self slots));
+      try_lock = (fun () -> Q.Clh.try_lock l ~slot:(Slots.self slots));
+      unlock = (fun () -> Q.Clh.unlock l ~slot:(Slots.self slots));
+      tier }
   | Ticket ->
     let l = Q.Ticket.create () in
-    { qk_kind = Ticket;
-      qk_lock = (fun () -> Q.Ticket.lock l);
-      qk_try = (fun () -> Q.Ticket.try_lock l);
-      qk_unlock = (fun () -> Q.Ticket.unlock l) }
+    { Tier.lock = (fun () -> Q.Ticket.lock l);
+      try_lock = (fun () -> Q.Ticket.try_lock l);
+      unlock = (fun () -> Q.Ticket.unlock l);
+      tier }

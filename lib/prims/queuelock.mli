@@ -8,11 +8,10 @@
     protocol code runs on SC atomics in production and on {!Detrt}
     recorded registers under DPOR (the E25 certification idiom).
 
-    Kind selection is a creation-scope property ({!with_kind}), and the
-    platform mutex consults {!selected} at creation time with precedence
-    Det > Prim > Queue > Fast > Sys. MCS/CLH assign each thread a
-    per-lock slot (at most 64 distinct threads per lock); none of the
-    locks are reentrant. *)
+    The platform mutex builds on {!make_lock} when the creation-time
+    {!Tier} is [`Queue k]. MCS/CLH assign each thread a per-lock slot
+    (at most 64 distinct threads per lock); none of the locks are
+    reentrant. *)
 
 val pad_words : int
 (** Spacer words allocated after each protocol register (the Fastring
@@ -72,33 +71,19 @@ end
 
 (** {1 Kind selection and production instances} *)
 
-type kind = MCS | CLH | Ticket
+type kind = Tier.kind = MCS | CLH | Ticket
 
 val kind_name : kind -> string
 (** ["mcs"] / ["clh"] / ["ticket"] — also the tier labels in reports. *)
 
-val kind_of_string : string -> kind option
-
 val all : kind list
 
-val selected : unit -> kind option
-(** The kind selected for the current creation scope, if any. *)
-
 val with_kind : kind -> (unit -> 'a) -> 'a
-(** [with_kind k f] runs [f] with queue-lock kind [k] selected, saving
-    and restoring the previous selection (exactly like
-    {!Prims.with_class}). Affects primitives {e created} inside [f]. *)
+(** [with_kind k f] is [Tier.with_tier (`Queue k) f]. *)
 
-type lock = {
-  qk_kind : kind;
-  qk_lock : unit -> unit;
-  qk_try : unit -> bool;
-  qk_unlock : unit -> unit;
-}
-(** One closure record regardless of kind, so the platform mutex
-    carries a single [Queue] representation. *)
-
-val make_lock : kind -> lock
-(** A fresh production lock (over SC atomics) of the given kind, with
-    the per-lock thread-to-slot registry already attached for the
-    slot-indexed kinds. *)
+val make_lock : kind -> Tier.cell
+(** A fresh production lock (over SC atomics) of the given kind as a
+    {!Tier.cell} tagged [`Queue kind]. MCS and CLH locks carry a
+    per-lock thread-to-slot registry: the 65th distinct thread fails
+    with [Failure "Queuelock: more than 64 distinct threads on one
+    queue lock"]. *)

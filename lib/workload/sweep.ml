@@ -148,7 +148,7 @@ let e22 ?progress ?(tiers = [ `Default; `Fast ]) spec =
                        raise
                          (Baseline_failure
                             (Printf.sprintf "%s@%s[%s]: %s" problem mechanism
-                               (Target.tier_name tier) e))
+                               (Sync_prims.Tier.name tier) e))
                      | Ok cells -> cells)
                    tiers)
              spec.mechanisms)

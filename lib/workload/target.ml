@@ -5,19 +5,9 @@ type op = { name : string; run : rng:Prng.t -> pid:int -> unit }
 
 type selection = Cycle | Weighted of int array
 
-type tier =
-  [ `Default
-  | `Fast
-  | `Prim of Sync_prims.Prims.cls
-  | `Queue of Sync_prims.Queuelock.kind
-  | `Adaptive ]
+module Tier = Sync_prims.Tier
 
-let tier_name = function
-  | `Default -> "default"
-  | `Fast -> "fast"
-  | `Prim c -> Sync_prims.Prims.cls_name c
-  | `Queue k -> Sync_prims.Queuelock.kind_name k
-  | `Adaptive -> "adaptive"
+type tier = Tier.t
 
 type instance = {
   meta : Sync_taxonomy.Meta.t;
@@ -59,7 +49,7 @@ let bb (module B : Bb_intf.S) tier p =
   in
   let t = B.create ~capacity:p.capacity ~put ~get in
   { meta = B.meta;
-    tier = tier_name tier;
+    tier = Tier.name tier;
     ops =
       [| { name = "put";
            run = (fun ~rng ~pid -> B.put t ~pid (Prng.int rng 1_000_000)) };
@@ -75,7 +65,7 @@ let slot (module S : Slot_intf.S) tier p =
       ~get:(fun ~pid:_ -> Sync_resources.Slot.get cell)
   in
   { meta = S.meta;
-    tier = tier_name tier;
+    tier = Tier.name tier;
     ops =
       [| { name = "put";
            run = (fun ~rng ~pid -> S.put t ~pid (Prng.int rng 1_000_000)) };
@@ -96,7 +86,7 @@ let fcfs (module F : Fcfs_intf.S) tier p =
   in
   let t = F.create ~use in
   { meta = F.meta;
-    tier = tier_name tier;
+    tier = Tier.name tier;
     ops = [| { name = "use"; run = (fun ~rng:_ ~pid -> F.use t ~pid) } |];
     selection = Cycle;
     stop = (fun () -> F.stop t) }
@@ -109,7 +99,7 @@ let rw (module R : Rw_intf.S) tier p =
       ~write:(fun ~pid:_ -> Sync_resources.Store.write store)
   in
   { meta = R.meta;
-    tier = tier_name tier;
+    tier = Tier.name tier;
     ops =
       [| { name = "read"; run = (fun ~rng:_ ~pid -> ignore (R.read t ~pid)) };
          { name = "write"; run = (fun ~rng:_ ~pid -> R.write t ~pid) } |];
@@ -128,7 +118,7 @@ let disk (module D : Disk_intf.S) tier p =
     else Prng.int rng p.tracks
   in
   { meta = D.meta;
-    tier = tier_name tier;
+    tier = Tier.name tier;
     ops =
       [| { name = "access";
            run = (fun ~rng ~pid -> D.access t ~pid (pick_track rng)) } |];
@@ -160,7 +150,7 @@ let alarm (module A : Alarm_intf.S) tier p =
         done)
   in
   { meta = A.meta;
-    tier = tier_name tier;
+    tier = Tier.name tier;
     ops =
       [| { name = "wakeme";
            run = (fun ~rng ~pid -> A.wakeme t ~pid (1 + Prng.int rng 3)) } |];
@@ -244,34 +234,20 @@ let create ?(params = default_params) ?(tier = `Default) ~problem ~mechanism
         Error
           (Printf.sprintf "no %S target for %S (try: %s)" mechanism problem
              (String.concat ", " (List.map fst ms)))
-      | Some build -> (
-        (* The fast tier is a creation-time property of the platform
+      | Some build ->
+        (* The tier is a creation-time property of the platform
            primitives: build the whole solution (including any CSP
-           server processes it spawns) with the flag on, then restore.
-           Workers created later by the load generator see whatever
-           tier the instance was built with. *)
-        match tier with
-        | `Default -> Ok (build tier params)
-        | `Fast -> Ok (Fastpath.with_enabled (fun () -> build tier params))
-        | `Prim c ->
-          (* E25: every primitive the solution creates — including any
-             created by CSP server processes it spawns here — builds on
-             the restricted atomic class. [`Prim Native] is the explicit
-             no-restriction scope (same substrate as [`Default], labeled
-             "native" in reports). The construction itself can raise
-             {!Sync_prims.Prims.Unsupported} (e.g. RW x FCFS semaphore);
-             callers that grid over classes catch it as a typed result. *)
-          Ok (Sync_prims.Prims.with_class c (fun () -> build tier params))
-        | `Queue k ->
-          (* E23: every platform mutex the solution creates is a queue
-             lock of kind [k] (MCS, CLH, or proportional-backoff
-             ticket); counting semaphores fall back to the FAA prim
-             constructions, which share the FIFO spirit. *)
-          Ok (Sync_prims.Queuelock.with_kind k (fun () -> build tier params))
-        | `Adaptive ->
-          (* E27: every platform mutex the solution creates carries the
-             hot-swap indirection and is registered as a retierable
-             site. The caller (adaptive axis, bench grid) starts a
-             controller over [Mutex.swap_sites ()] after this returns —
-             the scope keeps its registry on exit for exactly that. *)
-          Ok (Mutex.with_swappable (fun () -> build tier params))))
+           server processes it spawns) inside the tier's scope, then
+           restore. Workers created later by the load generator see
+           whatever tier the instance was built with. [`Prim c] builds
+           can raise {!Sync_prims.Prims.Unsupported} (e.g. RW x FCFS
+           semaphore); callers that grid over classes catch it as a
+           typed result. [`Adaptive] also starts a fresh site registry,
+           which the scope keeps on exit so the caller can start a
+           controller over [Mutex.swap_sites ()] after this returns. *)
+        let scope =
+          match tier with
+          | `Adaptive -> Mutex.with_swappable
+          | t -> Tier.with_tier t
+        in
+        Ok (scope (fun () -> build tier params)))

@@ -34,38 +34,19 @@ type selection =
   | Weighted of int array
       (** pick one op per iteration with these relative weights *)
 
-type tier =
-  [ `Default
-  | `Fast
-  | `Prim of Sync_prims.Prims.cls
-  | `Queue of Sync_prims.Queuelock.kind
-  | `Adaptive ]
-(** Which platform substrate the instance is built on. [`Default] is
-    the stdlib-backed tier; [`Fast] builds the solution with
-    {!Sync_platform.Fastpath} enabled — adaptive mutexes, fetch-and-add
-    weak semaphores — and gives the bounded buffer the Vyukov
-    {!Sync_resources.Fastring} resource. Mechanism code and semantics
-    are identical; only the substrate's cost profile changes (E22).
-    [`Prim c] builds the solution under
-    {!Sync_prims.Prims.with_class}[ c] — every platform mutex and
-    counting semaphore it creates is constructed from atomic class [c]
-    alone (E25 hierarchy runs); [`Prim Native] is the explicit
-    no-restriction scope, labeled ["native"]. [`Queue k] builds it
-    under {!Sync_prims.Queuelock.with_kind}[ k] — every platform mutex
-    is a local-spin queue lock of kind [k] (MCS / CLH / proportional
-    ticket) and counting semaphores use the FAA prim constructions
-    (E23 scalable-lock runs). [`Adaptive] builds it under
-    {!Sync_platform.Mutex.with_swappable} — every platform mutex is a
-    hot-swappable site the E27 controller can retier live; the scope's
-    site registry survives the build so the controller can enumerate
-    it afterwards. *)
-
-val tier_name : tier -> string
-(** ["default"] / ["fast"] — the label reported in {!Report.t} rows. *)
+type tier = Sync_prims.Tier.t
+(** Which platform substrate the instance is built on (see
+    {!Sync_prims.Tier}). Mechanism code and semantics are identical
+    across tiers; only the substrate's cost profile changes. [`Fast]
+    also gives the bounded buffer the Vyukov {!Sync_resources.Fastring}
+    resource (E22). [`Adaptive] builds every platform mutex as a
+    hot-swappable site the E27 controller can retier live; the site
+    registry survives the build so the controller can enumerate it
+    afterwards. *)
 
 type instance = {
   meta : Sync_taxonomy.Meta.t;  (** the driven solution's registry metadata *)
-  tier : string;  (** {!tier_name} of the tier the instance was built on *)
+  tier : string;  (** {!Sync_prims.Tier.name} of the instance's tier *)
   ops : op array;
   selection : selection;
   stop : unit -> unit;  (** release solution resources (CSP servers etc.) *)
@@ -92,11 +73,11 @@ val mechanisms : problem:string -> string list
 val create :
   ?params:params -> ?tier:tier -> problem:string -> mechanism:string ->
   unit -> (instance, string) result
-(** Build a fresh instance (fresh resource, fresh synchronizer). With
-    [~tier:`Fast] the whole solution is built under
-    {!Sync_platform.Fastpath.with_enabled} (no effect inside a {!Detrt}
-    run, where the deterministic substrate always wins). The error
-    names the valid choices.
+(** Build a fresh instance (fresh resource, fresh synchronizer). The
+    whole solution is built under {!Sync_prims.Tier.with_tier}[ tier]
+    ([`Adaptive]: {!Sync_platform.Mutex.with_swappable}); no effect
+    inside a {!Detrt} run, where the deterministic substrate always
+    wins. The error names the valid choices.
 
     With [~tier:(`Prim c)] the build runs under the class restriction
     and may raise {!Sync_prims.Prims.Unsupported} when the mechanism

@@ -46,42 +46,6 @@ let test_runtime_deterministic () =
   let a = exec () and b = exec () in
   Alcotest.(check (list string)) "identical journals" a b
 
-(* The E22 fast paths must never engage inside a deterministic run:
-   adaptive primitives resolve races with real atomics, outside the
-   recorded scheduler's control. Even with the Fastpath flag forced on,
-   primitives created under Detrt must come out deterministic, and the
-   journal must replay exactly. *)
-let test_fastpath_inert_under_detrt () =
-  let exec () =
-    let log = ref [] in
-    let note x = log := x :: !log in
-    ignore
-      (Detrt.run ~choose:(fun _ -> 0) (fun () ->
-           Fastpath.with_enabled (fun () ->
-               Alcotest.(check bool) "fastpath inactive under Detrt" false
-                 (Fastpath.active ());
-               let m = Mutex.create () in
-               (match m.Mutex.impl with
-               | Mutex.Det _ -> ()
-               | Mutex.Sys _ | Mutex.Fast _ | Mutex.Prim _ | Mutex.Queue _
-               | Mutex.Swap _ ->
-                 Alcotest.fail "mutex ignored the Detrt runtime");
-               let s = Semaphore.Counting.create ~fairness:`Weak 1 in
-               let ps =
-                 List.init 3 (fun i ->
-                     Process.spawn (fun () ->
-                         Mutex.lock m;
-                         Semaphore.Counting.p s;
-                         note (Printf.sprintf "t%d" i);
-                         Semaphore.Counting.v s;
-                         Mutex.unlock m))
-               in
-               List.iter Process.join ps)));
-    List.rev !log
-  in
-  let a = exec () and b = exec () in
-  Alcotest.(check (list string)) "identical journals with the flag on" a b
-
 let test_quiescence_orders_arrivals () =
   let log = ref [] in
   ignore
@@ -343,8 +307,6 @@ let () =
     [ ( "runtime",
         [ Alcotest.test_case "journals deterministic" `Quick
             test_runtime_deterministic;
-          Alcotest.test_case "fastpath inert under detrt" `Quick
-            test_fastpath_inert_under_detrt;
           Alcotest.test_case "quiescence orders arrivals" `Quick
             test_quiescence_orders_arrivals;
           Alcotest.test_case "deadlock reported" `Quick test_deadlock_reported;

@@ -569,31 +569,43 @@ let test_deadlock_find_cycle () =
       check_bool "reset clears the graph" true (Deadlock.find_cycle () = None))
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path tier (E22)                                               *)
+(* Tiers: one creation-time selector                                  *)
 
+module Tier = Sync_prims.Tier
+
+(* Which representation a mutex was built on, as a row label. *)
+let built_on (m : Mutex.t) =
+  match m.Mutex.impl with
+  | Mutex.Det _ -> "det"
+  | Mutex.Sys _ -> "default"
+  | Mutex.Cell c -> Tier.name c.Tier.tier
+  | Mutex.Swap _ -> "swap"
+
+let check_built msg want m = Alcotest.(check string) msg want (built_on m)
+
+(* The old scope names are aliases of [Tier.with_tier]: each sets the
+   one tier value for its extent and restores it on any exit. *)
 let test_fastpath_flag () =
-  check_bool "off by default" false (Fastpath.enabled ());
-  let r =
-    Fastpath.with_enabled (fun () ->
-        check_bool "on inside" true (Fastpath.enabled ());
-        check_bool "active outside Detrt" true (Fastpath.active ());
-        17)
-  in
-  check_int "with_enabled returns f's value" 17 r;
-  check_bool "restored" false (Fastpath.enabled ());
-  (match Fastpath.with_enabled (fun () -> raise Exit) with
-  | exception Exit -> ()
-  | _ -> Alcotest.fail "expected Exit");
-  check_bool "restored after raise" false (Fastpath.enabled ())
-
-let is_fast_mutex (m : Mutex.t) =
-  match m.Mutex.impl with Mutex.Fast _ -> true | _ -> false
+  let tier () = Tier.name (Tier.current ()) in
+  Alcotest.(check string) "default at rest" "default" (tier ());
+  List.iter
+    (fun (want, scope) ->
+      Alcotest.(check string) want want (scope tier);
+      Alcotest.(check string) (want ^ " restored") "default" (tier ());
+      (match scope (fun () -> raise Exit) with
+      | exception Exit -> ()
+      | _ -> Alcotest.fail "expected Exit");
+      Alcotest.(check string) (want ^ " restored after raise") "default"
+        (tier ()))
+    [ ("fast", fun f -> Fastpath.with_enabled f);
+      ("cas", fun f -> Sync_prims.Prims.with_class Sync_prims.Prims.CAS f);
+      ("clh", fun f -> Sync_prims.Queuelock.(with_kind CLH f));
+      ("adaptive", fun f -> Mutex.with_swappable f) ]
 
 let test_fast_mutex_tier_selection () =
-  check_bool "default tier without the flag" false
-    (is_fast_mutex (Mutex.create ()));
-  let m = Fastpath.with_enabled (fun () -> Mutex.create ()) in
-  check_bool "fast tier under the flag" true (is_fast_mutex m);
+  check_built "default tier outside a scope" "default" (Mutex.create ());
+  check_built "fast tier in the scope" "fast"
+    (Fastpath.with_enabled (fun () -> Mutex.create ()));
   let sem_tier fairness =
     Fastpath.with_enabled (fun () ->
         Semaphore.Counting.create ~fairness 1)
@@ -609,67 +621,55 @@ let test_fast_mutex_tier_selection () =
   Semaphore.Counting.v w;
   check_int "weak fast semaphore v restores" 1 (Semaphore.Counting.value w)
 
-(* Queue tier (E23): creation-scope selection and precedence between
-   the substrate tiers — Det > Prim > Queue > Fast > Sys, decided once
-   at [Mutex.create]. *)
-module Prims = Sync_prims.Prims
-module Queuelock = Sync_prims.Queuelock
+(* Scope semantics (see tier.mli): innermost wins, a raise restores,
+   the cell is process-wide, and [`Prim Native] is the default tier. *)
+let test_scope_innermost () =
+  check_built "no scope" "default" (Mutex.create ());
+  Tier.with_tier (`Queue Tier.MCS) (fun () ->
+      check_built "queue alone" "mcs" (Mutex.create ());
+      Tier.with_tier (`Prim Tier.CAS) (fun () ->
+          check_built "inner class wins" "cas" (Mutex.create ());
+          Tier.with_tier `Fast (fun () ->
+              check_built "innermost fast wins" "fast" (Mutex.create ())));
+      Tier.with_tier `Default (fun () ->
+          check_built "inner default wins" "default" (Mutex.create ()));
+      check_built "outer restored" "mcs" (Mutex.create ()));
+  Tier.with_tier (`Prim Tier.CAS) (fun () ->
+      Tier.with_tier (`Queue Tier.Ticket) (fun () ->
+          check_built "no ranking: queue inside class" "ticket"
+            (Mutex.create ())));
+  check_built "selection is creation-scoped" "default" (Mutex.create ())
 
-let impl_label (m : Mutex.t) =
-  match m.Mutex.impl with
-  | Mutex.Det _ -> "det"
-  | Mutex.Prim _ -> "prim"
-  | Mutex.Queue q -> "queue:" ^ Queuelock.kind_name q.Queuelock.qk_kind
-  | Mutex.Fast _ -> "fast"
-  | Mutex.Sys _ -> "sys"
-  | Mutex.Swap _ -> "swap"
+let test_scope_raise () =
+  Tier.with_tier `Fast (fun () ->
+      (match Tier.with_tier (`Queue Tier.CLH) (fun () -> raise Exit) with
+      | exception Exit -> ()
+      | () -> Alcotest.fail "expected Exit");
+      check_built "outer scope restored" "fast" (Mutex.create ()));
+  (match Tier.with_tier (`Prim Tier.LLSC) (fun () -> failwith "boom") with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "expected Failure");
+  check_built "rest state restored" "default" (Mutex.create ())
 
-let test_queue_tier_precedence () =
-  let check_label msg want m = Alcotest.(check string) msg want (impl_label m) in
-  check_label "no flag: system tier" "sys" (Mutex.create ());
-  Queuelock.with_kind Queuelock.MCS (fun () ->
-      check_label "queue flag alone" "queue:mcs" (Mutex.create ());
-      Fastpath.with_enabled (fun () ->
-          check_label "queue beats fast" "queue:mcs" (Mutex.create ()));
-      Prims.with_class Prims.CAS (fun () ->
-          check_label "prim class beats queue" "prim" (Mutex.create ()));
-      Queuelock.with_kind Queuelock.Ticket (fun () ->
-          check_label "inner kind wins" "queue:ticket" (Mutex.create ()));
-      check_label "outer kind restored" "queue:mcs" (Mutex.create ()));
-  check_label "selection is creation-scoped" "sys" (Mutex.create ());
-  Fastpath.with_enabled (fun () ->
-      check_label "fast without a queue kind" "fast" (Mutex.create ()));
-  (* Each kind maps onto its own protocol. *)
-  List.iter
-    (fun k ->
-      let m = Queuelock.with_kind k (fun () -> Mutex.create ()) in
-      check_label (Queuelock.kind_name k) ("queue:" ^ Queuelock.kind_name k) m;
-      Mutex.lock m;
-      check_bool "held lock declines try_lock" false (Mutex.try_lock m);
-      Mutex.unlock m;
-      check_bool "free lock takes try_lock" true (Mutex.try_lock m);
-      Mutex.unlock m)
-    Queuelock.all
+let test_scope_cross_thread () =
+  let m = ref None in
+  Tier.with_tier (`Queue Tier.CLH) (fun () ->
+      Process.join (Testutil.spawn (fun () -> m := Some (Mutex.create ()))));
+  match !m with
+  | Some m -> check_built "other thread inherits the open scope" "clh" m
+  | None -> Alcotest.fail "thread created no mutex"
 
-(* Mutual exclusion of the adaptive mutex under a parked-waiter storm:
-   enough threads that the CAS, spin, and park paths all engage. *)
-let test_fast_mutex_exclusion_storm () =
-  let m = Fastpath.with_enabled (fun () -> Mutex.create ()) in
-  let g = Testutil.Gauge.create () in
-  let count = ref 0 in
-  let iters = 2_000 in
-  let worker () =
-    for _ = 1 to iters do
-      Mutex.lock m;
-      Testutil.Gauge.enter g;
-      incr count;
-      Testutil.Gauge.leave g;
-      Mutex.unlock m
-    done
+let test_scope_native () =
+  check_built "native builds Sys" "default"
+    (Tier.with_tier (`Prim Tier.Native) (fun () -> Mutex.create ()));
+  let s =
+    Tier.with_tier (`Prim Tier.Native) (fun () ->
+        Semaphore.Counting.create ~fairness:`Strong 1)
   in
-  Process.run_all ~backend:`Thread [ worker; worker; worker; worker ];
-  check_int "never two holders" 1 (Testutil.Gauge.max g);
-  check_int "no lost increments" (4 * iters) !count
+  Semaphore.Counting.p s;
+  check_int "native semaphore is the default construction" 0
+    (Semaphore.Counting.value s);
+  Semaphore.Counting.v s
 
 (* Value conservation of the fast weak semaphore: k units, never more
    than k concurrent holders, and every P is matched by its V. *)
@@ -709,79 +709,201 @@ let test_fast_sem_try_p_and_timeout () =
     (Semaphore.Counting.acquire_for s ~timeout_ns:2_000_000L);
   Semaphore.Counting.v s
 
-(* Timed lock on the fast mutex: the backoff poll loop must both expire
-   under contention and succeed on a free lock (satellite of E22). *)
-let test_fast_mutex_try_lock_for () =
-  let m = Fastpath.with_enabled (fun () -> Mutex.create ()) in
-  let release = Atomic.make false in
-  let held = Atomic.make false in
-  let holder =
-    Testutil.spawn (fun () ->
-        Mutex.lock m;
-        Atomic.set held true;
-        while not (Atomic.get release) do
+(* ------------------------------------------------------------------ *)
+(* Tier x operation table. Every row builds its primitives inside one
+   tier scope; every column is one platform operation's contract. *)
+
+type row = { row : string; scope : 'a. (unit -> 'a) -> 'a }
+
+let rows =
+  List.map
+    (fun t -> { row = Tier.name t; scope = (fun f -> Tier.with_tier t f) })
+    [ `Default; `Fast; `Prim Tier.RW; `Prim Tier.CAS; `Prim Tier.FAA;
+      `Prim Tier.LLSC; `Queue Tier.MCS; `Queue Tier.CLH; `Queue Tier.Ticket ]
+  @ [ { row = "swap"; scope = (fun f -> Mutex.with_swappable f) } ]
+
+let mutex_of r =
+  let m = r.scope (fun () -> Mutex.create ()) in
+  check_built "built on the row's tier" r.row m;
+  m
+
+(* Four threads; odd ones mix in try_lock attempts. *)
+let col_storm r () =
+  let m = mutex_of r in
+  let g = Testutil.Gauge.create () in
+  let count = ref 0 in
+  let rounds = 200 in
+  let worker i () =
+    for k = 1 to rounds do
+      if i land 1 = 1 && k land 3 = 0 then
+        while not (Mutex.try_lock m) do
           Thread.yield ()
-        done;
-        Mutex.unlock m)
+        done
+      else Mutex.lock m;
+      Testutil.Gauge.enter g;
+      incr count;
+      Testutil.Gauge.leave g;
+      Mutex.unlock m
+    done
   in
-  Testutil.eventually "holder has it" (fun () -> Atomic.get held);
-  check_bool "contended fast lock times out" false
-    (Mutex.try_lock_for m ~timeout_ns:2_000_000L);
-  Atomic.set release true;
-  Process.join holder;
-  check_bool "free fast lock succeeds" true
-    (Mutex.try_lock_for m ~timeout_ns:1_000_000L);
-  check_bool "try_lock while held fails" false (Mutex.try_lock m);
+  Testutil.run_all (List.init 4 worker);
+  check_int "never two holders" 1 (Testutil.Gauge.max g);
+  check_int "no lost increments" (4 * rounds) !count
+
+let try_from_other_thread m =
+  let got = ref None in
+  Process.join
+    (Testutil.spawn (fun () ->
+         let ok = Mutex.try_lock m in
+         if ok then Mutex.unlock m;
+         got := Some ok));
+  !got
+
+let col_try_lock r () =
+  let m = mutex_of r in
+  check_bool "free lock takes try_lock" true (Mutex.try_lock m);
+  Alcotest.(check (option bool)) "held lock declines try_lock" (Some false)
+    (try_from_other_thread m);
+  Mutex.unlock m;
+  Alcotest.(check (option bool)) "released lock takes try_lock" (Some true)
+    (try_from_other_thread m)
+
+(* Timed attempts expire while the lock is held and leave nothing
+   behind: after the holder releases, a full storm of plain
+   acquisitions must run to completion (a stale queue node would stall
+   the FIFO chain, a lost wakeup), and a timed attempt on the free lock
+   succeeds. *)
+let col_abandonment r () =
+  let m = mutex_of r in
+  Mutex.lock m;
+  let failures = Atomic.make 0 in
+  let attempts =
+    List.init 3 (fun _ ->
+        Testutil.spawn (fun () ->
+            if not (Mutex.try_lock_for m ~timeout_ns:(Testutil.ns_of_s 0.02))
+            then Atomic.incr failures))
+  in
+  List.iter Process.join attempts;
+  check_int "timed attempts expired while held" 3 (Atomic.get failures);
+  Mutex.unlock m;
+  let count = ref 0 in
+  let iters = 200 in
+  let worker () =
+    for _ = 1 to iters do
+      Mutex.lock m;
+      incr count;
+      Mutex.unlock m
+    done
+  in
+  Testutil.run_all [ worker; worker; worker; worker ];
+  check_int "no lost wakeups after abandonment" (4 * iters) !count;
+  check_bool "free lock takes try_lock_for" true
+    (Mutex.try_lock_for m ~timeout_ns:(Testutil.ns_of_s 0.5));
   Mutex.unlock m
 
-(* Conditions paired with a fast mutex: the park/seq protocol must not
-   lose wakeups (Mesa contract: spurious allowed, lost not). *)
-let test_fast_mutex_condition () =
-  Fastpath.with_enabled (fun () ->
-      let m = Mutex.create () in
-      let c = Condition.create () in
-      let ready = ref 0 in
-      let woke = Atomic.make 0 in
-      let n = 3 in
-      let waiters =
-        List.init n (fun _ ->
-            Testutil.spawn (fun () ->
-                Mutex.lock m;
-                incr ready;
-                while !ready <= n do
-                  Condition.wait c m
-                done;
-                Atomic.incr woke;
-                Mutex.unlock m))
-      in
-      Testutil.eventually "all parked" (fun () ->
-          Mutex.lock m;
-          let all = !ready = n in
-          Mutex.unlock m;
-          all);
-      Mutex.lock m;
-      ready := n + 1;
-      Condition.broadcast c;
-      Mutex.unlock m;
-      List.iter Process.join waiters;
-      check_int "broadcast woke everyone" n (Atomic.get woke);
-      (* signal wakes at least one parked waiter. *)
-      let parked = Atomic.make false and released = Atomic.make false in
-      let w =
+(* Mesa contract: spurious wakeups allowed, lost ones not. Broadcast
+   releases every parked waiter; a turn-passing ping-pong through
+   [signal] hangs if any wakeup is lost. *)
+let col_condition r () =
+  let m = mutex_of r in
+  let c = Condition.create () in
+  let ready = ref 0 in
+  let woke = Atomic.make 0 in
+  let n = 3 in
+  let waiters =
+    List.init n (fun _ ->
         Testutil.spawn (fun () ->
             Mutex.lock m;
-            Atomic.set parked true;
-            while not (Atomic.get released) do
+            incr ready;
+            while !ready <= n do
               Condition.wait c m
             done;
-            Mutex.unlock m)
-      in
-      Testutil.eventually "waiter parked" (fun () -> Atomic.get parked);
+            Atomic.incr woke;
+            Mutex.unlock m))
+  in
+  Testutil.eventually "all parked" (fun () ->
       Mutex.lock m;
-      Atomic.set released true;
-      Condition.signal c;
+      let all = !ready = n in
       Mutex.unlock m;
-      Process.join w)
+      all);
+  Mutex.lock m;
+  ready := n + 1;
+  Condition.broadcast c;
+  Mutex.unlock m;
+  Testutil.eventually "broadcast woke everyone" (fun () -> Atomic.get woke = n);
+  List.iter Process.join waiters;
+  let turn = ref 0 and rounds = 100 and finished = Atomic.make 0 in
+  let player me () =
+    for _ = 1 to rounds do
+      Mutex.lock m;
+      while !turn <> me do
+        Condition.wait c m
+      done;
+      turn := 1 - me;
+      Condition.signal c;
+      Mutex.unlock m
+    done;
+    Atomic.incr finished
+  in
+  let players = [ Testutil.spawn (player 0); Testutil.spawn (player 1) ] in
+  Testutil.eventually "every turn passed" (fun () -> Atomic.get finished = 2);
+  List.iter Process.join players
+
+let col_wait_for r () =
+  let m = mutex_of r in
+  let c = Condition.create () in
+  Mutex.lock m;
+  let deadline = Deadline.after_ns (Testutil.ns_of_s 0.005) in
+  let polls = ref 0 in
+  while Condition.wait_for c m ~deadline do
+    incr polls
+  done;
+  check_bool "returned only after the deadline" true
+    (Deadline.expired deadline);
+  Alcotest.(check (option bool)) "lock held again on expiry" (Some false)
+    (try_from_other_thread m);
+  Mutex.unlock m
+
+(* Inside a deterministic run the tier is inert: every primitive comes
+   out deterministic and the journal replays exactly. *)
+let col_detrt_inert r () =
+  let exec () =
+    let log = ref [] in
+    ignore
+      (Detrt.run ~choose:(fun _ -> 0) (fun () ->
+           r.scope (fun () ->
+               let m = Mutex.create () in
+               check_built "det mutex" "det" m;
+               let s = Semaphore.Counting.create ~fairness:`Weak 1 in
+               let ps =
+                 List.init 3 (fun i ->
+                     Process.spawn (fun () ->
+                         Mutex.lock m;
+                         Semaphore.Counting.p s;
+                         log := Printf.sprintf "t%d" i :: !log;
+                         Semaphore.Counting.v s;
+                         Mutex.unlock m))
+               in
+               List.iter Process.join ps)));
+    List.rev !log
+  in
+  let a = exec () in
+  check_int "every task ran" 3 (List.length a);
+  Alcotest.(check (list string)) "identical journals" a (exec ())
+
+let table =
+  let column suite name f =
+    ( suite,
+      List.map
+        (fun r -> Alcotest.test_case (name r.row) `Quick (f r))
+        rows )
+  in
+  [ column "locks" (fun t -> t ^ " exclusion storm") col_storm;
+    column "try-lock" (fun t -> t ^ " held/free") col_try_lock;
+    column "abandonment" Fun.id col_abandonment;
+    column "condition" (fun t -> t ^ " wait/signal") col_condition;
+    column "wait-for" (fun t -> t ^ " expiry") col_wait_for;
+    column "detrt-inert" Fun.id col_detrt_inert ]
 
 let test_waitq_wake_n () =
   let q = Waitq.create () in
@@ -1015,7 +1137,7 @@ let test_fast_v_n_domain_storm () =
 
 let () =
   Alcotest.run "platform"
-    [ ( "prng",
+    ([ ( "prng",
         [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "split independent" `Quick
@@ -1085,21 +1207,20 @@ let () =
         [ Alcotest.test_case "flag scoping" `Quick test_fastpath_flag;
           Alcotest.test_case "tier selection" `Quick
             test_fast_mutex_tier_selection;
-          Alcotest.test_case "fast mutex exclusion storm" `Quick
-            test_fast_mutex_exclusion_storm;
           Alcotest.test_case "fast weak semaphore conservation" `Quick
             test_fast_weak_sem_conservation;
           Alcotest.test_case "fast semaphore try_p/timeout" `Quick
             test_fast_sem_try_p_and_timeout;
-          Alcotest.test_case "fast mutex try_lock_for" `Quick
-            test_fast_mutex_try_lock_for;
-          Alcotest.test_case "fast mutex conditions" `Quick
-            test_fast_mutex_condition;
           Alcotest.test_case "waitq wake_n batches" `Quick test_waitq_wake_n;
           Alcotest.test_case "semaphore v_n batches" `Quick test_sem_v_n ] );
-      ( "queue-tier",
-        [ Alcotest.test_case "tier precedence" `Quick
-            test_queue_tier_precedence ] );
+      ( "tier-scope",
+        [ Alcotest.test_case "innermost scope wins" `Quick
+            test_scope_innermost;
+          Alcotest.test_case "restored on raise" `Quick test_scope_raise;
+          Alcotest.test_case "other threads inherit the scope" `Quick
+            test_scope_cross_thread;
+          Alcotest.test_case "prim native builds sys" `Quick
+            test_scope_native ] );
       ( "timed-edges",
         [ Alcotest.test_case "deadline expiry edges" `Quick
             test_deadline_expired_edges;
@@ -1113,3 +1234,4 @@ let () =
           Alcotest.test_case "v_n domain storm" `Quick
             test_fast_v_n_domain_storm ] )
     ]
+    @ table)

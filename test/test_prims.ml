@@ -1,9 +1,9 @@
 (* E25 primitive-class substrate tests: LL/SC emulation semantics
    (including the ABA tag-wraparound edge), bakery bounded timestamps
-   and ordering, exclusion/conservation storms for every restricted
-   class through the [Prims] factories, the pinned typed rejection of
-   strong semaphores on the RW class, and the creation-scoped backoff
-   spin-vs-yield decision. *)
+   and ordering, semaphore conservation storms for every restricted
+   class through the [Prims] factories, the 64-thread slot bound, the
+   tier labels, the pinned typed rejection of strong semaphores on the
+   RW class, and the creation-scoped backoff spin-vs-yield decision. *)
 
 open Sync_prims
 module Platform = Sync_platform
@@ -172,30 +172,48 @@ let test_bakery_bounded_storm () =
     (B.max_ticket_seen b <= bound)
 
 (* ---------------------------------------------------------------- *)
-(* Factory storms: every restricted class                           *)
+(* Factories: slot bound and semaphore storms, every restricted class.
+   The locks' platform-mutex contracts are rows of the tier table in
+   test_platform. *)
 (* ---------------------------------------------------------------- *)
 
-let lock_storm cls () =
-  let lk = Prims.make_lock cls in
-  let tasks = 4 and rounds = 200 in
-  let gauge = Testutil.Gauge.create () in
-  let entries = ref 0 in
-  Testutil.run_all
-    (List.init tasks (fun i () ->
-         for r = 1 to rounds do
-           (* odd tasks mix in try_lock attempts *)
-           if i land 1 = 1 && r land 3 = 0 then begin
-             let rec attempt () = if not (lk.Prims.lk_try ()) then attempt () in
-             attempt ()
-           end
-           else lk.Prims.lk_lock ();
-           Testutil.Gauge.enter gauge;
-           incr entries;
-           Testutil.Gauge.leave gauge;
-           lk.Prims.lk_unlock ()
-         done));
-  Alcotest.(check int) "mutual exclusion" 1 (Testutil.Gauge.max gauge);
-  Alcotest.(check int) "all entries" (tasks * rounds) !entries
+(* An RW-class lock maps at most 64 distinct threads onto bakery
+   slots; the 65th fails with the named message. *)
+let test_rw_slot_overflow () =
+  let lk = Prims.make_lock Prims.RW in
+  let touch () =
+    let r = ref None in
+    Platform.Process.join
+      (Platform.Process.spawn ~backend:`Thread (fun () ->
+           r :=
+             match lk.Tier.lock () with
+             | () ->
+               lk.Tier.unlock ();
+               Some "ok"
+             | exception Failure msg -> Some msg));
+    !r
+  in
+  for i = 1 to 64 do
+    Alcotest.(check (option string)) (Printf.sprintf "thread %d" i) (Some "ok")
+      (touch ())
+  done;
+  Alcotest.(check (option string)) "65th thread"
+    (Some "Prims: more than 64 distinct threads on one RW-class lock")
+    (touch ())
+
+(* The tier labels are a stable interface: committed BENCH files and
+   [bloom_eval load --tier] key on them. *)
+let test_tier_names () =
+  Alcotest.(check (list string)) "labels"
+    [ "default"; "fast"; "rw"; "cas"; "faa"; "llsc"; "native"; "mcs"; "clh";
+      "ticket"; "adaptive" ]
+    (List.map Tier.name Tier.all);
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) (Tier.name t ^ " round-trips") true
+        (Tier.of_string (Tier.name t) = Some t))
+    Tier.all;
+  Alcotest.(check bool) "unknown label" true (Tier.of_string "sys" = None)
 
 let sem_storm cls fairness () =
   let permits = 2 in
@@ -418,14 +436,13 @@ let () =
           Alcotest.test_case "bounded-ticket storm" `Quick
             test_bakery_bounded_storm;
         ] );
-      ( "locks",
+      ( "slots",
         [
-          Alcotest.test_case "rw exclusion storm" `Quick (lock_storm Prims.RW);
-          Alcotest.test_case "cas exclusion storm" `Quick (lock_storm Prims.CAS);
-          Alcotest.test_case "faa exclusion storm" `Quick (lock_storm Prims.FAA);
-          Alcotest.test_case "llsc exclusion storm" `Quick
-            (lock_storm Prims.LLSC);
+          Alcotest.test_case "rw 65th thread fails" `Quick
+            test_rw_slot_overflow;
         ] );
+      ( "tier",
+        [ Alcotest.test_case "names round-trip" `Quick test_tier_names ] );
       ( "sems",
         [
           Alcotest.test_case "rw weak conservation" `Quick

@@ -1,7 +1,8 @@
 (* E23 scalable-lock tier: FIFO handoff of the queue locks read off a
-   logged register substrate, exclusion storms, timed-wait abandonment
-   through the platform mutex, and the epoch read-mostly lock's grace
-   period and writer exclusion. *)
+   logged register substrate, the per-lock slot registry's bound, and
+   the epoch read-mostly lock's grace period and writer exclusion. The
+   queue locks' platform-mutex contracts (storms, timed abandonment,
+   conditions) are rows of the tier table in test_platform. *)
 
 open Sync_platform
 open Sync_problems
@@ -146,48 +147,30 @@ let test_fifo_clh () = fifo_storm Queuelock.CLH
 let test_fifo_ticket () = fifo_storm Queuelock.Ticket
 
 (* ------------------------------------------------------------------ *)
-(* Timed-wait abandonment through the platform mutex. The queue tier's
-   [try_lock] never publishes a waiter node, so a timed-out caller
-   leaves no stale queue entry behind: after the holder releases, a
-   full storm of plain acquisitions must run to completion (a leaked
-   node would deadlock the FIFO chain = a lost wakeup). *)
+(* Slot registry: an MCS lock maps at most 64 distinct threads onto its
+   slots; the 65th fails with the named message, not a wild index. *)
 
-let abandonment_storm kind =
-  let m = Queuelock.with_kind kind (fun () -> Mutex.create ()) in
-  check_bool "queue tier selected" true
-    (match m.Mutex.impl with
-    | Mutex.Queue q -> q.Queuelock.qk_kind = kind
-    | _ -> false);
-  Mutex.lock m;
-  let failures = Atomic.make 0 in
-  let attempts =
-    List.init 3 (fun _ ->
-        Testutil.spawn (fun () ->
-            if not (Mutex.try_lock_for m ~timeout_ns:(Testutil.ns_of_s 0.02))
-            then Atomic.incr failures))
+let test_mcs_slot_overflow () =
+  let lk = Queuelock.make_lock Queuelock.MCS in
+  let touch () =
+    let r = ref None in
+    Process.join
+      (Testutil.spawn (fun () ->
+           r :=
+             match lk.Sync_prims.Tier.lock () with
+             | () ->
+               lk.Sync_prims.Tier.unlock ();
+               Some "ok"
+             | exception Failure msg -> Some msg));
+    !r
   in
-  List.iter Process.join attempts;
-  check_int "timed attempts expired while held" 3 (Atomic.get failures);
-  Mutex.unlock m;
-  let count = ref 0 in
-  let iters = 200 in
-  let worker () =
-    for _ = 1 to iters do
-      Mutex.lock m;
-      incr count;
-      Mutex.unlock m
-    done
-  in
-  Process.run_all ~backend:`Thread [ worker; worker; worker; worker ];
-  check_int "no lost wakeups after abandonment" (4 * iters) !count;
-  check_bool "free lock still takes try_lock" true (Mutex.try_lock m);
-  Mutex.unlock m
-
-let test_abandon_mcs () = abandonment_storm Queuelock.MCS
-
-let test_abandon_clh () = abandonment_storm Queuelock.CLH
-
-let test_abandon_ticket () = abandonment_storm Queuelock.Ticket
+  for i = 1 to 64 do
+    Alcotest.(check (option string)) (Printf.sprintf "thread %d" i) (Some "ok")
+      (touch ())
+  done;
+  Alcotest.(check (option string)) "65th thread"
+    (Some "Queuelock: more than 64 distinct threads on one queue lock")
+    (touch ())
 
 (* ------------------------------------------------------------------ *)
 (* Epoch read-mostly lock (E23). *)
@@ -289,10 +272,9 @@ let () =
         [ Alcotest.test_case "mcs" `Quick test_fifo_mcs;
           Alcotest.test_case "clh" `Quick test_fifo_clh;
           Alcotest.test_case "ticket" `Quick test_fifo_ticket ] );
-      ( "abandonment",
-        [ Alcotest.test_case "mcs" `Quick test_abandon_mcs;
-          Alcotest.test_case "clh" `Quick test_abandon_clh;
-          Alcotest.test_case "ticket" `Quick test_abandon_ticket ] );
+      ( "slots",
+        [ Alcotest.test_case "mcs 65th thread fails" `Quick
+            test_mcs_slot_overflow ] );
       ( "epoch",
         [ Alcotest.test_case "grace period" `Quick test_epoch_grace_period;
           Alcotest.test_case "reader blocked by writer" `Quick

@@ -1,7 +1,7 @@
 (* The benchmark harness: regenerates the qualitative and
    micro-benchmark evaluation artifacts (DESIGN.md experiment index;
-   E1-E19 plus the E21 probe micro-costs) in one run. The E20 grid has
-   its own driver (bench_load, behind BENCH_E20.json).
+   E1-E19 plus the E21 probe micro-costs) in one run. The E20 grid is
+   the perf axis (`bloom_eval axis perf --full`, behind BENCH_E20.json).
 
    Part A reprints the qualitative results the paper reports (anomaly
    E1/E2, matrices E3-E5, conformance E6) — computed, not asserted.
@@ -52,7 +52,7 @@ let part_a () =
     \ solution')";
 
   section "E3: expressive-power matrix";
-  let card = Sync_eval.Scorecard.build ~run_conformance:false () in
+  let card = Sync_eval.Scorecard.build ~run_conformance:false ~axes:[] () in
   Sync_eval.Expressiveness.pp Format.std_formatter card.matrix;
   (match card.discrepancies with
   | [] -> print_endline "agrees with the paper's Section-5 conclusions"
@@ -563,7 +563,7 @@ let bench_trace_probes () =
    cost. The tier is a creation-time property, so each fast-variant
    primitive is built inside [Fastpath.with_enabled]; the default rows
    are the same operations on the stdlib-backed substrate. The
-   contended side of E22 lives in bench_load --e22 (BENCH_E22.json) —
+   contended side of E22 is the tiers axis (BENCH_E22.json) —
    here we price the fast paths themselves: CAS lock vs pthread lock,
    fetch-and-add V vs locked V, Vyukov ring vs locked ring. *)
 let bench_fastpath () =

@@ -4,7 +4,8 @@
    (see DESIGN.md's experiment index): the expressiveness matrix (E3),
    the constraint-independence analysis (E2/E4), the modularity table
    (E5), the conformance run (E6), the footnote-3 anomaly demo (E1), and
-   the nested-monitor-call demonstration (E11). *)
+   the nested-monitor-call demonstration (E11). The live axes (E19-E27)
+   share one subcommand, [axis NAME], over the Sync_eval.Axis registry. *)
 
 open Cmdliner
 
@@ -23,7 +24,7 @@ let list_cmd =
 let matrix_cmd =
   let doc = "Print the expressive-power matrix (experiment E3)." in
   let run () =
-    let card = Sync_eval.Scorecard.build ~run_conformance:false () in
+    let card = Sync_eval.Scorecard.build ~run_conformance:false ~axes:[] () in
     Sync_eval.Expressiveness.pp ppf card.matrix;
     match card.discrepancies with
     | [] ->
@@ -80,94 +81,84 @@ let conformance_cmd =
   in
   Cmd.v (Cmd.info "conformance" ~doc) Term.(const run $ const ())
 
+(* An axis name from the command line; an unknown one exits 2 listing
+   the registry. *)
+let find_axis name =
+  match Sync_eval.Axis.find name with
+  | Some a -> a
+  | None ->
+    Format.fprintf ppf "unknown axis %S; axes: %s@." name
+      (String.concat " " Sync_eval.Axis.names);
+    exit 2
+
+let json_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let write_json file doc =
+  Option.iter
+    (fun file ->
+      Sync_metrics.Emit.write_file file doc;
+      Format.fprintf ppf "wrote %s@." file)
+    file
+
 let scorecard_cmd =
   let doc =
-    "Print the full scorecard (E3 + E4 + E5 + E6, and E19/E20 on request)."
+    "Print the full scorecard (E3 + E4 + E5 + E6, plus any live axes \
+     requested with $(b,--axis)). Exits 1 if the matrix disagrees with the \
+     paper, conformance regresses, or an axis fails its gates."
   in
   let fast =
     Arg.(value & flag
          & info [ "fast" ] ~doc:"skip the conformance run (metadata only)")
   in
-  let robustness =
-    Arg.(value & flag
-         & info [ "robustness" ]
-             ~doc:"also run the E19 fault/cancellation matrix (slow; \
-                   standalone as $(b,bloom_eval faults))")
+  let axes =
+    Arg.(value & opt_all string []
+         & info [ "axis" ] ~docv:"NAME"
+             ~doc:("also run this live axis at its quick size (repeatable): "
+                  ^ String.concat ", " Sync_eval.Axis.names))
   in
-  let perf =
-    Arg.(value & flag
-         & info [ "perf" ]
-             ~doc:"also run a live E20 closed-loop performance sweep \
-                   (window from $(b,SYNC_LOAD_MS); standalone single runs \
-                   via $(b,bloom_eval load))")
-  in
-  let observability =
-    Arg.(value & flag
-         & info [ "observability" ]
-             ~doc:"also run the E21 traced-contention audit (short traced \
-                   load per mechanism; full traces via $(b,bloom_eval \
-                   trace))")
-  in
-  let service =
-    Arg.(value & flag
-         & info [ "service" ]
-             ~doc:"also run the E24 service-tier scenarios (spawns real \
-                   bloom_serve daemons; standalone as $(b,bloom_eval \
-                   serve))")
-  in
-  let hierarchy =
-    Arg.(value & flag
-         & info [ "hierarchy" ]
-             ~doc:"also run the E25 primitive-hierarchy grid (every \
-                   mechanism x problem on restricted atomic classes; \
-                   standalone as $(b,bloom_eval hierarchy))")
-  in
-  let scaling =
-    Arg.(value & flag
-         & info [ "scaling" ]
-             ~doc:"also run the E23 scalable-lock grids (queue-lock tier \
-                   plus epoch readers-writers scaling; standalone as \
-                   $(b,bloom_eval scaling))")
-  in
-  let adaptive =
-    Arg.(value & flag
-         & info [ "adaptive" ]
-             ~doc:"also run the E27 self-tuning grid (adaptive tier vs \
-                   every static tier under steady/diurnal/bursty arrivals; \
-                   standalone as $(b,bloom_eval adapt))")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"also write the whole scorecard as a JSON document")
-  in
-  let run fast robustness perf observability service hierarchy scaling
-      adaptive json =
+  let json = json_arg ~doc:"also write the whole scorecard as a JSON document" in
+  let run fast axes json =
+    let axes = List.map find_axis axes in
     let card =
-      Sync_eval.Scorecard.build ~run_conformance:(not fast)
-        ~run_robustness:robustness ~run_perf:perf
-        ~run_observability:observability ~run_service:service
-        ~run_hierarchy:hierarchy ~run_scaling:scaling ~run_adaptive:adaptive ()
+      Sync_eval.Scorecard.build ~run_conformance:(not fast) ~axes ()
     in
     Sync_eval.Scorecard.pp ppf card;
-    (match json with
-    | None -> ()
-    | Some file ->
-      Sync_metrics.Emit.write_file file (Sync_eval.Scorecard.to_json card);
-      Format.fprintf ppf "@.wrote %s@." file);
-    if
-      Sync_eval.Conformance.regressions card.conformance <> []
-      || not (Sync_eval.Robustness.all_recovered card.robustness)
-      || not (Sync_eval.Observability.all_ok card.observability)
-      || not (Sync_eval.Service_axis.all_ok card.service)
-      || not (Sync_eval.Hierarchy_axis.all_ok card.hierarchy)
-      || not (Sync_eval.Scaling_axis.all_ok card.scaling)
-      || not (Sync_eval.Adaptive_axis.all_ok card.adaptive)
-    then exit 1
+    write_json json (Sync_eval.Scorecard.to_json card);
+    if not (Sync_eval.Scorecard.ok card) then exit 1
   in
-  Cmd.v (Cmd.info "scorecard" ~doc)
-    Term.(const run $ fast $ robustness $ perf $ observability $ service
-          $ hierarchy $ scaling $ adaptive $ json)
+  Cmd.v (Cmd.info "scorecard" ~doc) Term.(const run $ fast $ axes $ json)
+
+let axis_cmd =
+  let doc =
+    "Run one live evaluation axis (E19-E27) and print its report. Quick by \
+     default (the CI slice); $(b,--full) runs the grid behind the committed \
+     BENCH file, and $(b,--json) writes the axis document in that file's \
+     shape. Exits 0 when every gate of the axis held, 1 otherwise, 2 on an \
+     unknown NAME."
+  in
+  let axis_name =
+    Arg.(required & pos 0 (some string) None
+         & info [] ~docv:"NAME" ~doc:(String.concat " | " Sync_eval.Axis.names))
+  in
+  let full =
+    Arg.(value & flag
+         & info [ "full" ]
+             ~doc:"run the full grid (the committed document's) instead of \
+                   the quick slice")
+  in
+  let json = json_arg ~doc:"also write the axis document" in
+  let run name full json =
+    let axis = find_axis name in
+    let o =
+      axis.run ~full ~progress:(fun line -> Format.fprintf ppf "%s@." line)
+    in
+    Format.fprintf ppf "@.== %s: %s ==@." axis.experiment axis.title;
+    o.pp ppf;
+    write_json json o.json;
+    if not o.ok then exit 1
+  in
+  Cmd.v (Cmd.info "axis" ~doc) Term.(const run $ axis_name $ full $ json)
 
 let load_cmd =
   let doc =
@@ -439,413 +430,6 @@ let load_cmd =
           $ mode_arg $ rate $ arrival_arg $ backend_arg $ seed $ capacity
           $ work $ read_pct $ tracks $ hot_pct $ think_us_arg $ sweep
           $ tier_arg $ json $ csv $ trace_out)
-
-let hierarchy_cmd =
-  let doc =
-    "Score the hardware-primitive hierarchy (experiment E25): rebuild every \
-     mechanism x problem load target with the platform's mutexes and \
-     semaphores constructed from one restricted atomic class — read/write \
-     registers (bakery), CAS, fetch-and-add (ticket), emulated LL/SC — \
-     drive each supported cell with the E20 workload engine, and record \
-     typed unsupported reasons for the rest."
-  in
-  let list_arg name ~doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"LIST" ~doc)
-  in
-  let classes_arg =
-    list_arg "classes"
-      ~doc:"comma-separated atomic classes to run (rw, cas, faa, llsc, \
-            native); default all five"
-  in
-  let problems_arg =
-    list_arg "problems"
-      ~doc:"comma-separated problems (default bounded-buffer,fcfs,\
-            readers-writers)"
-  in
-  let mechanisms_arg =
-    list_arg "mechanisms"
-      ~doc:"comma-separated mechanisms (default: every mechanism the \
-            workload engine offers for each problem)"
-  in
-  let domains_arg =
-    list_arg "domains"
-      ~doc:"comma-separated worker domain counts (default 1,4)"
-  in
-  let duration_ms =
-    Arg.(value & opt (some int) None
-         & info [ "duration" ] ~docv:"MS"
-             ~doc:"steady-state window per cell (default $(b,SYNC_LOAD_MS) \
-                   or 100)")
-  in
-  let warmup_ms =
-    Arg.(value & opt int 30
-         & info [ "warmup" ] ~docv:"MS" ~doc:"warmup window per cell")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"workload seed")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"also write the scorecard grid as a JSON document (the \
-                   committed BENCH_E25.json shape)")
-  in
-  let fail msg =
-    Format.fprintf ppf "%s@." msg;
-    exit 2
-  in
-  let split = function
-    | None -> None
-    | Some s ->
-      Some
-        (List.filter (fun x -> x <> "")
-           (List.map String.trim (String.split_on_char ',' s)))
-  in
-  let run classes problems mechanisms domains duration_ms warmup_ms seed json
-      =
-    let module H = Sync_eval.Hierarchy_axis in
-    let dflt = H.default_spec () in
-    let classes =
-      match split classes with
-      | None -> dflt.H.classes
-      | Some cs ->
-        List.map
-          (fun s ->
-            match Sync_prims.Tier.of_string s with
-            | Some (`Prim c) -> c
-            | _ ->
-              fail
-                (Printf.sprintf
-                   "unknown class %S (rw | cas | faa | llsc | native)" s))
-          cs
-    in
-    let domains =
-      match split domains with
-      | None -> dflt.H.domains
-      | Some ds ->
-        List.map
-          (fun s ->
-            match int_of_string_opt s with
-            | Some d when d >= 1 -> d
-            | _ -> fail (Printf.sprintf "bad domain count %S" s))
-          ds
-    in
-    let spec =
-      { H.classes;
-        problems = Option.value (split problems) ~default:dflt.H.problems;
-        mechanisms = split mechanisms;
-        domains;
-        duration_ms =
-          (match duration_ms with
-          | Some ms -> ms
-          | None -> dflt.H.duration_ms);
-        warmup_ms; seed }
-    in
-    let progress (r : H.row) =
-      Format.fprintf ppf "%-6s %-16s %-12s d=%-2d %s@."
-        (Sync_prims.Prims.cls_name r.H.cls)
-        r.H.problem r.H.mechanism r.H.domains
-        (H.status_string r.H.status)
-    in
-    let rows = H.run ~progress spec in
-    Format.fprintf ppf "@.%a" H.pp rows;
-    (match json with
-    | None -> ()
-    | Some file ->
-      Sync_metrics.Emit.write_file file (H.to_json spec rows);
-      Format.fprintf ppf "wrote %s@." file);
-    if not (H.all_ok rows) then exit 1
-  in
-  Cmd.v (Cmd.info "hierarchy" ~doc)
-    Term.(const run $ classes_arg $ problems_arg $ mechanisms_arg
-          $ domains_arg $ duration_ms $ warmup_ms $ seed $ json)
-
-let scaling_cmd =
-  let doc =
-    "Score the scalable-lock tier (experiment E23): rebuild mechanism x \
-     problem load targets with every platform mutex a local-spin queue \
-     lock (MCS, CLH, proportional-backoff ticket) and measure each cell; \
-     absent pairs become typed unsupported rows. Then drive the \
-     readers-writers database on the epoch read-mostly path at increasing \
-     domain counts with closed-loop think time and report whether read \
-     throughput scales monotonically."
-  in
-  let list_arg name ~doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"LIST" ~doc)
-  in
-  let kinds_arg =
-    list_arg "kinds"
-      ~doc:"comma-separated queue-lock kinds (mcs, clh, ticket); default \
-            all three"
-  in
-  let problems_arg =
-    list_arg "problems"
-      ~doc:"comma-separated problems (default bounded-buffer,\
-            readers-writers)"
-  in
-  let mechanisms_arg =
-    list_arg "mechanisms"
-      ~doc:"comma-separated mechanisms for the queue grid (default \
-            semaphore,monitor,ccr,eventcount,epoch; absent pairs yield \
-            typed rows)"
-  in
-  let domains_arg =
-    list_arg "domains"
-      ~doc:"comma-separated worker domain counts for the queue grid \
-            (default 1,4)"
-  in
-  let epoch_domains_arg =
-    list_arg "epoch-domains"
-      ~doc:"comma-separated domain counts for the epoch scaling rows \
-            (default 1,2,4)"
-  in
-  let think_us =
-    Arg.(value & opt (some int) None
-         & info [ "think-us" ] ~docv:"US"
-             ~doc:"closed-loop think time for the epoch rows (default 500)")
-  in
-  let duration_ms =
-    Arg.(value & opt (some int) None
-         & info [ "duration" ] ~docv:"MS"
-             ~doc:"steady-state window per cell (default $(b,SYNC_LOAD_MS) \
-                   or 150)")
-  in
-  let warmup_ms =
-    Arg.(value & opt int 50
-         & info [ "warmup" ] ~docv:"MS" ~doc:"warmup window per cell")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"workload seed")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"also write the grids as a JSON document (the committed \
-                   BENCH_E23.json shape)")
-  in
-  let fail msg =
-    Format.fprintf ppf "%s@." msg;
-    exit 2
-  in
-  let split = function
-    | None -> None
-    | Some s ->
-      Some
-        (List.filter (fun x -> x <> "")
-           (List.map String.trim (String.split_on_char ',' s)))
-  in
-  let run kinds problems mechanisms domains epoch_domains think_us duration_ms
-      warmup_ms seed json =
-    let module S = Sync_eval.Scaling_axis in
-    let dflt = S.default_spec () in
-    let kinds =
-      match split kinds with
-      | None -> dflt.S.kinds
-      | Some ks ->
-        List.map
-          (fun s ->
-            match Sync_prims.Tier.of_string s with
-            | Some (`Queue k) -> k
-            | _ ->
-              fail (Printf.sprintf "unknown kind %S (mcs | clh | ticket)" s))
-          ks
-    in
-    let ints name dflt = function
-      | None -> dflt
-      | Some ds ->
-        List.map
-          (fun s ->
-            match int_of_string_opt s with
-            | Some d when d >= 1 -> d
-            | _ -> fail (Printf.sprintf "bad %s count %S" name s))
-          ds
-    in
-    let spec =
-      { S.kinds;
-        problems = Option.value (split problems) ~default:dflt.S.problems;
-        mechanisms =
-          Option.value (split mechanisms) ~default:dflt.S.mechanisms;
-        domains = ints "domain" dflt.S.domains (split domains);
-        epoch_mechanisms = dflt.S.epoch_mechanisms;
-        epoch_domains =
-          ints "domain" dflt.S.epoch_domains (split epoch_domains);
-        think_us = Option.value think_us ~default:dflt.S.think_us;
-        read_pct = dflt.S.read_pct;
-        duration_ms =
-          (match duration_ms with
-          | Some ms -> ms
-          | None -> dflt.S.duration_ms);
-        warmup_ms; seed }
-    in
-    let progress_queue (r : S.queue_row) =
-      Format.fprintf ppf "%-7s %-16s %-12s d=%-2d %s@."
-        (Sync_prims.Queuelock.kind_name r.S.kind)
-        r.S.problem r.S.mechanism r.S.domains
-        (S.status_string r.S.status)
-    in
-    let progress_epoch (r : S.epoch_row) =
-      Format.fprintf ppf "epoch   %-12s d=%-2d %s@." r.S.e_mechanism
-        r.S.e_domains
-        (S.status_string r.S.e_status)
-    in
-    let t = S.run ~progress_queue ~progress_epoch spec in
-    Format.fprintf ppf "@.%a" S.pp t;
-    (match json with
-    | None -> ()
-    | Some file ->
-      Sync_metrics.Emit.write_file file (S.to_json spec t);
-      Format.fprintf ppf "wrote %s@." file);
-    if not (S.all_ok t) then exit 1
-  in
-  Cmd.v (Cmd.info "scaling" ~doc)
-    Term.(const run $ kinds_arg $ problems_arg $ mechanisms_arg $ domains_arg
-          $ epoch_domains_arg $ think_us $ duration_ms $ warmup_ms $ seed
-          $ json)
-
-let adapt_cmd =
-  let doc =
-    "Score the self-tuning tier (experiment E27): run each problem x \
-     arrival-process x domain cell on every static platform tier and on \
-     the adaptive tier, where a feedback controller retiers hot-swappable \
-     mutex sites live from the contention probes. Probe tracing is on for \
-     every row so tier-to-tier ratios stay honest. Reports whether the \
-     adaptive rows ever fall below the worst static tier and how often \
-     they match the best."
-  in
-  let list_arg name ~doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"LIST" ~doc)
-  in
-  let cells_arg =
-    list_arg "cells"
-      ~doc:"comma-separated problem:mechanism cells (default \
-            bounded-buffer:semaphore,readers-writers:monitor,\
-            alarm-clock:wheel)"
-  in
-  let arrivals_arg =
-    list_arg "arrivals"
-      ~doc:"comma-separated arrival processes (poisson, uniform, diurnal, \
-            bursty); default poisson,diurnal,bursty"
-  in
-  let domains_arg =
-    list_arg "domains"
-      ~doc:"comma-separated worker domain counts (default 4)"
-  in
-  let rate =
-    Arg.(value & opt (some float) None
-         & info [ "rate" ] ~docv:"OPS_PER_S"
-             ~doc:"open-loop aggregate arrival rate (default 20000)")
-  in
-  let duration_ms =
-    Arg.(value & opt (some int) None
-         & info [ "duration" ] ~docv:"MS"
-             ~doc:"steady-state window per cell (default $(b,SYNC_LOAD_MS) \
-                   or 150)")
-  in
-  let warmup_ms =
-    Arg.(value & opt int 50
-         & info [ "warmup" ] ~docv:"MS" ~doc:"warmup window per cell")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"workload seed")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"also write the grid as a JSON document (the E27 \
-                   experiment envelope)")
-  in
-  let strict =
-    Arg.(value & flag
-         & info [ "strict" ]
-             ~doc:"exit 1 unless the adaptive rows held the \
-                   never-below-worst-static claim (the CI sanity gate)")
-  in
-  let fail msg =
-    Format.fprintf ppf "%s@." msg;
-    exit 2
-  in
-  let split = function
-    | None -> None
-    | Some s ->
-      Some
-        (List.filter (fun x -> x <> "")
-           (List.map String.trim (String.split_on_char ',' s)))
-  in
-  let run cells arrivals domains rate duration_ms warmup_ms seed json strict =
-    let module A = Sync_eval.Adaptive_axis in
-    let dflt = A.default_spec () in
-    let cells =
-      match split cells with
-      | None -> dflt.A.cells
-      | Some cs ->
-        List.map
-          (fun s ->
-            match String.split_on_char ':' s with
-            | [ p; m ] -> (p, m)
-            | _ -> fail (Printf.sprintf "bad cell %S (problem:mechanism)" s))
-          cs
-    in
-    let arrivals =
-      match split arrivals with
-      | None -> dflt.A.arrivals
-      | Some xs ->
-        List.map
-          (fun s ->
-            match Sync_workload.Loadgen.arrival_of_string s with
-            | Some a -> a
-            | None ->
-              fail
-                (Printf.sprintf
-                   "unknown arrival %S (poisson | uniform | diurnal | \
-                    bursty)"
-                   s))
-          xs
-    in
-    let domains =
-      match split domains with
-      | None -> dflt.A.domains
-      | Some ds ->
-        List.map
-          (fun s ->
-            match int_of_string_opt s with
-            | Some d when d >= 1 -> d
-            | _ -> fail (Printf.sprintf "bad domain count %S" s))
-          ds
-    in
-    let spec =
-      { dflt with
-        A.cells; arrivals; domains;
-        rate_per_s = Option.value rate ~default:dflt.A.rate_per_s;
-        duration_ms =
-          (match duration_ms with
-          | Some ms -> ms
-          | None -> dflt.A.duration_ms);
-        warmup_ms; seed }
-    in
-    let progress (r : A.row) =
-      Format.fprintf ppf "%-16s %-10s %-8s d=%-2d %-9s %s@." r.A.problem
-        r.A.mechanism
-        (Sync_workload.Loadgen.arrival_name r.A.arrival)
-        r.A.domains r.A.tier
-        (A.status_string r.A.status)
-    in
-    let t = A.run ~progress spec in
-    Format.fprintf ppf "@.%a" A.pp t;
-    (match json with
-    | None -> ()
-    | Some file ->
-      Sync_metrics.Emit.write_file file (A.to_json spec t);
-      Format.fprintf ppf "wrote %s@." file);
-    if not (A.all_ok t) then exit 1;
-    if strict && not (A.never_worst ~slack:spec.A.never_worst_slack t) then begin
-      Format.fprintf ppf
-        "adaptive fell below the worst static tier on some cell@.";
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "adapt" ~doc)
-    Term.(const run $ cells_arg $ arrivals_arg $ domains_arg $ rate
-          $ duration_ms $ warmup_ms $ seed $ json $ strict)
 
 let anomaly_cmd =
   let doc =
@@ -1220,114 +804,6 @@ let explore_cmd =
     Term.(const run $ scenario_arg $ strategy $ dpor_flag $ workers $ seed
           $ runs $ max_schedules $ replay_arg)
 
-let exploration_cmd =
-  let doc =
-    "Run the exploration axis (experiment E26): naive bounded DFS vs \
-     dynamic partial-order reduction over the scenario catalog at a shared \
-     schedule budget per row. Rows where DFS completes cross-check the two \
-     engines (identical failure modes, DPOR explores no more); rows where \
-     only DPOR completes verify every dependency-equivalence class of \
-     trees DFS cannot finish. Exits non-zero if any ground-truth row \
-     disagrees."
-  in
-  let deep =
-    Arg.(value & flag & info [ "deep" ]
-           ~doc:"Add the frontier shapes (larger instances and budgets; \
-                 used by the non-blocking dpor-deep CI job).")
-  in
-  let workers =
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N"
-           ~doc:"Domains per DPOR run (storm rows stay on 1).")
-  in
-  let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also write the rows as a JSON document.")
-  in
-  let run deep workers json =
-    let progress (r : Sync_eval.Exploration.row) =
-      Format.fprintf ppf "  [%s] dfs %d%s  dpor %d%s@." r.scenario
-        r.dfs.Sync_eval.Exploration.explored
-        (if r.dfs.Sync_eval.Exploration.complete then " (complete)" else "")
-        r.dpor.Sync_eval.Exploration.explored
-        (if r.dpor.Sync_eval.Exploration.complete then " (complete)" else "")
-    in
-    let rows = Sync_eval.Exploration.run ~deep ~workers ~progress () in
-    Format.fprintf ppf "@.";
-    Sync_eval.Exploration.pp ppf rows;
-    (match json with
-    | None -> ()
-    | Some file ->
-      Sync_metrics.Emit.write_file file (Sync_eval.Exploration.to_json rows);
-      Format.fprintf ppf "@.rows written to %s@." file);
-    if Sync_eval.Exploration.sound rows then
-      Format.fprintf ppf "@.all ground-truth rows agree@."
-    else begin
-      Format.fprintf ppf "@.EXPLORATION DISAGREEMENT — see rows above@.";
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "exploration" ~doc) Term.(const run $ deep $ workers $ json)
-
-let faults_cmd =
-  let doc =
-    "Run the robustness matrix (experiment E19): every mechanism x {bounded \
-     buffer, readers-writers, FCFS} under injected aborts (threaded, \
-     deterministic fault plans) and cancellation/timeout storms \
-     (deterministic runtime: seeded random schedules + bounded DFS). Exits \
-     non-zero unless every run recovered with its invariants intact."
-  in
-  let storm_runs =
-    Arg.(value & opt int 8 & info [ "storm-runs" ] ~docv:"N"
-           ~doc:"Random-schedule seeds per storm scenario.")
-  in
-  let run storm_runs =
-    Format.fprintf ppf
-      "fault plans seeded (mixed-prob seed 42, storm plan seed 7); storm \
-       schedules use seeds 1..%d — failing rows name the seed or DFS \
-       schedule to replay@.@."
-      storm_runs;
-    let progress r =
-      Format.fprintf ppf "  [%s/%s %s] %d/%d  %s@."
-        r.Sync_eval.Robustness.mechanism r.Sync_eval.Robustness.problem
-        r.Sync_eval.Robustness.scenario r.Sync_eval.Robustness.recovered
-        r.Sync_eval.Robustness.runs r.Sync_eval.Robustness.detail
-    in
-    let rows = Sync_eval.Robustness.run ~storm_runs ~progress () in
-    Format.fprintf ppf "@.";
-    Sync_eval.Robustness.pp ppf rows;
-    if Sync_eval.Robustness.all_recovered rows then
-      Format.fprintf ppf "@.all runs recovered@."
-    else begin
-      Format.fprintf ppf "@.ROBUSTNESS FAILURE(S) — see rows above@.";
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "faults" ~doc) Term.(const run $ storm_runs)
-
-let serve_cmd =
-  let doc =
-    "Run the service-tier robustness scenarios (experiment E24): spawn real \
-     bloom_serve daemons and check the load, chaos and crash-recovery \
-     stories end to end — typed outcomes only, zero hung connections, \
-     clean SIGTERM drains. Exits non-zero unless every scenario passed."
-  in
-  let run () =
-    let progress (r : Sync_eval.Service_axis.row) =
-      Format.fprintf ppf "  [%s] %s@." r.Sync_eval.Service_axis.scenario
-        r.Sync_eval.Service_axis.detail
-    in
-    let rows = Sync_eval.Service_axis.run ~progress () in
-    Format.fprintf ppf "@.";
-    Sync_eval.Service_axis.pp ppf rows;
-    if Sync_eval.Service_axis.all_ok rows then
-      Format.fprintf ppf "@.every scenario recovered@."
-    else begin
-      Format.fprintf ppf "@.SERVICE FAILURE(S) — see rows above@.";
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "serve" ~doc) Term.(const run $ const ())
-
 let () =
   let doc =
     "Mechanized evaluation of synchronization mechanisms (Bloom, SOSP'79)"
@@ -1337,7 +813,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; matrix_cmd; independence_cmd; modularity_cmd;
-            conformance_cmd; scorecard_cmd; anomaly_cmd; run_cmd; paths_cmd;
-            trace_cmd; model_cmd; nested_cmd; explore_cmd; exploration_cmd;
-            faults_cmd; load_cmd; hierarchy_cmd; scaling_cmd; adapt_cmd;
-            serve_cmd ]))
+            conformance_cmd; scorecard_cmd; axis_cmd; anomaly_cmd; run_cmd;
+            paths_cmd; trace_cmd; model_cmd; nested_cmd; explore_cmd;
+            load_cmd ]))

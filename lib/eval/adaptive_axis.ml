@@ -18,10 +18,6 @@
 open Sync_metrics
 open Sync_workload
 module Queuelock = Sync_prims.Queuelock
-module Probe = Sync_trace.Probe
-module Controller = Sync_adaptive.Controller
-
-type status = Supported | Failed of string
 
 type row = {
   problem : string;
@@ -29,18 +25,10 @@ type row = {
   arrival : Loadgen.arrival;
   domains : int;
   tier : string;
-  status : status;
-  throughput_per_s : float;
-  p50_ns : int;
-  p99_ns : int;
-  flips : int;  (* controller flips during the run; 0 on static rows *)
+  cell : Cell.t;
 }
 
 type t = { rows : row list }
-
-let empty = { rows = [] }
-
-let is_empty t = t.rows = []
 
 type spec = {
   cells : (string * string) list;  (* problem, mechanism *)
@@ -81,46 +69,6 @@ let default_spec () =
        the right tier" from "lost to it outright". *)
     win_slack = 0.9 }
 
-let dead_row ~problem ~mechanism ~arrival ~domains ~tier status =
-  { problem; mechanism; arrival; domains; tier; status;
-    throughput_per_s = 0.; p50_ns = 0; p99_ns = 0; flips = 0 }
-
-let cell spec ~problem ~mechanism ~arrival ~domains ~(tier : Target.tier) =
-  let cfg =
-    { Loadgen.workers = domains; backend = `Domain;
-      duration_ms = spec.duration_ms; warmup_ms = spec.warmup_ms;
-      mode = Loadgen.Open_loop { rate_per_s = spec.rate_per_s; arrival };
-      seed = spec.seed; think_us = 0 }
-  in
-  let tier_s = Sync_prims.Tier.name tier in
-  let dead = dead_row ~problem ~mechanism ~arrival ~domains ~tier:tier_s in
-  match Target.create ~tier ~problem ~mechanism () with
-  | Error e -> dead (Failed e)
-  | exception e -> dead (Failed (Printexc.to_string e))
-  | Ok inst -> (
-    let go () =
-      match tier with
-      | `Adaptive ->
-        let report, ctrl =
-          Controller.with_controller (fun () -> Loadgen.run inst cfg)
-        in
-        (report, Controller.flips ctrl)
-      | _ -> (Loadgen.run inst cfg, 0)
-    in
-    match Probe.with_tracing go with
-    | (report, flips), _events ->
-      let s = report.Report.summary in
-      if s.Summary.total_failures > 0 then
-        dead
-          (Failed (Printf.sprintf "%d op failures" s.Summary.total_failures))
-      else
-        let q f = Summary.overall_quantile s f in
-        { problem; mechanism; arrival; domains; tier = tier_s;
-          status = Supported; throughput_per_s = s.Summary.throughput_per_s;
-          p50_ns = q (fun o -> o.Summary.p50_ns);
-          p99_ns = q (fun o -> o.Summary.p99_ns); flips }
-    | exception e -> dead (Failed (Printexc.to_string e)))
-
 let run ?(progress = ignore) spec =
   let rows =
     List.concat_map
@@ -131,8 +79,19 @@ let run ?(progress = ignore) spec =
               (fun domains ->
                 List.map
                   (fun tier ->
+                    let cell =
+                      Cell.measure ~tier ~traced:true ~problem ~mechanism
+                        { Loadgen.workers = domains; backend = `Domain;
+                          duration_ms = spec.duration_ms;
+                          warmup_ms = spec.warmup_ms;
+                          mode =
+                            Loadgen.Open_loop
+                              { rate_per_s = spec.rate_per_s; arrival };
+                          seed = spec.seed; think_us = 0 }
+                    in
                     let r =
-                      cell spec ~problem ~mechanism ~arrival ~domains ~tier
+                      { problem; mechanism; arrival; domains;
+                        tier = Sync_prims.Tier.name tier; cell }
                     in
                     progress r;
                     r)
@@ -143,9 +102,11 @@ let run ?(progress = ignore) spec =
   in
   { rows }
 
-let row_ok r = match r.status with Failed _ -> false | Supported -> true
+let row_ok r = Cell.ok r.cell
 
 let all_ok t = List.for_all row_ok t.rows
+
+let throughput r = r.cell.Cell.throughput_per_s
 
 (* Group rows into comparison cells: same problem/arrival/domains,
    different tier. Only fully measured groups participate in claims. *)
@@ -164,74 +125,72 @@ let groups t =
       | _ -> None)
     keys
 
-let never_worst ?slack t =
+let never_worst ~slack t =
   let gs = groups t in
   gs <> []
   && List.for_all
-       (fun ((a : row), static) ->
-         let slack =
-           match slack with
-           | Some s -> s
-           | None -> 0.85 (* default_spec's never_worst_slack *)
-         in
+       (fun (a, static) ->
          let worst =
            List.fold_left
-             (fun acc r -> Float.min acc r.throughput_per_s)
+             (fun acc r -> Float.min acc (throughput r))
              Float.max_float static
          in
-         a.throughput_per_s >= worst *. slack)
+         throughput a >= worst *. slack)
        gs
 
-let win_rate ?(slack = 0.95) t =
+let win_rate ~slack t =
   match groups t with
   | [] -> 0.
   | gs ->
     let wins =
       List.length
         (List.filter
-           (fun ((a : row), static) ->
+           (fun (a, static) ->
              let best =
-               List.fold_left
-                 (fun acc r -> Float.max acc r.throughput_per_s)
-                 0. static
+               List.fold_left (fun acc r -> Float.max acc (throughput r)) 0.
+                 static
              in
-             a.throughput_per_s >= best *. slack)
+             throughput a >= best *. slack)
            gs)
     in
     float_of_int wins /. float_of_int (List.length gs)
 
 let total_flips t =
-  List.fold_left (fun acc r -> acc + r.flips) 0 t.rows
+  List.fold_left (fun acc r -> acc + r.cell.Cell.flips) 0 t.rows
 
-let status_string = function
-  | Supported -> "ok"
-  | Failed e -> "FAILED: " ^ e
+let progress_line r =
+  Printf.sprintf "%-16s %-10s %-8s d=%-2d %-9s %s" r.problem r.mechanism
+    (Loadgen.arrival_name r.arrival)
+    r.domains r.tier
+    (Cell.status_string r.cell.Cell.status)
 
-let pp ppf t =
+let pp spec ppf t =
   Format.fprintf ppf "  %-16s %-10s %-8s %7s %-9s %12s %9s %9s %6s  %s@."
     "problem" "mechanism" "arrival" "domains" "tier" "ops/s" "p50 ns"
     "p99 ns" "flips" "status";
   List.iter
     (fun r ->
-      match r.status with
+      let c = r.cell in
+      let arrival = Loadgen.arrival_name r.arrival in
+      match c.Cell.status with
       | Supported ->
         Format.fprintf ppf
           "  %-16s %-10s %-8s %7d %-9s %12.0f %9d %9d %6d  %s@." r.problem
-          r.mechanism
-          (Loadgen.arrival_name r.arrival)
-          r.domains r.tier r.throughput_per_s r.p50_ns r.p99_ns r.flips
-          (status_string r.status)
-      | Failed _ ->
+          r.mechanism arrival r.domains r.tier c.Cell.throughput_per_s
+          c.Cell.p50_ns c.Cell.p99_ns c.Cell.flips
+          (Cell.status_string c.Cell.status)
+      | _ ->
         Format.fprintf ppf
           "  %-16s %-10s %-8s %7d %-9s %12s %9s %9s %6s  %s@." r.problem
-          r.mechanism
-          (Loadgen.arrival_name r.arrival)
-          r.domains r.tier "-" "-" "-" "-" (status_string r.status))
+          r.mechanism arrival r.domains r.tier "-" "-" "-" "-"
+          (Cell.status_string c.Cell.status))
     t.rows;
   Format.fprintf ppf
     "  adaptive never below worst static: %b   win rate vs best static: \
      %.2f   flips: %d@."
-    (never_worst t) (win_rate t) (total_flips t)
+    (never_worst ~slack:spec.never_worst_slack t)
+    (win_rate ~slack:spec.win_slack t)
+    (total_flips t)
 
 let row_to_json r =
   Emit.Obj
@@ -239,59 +198,128 @@ let row_to_json r =
        ("mechanism", Emit.Str r.mechanism);
        ("arrival", Emit.Str (Loadgen.arrival_name r.arrival));
        ("domains", Emit.Int r.domains); ("tier", Emit.Str r.tier) ]
-    @ (match r.status with
-      | Supported -> [ ("status", Emit.Str "supported") ]
-      | Failed e ->
-        [ ("status", Emit.Str "failed"); ("error", Emit.Str e) ])
+    @ Cell.json ~extra:[ ("flips", Emit.Int r.cell.Cell.flips) ] r.cell)
+
+(* Wheel scaling: per-tick cost of the hierarchical timer wheel as the
+   pending-alarm population grows 1k -> 1M. Every alarm is scheduled
+   past the timed window (random deadlines spread over a 2^24-tick
+   span), so the measured ticks pay empty-bucket scans and level
+   cascades but never a firing — the steady-state cost an alarm clock
+   holding N sleepers pays per tick. O(1) amortized tick cost means the
+   ns/tick column stays flat as pending grows 1000x; a scan-all-alarms
+   implementation would show ~1000x. *)
+
+type wheel_row = {
+  pending : int;
+  add_ns_per_alarm : float;
+  tick_ns : float;
+  intact : bool;  (* nothing fired or went missing in the timed window *)
+}
+
+let wheel_ticks = 65_536
+
+let wheel_span = 1 lsl 24
+
+let wheel_row pending =
+  let module W = Sync_platform.Timerwheel in
+  let w = W.create () in
+  let rng = Random.State.make [| 0x5ca1ab1e + pending |] in
+  let warmup_ticks = 1_024 in
+  let now_ns () = Int64.to_int (Sync_platform.Clock.now_ns ()) in
+  let t_add = now_ns () in
+  for _ = 1 to pending do
+    ignore
+      (W.add w
+         ~delay:(warmup_ticks + wheel_ticks + 1 + Random.State.int rng wheel_span)
+         ())
+  done;
+  let add_ns = now_ns () - t_add in
+  (* A short untimed advance warms the bucket caches, and a full major
+     collection keeps the GC debt of the million fresh alarm records
+     from being paid inside the timed window — the timed ticks should
+     measure the wheel, not the allocator's past. *)
+  ignore (W.advance w ~ticks:warmup_ticks (fun _ () -> ()));
+  Gc.full_major ();
+  let t0 = now_ns () in
+  let fired = W.advance w ~ticks:wheel_ticks (fun _ () -> ()) in
+  let tick_ns = float_of_int (now_ns () - t0) /. float_of_int wheel_ticks in
+  { pending; add_ns_per_alarm = float_of_int add_ns /. float_of_int pending;
+    tick_ns; intact = fired = 0 && W.pending w = pending }
+
+let wheel_rows () = List.map wheel_row [ 1_000; 10_000; 100_000; 1_000_000 ]
+
+(* Max/min per-tick cost across the populations: the flatness number
+   the committed document records and the full run gates on. *)
+let wheel_ratio rows =
+  let costs = List.map (fun r -> r.tick_ns) rows in
+  let mn = List.fold_left Float.min Float.max_float costs in
+  let mx = List.fold_left Float.max 0. costs in
+  if mn > 0. then mx /. mn else Float.infinity
+
+let pp_wheel ppf rows =
+  Format.fprintf ppf "wheel scaling (%d timed ticks per population)@."
+    wheel_ticks;
+  List.iter
+    (fun r ->
+      Format.fprintf ppf "  pending %8d  add %7.0f ns/alarm  tick %8.1f ns@."
+        r.pending r.add_ns_per_alarm r.tick_ns)
+    rows;
+  Format.fprintf ppf "  tick cost max/min across populations: %.2fx@."
+    (wheel_ratio rows)
+
+let wheel_json rows =
+  Emit.Obj
+    [ ("ticks_timed", Emit.Int wheel_ticks);
+      ("deadline_span_ticks", Emit.Int wheel_span);
+      ( "rows",
+        Emit.List
+          (List.map
+             (fun r ->
+               Emit.Obj
+                 [ ("pending", Emit.Int r.pending);
+                   ("add_ns_per_alarm", Emit.Float r.add_ns_per_alarm);
+                   ("tick_ns", Emit.Float r.tick_ns) ])
+             rows) );
+      ("tick_cost_max_over_min", Emit.Float (wheel_ratio rows)) ]
+
+let to_json ?wheel spec t =
+  Emit.Obj
+    ([ ("experiment", Emit.Str "E27");
+       ("description",
+        Emit.Str
+          "self-tuning tier: each problem x arrival x domain cell run on \
+           every static platform tier and on the adaptive tier, where a \
+           feedback controller retiers hot-swappable mutex sites live from \
+           the contention probes; probe tracing on for every row");
+       ("mode", Emit.Str "open");
+       ("backend", Emit.Str "domain");
+       ("traced", Emit.Bool true);
+       ("rate_per_s", Emit.Float spec.rate_per_s);
+       ("duration_ms", Emit.Int spec.duration_ms);
+       ("warmup_ms", Emit.Int spec.warmup_ms);
+       ("seed", Emit.Int spec.seed);
+       ("never_worst_slack", Emit.Float spec.never_worst_slack);
+       ("win_slack", Emit.Float spec.win_slack);
+       ("ocaml", Emit.Str Sys.ocaml_version);
+       ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
+       ("cells",
+        Emit.List
+          (List.map
+             (fun (p, m) -> Emit.List [ Emit.Str p; Emit.Str m ])
+             spec.cells));
+       ("static_tiers",
+        Emit.List
+          (List.map (fun s -> Emit.Str (Sync_prims.Tier.name s))
+             spec.static_tiers));
+       ("arrivals",
+        Emit.List
+          (List.map (fun a -> Emit.Str (Loadgen.arrival_name a)) spec.arrivals));
+       ("domain_counts", Emit.List (List.map (fun d -> Emit.Int d) spec.domains));
+       ("never_worst", Emit.Bool (never_worst ~slack:spec.never_worst_slack t));
+       ("win_rate", Emit.Float (win_rate ~slack:spec.win_slack t));
+       ("flips", Emit.Int (total_flips t));
+       ("rows", Emit.List (List.map row_to_json t.rows)) ]
     @
-    match r.status with
-    | Supported ->
-      [ ("throughput_per_s", Emit.Float r.throughput_per_s);
-        ("p50_ns", Emit.Int r.p50_ns); ("p99_ns", Emit.Int r.p99_ns);
-        ("flips", Emit.Int r.flips) ]
-    | _ -> [])
-
-let rows_to_json t =
-  Emit.Obj
-    [ ("rows", Emit.List (List.map row_to_json t.rows));
-      ("never_worst", Emit.Bool (never_worst t));
-      ("win_rate", Emit.Float (win_rate t));
-      ("flips", Emit.Int (total_flips t)) ]
-
-let to_json spec t =
-  Emit.Obj
-    [ ("experiment", Emit.Str "E27");
-      ("description",
-       Emit.Str
-         "self-tuning tier: each problem x arrival x domain cell run on \
-          every static platform tier and on the adaptive tier, where a \
-          feedback controller retiers hot-swappable mutex sites live from \
-          the contention probes; probe tracing on for every row");
-      ("mode", Emit.Str "open");
-      ("backend", Emit.Str "domain");
-      ("traced", Emit.Bool true);
-      ("rate_per_s", Emit.Float spec.rate_per_s);
-      ("duration_ms", Emit.Int spec.duration_ms);
-      ("warmup_ms", Emit.Int spec.warmup_ms);
-      ("seed", Emit.Int spec.seed);
-      ("never_worst_slack", Emit.Float spec.never_worst_slack);
-      ("win_slack", Emit.Float spec.win_slack);
-      ("ocaml", Emit.Str Sys.ocaml_version);
-      ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
-      ("cells",
-       Emit.List
-         (List.map
-            (fun (p, m) -> Emit.List [ Emit.Str p; Emit.Str m ])
-            spec.cells));
-      ("static_tiers",
-       Emit.List
-         (List.map (fun s -> Emit.Str (Sync_prims.Tier.name s))
-            spec.static_tiers));
-      ("arrivals",
-       Emit.List
-         (List.map (fun a -> Emit.Str (Loadgen.arrival_name a)) spec.arrivals));
-      ("domain_counts", Emit.List (List.map (fun d -> Emit.Int d) spec.domains));
-      ("never_worst", Emit.Bool (never_worst ~slack:spec.never_worst_slack t));
-      ("win_rate", Emit.Float (win_rate ~slack:spec.win_slack t));
-      ("flips", Emit.Int (total_flips t));
-      ("rows", Emit.List (List.map row_to_json t.rows)) ]
+    match wheel with
+    | Some rows -> [ ("wheel_tick", wheel_json rows) ]
+    | None -> [])

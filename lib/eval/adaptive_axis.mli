@@ -11,9 +11,8 @@
     Claims (measured cells only): {!never_worst} — the adaptive row
     never falls below the worst static tier (blocking CI gate) — and
     {!win_rate} — the fraction of cells where it matches or beats the
-    best static tier. *)
-
-type status = Supported | Failed of string
+    best static tier. The timer-wheel rows ({!wheel_rows}) price the
+    [wheel] alarm clock's tick at 1k..1M pending alarms. *)
 
 type row = {
   problem : string;
@@ -21,18 +20,10 @@ type row = {
   arrival : Sync_workload.Loadgen.arrival;
   domains : int;
   tier : string;  (** {!Sync_prims.Tier.name} *)
-  status : status;
-  throughput_per_s : float;
-  p50_ns : int;
-  p99_ns : int;
-  flips : int;  (** controller flips during the run; 0 on static rows *)
+  cell : Cell.t;
 }
 
 type t = { rows : row list }
-
-val empty : t
-
-val is_empty : t -> bool
 
 type spec = {
   cells : (string * string) list;  (** (problem, mechanism) pairs *)
@@ -61,23 +52,38 @@ val run : ?progress:(row -> unit) -> spec -> t
 
 val all_ok : t -> bool
 
-val status_string : status -> string
-
-val never_worst : ?slack:float -> t -> bool
+val never_worst : slack:float -> t -> bool
 (** [true] iff at least one cell measured and the adaptive row reaches
-    [slack] (default 0.85) of the worst static tier's throughput in
-    every fully measured cell. *)
+    [slack] of the worst static tier's throughput in every fully
+    measured cell. *)
 
-val win_rate : ?slack:float -> t -> float
+val win_rate : slack:float -> t -> float
 (** Fraction of fully measured cells where the adaptive row reaches
-    [slack] (default 0.95) of the best static tier's throughput. *)
+    [slack] of the best static tier's throughput. *)
 
-val total_flips : t -> int
+val progress_line : row -> string
 
-val pp : Format.formatter -> t -> unit
+val pp : spec -> Format.formatter -> t -> unit
 
-val rows_to_json : t -> Sync_metrics.Emit.t
-(** Rows plus claim verdicts — the scorecard embedding. *)
+(** {1 Timer-wheel scaling} *)
 
-val to_json : spec -> t -> Sync_metrics.Emit.t
-(** Full experiment envelope for a standalone E27 artifact. *)
+type wheel_row = {
+  pending : int;
+  add_ns_per_alarm : float;
+  tick_ns : float;
+  intact : bool;
+      (** no alarm fired or went missing inside the timed window *)
+}
+
+val wheel_rows : unit -> wheel_row list
+(** Per-tick cost with 1k, 10k, 100k and 1M alarms pending, none due
+    inside the timed window. *)
+
+val wheel_ratio : wheel_row list -> float
+(** Max over min per-tick cost across the populations. *)
+
+val pp_wheel : Format.formatter -> wheel_row list -> unit
+
+val to_json : ?wheel:wheel_row list -> spec -> t -> Sync_metrics.Emit.t
+(** The committed [BENCH_E27.json] envelope; its ["wheel_tick"] object
+    is present when [wheel] is given. *)

@@ -51,16 +51,17 @@ let catalog name ~budget ?workers () =
   | Some e -> measure ?workers ~budget e.Scenarios.scen
   | None -> invalid_arg ("Exploration.run: no catalog scenario " ^ name)
 
-(* The default matrix stays CI-sized; [deep] adds shapes that push the
-   engine to (and past) its frontier and is meant for the non-blocking
-   dpor-deep job. The storm rows keep [workers = 1] regardless: the
-   fault registry is process-global (see {!Sync_detsched.Scenarios}). *)
-let run ?(deep = false) ?(workers = 1) ?(progress = fun (_ : row) -> ()) () =
+(* The default matrix stays CI-sized on one worker; [full] adds shapes
+   that push the engine to (and past) its frontier, sharded over two
+   domains, and is meant for the non-blocking dpor-deep job. The storm
+   rows keep [workers = 1] regardless: the fault registry is
+   process-global (see {!Sync_detsched.Scenarios}). *)
+let run ?(full = false) ?(progress = fun (_ : row) -> ()) () =
   let note r =
     progress r;
     r
   in
-  let w = max 1 workers in
+  let w = if full then 2 else 1 in
   let base =
     [ (fun () -> catalog "deadlock-abba" ~budget:10_000 ~workers:w ());
       (fun () -> catalog "bb-sem-small" ~budget:30_000 ~workers:w ());
@@ -81,7 +82,7 @@ let run ?(deep = false) ?(workers = 1) ?(progress = fun (_ : row) -> ()) () =
   in
   List.map
     (fun f -> note (f ()))
-    (if deep then base @ deep_rows else base)
+    (if full then base @ deep_rows else base)
 
 (* Soundness over a row list: wherever the ground truth exists (DFS
    completed), DPOR must agree on the failure modes, must also have
@@ -102,6 +103,12 @@ let verdict r =
     else "DISAGREE"
   else if r.dpor.complete then "dpor-only"
   else "both-bounded"
+
+let progress_line r =
+  let eng e =
+    Printf.sprintf "%d%s" e.explored (if e.complete then " (complete)" else "")
+  in
+  Printf.sprintf "  [%s] dfs %s  dpor %s" r.scenario (eng r.dfs) (eng r.dpor)
 
 let pp ppf rows =
   Format.fprintf ppf "%-22s %9s %16s %16s %7s %6s  %s@." "scenario" "budget"

@@ -25,16 +25,18 @@ type row = {
   workers : int;  (** domains the DPOR run used *)
 }
 
-val run :
-  ?deep:bool -> ?workers:int -> ?progress:(row -> unit) -> unit -> row list
+val run : ?full:bool -> ?progress:(row -> unit) -> unit -> row list
 (** The default matrix is CI-sized (deadlock, small bounded buffer, E19
-    storm, footnote-3); [deep] adds frontier shapes for the non-blocking
-    deep job. [workers] applies to every row except the storm rows,
-    which are pinned to one domain (process-global fault registry). *)
+    storm, footnote-3) on one worker; [full] adds frontier shapes for the
+    non-blocking deep job and shards every DPOR run over two domains,
+    except the storm rows, which are pinned to one (process-global fault
+    registry). *)
 
 val sound : row list -> bool
 (** Every row where DFS completed: DPOR also completed, agreed on the
     failure modes, and explored no more schedules. *)
+
+val progress_line : row -> string
 
 val pp : Format.formatter -> row list -> unit
 

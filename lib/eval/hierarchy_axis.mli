@@ -9,41 +9,23 @@
     (ticket), or LL/SC emulated from CAS with ABA tags — and driven by
     the E20 workload engine, against the unrestricted native substrate.
 
-    Each grid cell records one of three {e typed} outcomes: supported
-    (with measured throughput and latency), unsupported (the class
-    cannot express a primitive the mechanism needs — e.g. read/write
-    registers cannot grant FCFS semaphore wakeups, which take an
-    order-assigning RMW), or failed (the construction ran but a
-    self-checking resource caught a correctness violation). A complete
-    scorecard has zero failures: inexpressibility is a result, a crash
-    is a bug. *)
+    Each grid cell is a typed {!Cell.t}: supported (with measured
+    throughput and latency), unsupported (the class cannot express a
+    primitive the mechanism needs — e.g. read/write registers cannot
+    grant FCFS semaphore wakeups, which take an order-assigning RMW), or
+    failed (a self-checking resource caught a correctness violation). A
+    complete scorecard has zero failures: inexpressibility is a result,
+    a crash is a bug. *)
 
 module Prims = Sync_prims.Prims
-
-type status =
-  | Supported
-  | Unsupported of { feature : string; reason : string }
-      (** the class rejected a primitive at construction, typed
-          ({!Prims.Unsupported}) *)
-  | Failed of string  (** ran but violated a resource check, or errored *)
-
-type row = {
-  cls : Prims.cls;
-  problem : string;
-  mechanism : string;
-  domains : int;  (** worker domains; [0] on unsupported/probe rows *)
-  status : status;
-  throughput_per_s : float;  (** [0.] unless [Supported] *)
-  p50_ns : int;
-  p99_ns : int;
-}
 
 type spec = {
   classes : Prims.cls list;
   problems : string list;
   mechanisms : string list option;
       (** [None] = every mechanism the workload engine offers for each
-          problem; [Some ms] filters to those *)
+          problem except [epoch], whose read path no class restriction
+          reaches *)
   domains : int list;
   duration_ms : int;
   warmup_ms : int;
@@ -55,22 +37,16 @@ val default_spec : unit -> spec
     mechanisms x domain counts [1; 4]; steady window from
     [SYNC_LOAD_MS] (default 100 ms), closed loop on domains. *)
 
-val run : ?progress:(row -> unit) -> spec -> row list
-(** Run the grid class-major (then problem, mechanism, domain count).
-    Support is probed once per class x pair: a rejected construction
-    yields a single [Unsupported] row with [domains = 0] instead of one
-    per domain count. Never raises on a cell: every outcome is a row. *)
+val run : ?progress:(Cell.row -> unit) -> spec -> Cell.row list
+(** {!Cell.grid} over the classes' [`Prim] tiers: a rejected
+    construction is a single [Unsupported] row with [domains = 0]. *)
 
-val all_ok : row list -> bool
-(** No [Failed] rows. [Unsupported] is a valid scorecard outcome. *)
+val all_ok : Cell.row list -> bool
+(** No [Failed] rows. *)
 
-val status_string : status -> string
-
-val pp : Format.formatter -> row list -> unit
+val pp : Format.formatter -> Cell.row list -> unit
 (** Human scorecard, grouped by class. *)
 
-val row_to_json : row -> Sync_metrics.Emit.t
-
-val to_json : spec -> row list -> Sync_metrics.Emit.t
+val to_json : spec -> Cell.row list -> Sync_metrics.Emit.t
 (** The committed [BENCH_E25.json] document: grid metadata plus one row
-    per cell with a ["status"] discriminator. *)
+    per cell keyed by ["class"], with a ["status"] discriminator. *)

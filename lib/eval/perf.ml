@@ -1,51 +1,18 @@
 open Sync_metrics
 open Sync_workload
 
-type row = {
-  mechanism : string;
-  problem : string;
-  variant : string;
-  tier : string;
-  domains : int;
-  throughput_per_s : float;
-  p50_ns : int;
-  p95_ns : int;
-  p99_ns : int;
-  p999_ns : int;
-}
+let throughput (c : Sweep.cell) =
+  c.Sweep.report.Report.summary.Summary.throughput_per_s
 
-let row_of_cell (c : Sweep.cell) =
-  let s = c.Sweep.report.Report.summary in
-  let q f = Summary.overall_quantile s f in
-  { mechanism = c.Sweep.report.Report.mechanism;
-    problem = c.Sweep.report.Report.problem;
-    variant = c.Sweep.report.Report.variant;
-    tier = c.Sweep.report.Report.tier;
-    domains = c.Sweep.domains;
-    throughput_per_s = s.Summary.throughput_per_s;
-    p50_ns = q (fun o -> o.Summary.p50_ns);
-    p95_ns = q (fun o -> o.Summary.p95_ns);
-    p99_ns = q (fun o -> o.Summary.p99_ns);
-    p999_ns = q (fun o -> o.Summary.p999_ns) }
+let p99 (c : Sweep.cell) =
+  Summary.overall_quantile c.Sweep.report.Report.summary (fun o ->
+      o.Summary.p99_ns)
 
-let of_cells cells = List.map row_of_cell cells
-
-let measure ?duration_ms ?(warmup_ms = 30) ?(domain_counts = [ 1; 2; 4 ])
-    ?(mechanisms = Registry.mechanisms)
-    ?(problems = [ "bounded-buffer"; "readers-writers"; "fcfs" ])
-    ?(progress = ignore) () =
-  let duration_ms =
-    match duration_ms with
-    | Some ms -> ms
-    | None -> Loadgen.duration_from_env ~default:100
-  in
-  let spec =
-    { (Sweep.default_baseline_spec ()) with
-      Sweep.mechanisms; problems; domain_counts; duration_ms; warmup_ms }
-  in
-  match Sweep.baseline ~progress:(fun c -> progress (row_of_cell c)) spec with
-  | Error _ as e -> e
-  | Ok cells -> Ok (of_cells cells)
+let cell_line (c : Sweep.cell) =
+  let r = c.Sweep.report in
+  Printf.sprintf "%-12s %-18s %-8s d=%d %12.0f ops/s  p99 %d ns"
+    r.Report.mechanism r.Report.problem r.Report.tier c.Sweep.domains
+    (throughput c) (p99 c)
 
 let coverage_errors () =
   List.concat_map
@@ -71,29 +38,43 @@ let coverage_errors () =
         (Target.mechanisms ~problem))
     Target.problems
 
-let pp ppf rows =
-  Format.fprintf ppf "%-12s %-18s %7s %12s %10s %10s %10s %10s@." "mechanism"
-    "problem" "domains" "ops/s" "p50 ns" "p95 ns" "p99 ns" "p99.9 ns";
+let pp ppf cells =
+  Format.fprintf ppf "%-12s %-18s %-8s %7s %12s %10s %10s %10s %10s@."
+    "mechanism" "problem" "tier" "domains" "ops/s" "p50 ns" "p95 ns" "p99 ns"
+    "p99.9 ns";
   List.iter
-    (fun r ->
-      Format.fprintf ppf "%-12s %-18s %7d %12.0f %10d %10d %10d %10d@."
-        r.mechanism r.problem r.domains r.throughput_per_s r.p50_ns r.p95_ns
-        r.p99_ns r.p999_ns)
-    rows
+    (fun (c : Sweep.cell) ->
+      let r = c.Sweep.report in
+      let q f = Summary.overall_quantile r.Report.summary f in
+      Format.fprintf ppf "%-12s %-18s %-8s %7d %12.0f %10d %10d %10d %10d@."
+        r.Report.mechanism r.Report.problem r.Report.tier c.Sweep.domains
+        (throughput c)
+        (q (fun o -> o.Summary.p50_ns))
+        (q (fun o -> o.Summary.p95_ns))
+        (p99 c)
+        (q (fun o -> o.Summary.p999_ns)))
+    cells
 
-let to_json rows =
-  Emit.List
-    (List.map
-       (fun r ->
-         Emit.Obj
-           [ ("mechanism", Emit.Str r.mechanism);
-             ("problem", Emit.Str r.problem);
-             ("variant", Emit.Str r.variant);
-             ("tier", Emit.Str r.tier);
-             ("domains", Emit.Int r.domains);
-             ("throughput_per_s", Emit.Float r.throughput_per_s);
-             ("p50_ns", Emit.Int r.p50_ns);
-             ("p95_ns", Emit.Int r.p95_ns);
-             ("p99_ns", Emit.Int r.p99_ns);
-             ("p999_ns", Emit.Int r.p999_ns) ])
-       rows)
+(* The default -> fast speedup per cell of a tier grid: the number the
+   E22 acceptance gate (>= 1.3x on a contended 4-domain cell) reads. *)
+let pp_speedups ppf cells =
+  List.iter
+    (fun (c : Sweep.cell) ->
+      let r = c.Sweep.report in
+      if r.Report.tier = "fast" then
+        match
+          List.find_opt
+            (fun (d : Sweep.cell) ->
+              let r' = d.Sweep.report in
+              r'.Report.tier = "default"
+              && r'.Report.mechanism = r.Report.mechanism
+              && r'.Report.problem = r.Report.problem
+              && d.Sweep.domains = c.Sweep.domains)
+            cells
+        with
+        | Some d when throughput d > 0.0 ->
+          Format.fprintf ppf "%-12s %-18s d=%d fast/default %.2fx@."
+            r.Report.mechanism r.Report.problem c.Sweep.domains
+            (throughput c /. throughput d)
+        | _ -> ())
+    cells

@@ -1,42 +1,17 @@
-(** The quantitative performance axis (E20).
+(** The quantitative performance axes: E20 (the closed-loop mechanism
+    grid behind [BENCH_E20.json]) and E22 (the same grid on the default
+    and fast substrate tiers, [BENCH_E22.json]).
 
     The paper stops at "serializers provide more mechanism ... at more
-    cost"; this axis measures the cost. Each row is one recorded
-    steady-state run of a registered solution under the multicore
-    workload engine ([sync_workload]): closed-loop throughput plus the
-    latency quantile ladder at a given domain count. Rows come either
-    from a live {!measure} sweep (scorecard [--perf]) or from a recorded
-    baseline's cells ({!of_cells} — the same data committed as
-    [BENCH_E20.json]).
+    cost"; these axes measure the cost. The grids themselves are
+    {!Sync_workload.Sweep.baseline} and {!Sync_workload.Sweep.e22}; this
+    module renders their cells.
 
     Every target the workload engine can drive corresponds to an entry
     of {!Registry.all}; {!coverage_errors} machine-checks that claim. *)
 
-type row = {
-  mechanism : string;
-  problem : string;
-  variant : string;
-  tier : string;  (** platform substrate: ["default"] or ["fast"] (E22) *)
-  domains : int;
-  throughput_per_s : float;
-  p50_ns : int;
-  p95_ns : int;
-  p99_ns : int;
-  p999_ns : int;
-}
-
-val row_of_cell : Sync_workload.Sweep.cell -> row
-
-val of_cells : Sync_workload.Sweep.cell list -> row list
-
-val measure :
-  ?duration_ms:int -> ?warmup_ms:int -> ?domain_counts:int list ->
-  ?mechanisms:string list -> ?problems:string list ->
-  ?progress:(row -> unit) -> unit -> (row list, string) result
-(** Run a live sweep. Defaults: steady window from [SYNC_LOAD_MS]
-    (else 100 ms) after a 30 ms warmup, domain counts [1; 2; 4], the six
-    full-coverage mechanisms, problems {bounded-buffer, readers-writers,
-    fcfs}. *)
+val cell_line : Sync_workload.Sweep.cell -> string
+(** One progress line: coordinates, throughput and p99. *)
 
 val coverage_errors : unit -> string list
 (** For every (problem, mechanism) pair the workload engine offers,
@@ -44,6 +19,8 @@ val coverage_errors : unit -> string list
     one message per pair that is {e not} a registered solution (must be
     empty — asserted by tests). *)
 
-val pp : Format.formatter -> row list -> unit
+val pp : Format.formatter -> Sync_workload.Sweep.cell list -> unit
+(** Throughput and the latency ladder, one line per cell. *)
 
-val to_json : row list -> Sync_metrics.Emit.t
+val pp_speedups : Format.formatter -> Sync_workload.Sweep.cell list -> unit
+(** Fast-over-default throughput per cell that has both tiers. *)

@@ -312,7 +312,10 @@ let det_storm_solutions : (string * (module Bb_intf.S)) list =
     ("serializer", (module Bb_ser)); ("pathexpr", (module Bb_path));
     ("ccr", (module Bb_ccr)) ]
 
-let run ?(storm_runs = 8) ?(progress = fun (_ : row) -> ()) () =
+(* Random-schedule seeds per storm scenario: seeds 1..8. *)
+let storm_runs = 8
+
+let run ?(progress = fun (_ : row) -> ()) () =
   let note f x =
     let r = f x in
     progress r;
@@ -348,6 +351,10 @@ let run ?(storm_runs = 8) ?(progress = fun (_ : row) -> ()) () =
 let all_recovered rows =
   List.for_all (fun r -> r.recovered = r.runs) rows
 
+let progress_line r =
+  Printf.sprintf "  [%s/%s %s] %d/%d  %s" r.mechanism r.problem r.scenario
+    r.recovered r.runs r.detail
+
 let pp ppf rows =
   Format.fprintf ppf "%-12s %-16s %-7s %-34s %s@." "mechanism" "problem"
     "scen" "abort policy" "recovered";
@@ -356,3 +363,15 @@ let pp ppf rows =
       Format.fprintf ppf "%-12s %-16s %-7s %-34s %d/%d  %s@." r.mechanism
         r.problem r.scenario r.policy r.recovered r.runs r.detail)
     rows
+
+let to_json rows =
+  Sync_metrics.Emit.(
+    List
+      (List.map
+         (fun r ->
+           Obj
+             [ ("mechanism", Str r.mechanism); ("problem", Str r.problem);
+               ("scenario", Str r.scenario); ("policy", Str r.policy);
+               ("runs", Int r.runs); ("recovered", Int r.recovered);
+               ("detail", Str r.detail) ])
+         rows))

@@ -16,14 +16,19 @@ type row = {
   detail : string;  (** first failure, or a summary when clean *)
 }
 
-val run : ?storm_runs:int -> ?progress:(row -> unit) -> unit -> row list
-(** Executes the full matrix. [storm_runs] (default 8) random-schedule
-    seeds per storm scenario; the DFS instance is always explored up to
-    its internal bounds. [progress] is called with each row as it
-    completes (the matrix takes a while; default ignores). Deterministic: fault plans are seeded and the
-    storm schedules derive from consecutive seeds, so a failing row's
-    [detail] names the seed (or DFS schedule) that replays it. *)
+val run : ?progress:(row -> unit) -> unit -> row list
+(** Executes the full matrix: eight random-schedule seeds per storm
+    scenario; the DFS instance is always explored up to its internal
+    bounds. [progress] is called with each row as it completes (the
+    matrix takes a while; default ignores). Deterministic: fault plans
+    are seeded and the storm schedules derive from consecutive seeds,
+    so a failing row's [detail] names the seed (or DFS schedule) that
+    replays it. *)
 
 val all_recovered : row list -> bool
 
+val progress_line : row -> string
+
 val pp : Format.formatter -> row list -> unit
+
+val to_json : row list -> Sync_metrics.Emit.t

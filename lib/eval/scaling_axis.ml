@@ -3,10 +3,8 @@
    - the {e queue grid}: mechanism x problem load targets rebuilt with
      every platform mutex a local-spin queue lock (MCS / CLH /
      proportional-backoff ticket), driven exactly like the E25
-     hierarchy cells. A mechanism x problem pair the workload engine
-     does not offer is a {e typed} [Unsupported] row, not a silent skip
-     and not a fake 0 ops/s cell — the convention E25 set for
-     inexpressible primitives, extended here to absent targets;
+     hierarchy cells ({!Cell.grid}); a pair the workload engine does
+     not offer is a typed [Unsupported] row;
 
    - the {e epoch rows}: the readers-writers database on the
      {!Sync_problems.Rw_epoch} read-mostly path at increasing domain
@@ -17,42 +15,16 @@
 
 open Sync_metrics
 open Sync_workload
-module Prims = Sync_prims.Prims
 module Queuelock = Sync_prims.Queuelock
-
-type status =
-  | Supported
-  | Unsupported of { feature : string; reason : string }
-  | Failed of string
-
-type queue_row = {
-  kind : Queuelock.kind;
-  problem : string;
-  mechanism : string;
-  domains : int;
-  status : status;
-  throughput_per_s : float;
-  p50_ns : int;
-  p99_ns : int;
-}
 
 type epoch_row = {
   e_mechanism : string;
   e_domains : int;
-  e_think_us : int;
-  e_read_pct : int;
-  e_status : status;
+  e_cell : Cell.t;
   e_read_per_s : float;
-  e_throughput_per_s : float;
-  e_p50_ns : int;
-  e_p99_ns : int;
 }
 
-type t = { queue : queue_row list; epoch : epoch_row list }
-
-let empty = { queue = []; epoch = [] }
-
-let is_empty t = t.queue = [] && t.epoch = []
+type t = { queue : Cell.row list; epoch : epoch_row list }
 
 type spec = {
   kinds : Queuelock.kind list;
@@ -87,135 +59,54 @@ let default_spec () =
     warmup_ms = 50;
     seed = 42 }
 
-let dead_row ~kind ~problem ~mechanism ~domains status =
-  { kind; problem; mechanism; domains; status;
-    throughput_per_s = 0.; p50_ns = 0; p99_ns = 0 }
-
-let queue_cell spec ~kind ~problem ~mechanism ~domains =
-  let base =
-    { Loadgen.workers = domains; backend = `Domain;
-      duration_ms = spec.duration_ms; warmup_ms = spec.warmup_ms;
-      mode = Loadgen.Closed; seed = spec.seed; think_us = 0 }
-  in
-  match Target.create ~tier:(`Queue kind) ~problem ~mechanism () with
-  | exception Prims.Unsupported { feature; reason; _ } ->
-    dead_row ~kind ~problem ~mechanism ~domains (Unsupported { feature; reason })
-  | Error e -> dead_row ~kind ~problem ~mechanism ~domains (Failed e)
-  | Ok inst -> (
-    match Loadgen.run inst base with
-    | report ->
-      let s = report.Report.summary in
-      if s.Summary.total_failures > 0 then
-        dead_row ~kind ~problem ~mechanism ~domains
-          (Failed (Printf.sprintf "%d op failures" s.Summary.total_failures))
-      else
-        let q f = Summary.overall_quantile s f in
-        { kind; problem; mechanism; domains; status = Supported;
-          throughput_per_s = s.Summary.throughput_per_s;
-          p50_ns = q (fun o -> o.Summary.p50_ns);
-          p99_ns = q (fun o -> o.Summary.p99_ns) }
-    | exception Prims.Unsupported { feature; reason; _ } ->
-      dead_row ~kind ~problem ~mechanism ~domains
-        (Unsupported { feature; reason })
-    | exception e ->
-      dead_row ~kind ~problem ~mechanism ~domains
-        (Failed (Printexc.to_string e)))
-
-let run_queue ?(progress = ignore) spec =
-  List.concat_map
-    (fun kind ->
-      List.concat_map
-        (fun problem ->
-          let offered = Target.mechanisms ~problem in
-          List.concat_map
-            (fun mechanism ->
-              if not (List.mem mechanism offered) then begin
-                (* The bench grid's honest answer for an absent pair:
-                   a typed reason, never a 0 ops/s row. *)
-                let r =
-                  dead_row ~kind ~problem ~mechanism ~domains:0
-                    (Unsupported
-                       { feature = "load-target";
-                         reason =
-                           Printf.sprintf "no %s target for %s" mechanism
-                             problem })
-                in
-                progress r;
-                [ r ]
-              end
-              else
-                List.map
-                  (fun domains ->
-                    let r = queue_cell spec ~kind ~problem ~mechanism ~domains in
-                    progress r;
-                    r)
-                  spec.domains)
-            spec.mechanisms)
-        spec.problems)
-    spec.kinds
-
-let dead_epoch_row ~mechanism ~domains spec status =
-  { e_mechanism = mechanism; e_domains = domains; e_think_us = spec.think_us;
-    e_read_pct = spec.read_pct; e_status = status; e_read_per_s = 0.;
-    e_throughput_per_s = 0.; e_p50_ns = 0; e_p99_ns = 0 }
+let config spec =
+  { Loadgen.default_config with
+    duration_ms = spec.duration_ms; warmup_ms = spec.warmup_ms;
+    seed = spec.seed }
 
 let epoch_cell spec ~mechanism ~domains =
-  let base =
-    { Loadgen.workers = domains; backend = `Domain;
-      duration_ms = spec.duration_ms; warmup_ms = spec.warmup_ms;
-      mode = Loadgen.Closed; seed = spec.seed; think_us = spec.think_us }
+  let cell =
+    Cell.measure
+      ~params:{ Target.default_params with read_pct = spec.read_pct }
+      ~problem:"readers-writers" ~mechanism
+      { (config spec) with workers = domains; think_us = spec.think_us }
   in
-  let params = { Target.default_params with read_pct = spec.read_pct } in
-  match Target.create ~params ~problem:"readers-writers" ~mechanism () with
-  | Error e -> dead_epoch_row ~mechanism ~domains spec (Failed e)
-  | Ok inst -> (
-    match Loadgen.run inst base with
-    | report ->
-      let s = report.Report.summary in
-      if s.Summary.total_failures > 0 then
-        dead_epoch_row ~mechanism ~domains spec
-          (Failed (Printf.sprintf "%d op failures" s.Summary.total_failures))
-      else
-        let q f = Summary.overall_quantile s f in
-        let read_per_s =
-          match
-            List.find_opt (fun o -> o.Summary.op = "read") s.Summary.per_op
-          with
-          | Some o ->
-            float_of_int o.Summary.count
-            *. 1e9
-            /. Int64.to_float s.Summary.elapsed_ns
-          | None -> 0.
-        in
-        { e_mechanism = mechanism; e_domains = domains;
-          e_think_us = spec.think_us; e_read_pct = spec.read_pct;
-          e_status = Supported; e_read_per_s = read_per_s;
-          e_throughput_per_s = s.Summary.throughput_per_s;
-          e_p50_ns = q (fun o -> o.Summary.p50_ns);
-          e_p99_ns = q (fun o -> o.Summary.p99_ns) }
-    | exception e ->
-      dead_epoch_row ~mechanism ~domains spec (Failed (Printexc.to_string e)))
+  let read_per_s =
+    match cell.Cell.summary with
+    | Some s -> (
+      match List.find_opt (fun o -> o.Summary.op = "read") s.Summary.per_op with
+      | Some o ->
+        float_of_int o.Summary.count *. 1e9
+        /. Int64.to_float s.Summary.elapsed_ns
+      | None -> 0.)
+    | None -> 0.
+  in
+  { e_mechanism = mechanism; e_domains = domains; e_cell = cell;
+    e_read_per_s = read_per_s }
 
-let run_epoch ?(progress = ignore) spec =
-  List.concat_map
-    (fun mechanism ->
-      List.map
-        (fun domains ->
-          let r = epoch_cell spec ~mechanism ~domains in
-          progress r;
-          r)
-        spec.epoch_domains)
-    spec.epoch_mechanisms
+let run ?progress_queue ?(progress_epoch = ignore) spec =
+  let queue =
+    Cell.grid ?progress:progress_queue
+      ~tiers:(List.map (fun k -> `Queue k) spec.kinds)
+      ~problems:spec.problems ~mechanisms:(fun _ -> spec.mechanisms)
+      ~domains:spec.domains (config spec)
+  in
+  let epoch =
+    List.concat_map
+      (fun mechanism ->
+        List.map
+          (fun domains ->
+            let r = epoch_cell spec ~mechanism ~domains in
+            progress_epoch r;
+            r)
+          spec.epoch_domains)
+      spec.epoch_mechanisms
+  in
+  { queue; epoch }
 
-let run ?progress_queue ?progress_epoch spec =
-  { queue = run_queue ?progress:progress_queue spec;
-    epoch = run_epoch ?progress:progress_epoch spec }
-
-let queue_ok r = match r.status with Failed _ -> false | _ -> true
-
-let epoch_ok r = match r.e_status with Failed _ -> false | _ -> true
-
-let all_ok t = List.for_all queue_ok t.queue && List.for_all epoch_ok t.epoch
+let all_ok t =
+  List.for_all (fun (r : Cell.row) -> Cell.ok r.cell) t.queue
+  && List.for_all (fun r -> Cell.ok r.e_cell) t.epoch
 
 (* The tentpole claim, checked on measured rows: the epoch path's read
    throughput strictly increases with the domain count. Only the
@@ -223,7 +114,8 @@ let all_ok t = List.for_all queue_ok t.queue && List.for_all epoch_ok t.epoch
    the side-by-side, serializing as they please. *)
 let epoch_monotonic t =
   let rows =
-    List.filter (fun r -> r.e_mechanism = "epoch" && r.e_status = Supported)
+    List.filter
+      (fun r -> r.e_mechanism = "epoch" && r.e_cell.Cell.status = Supported)
       t.epoch
     |> List.sort (fun a b -> compare a.e_domains b.e_domains)
   in
@@ -237,95 +129,44 @@ let epoch_monotonic t =
     in
     strictly_up first rest
 
-let status_string = function
-  | Supported -> "ok"
-  | Unsupported { feature; _ } -> "unsupported: " ^ feature
-  | Failed e -> "FAILED: " ^ e
+let epoch_line spec r =
+  Printf.sprintf "epoch   %-12s d=%-2d think %d us  %s" r.e_mechanism
+    r.e_domains spec.think_us
+    (Cell.status_string r.e_cell.Cell.status)
 
-let pp ppf t =
-  let by_kind k = List.filter (fun r -> r.kind = k) t.queue in
-  List.iter
-    (fun k ->
-      match by_kind k with
-      | [] -> ()
-      | kr ->
-        Format.fprintf ppf "queue lock %-7s@." (Queuelock.kind_name k);
-        Format.fprintf ppf "  %-16s %-12s %7s %12s %9s %9s  %s@." "problem"
-          "mechanism" "domains" "ops/s" "p50 ns" "p99 ns" "status";
-        List.iter
-          (fun r ->
-            match r.status with
-            | Supported ->
-              Format.fprintf ppf "  %-16s %-12s %7d %12.0f %9d %9d  %s@."
-                r.problem r.mechanism r.domains r.throughput_per_s r.p50_ns
-                r.p99_ns (status_string r.status)
-            | _ ->
-              Format.fprintf ppf "  %-16s %-12s %7s %12s %9s %9s  %s@."
-                r.problem r.mechanism "-" "-" "-" "-" (status_string r.status))
-          kr;
-        Format.fprintf ppf "@.")
-    Queuelock.all;
+let pp spec ppf t =
+  Cell.pp_grid
+    ~header:(fun tier -> "queue lock " ^ Sync_prims.Tier.name tier)
+    ppf t.queue;
   if t.epoch <> [] then begin
     Format.fprintf ppf "epoch read-mostly scaling (readers-writers)@.";
     Format.fprintf ppf "  %-12s %7s %8s %8s %12s %12s  %s@." "mechanism"
       "domains" "think_us" "read%" "reads/s" "ops/s" "status";
     List.iter
       (fun r ->
-        match r.e_status with
+        let c = r.e_cell in
+        match c.Cell.status with
         | Supported ->
           Format.fprintf ppf "  %-12s %7d %8d %8d %12.0f %12.0f  %s@."
-            r.e_mechanism r.e_domains r.e_think_us r.e_read_pct r.e_read_per_s
-            r.e_throughput_per_s
-            (status_string r.e_status)
+            r.e_mechanism r.e_domains spec.think_us spec.read_pct
+            r.e_read_per_s c.Cell.throughput_per_s
+            (Cell.status_string c.Cell.status)
         | _ ->
           Format.fprintf ppf "  %-12s %7d %8s %8s %12s %12s  %s@."
             r.e_mechanism r.e_domains "-" "-" "-" "-"
-            (status_string r.e_status))
+            (Cell.status_string c.Cell.status))
       t.epoch;
     Format.fprintf ppf "  epoch read throughput monotonic 1..n: %b@."
       (epoch_monotonic t)
   end
 
-let status_json = function
-  | Supported -> [ ("status", Emit.Str "supported") ]
-  | Unsupported { feature; reason } ->
-    [ ("status", Emit.Str "unsupported"); ("feature", Emit.Str feature);
-      ("reason", Emit.Str reason) ]
-  | Failed e -> [ ("status", Emit.Str "failed"); ("error", Emit.Str e) ]
-
-let queue_row_to_json r =
-  Emit.Obj
-    ([ ("kind", Emit.Str (Queuelock.kind_name r.kind));
-       ("problem", Emit.Str r.problem);
-       ("mechanism", Emit.Str r.mechanism);
-       ("domains", Emit.Int r.domains) ]
-    @ status_json r.status
-    @
-    match r.status with
-    | Supported ->
-      [ ("throughput_per_s", Emit.Float r.throughput_per_s);
-        ("p50_ns", Emit.Int r.p50_ns); ("p99_ns", Emit.Int r.p99_ns) ]
-    | _ -> [])
-
-let epoch_row_to_json r =
+let epoch_row_to_json spec r =
   Emit.Obj
     ([ ("mechanism", Emit.Str r.e_mechanism);
        ("domains", Emit.Int r.e_domains);
-       ("think_us", Emit.Int r.e_think_us);
-       ("read_pct", Emit.Int r.e_read_pct) ]
-    @ status_json r.e_status
-    @
-    match r.e_status with
-    | Supported ->
-      [ ("read_per_s", Emit.Float r.e_read_per_s);
-        ("throughput_per_s", Emit.Float r.e_throughput_per_s);
-        ("p50_ns", Emit.Int r.e_p50_ns); ("p99_ns", Emit.Int r.e_p99_ns) ]
-    | _ -> [])
-
-let rows_to_json t =
-  Emit.Obj
-    [ ("queue_rows", Emit.List (List.map queue_row_to_json t.queue));
-      ("epoch_rows", Emit.List (List.map epoch_row_to_json t.epoch)) ]
+       ("think_us", Emit.Int spec.think_us);
+       ("read_pct", Emit.Int spec.read_pct) ]
+    @ Cell.json ~extra:[ ("read_per_s", Emit.Float r.e_read_per_s) ] r.e_cell)
 
 let to_json spec t =
   Emit.Obj
@@ -357,5 +198,5 @@ let to_json spec t =
       ("epoch_domain_counts",
        Emit.List (List.map (fun d -> Emit.Int d) spec.epoch_domains));
       ("epoch_monotonic", Emit.Bool (epoch_monotonic t));
-      ("queue_rows", Emit.List (List.map queue_row_to_json t.queue));
-      ("epoch_rows", Emit.List (List.map epoch_row_to_json t.epoch)) ]
+      ("queue_rows", Emit.List (List.map (Cell.row_json ~tier_key:"kind") t.queue));
+      ("epoch_rows", Emit.List (List.map (epoch_row_to_json spec) t.epoch)) ]

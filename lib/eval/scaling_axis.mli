@@ -3,49 +3,22 @@
     Two grids. The {e queue grid} rebuilds mechanism x problem load
     targets with every platform mutex a local-spin queue lock
     ({!Sync_prims.Queuelock}: MCS, CLH, proportional-backoff ticket)
-    and measures each cell with the E20 workload engine; a pair the
-    engine does not offer yields a typed [Unsupported] row — never a
-    silent skip or a fake 0 ops/s. The {e epoch rows} drive the
-    readers-writers database on the {!Sync_problems.Rw_epoch}
-    read-mostly path (plus reference mechanisms) at increasing domain
-    counts under closed-loop think time; the committed rows are what
-    the scaling-sanity CI gate holds to monotonically increasing read
-    throughput. *)
-
-type status =
-  | Supported
-  | Unsupported of { feature : string; reason : string }
-      (** typed: the pair/class cannot be measured, and why *)
-  | Failed of string  (** a measured cell misbehaved — gates CI *)
-
-type queue_row = {
-  kind : Sync_prims.Queuelock.kind;
-  problem : string;
-  mechanism : string;
-  domains : int;  (** 0 on probe-time dead rows *)
-  status : status;
-  throughput_per_s : float;
-  p50_ns : int;
-  p99_ns : int;
-}
+    and measures each cell with {!Cell.grid}; a pair the engine does not
+    offer yields a typed [Unsupported] row — never a silent skip or a
+    fake 0 ops/s. The {e epoch rows} drive the readers-writers database
+    on the {!Sync_problems.Rw_epoch} read-mostly path (plus reference
+    mechanisms) at increasing domain counts under closed-loop think
+    time; the committed rows are what the scaling-sanity CI gate holds
+    to monotonically increasing read throughput. *)
 
 type epoch_row = {
   e_mechanism : string;  (** ["epoch"] or a serializing reference *)
   e_domains : int;
-  e_think_us : int;
-  e_read_pct : int;
-  e_status : status;
+  e_cell : Cell.t;
   e_read_per_s : float;  (** read-op completions per second *)
-  e_throughput_per_s : float;
-  e_p50_ns : int;
-  e_p99_ns : int;
 }
 
-type t = { queue : queue_row list; epoch : epoch_row list }
-
-val empty : t
-
-val is_empty : t -> bool
+type t = { queue : Cell.row list; epoch : epoch_row list }
 
 type spec = {
   kinds : Sync_prims.Queuelock.kind list;
@@ -69,7 +42,7 @@ val default_spec : unit -> spec
     time, 95% reads; duration honors [SYNC_LOAD_MS] (default 150 ms). *)
 
 val run :
-  ?progress_queue:(queue_row -> unit) -> ?progress_epoch:(epoch_row -> unit) ->
+  ?progress_queue:(Cell.row -> unit) -> ?progress_epoch:(epoch_row -> unit) ->
   spec -> t
 
 val all_ok : t -> bool
@@ -80,17 +53,11 @@ val epoch_monotonic : t -> bool
     throughput strictly increases across their sorted domain counts
     (false when fewer than two supported epoch rows exist). *)
 
-val status_string : status -> string
+val epoch_line : spec -> epoch_row -> string
+(** One progress line. *)
 
-val pp : Format.formatter -> t -> unit
-
-val queue_row_to_json : queue_row -> Sync_metrics.Emit.t
-
-val epoch_row_to_json : epoch_row -> Sync_metrics.Emit.t
-
-val rows_to_json : t -> Sync_metrics.Emit.t
-(** Just the two row lists — the scorecard section shape. *)
+val pp : spec -> Format.formatter -> t -> unit
 
 val to_json : spec -> t -> Sync_metrics.Emit.t
-(** The full committed-artifact envelope ([BENCH_E23.json]):
-    experiment, knobs, [epoch_monotonic], and both row lists. *)
+(** The committed-artifact envelope ([BENCH_E23.json]): experiment,
+    knobs, [epoch_monotonic], and both row lists. *)

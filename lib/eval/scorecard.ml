@@ -7,18 +7,10 @@ type t = {
   reuse : (string * float) list;
   modularity : Modularity.row list;
   conformance : Conformance.result list;
-  robustness : Robustness.row list;
-  perf : Perf.row list;
-  observability : Observability.row list;
-  service : Service_axis.row list;
-  hierarchy : Hierarchy_axis.row list;
-  scaling : Scaling_axis.t;
-  adaptive : Adaptive_axis.t;
+  axes : (Axis.t * Axis.outcome) list;
 }
 
-let build ?(run_conformance = true) ?(run_robustness = false)
-    ?(run_perf = false) ?(run_observability = false) ?(run_service = false)
-    ?(run_hierarchy = false) ?(run_scaling = false) ?(run_adaptive = false) () =
+let build ?(run_conformance = true) ~axes () =
   let entries = Registry.all in
   let matrix = Expressiveness.matrix entries in
   let pairings = Independence.analyze entries in
@@ -28,25 +20,15 @@ let build ?(run_conformance = true) ?(run_robustness = false)
     reuse = Independence.shared_constraint_reuse pairings;
     modularity = Modularity.analyze entries;
     conformance = (if run_conformance then Conformance.run entries else []);
-    robustness = (if run_robustness then Robustness.run () else []);
-    perf =
-      (if run_perf then
-         match Perf.measure () with
-         | Ok rows -> rows
-         | Error msg -> failwith ("perf axis: " ^ msg)
-       else []);
-    observability = (if run_observability then Observability.run () else []);
-    service = (if run_service then Service_axis.run () else []);
-    hierarchy =
-      (if run_hierarchy then
-         Hierarchy_axis.(run (default_spec ()))
-       else []);
-    scaling =
-      (if run_scaling then Scaling_axis.(run (default_spec ()))
-       else Scaling_axis.empty);
-    adaptive =
-      (if run_adaptive then Adaptive_axis.(run (default_spec ()))
-       else Adaptive_axis.empty) }
+    axes =
+      List.map
+        (fun (a : Axis.t) -> (a, a.run ~full:false ~progress:ignore))
+        axes }
+
+let ok t =
+  t.discrepancies = []
+  && Conformance.regressions t.conformance = []
+  && List.for_all (fun (_, (o : Axis.outcome)) -> o.ok) t.axes
 
 let pp ppf t =
   Format.fprintf ppf "== E3: expressive power (mechanism x information) ==@.";
@@ -73,60 +55,11 @@ let pp ppf t =
     | [] -> Format.fprintf ppf "no regressions@."
     | rs -> Format.fprintf ppf "%d REGRESSION(S)@." (List.length rs))
   end;
-  if t.robustness <> [] then begin
-    Format.fprintf ppf "@.== E19: robustness (faults, cancellation, timeouts) ==@.";
-    Robustness.pp ppf t.robustness;
-    if Robustness.all_recovered t.robustness then
-      Format.fprintf ppf "all runs recovered@."
-    else Format.fprintf ppf "ROBUSTNESS FAILURE(S)@."
-  end;
-  if t.perf <> [] then begin
-    Format.fprintf ppf
-      "@.== E20: performance (closed-loop throughput + tail latency) ==@.";
-    Perf.pp ppf t.perf
-  end;
-  if t.observability <> [] then begin
-    Format.fprintf ppf
-      "@.== E21: observability (traced contention, wake accounting) ==@.";
-    Observability.pp ppf t.observability;
-    if Observability.all_ok t.observability then
-      Format.fprintf ppf "every mechanism produced a complete trace@."
-    else Format.fprintf ppf "OBSERVABILITY FAILURE(S)@."
-  end;
-  if t.service <> [] then begin
-    Format.fprintf ppf
-      "@.== E24: service tier (deadlines, chaos, crash recovery) ==@.";
-    Service_axis.pp ppf t.service;
-    if Service_axis.all_ok t.service then
-      Format.fprintf ppf "every scenario recovered with zero hung connections@."
-    else Format.fprintf ppf "SERVICE FAILURE(S)@."
-  end;
-  if t.hierarchy <> [] then begin
-    Format.fprintf ppf
-      "@.== E25: primitive hierarchy (restricted atomic classes) ==@.";
-    Hierarchy_axis.pp ppf t.hierarchy;
-    if Hierarchy_axis.all_ok t.hierarchy then
-      Format.fprintf ppf
-        "every supported cell ran clean; unsupported cells are typed@."
-    else Format.fprintf ppf "HIERARCHY FAILURE(S)@."
-  end;
-  if not (Scaling_axis.is_empty t.scaling) then begin
-    Format.fprintf ppf
-      "@.== E23: scalable-lock tier (queue locks, epoch readers) ==@.";
-    Scaling_axis.pp ppf t.scaling;
-    if Scaling_axis.all_ok t.scaling then
-      Format.fprintf ppf
-        "every measured cell ran clean; absent pairs are typed@."
-    else Format.fprintf ppf "SCALING FAILURE(S)@."
-  end;
-  if not (Adaptive_axis.is_empty t.adaptive) then begin
-    Format.fprintf ppf
-      "@.== E27: self-tuning tier (adaptive vs static, live retiering) ==@.";
-    Adaptive_axis.pp ppf t.adaptive;
-    if Adaptive_axis.all_ok t.adaptive then
-      Format.fprintf ppf "every measured cell ran clean@."
-    else Format.fprintf ppf "ADAPTIVE FAILURE(S)@."
-  end
+  List.iter
+    (fun ((a : Axis.t), (o : Axis.outcome)) ->
+      Format.fprintf ppf "@.== %s: %s ==@." a.experiment a.title;
+      o.pp ppf)
+    t.axes
 
 let to_string t = Format.asprintf "%a" pp t
 
@@ -219,23 +152,8 @@ let to_json t =
                   ("score", Emit.Float r.Modularity.score) ])
             t.modularity));
       ("conformance", conformance_json t.conformance);
-      ("robustness",
-       Emit.List
+      ("axes",
+       Emit.Obj
          (List.map
-            (fun (r : Robustness.row) ->
-              Emit.Obj
-                [ ("mechanism", Emit.Str r.Robustness.mechanism);
-                  ("problem", Emit.Str r.Robustness.problem);
-                  ("scenario", Emit.Str r.Robustness.scenario);
-                  ("policy", Emit.Str r.Robustness.policy);
-                  ("runs", Emit.Int r.Robustness.runs);
-                  ("recovered", Emit.Int r.Robustness.recovered);
-                  ("detail", Emit.Str r.Robustness.detail) ])
-            t.robustness));
-      ("performance", Perf.to_json t.perf);
-      ("observability", Observability.to_json t.observability);
-      ("service", Service_axis.to_json t.service);
-      ("hierarchy",
-       Emit.List (List.map Hierarchy_axis.row_to_json t.hierarchy));
-      ("scaling", Scaling_axis.rows_to_json t.scaling);
-      ("adaptive", Adaptive_axis.rows_to_json t.adaptive) ]
+            (fun ((a : Axis.t), (o : Axis.outcome)) -> (a.name, o.json))
+            t.axes)) ]

@@ -1,7 +1,10 @@
 (** One-call rendering of the full evaluation (the paper's Section 5
-    deliverable, regenerated from the artifact): expressiveness matrix,
-    constraint-independence summary, modularity table, and conformance
-    run. *)
+    deliverable, regenerated from the artifact): the four deterministic
+    sections — expressiveness matrix and its agreement with the paper
+    (E3), constraint independence (E4), modularity (E5) and the
+    conformance run (E6) — followed by any live axes from the
+    {!Axis.all} registry (E19–E27) the caller asks for, each run at its
+    quick size. *)
 
 type t = {
   matrix : Expressiveness.t;
@@ -10,45 +13,25 @@ type t = {
   reuse : (string * float) list;
   modularity : Modularity.row list;
   conformance : Conformance.result list;
-  robustness : Robustness.row list;
-  perf : Perf.row list;
-  observability : Observability.row list;
-  service : Service_axis.row list;
-  hierarchy : Hierarchy_axis.row list;
-  scaling : Scaling_axis.t;
-  adaptive : Adaptive_axis.t;
+  axes : (Axis.t * Axis.outcome) list;  (** in the order requested *)
 }
 
-val build :
-  ?run_conformance:bool -> ?run_robustness:bool -> ?run_perf:bool ->
-  ?run_observability:bool -> ?run_service:bool -> ?run_hierarchy:bool ->
-  ?run_scaling:bool -> ?run_adaptive:bool -> unit -> t
+val build : ?run_conformance:bool -> axes:Axis.t list -> unit -> t
 (** Computes everything from {!Registry.all}. [run_conformance] (default
     true) actually executes the workload checks; disable for fast
-    metadata-only views. [run_robustness] (default false — it is the
-    slowest section; [bloom_eval faults] runs it standalone) adds the
-    E19 fault/cancellation matrix. [run_perf] (default false) runs a live
-    E20 closed-loop sweep via {!Perf.measure}; [bloom_eval load] drives
-    single runs standalone. [run_observability] (default false) adds the
-    E21 traced-contention audit via {!Observability.run}; [bloom_eval
-    trace] drives full traced runs standalone. [run_service] (default
-    false) adds the E24 service-tier scenarios via {!Service_axis.run}
-    (spawns real bloom_serve daemons; [bloom_eval serve] standalone).
-    [run_hierarchy] (default false) adds the E25 primitive-hierarchy
-    grid via {!Hierarchy_axis.run} on its default spec; [bloom_eval
-    hierarchy] drives configurable grids standalone. [run_scaling]
-    (default false) adds the E23 scalable-lock grids via
-    {!Scaling_axis.run} on its default spec; [bloom_eval scaling]
-    drives configurable grids standalone. [run_adaptive] (default
-    false) adds the E27 self-tuning grid via {!Adaptive_axis.run} on
-    its default spec; [bloom_eval adapt] drives configurable grids
-    standalone. *)
+    metadata-only views. Each of [axes] runs once, quick
+    ([~full:false]), silently. *)
+
+val ok : t -> bool
+(** The matrix agrees with the paper, conformance has no regressions,
+    and every axis outcome is [ok]. *)
 
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
 val to_json : t -> Sync_metrics.Emit.t
-(** The whole scorecard as one deterministic JSON document — what
-    [bloom_eval scorecard --json] writes. Sections appear even when
-    empty (as [[]]) so consumers can rely on the shape. *)
+(** The whole scorecard as one JSON document — what [bloom_eval
+    scorecard --json] writes. The deterministic sections appear even
+    when empty (as [[]]) so consumers can rely on the shape; ["axes"]
+    maps each requested axis name to its standalone document. *)

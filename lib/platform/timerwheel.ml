@@ -6,7 +6,8 @@
    one level-0 bucket plus, when a ring wraps, one cascade bucket per
    wrapped level — amortized O(1) per tick and, crucially, independent
    of the number of pending alarms (a binary heap pays O(log n) per
-   alarm; bench_load --e27 measures the gap at millions pending).
+   alarm; `bloom_eval axis adaptive --full` measures the gap at millions
+   pending).
 
    Level choice is the smallest level whose span covers the relative
    delay, so a deadline inside the current level-[l] window (whose

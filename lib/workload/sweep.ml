@@ -22,27 +22,29 @@ let run ?params ?tier ?(progress = ignore) ~problem ~mechanism ~base
   in
   go [] domain_counts
 
-let cell_row c =
+(* [tier] is off only for the E20 rows, whose committed document
+   predates substrate tiers (every E20 cell runs on the default one). *)
+let cell_row ?(tier = true) c =
   let s = c.report.Report.summary in
   let q f = Summary.overall_quantile s f in
   Emit.Obj
-    [ ("mechanism", Emit.Str c.report.Report.mechanism);
-      ("problem", Emit.Str c.report.Report.problem);
-      ("variant", Emit.Str c.report.Report.variant);
-      ("tier", Emit.Str c.report.Report.tier);
-      ("domains", Emit.Int c.domains);
-      ("throughput_per_s", Emit.Float s.Summary.throughput_per_s);
-      ("total_ops", Emit.Int s.Summary.total_ops);
-      ("total_failures", Emit.Int s.Summary.total_failures);
-      ("p50_ns", Emit.Int (q (fun o -> o.Summary.p50_ns)));
-      ("p95_ns", Emit.Int (q (fun o -> o.Summary.p95_ns)));
-      ("p99_ns", Emit.Int (q (fun o -> o.Summary.p99_ns)));
-      ("p999_ns", Emit.Int (q (fun o -> o.Summary.p999_ns)));
-      ("max_ns", Emit.Int (q (fun o -> o.Summary.max_ns)));
-      ("per_op",
-       match Summary.to_json s with
-       | Emit.Obj fields -> List.assoc "per_op" fields
-       | _ -> Emit.Null) ]
+    ([ ("mechanism", Emit.Str c.report.Report.mechanism);
+       ("problem", Emit.Str c.report.Report.problem);
+       ("variant", Emit.Str c.report.Report.variant) ]
+    @ (if tier then [ ("tier", Emit.Str c.report.Report.tier) ] else [])
+    @ [ ("domains", Emit.Int c.domains);
+        ("throughput_per_s", Emit.Float s.Summary.throughput_per_s);
+        ("total_ops", Emit.Int s.Summary.total_ops);
+        ("total_failures", Emit.Int s.Summary.total_failures);
+        ("p50_ns", Emit.Int (q (fun o -> o.Summary.p50_ns)));
+        ("p95_ns", Emit.Int (q (fun o -> o.Summary.p95_ns)));
+        ("p99_ns", Emit.Int (q (fun o -> o.Summary.p99_ns)));
+        ("p999_ns", Emit.Int (q (fun o -> o.Summary.p999_ns)));
+        ("max_ns", Emit.Int (q (fun o -> o.Summary.max_ns)));
+        ("per_op",
+         match Summary.to_json s with
+         | Emit.Obj fields -> List.assoc "per_op" fields
+         | _ -> Emit.Null) ])
 
 let sweep_to_json ~problem ~mechanism ~base cells =
   Emit.Obj
@@ -196,4 +198,4 @@ let baseline_to_json spec cells =
       ("problems", Emit.List (List.map (fun p -> Emit.Str p) spec.problems));
       ("domain_counts",
        Emit.List (List.map (fun d -> Emit.Int d) spec.domain_counts));
-      ("rows", Emit.List (List.map cell_row cells)) ]
+      ("rows", Emit.List (List.map (cell_row ~tier:false) cells)) ]

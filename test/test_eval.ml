@@ -205,11 +205,129 @@ let test_conformance_outcomes () =
     (List.length (Conformance.regressions results))
 
 let test_scorecard_renders () =
-  let card = Scorecard.build ~run_conformance:false () in
+  let card = Scorecard.build ~run_conformance:false ~axes:[] () in
   let s = Scorecard.to_string card in
   check_bool "mentions E3" true
-    (Astring.String.is_infix ~affix:"expressive power" s
-     || String.length s > 0)
+    (Astring.String.is_infix ~affix:"expressive power" s);
+  check_bool "a clean card is ok" true (Scorecard.ok card)
+
+(* A card is not ok when any one section fails: a paper disagreement on
+   its own is enough, as is one failing axis outcome. *)
+let test_scorecard_ok () =
+  let card = Scorecard.build ~run_conformance:false ~axes:[] () in
+  check_bool "one discrepancy" false
+    (Scorecard.ok
+       { card with
+         discrepancies = [ ("pathexpr", Info.Parameters, "constructed") ] });
+  let failing =
+    { Axis.name = "failing"; experiment = "E0"; title = "constructed";
+      run =
+        (fun ~full:_ ~progress:_ ->
+          { Axis.ok = false; pp = ignore; json = Sync_metrics.Emit.Null }) }
+  in
+  check_bool "one failed axis" false
+    (Scorecard.ok (Scorecard.build ~run_conformance:false ~axes:[ failing ] ()))
+
+(* ------------------------------------------------------------------ *)
+(* The axis registry and the committed-baseline lookup                 *)
+
+module Emit = Sync_metrics.Emit
+
+let test_axis_names () =
+  Alcotest.(check (list string))
+    "names unique" (List.sort_uniq compare Axis.names)
+    (List.sort compare Axis.names);
+  List.iter
+    (fun name ->
+      match Axis.find name with
+      | Some a -> Alcotest.(check string) "found by name" name a.Axis.name
+      | None -> Alcotest.failf "Axis.find %S" name)
+    Axis.names;
+  check_bool "unknown name" true (Axis.find "no-such-axis" = None)
+
+(* The CLI answers an unknown axis with exit 2 and the registry's names,
+   in registry order. *)
+let test_axis_cli_choices () =
+  let out = Filename.temp_file "bloom-eval-axis" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/bloom_eval.exe axis no-such-axis > %s 2>&1"
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "exit code" 2 code;
+  match Astring.String.cut ~sep:"axes: " (String.trim text) with
+  | Some (_, listed) ->
+    Alcotest.(check (list string))
+      "choices" Axis.names
+      (String.split_on_char ' ' listed)
+  | None -> Alcotest.failf "no axis list in %S" text
+
+(* Every axis at its quick size, on 1 ms windows: its document names its
+   experiment. The grids are real multi-domain loads, so the test drops
+   its priority first: suites running alongside it wait on settle
+   windows, and must not be starved of CPU by a tag check. *)
+let test_axis_documents () =
+  ignore (Unix.nice 19);
+  let saved = Option.value (Sys.getenv_opt "SYNC_LOAD_MS") ~default:"" in
+  Unix.putenv "SYNC_LOAD_MS" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SYNC_LOAD_MS" saved)
+    (fun () ->
+      List.iter
+        (fun (a : Axis.t) ->
+          let o = a.run ~full:false ~progress:ignore in
+          match Emit.member "experiment" o.Axis.json with
+          | Some (Emit.Str e) -> Alcotest.(check string) a.name a.experiment e
+          | _ -> Alcotest.failf "%s: no experiment tag" a.name)
+        Axis.all)
+
+let test_baseline_finds_sanity_cells () =
+  List.iter
+    (fun (g : Baseline.group) ->
+      let doc =
+        match Baseline.load (Filename.concat ".." g.file) with
+        | Ok d -> d
+        | Error e -> Alcotest.fail e
+      in
+      List.iter
+        (fun p ->
+          match
+            Baseline.lookup doc ~rows:g.rows ~coords:(Baseline.coords g p)
+              ~metric:"throughput_per_s"
+          with
+          | Some t when t > 0. -> ()
+          | _ -> Alcotest.failf "%s: %s not found" g.file (Baseline.id p))
+        g.probes)
+    Baseline.sanity
+
+(* Numbers match by value; a row with a status must be supported. *)
+let test_baseline_select () =
+  let doc =
+    Emit.parse
+      {|{"rows": [{"k": "a", "d": 4, "status": "unsupported"},
+                  {"k": "a", "d": 4.0, "status": "supported", "v": 1},
+                  {"k": "a", "d": 4, "v": 2}]}|}
+  in
+  let coords = [ ("k", Emit.Str "a"); ("d", Emit.Int 4) ] in
+  Alcotest.(check int) "supported or status-free"
+    2 (List.length (Baseline.select doc ~rows:"rows" ~coords));
+  Alcotest.(check (option (float 0.))) "first hit" (Some 1.)
+    (Baseline.lookup doc ~rows:"rows" ~coords ~metric:"v")
+
+let test_drift_gate () =
+  let verdicts cells =
+    List.map (fun (p : Baseline.pair) -> p.ok) (Baseline.drift ~factor:5. cells)
+  in
+  Alcotest.(check (list bool)) "0/0 live pair fails" [ false ]
+    (verdicts [ ("a", 0., 1e6); ("b", 0., 2e6) ]);
+  Alcotest.(check (list bool)) "non-finite baseline fails" [ false ]
+    (verdicts [ ("a", 1e6, Float.nan); ("b", 2e6, 2e6) ]);
+  Alcotest.(check (list bool)) "normal pair passes" [ true ]
+    (verdicts [ ("a", 1e6, 1e6); ("b", 2e6, 2.2e6) ]);
+  Alcotest.(check (list bool)) "6x drift fails" [ false ]
+    (verdicts [ ("a", 6e6, 1e6); ("b", 1e6, 1e6) ])
 
 let () =
   Alcotest.run "eval"
@@ -244,5 +362,16 @@ let () =
       ( "conformance",
         [ Alcotest.test_case "outcome classification" `Quick
             test_conformance_outcomes;
-          Alcotest.test_case "scorecard renders" `Quick test_scorecard_renders
-        ] ) ]
+          Alcotest.test_case "scorecard renders" `Quick test_scorecard_renders;
+          Alcotest.test_case "scorecard ok" `Quick test_scorecard_ok ] );
+      ( "axis",
+        [ Alcotest.test_case "registry names" `Quick test_axis_names;
+          Alcotest.test_case "cli choices" `Quick test_axis_cli_choices;
+          Alcotest.test_case "documents carry experiment" `Slow
+            test_axis_documents ] );
+      ( "baseline",
+        [ Alcotest.test_case "finds sanity cells" `Quick
+            test_baseline_finds_sanity_cells;
+          Alcotest.test_case "coordinate-subset select" `Quick
+            test_baseline_select;
+          Alcotest.test_case "drift gate" `Quick test_drift_gate ] ) ]

@@ -1,7 +1,8 @@
 (* Fault-injection regression tests (E19, tier 1 in the small): an
    abort-matrix smoke over the bounded buffer, a seeded failing schedule
    reproduced and replayed byte-for-byte, and the deadlock watchdog
-   naming the AB/BA cycle. The full matrix runs as [bloom_eval faults]. *)
+   naming the AB/BA cycle. The full matrix runs as [bloom_eval axis
+   robustness]. *)
 
 open Sync_platform
 module D = Sync_detsched.Detsched

@@ -358,6 +358,7 @@ let test_backoff_set_limits () =
 (* ---------------------------------------------------------------- *)
 
 module H = Sync_eval.Hierarchy_axis
+module Cell = Sync_eval.Cell
 module Emit = Sync_metrics.Emit
 
 let tiny_spec ~classes ~mechanisms =
@@ -379,11 +380,11 @@ let test_hierarchy_tiny_grid () =
   Alcotest.(check bool) "no failures" true (H.all_ok rows);
   List.iter
     (fun r ->
-      (match r.H.status with
-      | H.Supported -> ()
-      | s -> Alcotest.failf "monitor cell not supported: %s" (H.status_string s));
-      Alcotest.(check int) "measured domain count" 1 r.H.domains;
-      Alcotest.(check bool) "made progress" true (r.H.throughput_per_s > 0.))
+      (match r.Cell.cell.status with
+      | Cell.Supported -> ()
+      | s -> Alcotest.failf "monitor cell not supported: %s" (Cell.status_string s));
+      Alcotest.(check int) "measured domain count" 1 r.Cell.domains;
+      Alcotest.(check bool) "made progress" true (r.Cell.cell.throughput_per_s > 0.))
     rows
 
 (* The committed-snapshot shape: an unsupported cell collapses to one
@@ -394,11 +395,11 @@ let test_hierarchy_json_snapshot () =
   let rows = H.run spec in
   Alcotest.(check int) "probe collapses the domain axis" 1 (List.length rows);
   let r = List.hd rows in
-  (match r.H.status with
-  | H.Unsupported { feature; _ } ->
+  (match r.Cell.cell.status with
+  | Cell.Unsupported { feature; _ } ->
       Alcotest.(check string) "typed feature" "semaphore.strong" feature
-  | s -> Alcotest.failf "expected unsupported, got %s" (H.status_string s));
-  Alcotest.(check int) "unsupported row has no domains" 0 r.H.domains;
+  | s -> Alcotest.failf "expected unsupported, got %s" (Cell.status_string s));
+  Alcotest.(check int) "unsupported row has no domains" 0 r.Cell.domains;
   Alcotest.(check bool) "unsupported is still all_ok" true (H.all_ok rows);
   let doc = Emit.to_string ~pretty:true (H.to_json spec rows) in
   let parsed = Emit.parse doc in

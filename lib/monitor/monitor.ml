@@ -38,13 +38,17 @@ let grant t =
   else if Waitq.wake_first t.entry then ()
   else t.busy <- false
 
-let enter t =
+(* Returns the instant the Acquire span ended: the start of the caller's
+   Hold. *)
+let enter_stamped t =
   let t0 = Probe.now () in
   Mutex.protect t.lock (fun () ->
       if t.busy then
         Waitq.wait t.entry ~lock:t.lock () ~on_abort:(fun () -> grant t)
       else t.busy <- true);
-  Probe.span Acquire ~site:"monitor" ~since:t0 ~arg:0
+  Probe.span_end Acquire ~site:"monitor" ~since:t0 ~arg:0
+
+let enter t = ignore (enter_stamped t)
 
 (* Must hold t.lock; the caller does NOT own the monitor (its grant was
    passed on when it began waiting or signalling). Re-acquires through
@@ -61,8 +65,7 @@ let reacquire t =
 let exit t = Mutex.protect t.lock (fun () -> grant t)
 
 let with_monitor t f =
-  enter t;
-  let h0 = Probe.now () in
+  let h0 = enter_stamped t in
   match f () with
   | v ->
     Probe.span Hold ~site:"monitor" ~since:h0 ~arg:0;

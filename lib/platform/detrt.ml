@@ -573,6 +573,7 @@ let run ?(max_steps = 200_000) ?observe ~choose body =
       limit_hit = false }
   in
   d.d_sched <- Some s;
+  Sync_trace.Probe.virtual_run @@ fun () ->
   Fun.protect
     ~finally:(fun () ->
       d.d_sched <- None;

@@ -316,16 +316,30 @@ let[@inline] raw_try t =
   | Swap s -> swap_try s
   | Det m -> Detrt.mutex_try_lock m
 
-let lock t =
+(* A zero-wait Acquire at [n] (from [Probe.now]), and the Hold it opens
+   at the same instant. *)
+let acquired_at_once t n =
+  Probe.record Acquire ~site:t.name ~t0:n ~dur:0 ~arg:0;
+  t.acquired_at <- n
+
+(* Traced acquire: the Hold starts where the Acquire ends, one clock read
+   for both. On a real tier a first try that succeeds is a zero-wait
+   Acquire; only a contended acquire reads the clock on both sides of its
+   wait. Det mutexes never take the extra try: it would be one more
+   scheduling point for the explorer. *)
+let traced_lock t =
   let t0 = Probe.now () in
+  match t.impl with
+  | (Sys _ | Cell _ | Swap _) when raw_try t -> acquired_at_once t t0
+  | _ ->
+    raw_lock t;
+    t.acquired_at <- Probe.span_end Acquire ~site:t.name ~since:t0 ~arg:0
+
+let lock t =
   let watched = t.rid >= 0 && Deadlock.enabled () in
   if watched then Deadlock.blocked t.rid;
-  raw_lock t;
-  if watched then Deadlock.acquired t.rid;
-  if t0 <> 0 then begin
-    Probe.span Acquire ~site:t.name ~since:t0 ~arg:0;
-    t.acquired_at <- Probe.now ()
-  end
+  if Probe.enabled () then traced_lock t else raw_lock t;
+  if watched then Deadlock.acquired t.rid
 
 let unlock t =
   if t.acquired_at <> 0 then begin
@@ -341,11 +355,7 @@ let try_lock t =
     if t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
     (* A successful try_lock is a zero-wait acquire; emit the span so
        profiled acquire counts include try-lock users. *)
-    let n = Probe.now () in
-    if n <> 0 then begin
-      Probe.span Acquire ~site:t.name ~since:n ~arg:0;
-      t.acquired_at <- n
-    end
+    acquired_at_once t (Probe.now ())
   end;
   ok
 

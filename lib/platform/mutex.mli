@@ -13,7 +13,11 @@
 
     [lock], [unlock] and [try_lock] wrap one bookkeeping-free operation
     in a single bracket: the {!Deadlock} watchdog's edges when it was
-    enabled at creation, and acquire/hold probe spans when tracing.
+    enabled at creation, and acquire/hold probe spans when tracing. The
+    Hold starts at the instant the Acquire ends. A traced [lock] on a
+    real tier tries the lock first; when that succeeds its Acquire is
+    zero-wait ([dur = 0]), stamped by one clock read. Det mutexes skip
+    the try, so tracing adds no scheduling point.
 
     [Sys] stays a direct constructor: [Stdlib.Condition.wait] needs the
     raw stdlib mutex, and every default-tier mutex would otherwise pay a

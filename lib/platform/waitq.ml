@@ -89,7 +89,10 @@ let wait_for ?on_abort t ~lock ~deadline tag =
   else begin
     (* Cancel: unhook ourselves so a waker never picks a gone waiter. *)
     remove t w;
-    if t0 <> 0 then Probe.instant Abandon ~site:t.name ~arg:(Probe.now () - t0);
+    if t0 <> 0 then begin
+      let n = Probe.now () in
+      Probe.record Abandon ~site:t.name ~t0:n ~dur:0 ~arg:(n - t0)
+    end;
     false
   end
 

@@ -113,6 +113,8 @@ let park t ~site w =
     done
   end
 
+(* Returns the instant the Acquire span ended: the start of the caller's
+   Hold. *)
 let acquire t =
   let t0 = Probe.now () in
   Mutex.protect t.lock (fun () ->
@@ -123,13 +125,12 @@ let acquire t =
         park t ~site:"serializer.entry" w
       end
       else t.busy <- true);
-  Probe.span Acquire ~site:"serializer.entry" ~since:t0 ~arg:0
+  Probe.span_end Acquire ~site:"serializer.entry" ~since:t0 ~arg:0
 
 let release t = Mutex.protect t.lock (fun () -> release_possession t)
 
 let with_serializer t f =
-  acquire t;
-  let h0 = Probe.now () in
+  let h0 = acquire t in
   match f () with
   | v ->
     Probe.span Hold ~site:"serializer" ~since:h0 ~arg:0;

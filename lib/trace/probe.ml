@@ -4,9 +4,9 @@
    Contention design mirrors [Sync_metrics.Recorder]: share-nothing. Each
    OS thread (workers are threads or domain mains) records into its own
    ring buffer, found by an indexed slot keyed on the thread id; buffers
-   are snapshotted after the traced region quiesces. The ring is a
-   struct-of-arrays so one event is a handful of scalar stores into
-   preallocated arrays — no per-event allocation.
+   are snapshotted after the traced region quiesces. One event is five
+   int stores into one preallocated int array plus two string stores —
+   no per-event allocation.
 
    Disabled cost is the whole game: every probe entry point reads one
    atomic flag and returns. No closure is built, no optional argument is
@@ -63,86 +63,108 @@ let enable () = Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false
 
-let default_capacity = 65_536
-
-let capacity = ref default_capacity
+(* Ring capacity is a power of two, so a slot index is a mask, not a
+   division. *)
+let capacity = ref 65_536
 
 let set_capacity n =
-  if n < 2 then invalid_arg "Probe.set_capacity: need at least 2 slots";
-  capacity := n
+  if n < 2 || n > 1 lsl 30 then
+    invalid_arg "Probe.set_capacity: need 2 to 2^30 slots";
+  let rec pow2 c = if c >= n then c else pow2 (2 * c) in
+  capacity := pow2 2
 
 (* Per-thread ring buffer. Only the owning thread writes; [pos] counts
    every event ever written, so [pos - cap] events have been overwritten
    once the ring wraps.
 
+   Event [i] occupies [words.(stride * i) .. words.(stride * i + 4)]
+   (kind, t0, dur, arg, actor) plus [bsite.(i)] and [bop.(i)]: seven
+   words per event, all but the two strings stored without a write
+   barrier.
+
    [pos] is atomic so a concurrent reader (the adaptive sampler) can use
    it as a sequence lock: the owning thread fills every slot field and
    only then publishes with an [Atomic.set] (a release on OCaml's SC
-   atomics), so any event below the published count is fully written.
-   The single uncontended atomic store costs the same as a plain store
-   on the recording path, keeping the disabled/enabled cost claims. *)
+   atomics), so any event below the published count is fully written. *)
 type buffer = {
   btid : int;
   cap : int;
-  bkind : int array;
+  words : int array;
   bsite : string array;
   bop : string array;
-  bt0 : int array;
-  bdur : int array;
-  barg : int array;
-  bactor : int array;
   mutable bop_cur : string;
   pos : int Atomic.t;
 }
 
-let make_buffer tid =
-  let cap = !capacity in
+let stride = 5
+
+let make_buffer tid cap =
   { btid = tid; cap;
-    bkind = Array.make cap 0;
+    words = Array.make (stride * cap) 0;
     bsite = Array.make cap "";
     bop = Array.make cap "";
-    bt0 = Array.make cap 0;
-    bdur = Array.make cap 0;
-    barg = Array.make cap 0;
-    bactor = Array.make cap 0;
     bop_cur = ""; pos = Atomic.make 0 }
 
-(* Buffer lookup: a fixed array of atomic slots indexed by thread id.
-   The slot is re-verified against the owner's id, so a (rare) index
-   collision allocates a fresh buffer for the newcomer instead of
-   sharing; the displaced buffer stays reachable through [registry]. *)
+(* Buffer lookup: a fixed array of atomic slots indexed by thread id,
+   each re-verified against the owner's id. Two live threads whose ids
+   collide modulo [slot_count] take the slot in turn, each re-finding its
+   own buffer in [registry] — never allocating a second one. *)
 let slot_count = 256
 
-let slots =
-  Array.init slot_count (fun _ -> Atomic.make (None : buffer option))
+(* Owned by no thread: an empty slot. *)
+let vacant = make_buffer (-1) 0
+
+let slots = Array.init slot_count (fun _ -> Atomic.make vacant)
 
 let registry_lock = Stdlib.Mutex.create ()
 
 let registry : buffer list ref = ref []
 
+let rec owned_by tid = function
+  | [] -> vacant
+  | b :: rest -> if b.btid = tid then b else owned_by tid rest
+
+(* Allocates only the thread's first ring: colliding threads call this
+   on every turn. *)
+let claim slot tid =
+  Stdlib.Mutex.lock registry_lock;
+  let b =
+    match owned_by tid !registry with
+    | b when b != vacant -> b
+    | _ ->
+      let b = make_buffer tid !capacity in
+      registry := b :: !registry;
+      b
+  in
+  Stdlib.Mutex.unlock registry_lock;
+  Atomic.set slot b;
+  b
+
 let my_buffer () =
   let tid = Thread.id (Thread.self ()) in
   let slot = slots.(tid land (slot_count - 1)) in
-  match Atomic.get slot with
-  | Some b when b.btid = tid -> b
-  | _ ->
-    let b = make_buffer tid in
-    Stdlib.Mutex.lock registry_lock;
-    registry := b :: !registry;
-    Stdlib.Mutex.unlock registry_lock;
-    Atomic.set slot (Some b);
-    b
+  let b = Atomic.get slot in
+  if b.btid = tid then b else claim slot tid
 
 (* Actor ids: the OS thread id normally; inside a deterministic run the
    virtual task id, reported by the runtime through the same provider
    pattern Fault/Deadlock use. Virtual actors are encoded negative so a
-   timeline can tell the two worlds apart. *)
+   timeline can tell the two worlds apart. The provider is consulted only
+   while some deterministic run is in progress, so real-thread events
+   read the actor without a closure call. *)
 let task_provider : (unit -> int option) ref = ref (fun () -> None)
 
 let set_task_provider f = task_provider := f
 
+let virtual_runs = Atomic.make 0
+
+let virtual_run f =
+  Atomic.incr virtual_runs;
+  Fun.protect ~finally:(fun () -> Atomic.decr virtual_runs) f
+
 let current_actor b =
-  match !task_provider () with Some vt -> -(vt + 1) | None -> b.btid
+  if Atomic.get virtual_runs = 0 then b.btid
+  else match !task_provider () with Some vt -> -(vt + 1) | None -> b.btid
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -150,28 +172,33 @@ let now () = if enabled () then now_ns () else 0
 
 let write b k ~site ~t0 ~dur ~arg =
   let p = Atomic.get b.pos in
-  let i = p mod b.cap in
-  b.bkind.(i) <- kind_index k;
+  let i = p land (b.cap - 1) in
+  let w = b.words and j = stride * i in
+  w.(j) <- kind_index k;
+  w.(j + 1) <- t0;
+  w.(j + 2) <- dur;
+  w.(j + 3) <- arg;
+  w.(j + 4) <- current_actor b;
   b.bsite.(i) <- site;
   b.bop.(i) <- b.bop_cur;
-  b.bt0.(i) <- t0;
-  b.bdur.(i) <- dur;
-  b.barg.(i) <- arg;
-  b.bactor.(i) <- current_actor b;
   (* Publish: slot stores above happen-before this release store. *)
   Atomic.set b.pos (p + 1)
 
-let span k ~site ~since ~arg =
+let record k ~site ~t0 ~dur ~arg =
+  if enabled () && t0 <> 0 then write (my_buffer ()) k ~site ~t0 ~dur ~arg
+
+let span_end k ~site ~since ~arg =
   if enabled () && since <> 0 then begin
-    let b = my_buffer () in
-    write b k ~site ~t0:since ~dur:(now_ns () - since) ~arg
+    let t1 = now_ns () in
+    write (my_buffer ()) k ~site ~t0:since ~dur:(t1 - since) ~arg;
+    t1
   end
+  else 0
+
+let span k ~site ~since ~arg = ignore (span_end k ~site ~since ~arg)
 
 let instant k ~site ~arg =
-  if enabled () then begin
-    let b = my_buffer () in
-    write b k ~site ~t0:(now_ns ()) ~dur:0 ~arg
-  end
+  if enabled () then write (my_buffer ()) k ~site ~t0:(now_ns ()) ~dur:0 ~arg
 
 let set_op name = if enabled () then (my_buffer ()).bop_cur <- name
 
@@ -179,7 +206,7 @@ let reset () =
   Stdlib.Mutex.lock registry_lock;
   registry := [];
   Stdlib.Mutex.unlock registry_lock;
-  Array.iter (fun s -> Atomic.set s None) slots
+  Array.iter (fun s -> Atomic.set s vacant) slots
 
 (* -- snapshots ----------------------------------------------------- *)
 
@@ -193,92 +220,43 @@ type event = {
   arg : int;
 }
 
-let buffer_events b =
-  let pos = Atomic.get b.pos in
-  let n = min pos b.cap in
-  let start = pos - n in
-  List.init n (fun j ->
-      let i = (start + j) mod b.cap in
-      { t0 = b.bt0.(i); dur = b.bdur.(i);
-        kind = kind_of_index.(b.bkind.(i));
-        site = b.bsite.(i); op = b.bop.(i);
-        actor = b.bactor.(i); arg = b.barg.(i) })
+let event_at b p =
+  let i = p land (b.cap - 1) in
+  let w = b.words and j = stride * i in
+  { kind = kind_of_index.(w.(j)); t0 = w.(j + 1); dur = w.(j + 2);
+    arg = w.(j + 3); actor = w.(j + 4); site = b.bsite.(i); op = b.bop.(i) }
 
-(* Consistent read while the owner keeps writing (the sampler path).
-   [p0] is read before copying the slot arrays and [p1] after: any slot
-   the owner touched during the copy belongs to an event numbered in
-   [p0, p1), which overwrote the event numbered cap earlier. Events in
-   [max(0, p1 - cap), p0) were therefore fully published before the copy
-   began and untouched during it — no torn slot can leak out. If the
-   owner laps the reader by a full ring during the copy the window is
-   empty and we retry (bounded; in practice one pass suffices). *)
-let live_buffer_events b =
-  let rec attempt tries =
-    let p0 = Atomic.get b.pos in
-    let bkind = Array.copy b.bkind in
-    let bsite = Array.copy b.bsite in
-    let bop = Array.copy b.bop in
-    let bt0 = Array.copy b.bt0 in
-    let bdur = Array.copy b.bdur in
-    let barg = Array.copy b.barg in
-    let bactor = Array.copy b.bactor in
-    let p1 = Atomic.get b.pos in
-    let lo = max 0 (p1 - b.cap) in
-    if lo >= p0 && p0 > 0 && tries < 8 then attempt (tries + 1)
-    else
-      List.init (max 0 (p0 - lo)) (fun j ->
-          let i = (lo + j) mod b.cap in
-          { t0 = bt0.(i); dur = bdur.(i);
-            kind = kind_of_index.(bkind.(i));
-            site = bsite.(i); op = bop.(i);
-            actor = bactor.(i); arg = barg.(i) })
-  in
-  attempt 0
+(* The events numbered [from] onwards that are still in the ring, read
+   consistently while the owner may keep writing (the sampler path) —
+   and, once the owner has quiesced, simply every retained event.
 
-(* Incremental sampler read: only the events a cursor has not seen.
-   Same seqlock reasoning as [live_buffer_events], but the copy is
-   bounded by the number of new events, so a periodic sampler's cost is
-   proportional to recording activity, not to ring capacity — a sampler
-   re-copying a 65k-slot ring every few milliseconds is itself enough
-   allocation pressure to perturb the run it is observing. *)
-let live_buffer_events_from b ~from =
+   [p0] is read before reading the slots and [p1] after: any slot the
+   owner touched meanwhile belongs to an event numbered in [p0, p1),
+   which overwrote the event numbered cap earlier. Events in
+   [max(lo, p1 - cap), p0) were therefore fully published before the
+   read began and untouched during it — no torn slot can leak out. If
+   the owner laps the reader by a full ring the window is empty and we
+   retry (bounded; in practice one pass suffices). The work is bounded
+   by the number of new events, so a periodic sampler's cost is
+   proportional to recording activity, not to ring capacity. *)
+let buffer_events_from b ~from =
   let rec attempt tries =
     let p0 = Atomic.get b.pos in
     let lo = max from (max 0 (p0 - b.cap)) in
-    let n = p0 - lo in
-    if n <= 0 then ([], p0)
+    if p0 <= lo then ([], p0)
     else begin
-      let kinds = Array.make n 0 in
-      let sites = Array.make n "" in
-      let ops = Array.make n "" in
-      let t0s = Array.make n 0 in
-      let durs = Array.make n 0 in
-      let args = Array.make n 0 in
-      let actors = Array.make n 0 in
-      for j = 0 to n - 1 do
-        let i = (lo + j) mod b.cap in
-        kinds.(j) <- b.bkind.(i);
-        sites.(j) <- b.bsite.(i);
-        ops.(j) <- b.bop.(i);
-        t0s.(j) <- b.bt0.(i);
-        durs.(j) <- b.bdur.(i);
-        args.(j) <- b.barg.(i);
-        actors.(j) <- b.bactor.(i)
-      done;
+      let evs = Array.init (p0 - lo) (fun j -> event_at b (lo + j)) in
       let p1 = Atomic.get b.pos in
       let lo' = max lo (p1 - b.cap) in
       if lo' >= p0 && tries < 8 then attempt (tries + 1)
       else
-        ( List.init (max 0 (p0 - lo')) (fun j ->
-              let j = j + (lo' - lo) in
-              { t0 = t0s.(j); dur = durs.(j);
-                kind = kind_of_index.(kinds.(j));
-                site = sites.(j); op = ops.(j);
-                actor = actors.(j); arg = args.(j) }),
-          p0 )
+        let keep = max 0 (p0 - lo') in
+        (List.init keep (fun j -> evs.(p0 - lo - keep + j)), p0)
     end
   in
   attempt 0
+
+let buffer_events b = fst (buffer_events_from b ~from:0)
 
 let buffers () =
   Stdlib.Mutex.lock registry_lock;
@@ -294,8 +272,7 @@ let sort_events evs =
 
 let snapshot () = buffers () |> List.concat_map buffer_events |> sort_events
 
-let live_snapshot () =
-  buffers () |> List.concat_map live_buffer_events |> sort_events
+let live_snapshot = snapshot
 
 type cursor = (buffer * int) list
 
@@ -306,7 +283,7 @@ let live_read cur =
     List.map
       (fun b ->
         let from = try List.assq b cur with Not_found -> 0 in
-        let evs, next = live_buffer_events_from b ~from in
+        let evs, next = buffer_events_from b ~from in
         (evs, (b, next)))
       (buffers ())
   in

@@ -14,9 +14,15 @@
     Recording is share-nothing: one ring buffer per thread, wraparound
     overwrites the oldest events ({!dropped} counts them). When tracing
     is disabled — the default — every probe is one atomic flag read and
-    a branch: no clock read, no allocation. That claim is machine-checked
-    (Gc-stat test; A/B bench cell), so keep it true when extending this
-    interface: no optional arguments, no closures on the fast path. *)
+    a branch: no clock read, no allocation. When enabled, recording
+    allocates nothing once the thread's ring exists. Both claims are
+    machine-checked (Gc-stat tests; A/B bench cell), so keep them true
+    when extending this interface: no optional arguments, no closures on
+    the fast path.
+
+    One clock read per span boundary: where one instant ends a span and
+    starts the next (an acquire ending where its hold begins), read the
+    clock once and pass the timestamp to {!record}. *)
 
 type kind =
   | Acquire  (** span: blocked entering a lock / region / possession *)
@@ -44,8 +50,10 @@ val reset : unit -> unit
 (** Drop all buffers. Call only while no traced code is running. *)
 
 val set_capacity : int -> unit
-(** Ring capacity for buffers created after the call (default 65536).
-    @raise Invalid_argument below 2. *)
+(** Ring capacity for buffers created after the call (default 65536),
+    rounded up to a power of two: [set_capacity 100] gives 128-event
+    rings.
+    @raise Invalid_argument below 2 or above 2{^30}. *)
 
 val now : unit -> int
 (** Monotonic nanoseconds as an int, or 0 when tracing is disabled —
@@ -53,9 +61,18 @@ val now : unit -> int
     [let t0 = now () in ... ; span K ~site ~since:t0 ~arg] is correct in
     both worlds and free in the disabled one. *)
 
+val record : kind -> site:string -> t0:int -> dur:int -> arg:int -> unit
+(** Record an event from timestamps the caller already holds: it started
+    at [t0] (from {!now}) and lasted [dur] ns ([0] for an instant). No-op
+    when disabled or [t0 = 0]. *)
+
 val span : kind -> site:string -> since:int -> arg:int -> unit
-(** Record a span that started at [since] (from {!now}) and ends now.
-    No-op when disabled or [since = 0]. *)
+(** [record] of a span that started at [since] and ends now: one clock
+    read. No-op when disabled or [since = 0]. *)
+
+val span_end : kind -> site:string -> since:int -> arg:int -> int
+(** {!span}, returning the instant it ended ([0] when it recorded
+    nothing): the start of a span that begins where this one ends. *)
 
 val instant : kind -> site:string -> arg:int -> unit
 
@@ -66,6 +83,12 @@ val set_op : string -> unit
 val set_task_provider : (unit -> int option) -> unit
 (** Actor ids inside deterministic runs (wired up by [Detrt], like the
     fault and deadlock providers). *)
+
+val virtual_run : (unit -> 'a) -> 'a
+(** [virtual_run f] runs [f], a deterministic run: while any such run is
+    in progress, on any domain, events ask the task provider for their
+    actor. Outside them the actor is the OS thread id and the provider
+    is not called. *)
 
 (** {1 Snapshots} *)
 
@@ -81,15 +104,15 @@ type event = {
 
 val snapshot : unit -> event list
 (** Every retained event across all buffers, sorted by start time. Take
-    it after the traced region has quiesced. *)
+    it after the traced region has quiesced for a complete picture. *)
 
 val live_snapshot : unit -> event list
-(** Like {!snapshot} but safe while recording threads keep writing (the
-    adaptive sampler's read path). Each ring is read under a seqlock on
-    its atomic position counter: the slot arrays are copied, and only
-    events fully published before the copy began and not overwritten
-    during it are returned — never a torn slot. Events recorded during
-    the copy are simply missed until the next sample. *)
+(** {!snapshot}, named for the adaptive sampler's read path: it is safe
+    while recording threads keep writing. Each ring is read under a
+    seqlock on its atomic position counter, and only events fully
+    published before the read began and not overwritten during it are
+    returned — never a torn slot. Events recorded during the read are
+    simply missed until the next sample. *)
 
 type cursor
 (** Consumption frontier over the per-thread rings, for incremental

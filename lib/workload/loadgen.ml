@@ -172,15 +172,24 @@ let run (target : Target.instance) cfg =
              schedule surfaces as queueing delay, not omitted samples. *)
           s
       in
-      let t0 = Probe.now () in
+      (* The Op span shares the latency record's clock reads: its end
+         always, its start in closed loop (open loop's latency starts at
+         the scheduled arrival, before the op really began). *)
+      let t0 =
+        match cfg.mode with
+        | Closed -> if Probe.enabled () then Int64.to_int start else 0
+        | Open_loop _ -> Probe.now ()
+      in
       if t0 <> 0 then Probe.set_op op_names.(i);
       match ops.(i).Target.run ~rng ~pid:w with
       | () ->
-        Probe.span Op ~site:"workload.op" ~since:t0 ~arg:i;
+        let stop = Clock.now_ns () in
+        Probe.record Op ~site:"workload.op" ~t0
+          ~dur:(Int64.to_int stop - t0) ~arg:i;
         let ph = Atomic.get phase in
         if ph <= steady then
           Recorder.record recs.(ph) ~op:i
-            ~ns:(Int64.to_int (Int64.sub (Clock.now_ns ()) start))
+            ~ns:(Int64.to_int (Int64.sub stop start))
       | exception _ ->
         let ph = Atomic.get phase in
         if ph <= steady then Recorder.record_failure recs.(ph) ~op:i

@@ -891,6 +891,106 @@ let col_detrt_inert r () =
   check_int "every task ran" 3 (List.length a);
   Alcotest.(check (list string)) "identical journals" a (exec ())
 
+module Probe = Sync_trace.Probe
+
+(* Run [f] with probes recording; its events for [site], sorted by start
+   time and then kind, so a zero-wait Acquire precedes the Hold that
+   starts at the same instant. *)
+let traced_events ?(site = "mutex") f =
+  Probe.reset ();
+  Probe.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Probe.disable ();
+      Probe.reset ())
+    (fun () ->
+      f ();
+      Probe.disable ();
+      Probe.snapshot ()
+      |> List.filter (fun (e : Probe.event) -> String.equal e.Probe.site site)
+      |> List.stable_sort (fun (a : Probe.event) (b : Probe.event) ->
+             compare (a.Probe.t0, a.Probe.kind) (b.Probe.t0, b.Probe.kind)))
+
+(* One clock read per span boundary: an uncontended acquire is a
+   zero-wait Acquire whose end is the Hold's start; a contended one
+   waits (dur > 0); a try_lock is one zero-wait Acquire. *)
+let col_probe_spans r () =
+  let m = mutex_of r in
+  (match traced_events (fun () -> Mutex.lock m; Mutex.unlock m) with
+  | [ a; h ] ->
+    check_bool "acquire then hold" true
+      (a.Probe.kind = Probe.Acquire && h.Probe.kind = Probe.Hold);
+    check_int "uncontended acquire waits 0 ns" 0 a.Probe.dur;
+    check_int "hold starts where the acquire ends" (a.Probe.t0 + a.Probe.dur)
+      h.Probe.t0
+  | evs -> Alcotest.failf "uncontended: %d mutex events" (List.length evs));
+  let waiter = Atomic.make (-1) in
+  let evs =
+    traced_events (fun () ->
+        Mutex.lock m;
+        let t =
+          Testutil.spawn (fun () ->
+              Atomic.set waiter (Thread.id (Thread.self ()));
+              Mutex.lock m;
+              Mutex.unlock m)
+        in
+        Testutil.eventually "waiter started" (fun () -> Atomic.get waiter >= 0);
+        Thread.delay 0.02;
+        Mutex.unlock m;
+        Process.join t)
+  in
+  (match
+     List.filter
+       (fun (e : Probe.event) ->
+         e.Probe.actor = Atomic.get waiter && e.Probe.kind = Probe.Acquire)
+       evs
+   with
+  | [ a ] -> check_bool "contended acquire waits" true (a.Probe.dur > 0)
+  | l -> Alcotest.failf "contended: %d waiter acquires" (List.length l));
+  match
+    traced_events (fun () ->
+        check_bool "try_lock on a free lock" true (Mutex.try_lock m);
+        Mutex.unlock m)
+  with
+  | [ a; _ ] ->
+    check_bool "try_lock acquire" true (a.Probe.kind = Probe.Acquire);
+    check_int "try_lock acquire waits 0 ns" 0 a.Probe.dur
+  | evs -> Alcotest.failf "try_lock: %d mutex events" (List.length evs)
+
+(* Det mutexes keep the two-read traced path (no extra try, so no extra
+   scheduling point): a contended run under a fixed schedule records
+   this sequence, per virtual task in start order. *)
+let test_det_probe_sequence () =
+  let evs =
+    traced_events ~site:"det" (fun () ->
+        ignore
+          (Detrt.run ~choose:(fun _ -> 0) (fun () ->
+               let m = Mutex.create ~name:"det" () in
+               let ps =
+                 List.init 2 (fun _ ->
+                     Process.spawn (fun () ->
+                         Mutex.lock m;
+                         Detrt.yield ();
+                         Mutex.unlock m))
+               in
+               List.iter Process.join ps;
+               if Mutex.try_lock m then Mutex.unlock m)))
+  in
+  let by_actor a =
+    List.filter_map
+      (fun (e : Probe.event) ->
+        if e.Probe.actor = a then
+          Some
+            (Printf.sprintf "%s%s" (Probe.kind_to_string e.Probe.kind)
+               (if e.Probe.dur = 0 then " 0" else ""))
+        else None)
+      evs
+  in
+  Alcotest.(check (list (list string)))
+    "per-task sequences"
+    [ [ "acquire"; "hold" ]; [ "acquire"; "hold" ]; [ "acquire 0"; "hold" ] ]
+    (List.map by_actor [ -2; -3; -1 ])
+
 let table =
   let column suite name f =
     ( suite,
@@ -903,7 +1003,8 @@ let table =
     column "abandonment" Fun.id col_abandonment;
     column "condition" (fun t -> t ^ " wait/signal") col_condition;
     column "wait-for" (fun t -> t ^ " expiry") col_wait_for;
-    column "detrt-inert" Fun.id col_detrt_inert ]
+    column "detrt-inert" Fun.id col_detrt_inert;
+    column "probe-spans" (fun t -> t ^ " acquire/hold") col_probe_spans ]
 
 let test_waitq_wake_n () =
   let q = Waitq.create () in
@@ -1228,6 +1329,9 @@ let () =
             test_timed_zero_budget;
           Alcotest.test_case "fast-tier zero budgets" `Quick
             test_fast_timed_zero_budget ] );
+      ( "probe-det",
+        [ Alcotest.test_case "traced det lock sequence" `Quick
+            test_det_probe_sequence ] );
       ( "wake-batching",
         [ Testutil.qcheck_case prop_wake_n_releases_min;
           Alcotest.test_case "wake_n empty edges" `Quick test_wake_n_empty;

@@ -157,6 +157,76 @@ let test_live_read_hammer () =
            0 l))
     seen
 
+(* Two live threads whose ids collide modulo the 256 buffer-lookup slots
+   take turns recording. Each must keep finding its own ring: one ring
+   per thread, every event kept, and no ring allocated per turn. Small
+   rings keep a regression's allocation bounded (a ring per turn would
+   be ~7k words x 2000 turns). *)
+let test_slot_collision () =
+  let cap = 1024 and per_thread = 1000 in
+  Probe.set_capacity cap;
+  Probe.reset ();
+  let me = Thread.id (Thread.self ()) in
+  let turn = Atomic.make 0 and go = Atomic.make false in
+  let take_turns side =
+    for i = 1 to per_thread do
+      while Atomic.get turn <> side do
+        Thread.yield ()
+      done;
+      Probe.instant Signal ~site:"collide" ~arg:((side * per_thread) + i);
+      Atomic.set turn (1 - side)
+    done
+  in
+  (* Threads that exit at once until one's id lands in our slot. *)
+  let rec colliding () =
+    let t =
+      Thread.create
+        (fun () ->
+          while not (Atomic.get go) do
+            Thread.yield ()
+          done;
+          if Thread.id (Thread.self ()) land 255 = me land 255 then
+            take_turns 1)
+        ()
+    in
+    if Thread.id t land 255 = me land 255 then t
+    else begin
+      Atomic.set go true;
+      Thread.join t;
+      Atomic.set go false;
+      colliding ()
+    end
+  in
+  let other = colliding () in
+  Probe.enable ();
+  (* Both rings exist before measuring. *)
+  Probe.instant Signal ~site:"collide" ~arg:0;
+  let before = Gc.allocated_bytes () in
+  Atomic.set go true;
+  take_turns 0;
+  Thread.join other;
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  Probe.disable ();
+  let events = Probe.snapshot () in
+  let module S = Set.Make (Int) in
+  let actors =
+    List.fold_left (fun s (e : Probe.event) -> S.add e.Probe.actor s) S.empty
+      events
+  in
+  Alcotest.(check int) "one actor per thread" 2 (S.cardinal actors);
+  Alcotest.(check int) "every event kept" ((2 * per_thread) + 1)
+    (List.length events);
+  Alcotest.(check int) "nothing dropped" 0 (Probe.dropped ());
+  (* A ring is ~7 words per slot. The other thread's first event, inside
+     the window, allocates its ring; any further ring breaks the budget. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one ring allocated while alternating (%.0f words)"
+       words)
+    true
+    (words < float_of_int (2 * 7 * cap))
+
 (* --- disabled path ----------------------------------------------- *)
 
 let test_disabled_no_alloc () =
@@ -183,6 +253,32 @@ let test_disabled_no_alloc () =
        allocated)
     true (allocated < 1000.0);
   Alcotest.(check int) "nothing recorded" 0 (Probe.total ())
+
+(* Recording allocates nothing once the thread's ring exists: traced
+   lock/unlock round trips (an Acquire and a Hold each) plus instants. *)
+let test_enabled_no_alloc () =
+  let m = Sync_platform.Mutex.create () in
+  let round () =
+    Sync_platform.Mutex.lock m;
+    Sync_platform.Mutex.unlock m;
+    Probe.instant Signal ~site:"gc" ~arg:0
+  in
+  Probe.reset ();
+  Probe.enable ();
+  for _ = 1 to 100 do
+    round ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    round ()
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Probe.disable ();
+  Alcotest.(check bool)
+    (Printf.sprintf "enabled probes allocate nothing (got %.0f words)"
+       allocated)
+    true (allocated < 1000.0);
+  Alcotest.(check int) "every event recorded" (3 * 100_100) (Probe.total ())
 
 let test_disabled_now_is_zero () =
   Probe.disable ();
@@ -341,6 +437,89 @@ let test_traced_monitor_load () =
     Alcotest.(check bool) "op labels stamped" true
       (List.exists (fun (e : Probe.event) -> e.Probe.op <> "") events)
 
+(* The event stream each bench mechanism records per bounded-buffer op,
+   uncontended: a cheaper recording path must keep every event. The
+   table is per op (put and get record the same multiset, up to the
+   serializer's per-op queue names). *)
+let bb_stream =
+  let q = "serializer.q:" in
+  [ ("semaphore", [ (Probe.Acquire, "sem.lock", 4); (Hold, "sem.lock", 4) ]);
+    ( "monitor",
+      [ (Acquire, "monitor", 2); (Acquire, "monitor.lock", 6);
+        (Hold, "monitor", 2); (Hold, "monitor.lock", 6);
+        (Op, "protected.access", 1) ] );
+    ( "serializer",
+      [ (Acquire, "serializer.entry", 1); (Acquire, "serializer.lock", 5);
+        (Handoff, q, 1); (Hold, "serializer", 1); (Hold, "serializer.lock", 5);
+        (Wait, q, 1) ] );
+    ( "pathexpr",
+      [ (Acquire, "sem.lock", 4); (Hold, "sem.lock", 4);
+        (Op, "pathexpr.op", 1) ] );
+    ( "ccr",
+      [ (Acquire, "ccr.lock", 2); (Hold, "ccr.lock", 2);
+        (Hold, "ccr.region", 2) ] ) ]
+
+let test_event_stream_pin () =
+  let module Target = Sync_workload.Target in
+  let rounds = 3 and me = Thread.id (Thread.self ()) in
+  List.iter
+    (fun (mechanism, per_op) ->
+      match Target.create ~problem:"bounded-buffer" ~mechanism () with
+      | Error e -> Alcotest.fail e
+      | Ok inst ->
+        let rng = Sync_platform.Prng.make 1L in
+        Probe.reset ();
+        Probe.enable ();
+        for _ = 1 to rounds do
+          Array.iter
+            (fun (o : Target.op) ->
+              Probe.set_op o.Target.name;
+              o.Target.run ~rng ~pid:0)
+            inst.Target.ops
+        done;
+        Probe.disable ();
+        inst.Target.stop ();
+        let events = Probe.snapshot () in
+        List.iter
+          (fun (e : Probe.event) ->
+            Alcotest.(check int) (mechanism ^ ": actor stamped") me
+              e.Probe.actor)
+          events;
+        let expected =
+          List.concat_map
+            (fun (k, site, n) ->
+              List.init (n * rounds) (fun _ -> (Probe.kind_to_string k, site)))
+            per_op
+          |> List.sort compare
+        in
+        (* Every event carries one of the ops' labels: the per-op streams
+           add up to all of them. *)
+        Array.iter
+          (fun (o : Target.op) ->
+            let op = o.Target.name in
+            let got =
+              List.filter_map
+                (fun (e : Probe.event) ->
+                  if String.equal e.Probe.op op then
+                    (* The serializer names its queue after the op. *)
+                    let site =
+                      if e.Probe.site = "serializer.q:" ^ op ^ "q" then
+                        "serializer.q:"
+                      else e.Probe.site
+                    in
+                    Some (Probe.kind_to_string e.Probe.kind, site)
+                  else None)
+                events
+            in
+            Alcotest.(check (list (pair string string)))
+              (Printf.sprintf "%s %s stream" mechanism op)
+              expected (List.sort compare got))
+          inst.Target.ops;
+        Alcotest.(check int) (mechanism ^ ": every event op-stamped")
+          (Array.length inst.Target.ops * List.length expected)
+          (List.length events))
+    bb_stream
+
 let test_actor_label () =
   Alcotest.(check string) "thread label" "t12" (Probe.actor_label 12);
   Alcotest.(check string) "virtual label" "v3" (Probe.actor_label (-4))
@@ -355,7 +534,9 @@ let () =
         [ Alcotest.test_case "domain-writers" `Quick
             (scrubbed test_domain_writers);
           Alcotest.test_case "live-read hammer" `Quick
-            (scrubbed test_live_read_hammer) ] );
+            (scrubbed test_live_read_hammer);
+          Alcotest.test_case "slot collision" `Quick
+            (scrubbed test_slot_collision) ] );
       ( "disabled",
         [ Alcotest.test_case "zero-allocation" `Quick
             (scrubbed test_disabled_no_alloc);
@@ -363,6 +544,9 @@ let () =
             (scrubbed test_disabled_now_is_zero);
           Alcotest.test_case "since-zero" `Quick
             (scrubbed test_span_since_zero_ignored) ] );
+      ( "enabled",
+        [ Alcotest.test_case "zero-allocation" `Quick
+            (scrubbed test_enabled_no_alloc) ] );
       ( "export",
         [ Alcotest.test_case "chrome-escaping" `Quick
             (scrubbed test_chrome_escaping);
@@ -376,5 +560,7 @@ let () =
       ( "load",
         [ Alcotest.test_case "traced-monitor-run" `Quick
             (scrubbed test_traced_monitor_load);
+          Alcotest.test_case "bb event-stream pin" `Quick
+            (scrubbed test_event_stream_pin);
           Alcotest.test_case "actor-labels" `Quick (scrubbed test_actor_label) ]
       ) ]

@@ -122,25 +122,35 @@ module Cond = struct
 
   let wait c = wait_pri c 0
 
+  (* The empty test needs no lock when read by the owner, and only the
+     owner signals. Only an owner adds to [c.q] (its own [wait]), and it
+     does so under [m.lock] before ownership can pass: the next owner
+     gets the monitor through [m.lock], so it sees every add. Waiters
+     leave [c.q] concurrently (wakes, aborts), which can only turn a
+     non-empty read stale — hence the re-check under the lock. *)
   let signal c =
     let m = c.mon in
-    Mutex.protect m.lock (fun () ->
-        if not (Waitq.is_empty c.q) then begin
-          if Probe.enabled () then
-            Probe.instant Signal ~site:"monitor.cond" ~arg:(Waitq.length c.q);
-          match m.disc with
-          | `Hoare -> (
-            (* Transfer the monitor to the chosen waiter; park on urgent. *)
-            ignore (Waitq.wake_min c.q ~cmp:rank_cmp);
-            match
-              Waitq.wait m.urgent ~lock:m.lock () ~on_abort:(fun () -> grant m)
-            with
-            | () -> ()
-            | exception e ->
-              reacquire m;
-              raise e)
-          | `Mesa -> ignore (Waitq.wake_min c.q ~cmp:rank_cmp)
-        end)
+    if not (Waitq.is_empty c.q) then
+      Mutex.protect m.lock (fun () ->
+          if not (Waitq.is_empty c.q) then begin
+            if Probe.enabled () then
+              Probe.instant Signal ~site:"monitor.cond"
+                ~arg:(Waitq.length c.q);
+            match m.disc with
+            | `Hoare -> (
+              (* Transfer the monitor to the chosen waiter; park on
+                 urgent. *)
+              ignore (Waitq.wake_min c.q ~cmp:rank_cmp);
+              match
+                Waitq.wait m.urgent ~lock:m.lock ()
+                  ~on_abort:(fun () -> grant m)
+              with
+              | () -> ()
+              | exception e ->
+                reacquire m;
+                raise e)
+            | `Mesa -> ignore (Waitq.wake_min c.q ~cmp:rank_cmp)
+          end)
 
   let broadcast c =
     let m = c.mon in

@@ -68,7 +68,9 @@ module Cond : sig
       smallest rank first (ties FIFO). *)
 
   val signal : t -> unit
-  (** Wake one waiter per the monitor's discipline; no-op when empty. *)
+  (** Wake one waiter per the monitor's discipline; no-op when empty.
+      Call it as the monitor's owner: only then is the lock-free empty
+      test that makes the no-op free exact. *)
 
   val broadcast : t -> unit
   (** Mesa-style wake-all. Under the Hoare discipline this is realized as a

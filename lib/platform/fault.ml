@@ -58,7 +58,13 @@ let masked () =
     m
   end
 
-let mask f =
+(* Depth is tracked only while a plan is installed: with none, nothing
+   can fire and [masked] already answers [false], so [mask] is a plain
+   call — no lock, no table, no closure. The price is an ordering rule
+   (see the interface): a plan must be installed before the actors it
+   targets enter masked regions, since a region entered with no plan
+   left no depth for [site] to see. *)
+let mask_tracked f =
   let k = self_actor () in
   Stdlib.Mutex.lock mask_guard;
   Hashtbl.replace mask_depth k
@@ -70,6 +76,8 @@ let mask f =
       | Some n when n > 1 -> Hashtbl.replace mask_depth k (n - 1)
       | _ -> Hashtbl.remove mask_depth k);
       Stdlib.Mutex.unlock mask_guard)
+
+let mask f = match !current with None -> f () | Some _ -> mask_tracked f
 
 let with_plan p f =
   let prev = !current in

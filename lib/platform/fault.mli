@@ -53,7 +53,14 @@ val mask : (unit -> 'a) -> 'a
     runs after an operation's effect has committed, plus abort-recovery
     paths — because an injection there can no longer be compensated: the
     analogue of disabling thread cancellation in a cleanup handler.
-    Acquire-side waits stay injectable. *)
+    Acquire-side waits stay injectable.
+
+    Cost: with no plan installed, [mask f] is [f ()] — one ref read, no
+    lock, no allocation — so mechanisms mask unconditionally. Depth is
+    tracked only under a plan, which sets an ordering rule: install a
+    plan before the actors it targets enter masked regions. A region
+    entered with no plan stays unmasked to a plan installed while it
+    runs. *)
 
 val masked : unit -> bool
 (** The calling actor is inside {!mask} (and a plan is installed). *)

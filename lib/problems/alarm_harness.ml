@@ -73,6 +73,19 @@ let run_exact (module S : Alarm_intf.S) ?(durations = [ 3; 1; 4; 1; 5; 9; 2 ])
          durations
      done
    with Failure msg -> result := Error msg);
+  (* After a failure some sleepers may still be parked with deadlines
+     past the last tick — a sleeper that registered only after the first
+     tick (a loaded box outran the settle delay) shifted its deadline
+     later. Keep ticking until every sleeper has returned, so the join
+     below reports the failure instead of blocking forever. *)
+  let drain_deadline = Int64.add (Clock.now_ns ()) 10_000_000_000L in
+  while
+    (not (List.for_all is_done (List.init n Fun.id)))
+    && Clock.now_ns () < drain_deadline
+  do
+    S.tick t;
+    Thread.delay 0.001
+  done;
   List.iter Process.join sleepers;
   S.stop t;
   match !result with

@@ -7,7 +7,9 @@
    evaluated by whichever process happens to be releasing possession — an
    innocent bystander — so the exception is not thrown there: the waiter
    is marked poisoned ([w_exn]), woken as if eligible, and re-raises the
-   failure in its own context after passing possession on. *)
+   failure in its own context. It raises holding possession, like any
+   abort inside the region, and [with_serializer]'s bracket releases it:
+   releasing here as well would hand possession out twice. *)
 
 open Sync_platform
 module Probe = Sync_trace.Probe
@@ -58,11 +60,11 @@ let rec insert_sorted w = function
     if (w.rank, w.seq) < (w'.rank, w'.seq) then w :: l
     else w' :: insert_sorted w rest
 
-(* Must hold t.lock. Pick, among the heads of all event queues whose guard
-   is true, the one waiting longest (smallest seq); transfer possession to
-   it. Otherwise hand possession to the oldest entry waiter; otherwise the
-   serializer becomes free. *)
-let release_possession t =
+(* Must hold t.lock. Among the heads of all event queues whose guard is
+   true, the one waiting longest (smallest seq). A head whose guard
+   raises is poisoned ([w_exn]) and counts as eligible, so it is woken to
+   fail in its own context. *)
+let best_head t =
   let eligible_head q =
     match q.waiters with
     | [] -> None
@@ -76,17 +78,20 @@ let release_possession t =
           w.w_exn <- Some e;
           Some (q, w))
   in
-  let best =
-    List.fold_left
-      (fun best q ->
-        match (eligible_head q, best) with
-        | None, best -> best
-        | Some c, None -> Some c
-        | Some (q, w), Some (_, w') ->
-          if w.seq < w'.seq then Some (q, w) else best)
-      None t.queues
-  in
-  match best with
+  List.fold_left
+    (fun best q ->
+      match (eligible_head q, best) with
+      | None, best -> best
+      | Some c, None -> Some c
+      | Some (q, w), Some (_, w') ->
+        if w.seq < w'.seq then Some (q, w) else best)
+    None t.queues
+
+(* Must hold t.lock. Transfer possession to the [best_head]; otherwise
+   hand it to the oldest entry waiter; otherwise the serializer becomes
+   free. *)
+let release_possession t =
+  match best_head t with
   | Some (q, w) ->
     q.waiters <- List.filter (fun w' -> w' != w) q.waiters;
     w.released <- true;
@@ -183,6 +188,17 @@ module Crowd = struct
   let is_empty t = t.c.members = 0
 end
 
+(* Must hold t.lock and possession. Direct admission: with [q] empty and
+   no other queue head eligible, the waiter [enqueue] would park is the
+   one [release_possession] picks — event queues beat the entry queue,
+   and every other queued waiter is older but ineligible — so keeping
+   possession is the same outcome without the waiter, its condition
+   variable and the self-handoff. A guard that raises here fails the wait
+   as a poisoned waiter does: the exception surfaces with possession
+   still held. *)
+let admits_directly t (q : queue) until =
+  q.waiters = [] && Option.is_none (best_head t) && until ()
+
 let enqueue ?rank (q : Queue.t) ~until =
   let t = q.Queue.owner in
   Mutex.protect t.lock (fun () ->
@@ -190,20 +206,21 @@ let enqueue ?rank (q : Queue.t) ~until =
          untouched and unwinds with possession still held, released by
          [with_serializer]'s bracket. *)
       Fault.site "serializer.pre-wait";
-      let t0 = Probe.now () in
-      let depth = if t0 = 0 then 0 else List.length q.Queue.q.waiters in
-      let w = fresh_waiter t ?rank until in
-      q.Queue.q.waiters <- insert_sorted w q.Queue.q.waiters;
-      release_possession t;
-      park t ~site:q.Queue.q.qsite w;
-      Probe.span Wait ~site:q.Queue.q.qsite ~since:t0 ~arg:depth;
-      match w.w_exn with
-      | None -> ()
-      | Some e ->
-        (* Our guard aborted: we were woken holding possession solely to
-           fail; pass possession on, then fail the wait itself. *)
+      if not (admits_directly t q.Queue.q until) then begin
+        let t0 = Probe.now () in
+        let depth = if t0 = 0 then 0 else List.length q.Queue.q.waiters in
+        let w = fresh_waiter t ?rank until in
+        q.Queue.q.waiters <- insert_sorted w q.Queue.q.waiters;
         release_possession t;
-        raise e)
+        park t ~site:q.Queue.q.qsite w;
+        Probe.span Wait ~site:q.Queue.q.qsite ~since:t0 ~arg:depth;
+        match w.w_exn with
+        | None -> ()
+        | Some e ->
+          (* Our guard aborted: we were woken holding possession solely
+             to fail the wait itself. *)
+          raise e
+      end)
 
 let join_crowd (c : Crowd.t) ~body =
   let t = c.Crowd.owner in

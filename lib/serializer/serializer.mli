@@ -35,8 +35,10 @@ val abort_policy : Sync_platform.Fault.abort_policy
     {e guard} that raises is special-cased — guards run in whichever
     process is releasing possession, so instead of failing that innocent
     process the waiter is marked poisoned, woken, and re-raises the
-    guard's exception from its own [enqueue] after passing possession
-    on. *)
+    guard's exception from its own [enqueue], still holding possession,
+    which the [with_serializer] bracket then releases. A guard that
+    raises when [enqueue] evaluates it directly (see {!enqueue}) fails
+    the same way. *)
 
 val create : unit -> t
 
@@ -90,7 +92,10 @@ val enqueue : ?rank:int -> Queue.t -> until:(unit -> bool) -> unit
 (** Must be called with possession. Parks the caller on the queue (ordered
     by [rank], default 0, then arrival; only the head is eligible),
     releases possession, and returns once the guard held at a release
-    point and possession was transferred back. *)
+    point and possession was transferred back. When the queue is empty,
+    no other queue head is eligible and the guard already holds, the
+    caller is the waiter that release would pick, so it keeps possession
+    and returns at once (no park, no handoff). *)
 
 val join_crowd : Crowd.t -> body:(unit -> 'a) -> 'a
 (** Must be called with possession. Runs [body] outside the serializer as

@@ -520,6 +520,36 @@ let test_fault_mask () =
       | () -> Alcotest.fail "masked hit consumed the counter"
       | exception Fault.Injected _ -> ())
 
+(* With no plan installed [mask f] is [f ()]: same result, same
+   exception, no depth left behind, no allocation. *)
+let mask_one () = 1
+
+let test_fault_mask_no_plan () =
+  check_bool "no plan installed" false (Fault.active ());
+  Alcotest.(check int) "returns f's value" 42 (Fault.mask (fun () -> 42));
+  (match Fault.mask (fun () -> raise Exit) with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Exit -> ());
+  Fault.mask (fun () ->
+      Fault.mask (fun () -> check_bool "never masked" false (Fault.masked ())));
+  let plan = Fault.plan [ ("m", Fault.Nth 1) ] in
+  Fault.with_plan plan (fun () ->
+      check_bool "no depth left behind" false (Fault.masked ());
+      match Fault.site "m" with
+      | () -> Alcotest.fail "first hit under a fresh plan did not fire"
+      | exception Fault.Injected _ -> ());
+  for _ = 1 to 100 do
+    ignore (Fault.mask mask_one)
+  done;
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  for _ = 1 to 10_000 do
+    sum := !sum + Fault.mask mask_one
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check int) "every call ran f" 10_000 !sum;
+  Alcotest.(check (float 0.0)) "10k masks allocate nothing" 0.0 allocated
+
 (* ------------------------------------------------------------------ *)
 (* Deadlock watchdog (wait-for graph) unit                             *)
 
@@ -1300,7 +1330,9 @@ let () =
           Alcotest.test_case "seeded Prob replays" `Quick
             test_fault_prob_deterministic;
           Alcotest.test_case "mask suppresses without counting" `Quick
-            test_fault_mask ] );
+            test_fault_mask;
+          Alcotest.test_case "mask without a plan is free" `Quick
+            test_fault_mask_no_plan ] );
       ( "deadlock",
         [ Alcotest.test_case "find_cycle names the circular wait" `Quick
             test_deadlock_find_cycle ] );

@@ -139,6 +139,118 @@ let test_rank_orders_queue () =
   (* rank 0 (the holder's wait) resumes first but logs nothing. *)
   check_strings "rank order" [ "10"; "20"; "30" ] (Testutil.Journal.entries j)
 
+(* Direct admission (an [enqueue] whose guard already holds keeps
+   possession) must pick exactly whom a release would: an older eligible
+   head on another queue goes first. *)
+let test_direct_never_overtakes () =
+  let s = Serializer.create () in
+  let qa = Serializer.Queue.create ~name:"a" s in
+  let qb = Serializer.Queue.create ~name:"b" s in
+  let go = ref false in
+  let j = Testutil.Journal.create () in
+  let older =
+    Testutil.spawn (fun () ->
+        Serializer.with_serializer s (fun () ->
+            Serializer.enqueue qa ~until:(fun () -> !go);
+            Testutil.Journal.add j "older"))
+  in
+  Testutil.eventually "older parked" (fun () -> Serializer.Queue.length qa = 1);
+  Serializer.with_serializer s (fun () ->
+      go := true;
+      Serializer.enqueue qb ~until:(fun () -> true);
+      Testutil.Journal.add j "younger");
+  Sync_platform.Process.join older;
+  check_strings "older eligible head first" [ "older"; "younger" ]
+    (Testutil.Journal.entries j);
+  (* An ineligible older head does not stop direct admission. *)
+  go := false;
+  let parked =
+    Testutil.spawn (fun () ->
+        Serializer.with_serializer s (fun () ->
+            Serializer.enqueue qa ~until:(fun () -> !go)))
+  in
+  Testutil.eventually "older parked again" (fun () ->
+      Serializer.Queue.length qa = 1);
+  Serializer.with_serializer s (fun () ->
+      Serializer.enqueue qb ~until:(fun () -> true);
+      check_int "older still parked" 1 (Serializer.Queue.guard_length qa);
+      go := true);
+  Sync_platform.Process.join parked
+
+let test_direct_guard_raises () =
+  let s = Serializer.create () in
+  let q = Serializer.Queue.create s in
+  let held = ref false in
+  (match
+     Serializer.with_serializer s (fun () ->
+         match Serializer.enqueue q ~until:(fun () -> failwith "guard") with
+         | () -> ()
+         | exception e ->
+           held := Serializer.inside s;
+           raise e)
+   with
+  | () -> Alcotest.fail "guard exception swallowed"
+  | exception Failure m -> Alcotest.(check string) "guard's exception" "guard" m);
+  check_bool "raised holding possession" true !held;
+  check_int "nothing parked" 0 (Serializer.Queue.length q);
+  let admitted = Atomic.make false in
+  let next =
+    Testutil.spawn (fun () ->
+        Serializer.with_serializer s (fun () -> Atomic.set admitted true))
+  in
+  Testutil.eventually "next with_serializer admitted" (fun () ->
+      Atomic.get admitted);
+  Sync_platform.Process.join next
+
+(* A raising guard fails its own [enqueue] holding possession, and the
+   [with_serializer] bracket releases it once: with entrants queued,
+   releasing twice would let two of them in together. Both the direct
+   path and the parked (poisoned) path. *)
+let test_raising_guard_releases_once () =
+  let s = Serializer.create () in
+  let q = Serializer.Queue.create s in
+  let g = Testutil.Gauge.create () in
+  let entrant () =
+    Serializer.with_serializer s (fun () ->
+        Testutil.Gauge.enter g;
+        Thread.delay 0.02;
+        Testutil.Gauge.leave g)
+  in
+  let entrants () =
+    let ts = List.init 2 (fun _ -> Testutil.spawn entrant) in
+    Testutil.never "entrant admitted while held" (fun () ->
+        Testutil.Gauge.current g > 0);
+    ts
+  in
+  let expect_guard_failure f =
+    match f () with
+    | () -> Alcotest.fail "guard exception swallowed"
+    | exception Failure _ -> ()
+  in
+  (* Direct path: the holder's own guard raises. *)
+  let ts = ref [] in
+  expect_guard_failure (fun () ->
+      Serializer.with_serializer s (fun () ->
+          ts := entrants ();
+          Serializer.enqueue q ~until:(fun () -> failwith "guard")));
+  List.iter Sync_platform.Process.join !ts;
+  check_int "direct: one inside at a time" 1 (Testutil.Gauge.max g);
+  (* Parked path: the guard raises when another process releases. *)
+  let armed = ref false in
+  let victim =
+    Testutil.spawn (fun () ->
+        expect_guard_failure (fun () ->
+            Serializer.with_serializer s (fun () ->
+                Serializer.enqueue q ~until:(fun () ->
+                    if !armed then failwith "guard" else false))))
+  in
+  Testutil.eventually "victim parked" (fun () -> Serializer.Queue.length q = 1);
+  Serializer.with_serializer s (fun () ->
+      ts := entrants ();
+      armed := true);
+  List.iter Sync_platform.Process.join (victim :: !ts);
+  check_int "poisoned: one inside at a time" 1 (Testutil.Gauge.max g)
+
 (* ------------------------------------------------------------------ *)
 (* Crowds                                                              *)
 
@@ -212,6 +324,13 @@ let () =
             test_fifo_head_blocks_queue;
           Alcotest.test_case "rank orders queue" `Quick test_rank_orders_queue
         ] );
+      ( "direct admission",
+        [ Alcotest.test_case "never overtakes an eligible head" `Quick
+            test_direct_never_overtakes;
+          Alcotest.test_case "raising guard re-raises" `Quick
+            test_direct_guard_raises;
+          Alcotest.test_case "raising guard releases once" `Quick
+            test_raising_guard_releases_once ] );
       ( "crowds",
         [ Alcotest.test_case "allows concurrency" `Quick
             test_crowd_allows_concurrency;

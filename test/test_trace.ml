@@ -439,19 +439,17 @@ let test_traced_monitor_load () =
 
 (* The event stream each bench mechanism records per bounded-buffer op,
    uncontended: a cheaper recording path must keep every event. The
-   table is per op (put and get record the same multiset, up to the
-   serializer's per-op queue names). *)
+   table is per op (put and get record the same multiset). Uncontended,
+   a serializer [enqueue] admits directly, so no queue event appears. *)
 let bb_stream =
-  let q = "serializer.q:" in
   [ ("semaphore", [ (Probe.Acquire, "sem.lock", 4); (Hold, "sem.lock", 4) ]);
     ( "monitor",
-      [ (Acquire, "monitor", 2); (Acquire, "monitor.lock", 6);
-        (Hold, "monitor", 2); (Hold, "monitor.lock", 6);
+      [ (Acquire, "monitor", 2); (Acquire, "monitor.lock", 4);
+        (Hold, "monitor", 2); (Hold, "monitor.lock", 4);
         (Op, "protected.access", 1) ] );
     ( "serializer",
       [ (Acquire, "serializer.entry", 1); (Acquire, "serializer.lock", 5);
-        (Handoff, q, 1); (Hold, "serializer", 1); (Hold, "serializer.lock", 5);
-        (Wait, q, 1) ] );
+        (Hold, "serializer", 1); (Hold, "serializer.lock", 5) ] );
     ( "pathexpr",
       [ (Acquire, "sem.lock", 4); (Hold, "sem.lock", 4);
         (Op, "pathexpr.op", 1) ] );
@@ -501,13 +499,7 @@ let test_event_stream_pin () =
               List.filter_map
                 (fun (e : Probe.event) ->
                   if String.equal e.Probe.op op then
-                    (* The serializer names its queue after the op. *)
-                    let site =
-                      if e.Probe.site = "serializer.q:" ^ op ^ "q" then
-                        "serializer.q:"
-                      else e.Probe.site
-                    in
-                    Some (Probe.kind_to_string e.Probe.kind, site)
+                    Some (Probe.kind_to_string e.Probe.kind, e.Probe.site)
                   else None)
                 events
             in

@@ -1,7 +1,9 @@
 (* The benchmark harness: regenerates the qualitative and
    micro-benchmark evaluation artifacts (DESIGN.md experiment index;
-   E1-E19 plus the E21 probe micro-costs) in one run. The E20 grid is
-   the perf axis (`bloom_eval axis perf --full`, behind BENCH_E20.json).
+   E1-E19 except E17, whose verdicts are DPOR certifications in
+   test/test_dpor.ml, plus the E21 probe micro-costs) in one run. The
+   E20 grid is the perf axis (`bloom_eval axis perf --full`, behind
+   BENCH_E20.json).
 
    Part A reprints the qualitative results the paper reports (anomaly
    E1/E2, matrices E3-E5, conformance E6) — computed, not asserted.
@@ -597,21 +599,11 @@ let bench_fastpath () =
           Sync_resources.Fastring.put fring 1;
           ignore (Sync_resources.Fastring.get fring))) ]
 
-let bench_model_proofs () =
-  section "E17: staged scenarios model-checked over ALL interleavings";
-  List.iter
-    (fun (name, v) ->
-      Printf.printf "%-28s states=%-5d holds=%b  %s\n%!" name
-        v.Sync_model.Scenarios.states v.Sync_model.Scenarios.holds
-        v.Sync_model.Scenarios.detail)
-    (Sync_model.Scenarios.all ())
-
 let () =
   print_endline
     "Bloom (SOSP'79) 'Evaluating Synchronization Mechanisms' — full \
      experiment regeneration";
   part_a ();
-  bench_model_proofs ();
   bench_overhead ();
   bench_engines ();
   bench_two_stage ();

@@ -594,22 +594,6 @@ let paths_cmd =
   in
   Cmd.v (Cmd.info "paths" ~doc) Term.(const run $ src)
 
-let model_cmd =
-  let doc =
-    "Exhaustively model-check the staged scenarios over ALL interleavings      (experiment E17): the Figure 1 anomaly is unavoidable; the monitor      readers-priority handoff is schedule-independent; flipping the      release-site signal provably flips the outcome."
-  in
-  let run () =
-    let ok = ref true in
-    List.iter
-      (fun (name, v) ->
-        if not v.Sync_model.Scenarios.holds then ok := false;
-        Format.fprintf ppf "%-28s states=%-5d %s@." name
-          v.Sync_model.Scenarios.states v.Sync_model.Scenarios.detail)
-      (Sync_model.Scenarios.all ());
-    if not !ok then exit 1
-  in
-  Cmd.v (Cmd.info "model" ~doc) Term.(const run $ const ())
-
 let nested_cmd =
   let doc =
     "Demonstrate the nested-monitor-call problem (experiment E11): the \
@@ -652,7 +636,13 @@ let nested_cmd =
 
 let explore_cmd =
   let doc =
-    "Explore deterministic schedules of a scenario (E18): run the real      mechanism implementation under controlled interleavings with a seeded      random walk, PCT priority fuzzing, or bounded exhaustive DFS. Failing      schedules print their seed and schedule string and shrink to a minimal      counterexample; with no SCENARIO, lists the catalog."
+    "Explore deterministic schedules of a scenario (E18): run the real \
+     mechanism implementation under controlled interleavings with a seeded \
+     random walk, PCT priority fuzzing, bounded exhaustive DFS, or DPOR \
+     (one schedule per dependency-equivalence class; a complete run \
+     certifies every class, E17/E26). Failing schedules print their seed \
+     and schedule string and shrink to a minimal counterexample; with no \
+     SCENARIO, lists the catalog."
   in
   let open Sync_detsched in
   let scenario_arg =
@@ -685,7 +675,10 @@ let explore_cmd =
   in
   let max_schedules =
     Arg.(value & opt int 10_000 & info [ "max-schedules" ] ~docv:"N"
-           ~doc:"Schedule budget for dfs.")
+           ~doc:"Schedule budget for dfs and dpor. The default is too \
+                 small to complete the largest catalog entries: re-certify \
+                 with e.g. $(b,explore rw-mon --dpor --max-schedules \
+                 2000000).")
   in
   let replay_arg =
     Arg.(value & opt (some string) None
@@ -701,7 +694,8 @@ let explore_cmd =
           e.scen.Detsched.descr
           (match e.expect with
           | Scenarios.Pass -> "expected: pass"
-          | Scenarios.Fail -> "expected: failing schedules exist"))
+          | Scenarios.Fail -> "expected: failing schedules exist"
+          | Scenarios.Always_fail -> "expected: every schedule fails"))
       Scenarios.all
   in
   let report_failure sc seed v =
@@ -779,17 +773,17 @@ let explore_cmd =
           let r = Detsched.explore_dpor ~max_schedules ~workers sc in
           Format.fprintf ppf
             "%s: %d schedules explored (%s), deepest %d decisions, %d \
-             races, %d workers, %.0f sched/s@."
+             races, %d redundant, %d workers, %.0f sched/s@."
             name r.Detsched.explored
             (if r.Detsched.complete then "complete: every equivalence class"
              else "budget hit")
-            r.Detsched.deepest r.Detsched.races r.Detsched.workers
-            r.Detsched.per_sec;
+            r.Detsched.deepest r.Detsched.races r.Detsched.redundant
+            r.Detsched.workers r.Detsched.per_sec;
           match r.Detsched.failures with
           | [] -> Format.fprintf ppf "no failing schedule@."
           | fs ->
             Format.fprintf ppf "%d failing schedule(s), first:@."
-              (List.length fs);
+              r.Detsched.failed;
             let sched, msg = List.hd fs in
             Format.fprintf ppf "  %s@.  %s@."
               (Detsched.Schedule.to_string sched)
@@ -814,5 +808,5 @@ let () =
        (Cmd.group info
           [ list_cmd; matrix_cmd; independence_cmd; modularity_cmd;
             conformance_cmd; scorecard_cmd; axis_cmd; anomaly_cmd; run_cmd;
-            paths_cmd; trace_cmd; model_cmd; nested_cmd; explore_cmd;
+            paths_cmd; trace_cmd; nested_cmd; explore_cmd;
             load_cmd ]))

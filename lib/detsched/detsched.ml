@@ -361,6 +361,7 @@ type dpor_report = {
   explored : int;
   complete : bool;
   failures : (Schedule.t * string) list;
+  failed : int;
   deepest : int;
   races : int;
   redundant : int;
@@ -723,7 +724,7 @@ module Dpor = struct
     mutable a_explored : int;
     mutable a_complete : bool;
     mutable a_failures : (Schedule.t * string) list; (* newest first *)
-    mutable a_nfail : int;
+    mutable a_failed : int; (* every failing run, recorded or not *)
     mutable a_deepest : int;
     mutable a_races : int;
     mutable a_redundant : int;
@@ -736,7 +737,7 @@ module Dpor = struct
   let explore_from ?max_steps ~max_schedules ~max_failures ~pin ~budget sc
       init_stack =
     let a =
-      { a_explored = 0; a_complete = true; a_failures = []; a_nfail = 0;
+      { a_explored = 0; a_complete = true; a_failures = []; a_failed = 0;
         a_deepest = 0; a_races = 0; a_redundant = 0 }
     in
     let stack = ref init_stack in
@@ -753,10 +754,11 @@ module Dpor = struct
         a.a_redundant <- a.a_redundant + red;
         a.a_deepest <- max a.a_deepest (Array.length v.outcome.schedule);
         (match v.verdict with
-        | Error m when a.a_nfail < max_failures ->
-          a.a_failures <- (v.outcome.schedule, m) :: a.a_failures;
-          a.a_nfail <- a.a_nfail + 1
-        | _ -> ());
+        | Error m ->
+          a.a_failed <- a.a_failed + 1;
+          if a.a_failed <= max_failures then
+            a.a_failures <- (v.outcome.schedule, m) :: a.a_failures
+        | Ok () -> ());
         a.a_races <- a.a_races + analyze ~pin h ~fresh_from frames quanta;
         let next_stack = ref None in
         let i = ref (Array.length frames - 1) in
@@ -795,10 +797,14 @@ end
 let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
     ?(workers = 1) sc =
   let t0 = Clock.now_ns () in
-  let finish ~probe ~workers accs =
-    let explored = ref probe in
+  (* [probe]: the sharded search's probe run, counted like any other *)
+  let finish ?probe ~workers accs =
+    let explored = ref (if Option.is_some probe then 1 else 0) in
     let complete = ref true in
     let failures = ref [] in
+    let failed =
+      ref (match probe with Some v when not (verdict_ok v) -> 1 | _ -> 0)
+    in
     let deepest = ref 0 in
     let races = ref 0 in
     let redundant = ref 0 in
@@ -807,6 +813,7 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
         explored := !explored + a.a_explored;
         complete := !complete && a.a_complete;
         failures := !failures @ List.rev a.a_failures;
+        failed := !failed + a.a_failed;
         deepest := max !deepest a.a_deepest;
         races := !races + a.a_races;
         redundant := !redundant + a.a_redundant)
@@ -820,6 +827,7 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
     { explored = !explored;
       complete = !complete;
       failures;
+      failed = !failed;
       deepest = !deepest;
       races = !races;
       redundant = !redundant;
@@ -833,7 +841,7 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
       Dpor.explore_from ?max_steps ~max_schedules ~max_failures ~pin:0 ~budget
         sc [||]
     in
-    finish ~probe:0 ~workers:1 [ a ]
+    finish ~workers:1 [ a ]
   else begin
     (* Probe run: discover the top-level frontier, then hand each root
        candidate to a shard with that first decision pinned. The root is
@@ -848,10 +856,11 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
             (match v0.verdict with
             | Error m -> [ (v0.outcome.schedule, m) ]
             | Ok () -> []);
-          a_nfail = 0; a_deepest = Array.length v0.outcome.schedule;
+          a_failed = (if verdict_ok v0 then 0 else 1);
+          a_deepest = Array.length v0.outcome.schedule;
           a_races = 0; a_redundant = 0 }
       in
-      finish ~probe:0 ~workers:1 [ a ]
+      finish ~workers:1 [ a ]
     else begin
       let root = frames0.(0) in
       let shards =
@@ -885,6 +894,6 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
       in
       List.iter Process.join handles;
       let accs = Array.to_list results |> List.filter_map Fun.id in
-      finish ~probe:1 ~workers:nw accs
+      finish ~probe:v0 ~workers:nw accs
     end
   end

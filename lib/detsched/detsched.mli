@@ -138,6 +138,9 @@ type dpor_report = {
       (** every Mazurkiewicz-trace equivalence class was covered (subject
           to [max_steps], like DFS) *)
   failures : (Schedule.t * string) list;  (** capped at [max_failures] *)
+  failed : int;
+      (** explored runs that failed, uncapped: equals [explored] when every
+          class fails *)
   deepest : int;
   races : int;  (** reversible races that planted backtrack points *)
   redundant : int;

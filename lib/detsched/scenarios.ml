@@ -3,11 +3,12 @@
    body, so the mechanism's mutexes and conditions are virtual; each
    check feeds the recorded trace to the existing [sync_problems]
    checkers. [expect] records whether exploration is supposed to find
-   failing schedules — [Fail] entries are the reproduced anomalies. *)
+   failing schedules — [Fail] entries are the reproduced anomalies, and
+   [Always_fail] ones are anomalies no schedule avoids. *)
 
 open Sync_problems
 
-type expectation = Pass | Fail
+type expectation = Pass | Fail | Always_fail
 
 type entry = { scen : Detsched.t; expect : expectation }
 
@@ -35,10 +36,12 @@ let bb_sized name (module B : Bb_intf.S) ~capacity ~producers ~consumers
 
 let bb name m = bb_sized name m ~capacity:2 ~producers:2 ~consumers:2 ~items:3
 
-let rw_handoff name (module S : Rw_intf.S) =
+let rw_handoff ?(variant = "") name (module S : Rw_intf.S) =
   Detsched.scenario ~name
     ~descr:
-      (Printf.sprintf "footnote-3 writer handoff (%s, %s policy)" S.mechanism
+      (Printf.sprintf "footnote-3 writer handoff (%s%s, %s policy)"
+         S.mechanism
+         (if variant = "" then "" else ", " ^ variant)
          (Rw_intf.policy_to_string S.policy))
     (fun () ->
       let got = ref None in
@@ -51,22 +54,71 @@ let rw_handoff name (module S : Rw_intf.S) =
             | None -> Error "scenario body did not run"
             | Some r -> Rw_harness.det_check_writer_handoff (module S) r) })
 
-let fcfs name (module S : Fcfs_intf.S) ~variant =
+let fcfs name (module S : Fcfs_intf.S) ~variant ~users =
   Detsched.scenario ~name
     ~descr:
       (Printf.sprintf
-         "FCFS drain order (%s%s): gated holder, 4 contenders queued in order"
+         "FCFS drain order (%s%s): gated holder, %d contenders queued in order"
          S.mechanism
-         (if variant = "" then "" else ", " ^ variant))
+         (if variant = "" then "" else ", " ^ variant)
+         users)
     (fun () ->
       let report = ref None in
       { Detsched.body =
-          (fun () -> report := Some (Fcfs_harness.det_run (module S) ~users:4 ()));
+          (fun () -> report := Some (Fcfs_harness.det_run (module S) ~users ()));
         check =
           (fun () ->
             match !report with
             | None -> Error "scenario body did not run"
             | Some r -> Fcfs_harness.check r) })
+
+(* Hoare's no-barging guarantee on the real monitor: W waits on [c];
+   once it is parked, S deposits a token and signals while a thief T
+   enters and takes any token it sees. Signal-and-wait hands the monitor
+   straight to W, so W sees the token on every schedule; under
+   signal-and-continue T can enter between the signal and W's re-entry
+   and W, which does not re-test, sees the token gone. *)
+let no_barging name discipline =
+  let open Sync_platform in
+  let open Sync_monitor in
+  Detsched.scenario ~name
+    ~descr:
+      (Printf.sprintf
+         "no barging (%s monitor): a signalled waiter sees the token its \
+          signaller left, despite a thief at the entry"
+         (match discipline with `Hoare -> "Hoare" | `Mesa -> "Mesa"))
+    (fun () ->
+      let saw = ref None in
+      { Detsched.body =
+          (fun () ->
+            let m = Monitor.create ~discipline () in
+            let c = Monitor.Cond.create m in
+            let token = ref 0 in
+            let waiter =
+              Detrt.spawn ~name:"W" (fun () ->
+                  Monitor.with_monitor m (fun () ->
+                      Monitor.Cond.wait c;
+                      saw := Some !token))
+            in
+            Detrt.await_quiescence ();
+            let signaller =
+              Detrt.spawn ~name:"S" (fun () ->
+                  Monitor.with_monitor m (fun () ->
+                      token := 1;
+                      Monitor.Cond.signal c))
+            in
+            let thief =
+              Detrt.spawn ~name:"T" (fun () ->
+                  Monitor.with_monitor m (fun () ->
+                      if !token = 1 then token := 0))
+            in
+            List.iter Detrt.join [ waiter; signaller; thief ]);
+        check =
+          (fun () ->
+            match !saw with
+            | Some 1 -> Ok ()
+            | Some n -> Error (Printf.sprintf "waiter saw %d" n)
+            | None -> Error "waiter never resumed") })
 
 (* Readers-writers exclusion under the full stress mix: every reader and
    writer goes through the self-checking store, so the scenario machine-
@@ -474,6 +526,17 @@ let deadlock =
             Detrt.join t2);
         check = (fun () -> Ok ()) })
 
+(* The monitor readers-priority solution with only its release-site
+   signal choice reversed: it still claims readers priority, and the
+   handoff scenario shows the claim now fails on every schedule. *)
+module Rw_mon_flip = Rw_mon.Make_readers_prio (struct
+  let discipline = `Hoare
+
+  let variant = "readers-priority-flipped"
+
+  let readers_first = false
+end)
+
 let all : entry list =
   [ { scen = bb "bb-sem" (module Bb_sem); expect = Pass };
     { scen = bb "bb-mon" (module Bb_mon); expect = Pass };
@@ -486,15 +549,29 @@ let all : entry list =
           ~writers:1 ~ops:1;
       expect = Pass };
     { scen = storm_bb_sem (); expect = Pass };
-    { scen = rw_handoff "rw-fig1" (module Rw_path.Fig1); expect = Fail };
+    { scen = rw_handoff "rw-fig1" (module Rw_path.Fig1); expect = Always_fail };
     { scen = rw_handoff "rw-fig2" (module Rw_path.Fig2); expect = Pass };
+    { scen = rw_handoff "rw-sem" (module Rw_sem.Readers_prio);
+      expect = Always_fail };
+    { scen =
+        rw_handoff "rw-sem-baton" ~variant:"baton"
+          (module Rw_sem.Readers_prio_baton);
+      expect = Pass };
     { scen = rw_handoff "rw-mon" (module Rw_mon.Readers_prio); expect = Pass };
+    { scen =
+        rw_handoff "rw-mon-flip" ~variant:"release-site signal reversed"
+          (module Rw_mon_flip);
+      expect = Always_fail };
     { scen = rw_handoff "rw-ser" (module Rw_ser.Readers_prio); expect = Pass };
-    { scen = fcfs "fcfs-mon-hoare" (module Fcfs_mon) ~variant:"hoare";
+    { scen = no_barging "mon-no-barging" `Hoare; expect = Pass };
+    { scen = no_barging "mon-no-barging-mesa" `Mesa; expect = Fail };
+    { scen = fcfs "fcfs-mon-hoare" (module Fcfs_mon) ~variant:"hoare" ~users:4;
       expect = Pass };
-    { scen = fcfs "fcfs-mon-mesa" (module Fcfs_mon.Mesa) ~variant:"mesa";
+    { scen = fcfs "fcfs-mon-mesa" (module Fcfs_mon.Mesa) ~variant:"mesa" ~users:4;
       expect = Pass };
-    { scen = fcfs "fcfs-sem" (module Fcfs_sem) ~variant:""; expect = Pass };
+    { scen = fcfs "fcfs-sem" (module Fcfs_sem) ~variant:"" ~users:4; expect = Pass };
+    { scen = fcfs "fcfs-sem-3u" (module Fcfs_sem) ~variant:"" ~users:3;
+      expect = Pass };
     { scen = bakery_excl ~tasks:2 ~rounds:1; expect = Pass };
     { scen = ticket_excl ~tasks:2 ~rounds:2; expect = Pass };
     { scen = mcs_excl ~tasks:2 ~rounds:1; expect = Pass };

@@ -2,11 +2,15 @@
     implementations: bounded buffer (semaphore, monitor), the footnote-3
     writer-handoff situation (Figure 1 and 2 path expressions, monitor,
     serializer), FCFS drain order (Hoare monitor, Mesa ticket monitor,
-    semaphore queue), and a deliberate lock-order-inversion deadlock.
-    Entries marked [Fail] are the reproduced anomalies — exploration is
-    expected to find failing schedules there and nowhere else. *)
+    semaphore queue), Hoare no-barging against its Mesa control, and a
+    deliberate lock-order-inversion deadlock. Entries marked [Fail] or
+    [Always_fail] are the reproduced anomalies — exploration is expected
+    to find failing schedules there and nowhere else. *)
 
-type expectation = Pass | Fail
+type expectation =
+  | Pass  (** no schedule fails *)
+  | Fail  (** some schedule fails *)
+  | Always_fail  (** every schedule fails: no interleaving avoids it *)
 
 type entry = { scen : Detsched.t; expect : expectation }
 

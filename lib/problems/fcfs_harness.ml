@@ -6,7 +6,8 @@
     queue instead: a distinguished {e holder} occupies the resource
     (its resource body blocks on a latch), the driver then launches the
     contenders one at a time — recording each [Request] itself, in launch
-    order, and giving each a settle delay to park — and finally releases
+    order, waiting until each is running and then giving it a settle
+    delay to park — and finally releases
     the holder. The checker requires the drain order to equal the launch
     order, plus mutual exclusion from both the trace and the resource's
     own overlap check. *)
@@ -16,6 +17,20 @@ open Sync_platform
 type report = { trace : Trace.event list }
 
 let holder_pid = 999
+
+(* Spawn [f] on a thread and return once it is running, so the settle
+   delay after it only has to cover the few steps from there to parking
+   in the mechanism, not the thread's start-up, which a loaded machine
+   can stretch past any fixed delay. *)
+let spawn_started f =
+  let started = Latch.create 1 in
+  let p =
+    Process.spawn ~backend:`Thread (fun () ->
+        Latch.arrive started;
+        f ())
+  in
+  Latch.wait started;
+  p
 
 let run (module S : Fcfs_intf.S) ?(users = 5) ?(rounds = 3) ?(work = 100)
     ?settle () =
@@ -42,16 +57,12 @@ let run (module S : Fcfs_intf.S) ?(users = 5) ?(rounds = 3) ?(work = 100)
     (fun () ->
       for _ = 1 to rounds do
         gate := Latch.create 1;
-        let holder = Process.spawn ~backend:`Thread (fun () ->
-            S.use t ~pid:holder_pid)
-        in
+        let holder = spawn_started (fun () -> S.use t ~pid:holder_pid) in
         Thread.delay settle;
         let contenders =
           List.init users (fun pid ->
               Trace.record trace ~pid ~op:"use" ~phase:Trace.Request ();
-              let c = Process.spawn ~backend:`Thread (fun () ->
-                  S.use t ~pid)
-              in
+              let c = spawn_started (fun () -> S.use t ~pid) in
               Thread.delay settle;
               c)
         in
@@ -132,7 +143,7 @@ let run_abort (module S : Fcfs_intf.S) ?(users = 5) ?settle () =
     ~finally:(fun () -> try S.stop t with _ -> ())
     (fun () ->
       let holder =
-        Process.spawn ~backend:`Thread (fun () ->
+        spawn_started (fun () ->
             try S.use t ~pid:holder_pid
             with Sync_csp.Csp.Poisoned _ -> Atomic.set poisoned true)
       in
@@ -141,7 +152,7 @@ let run_abort (module S : Fcfs_intf.S) ?(users = 5) ?settle () =
         List.init users (fun pid ->
             Trace.record trace ~pid ~op:"use" ~phase:Trace.Request ();
             let c =
-              Process.spawn ~backend:`Thread (fun () ->
+              spawn_started (fun () ->
                   match S.use t ~pid with
                   | () -> ()
                   | exception Fault.Injected _ -> Atomic.incr aborted

@@ -15,10 +15,20 @@
 open Sync_monitor
 open Sync_taxonomy
 
+(* A reader's cascade signal runs after [readers] already counts it, so it
+   must not abort: the signaller's urgent wait is a fault site, and an
+   abort there would leave the count raised with no read to lower it, so
+   writers would wait forever. *)
+let cascade c = Sync_platform.Fault.mask (fun () -> Monitor.Cond.signal c)
+
 module Make_readers_prio (D : sig
   val discipline : Monitor.discipline
 
   val variant : string
+
+  val readers_first : bool
+  (** The release-site choice: [false] reverses it (writers first), the
+      one-line edit that turns the policy around. *)
 end) =
 struct
   type t = {
@@ -51,11 +61,15 @@ struct
         done;
         t.readers <- t.readers + 1;
         (* Chain-admit the next queued reader (Hoare's cascade). *)
-        Monitor.Cond.signal t.oktoread)
+        cascade t.oktoread)
       ~after:(fun () ->
         t.readers <- t.readers - 1;
         if t.readers = 0 then Monitor.Cond.signal t.oktowrite)
       (fun () -> t.res_read ~pid)
+
+  let signal_first c ~else_ =
+    if Monitor.Cond.queue c then Monitor.Cond.signal c
+    else Monitor.Cond.signal else_
 
   let write t ~pid =
     Protected.access t.mon
@@ -67,8 +81,8 @@ struct
       ~after:(fun () ->
         t.writing <- false;
         (* Readers first: the priority constraint lives in this line. *)
-        if Monitor.Cond.queue t.oktoread then Monitor.Cond.signal t.oktoread
-        else Monitor.Cond.signal t.oktowrite)
+        if D.readers_first then signal_first t.oktoread ~else_:t.oktowrite
+        else signal_first t.oktowrite ~else_:t.oktoread)
       (fun () -> t.res_write ~pid)
 
   let stop _ = ()
@@ -80,8 +94,10 @@ struct
            [ "readers"; "writing"; "while writing wait(oktoread)";
              "while writing||readers>0 wait(oktowrite)" ]);
           ("rw-priority",
-           [ "if queue(oktoread) signal(oktoread) else signal(oktowrite)" ])
-        ]
+           [ (if D.readers_first then
+                "if queue(oktoread) signal(oktoread) else signal(oktowrite)"
+              else "if queue(oktowrite) signal(oktowrite) else signal(oktoread)")
+           ]) ]
       ~info_access:
         [ (Info.Request_type, Meta.Direct); (Info.Sync_state, Meta.Indirect) ]
       ~aux_state:[ "readers count"; "writing flag" ]
@@ -92,6 +108,8 @@ module Readers_prio = Make_readers_prio (struct
   let discipline = `Hoare
 
   let variant = Rw_intf.policy_to_string Rw_intf.Readers_priority
+
+  let readers_first = true
 end)
 
 (* Discipline ablation: the identical synchronizer under Mesa
@@ -102,6 +120,8 @@ module Readers_prio_mesa = Make_readers_prio (struct
   let discipline = `Mesa
 
   let variant = "readers-priority-mesa"
+
+  let readers_first = true
 end)
 
 module Writers_prio = struct
@@ -134,7 +154,7 @@ module Writers_prio = struct
           Monitor.Cond.wait t.oktoread
         done;
         t.readers <- t.readers + 1;
-        Monitor.Cond.signal t.oktoread)
+        cascade t.oktoread)
       ~after:(fun () ->
         t.readers <- t.readers - 1;
         if t.readers = 0 then Monitor.Cond.signal t.oktowrite)

@@ -125,12 +125,16 @@ let catalog_case (e : Scenarios.entry) () =
       | Scenarios.Pass ->
         check_result (Printf.sprintf "%s seed %d" name seed)
           v1.Detsched.verdict
+      | Scenarios.Always_fail ->
+        if Detsched.verdict_ok v1 then
+          Alcotest.failf "%s seed %d: passed, but every schedule must fail"
+            name seed
       | Scenarios.Fail -> ())
     [ 1; 2; 3 ];
   (* [Fail] means exploration is supposed to find failing schedules —
      not that any particular seed fails. *)
   match e.Scenarios.expect with
-  | Scenarios.Pass -> ()
+  | Scenarios.Pass | Scenarios.Always_fail -> ()
   | Scenarios.Fail -> (
     match (Detsched.sample ~runs:50 e.Scenarios.scen).Detsched.failure with
     | Some _ -> ()

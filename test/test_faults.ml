@@ -1,5 +1,6 @@
 (* Fault-injection regression tests (E19, tier 1 in the small): an
-   abort-matrix smoke over the bounded buffer, a seeded failing schedule
+   abort-matrix smoke over the bounded buffer, the readers-priority
+   monitor's reader cascade under aborts, a seeded failing schedule
    reproduced and replayed byte-for-byte, and the deadlock watchdog
    naming the AB/BA cycle. The full matrix runs as [bloom_eval axis
    robustness]. *)
@@ -42,6 +43,36 @@ let test_abort_smoke () =
 
 (* ------------------------------------------------------------------ *)
 (* Seeded failing schedule: reproduce, then replay byte-for-byte       *)
+
+(* Readers-priority monitor under aborts at every fourth pre-wait: a
+   reader that has raised [readers] then cascade-signals the next one,
+   and that signal's urgent wait is a pre-wait site. An abort there used
+   to leave the count raised, and the writers parked forever. *)
+let rw_mon_aborts =
+  D.scenario ~name:"rw-mon-aborts" ~descr:"readers-priority monitor, 3r/2w"
+    (fun () ->
+      let report = ref None in
+      let plan = Fault.plan [ ("waitq.pre-wait", Fault.Every 4) ] in
+      { D.body =
+          (fun () ->
+            report :=
+              Some
+                (Fault.with_plan plan (fun () ->
+                     Sync_problems.Rw_harness.run_abort
+                       (module Sync_problems.Rw_mon.Readers_prio)
+                       ~backend:`Det ~readers:3 ~writers:2 ~reads_each:2
+                       ~writes_each:2 ())));
+        check =
+          (fun () ->
+            match !report with
+            | None -> Error "scenario body did not run"
+            | Some r -> Sync_problems.Rw_harness.check_abort r) })
+
+let test_rw_mon_cascade () =
+  match (D.sample ~runs:100 rw_mon_aborts).D.failure with
+  | None -> ()
+  | Some (seed, v) ->
+    Alcotest.failf "seed %d: %s" seed (D.verdict_message v)
 
 (* A deliberately non-compensating holder: the injected abort lands
    between P and V and the token is never returned, so the second worker
@@ -113,7 +144,9 @@ let test_watchdog_names_abba () =
 let () =
   Alcotest.run "faults"
     [ ( "abort-matrix",
-        [ Alcotest.test_case "bounded-buffer smoke" `Quick test_abort_smoke ] );
+        [ Alcotest.test_case "bounded-buffer smoke" `Quick test_abort_smoke;
+          Alcotest.test_case "rw monitor reader cascade" `Quick
+            test_rw_mon_cascade ] );
       ( "replay",
         [ Alcotest.test_case "seeded failure replays byte-for-byte" `Quick
             test_seeded_failure_replays ] );

@@ -278,13 +278,15 @@ let bench_rw_throughput () =
   run "ccr fcfs" (module Sync_problems.Rw_ccr.Fcfs)
 
 let bench_starvation () =
-  section
-    "E16: writer starvation under a continuous overlapping reader stream";
+  section "E16: writer starvation (staged reader relay)";
+  print_endline
+    "Staging: R1 reading; W queues; each next reader arrives before the \
+     previous one leaves.";
   let show name m =
     Printf.printf "%-36s -> %s\n%!" name
       (if Sync_problems.Rw_harness.scenario_writer_starvation m then
-         "writer STARVED for the whole stream"
-       else "writer admitted promptly")
+         "writer STARVED: admitted after every reader"
+       else "writer admitted as soon as R1 left")
   in
   show "monitor readers-priority" (module Sync_problems.Rw_mon.Readers_prio);
   show "monitor fcfs" (module Sync_problems.Rw_mon.Fcfs);
@@ -294,6 +296,15 @@ let bench_starvation () =
   show "serializer fcfs" (module Sync_problems.Rw_ser.Fcfs);
   show "ccr readers-priority" (module Sync_problems.Rw_ccr.Readers_prio);
   show "ccr fcfs" (module Sync_problems.Rw_ccr.Fcfs);
+  show "semaphore Courtois problem 1"
+    (module Sync_problems.Rw_sem.Readers_prio);
+  show "semaphore baton readers-priority"
+    (module Sync_problems.Rw_sem.Readers_prio_baton);
+  show "semaphore writers-priority" (module Sync_problems.Rw_sem.Writers_prio);
+  show "pathexpr Figure 1" (module Sync_problems.Rw_path.Fig1);
+  show "pathexpr Figure 2" (module Sync_problems.Rw_path.Fig2);
+  show "csp readers-priority" (module Sync_problems.Rw_csp.Readers_prio);
+  show "csp fcfs" (module Sync_problems.Rw_csp.Fcfs);
   print_endline
     "(the paper, of readers-priority: 'This specification allows writers \
      to starve.')"

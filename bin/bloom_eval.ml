@@ -541,7 +541,8 @@ let trace_cmd =
       exit 2
     | Some m ->
       let outcome, events =
-        Sync_problems.Rw_harness.scenario_writer_handoff_trace m
+        Sync_problems.Staged.run ~seed:0
+          (Sync_problems.Rw_harness.det_scenario_writer_handoff m)
       in
       List.iter
         (fun e -> Format.fprintf ppf "%a@." Sync_platform.Trace.pp_event e)

@@ -34,8 +34,9 @@ let () =
   print_endline "";
   print_endline "-- staged batch: the exact elevator order --";
   let order, expected, _events =
-    Disk_harness.run_staged (module Disk_mon) ~head:50
-      ~batch:[ 10; 60; 55; 20; 90; 5; 75 ] ()
+    Staged.run ~seed:0
+      (Disk_harness.run_staged (module Disk_mon) ~head:50
+         ~batch:[ 10; 60; 55; 20; 90; 5; 75 ])
   in
   Printf.printf "head at 50, pending [10;60;55;20;90;5;75]\n";
   Printf.printf "served:   [%s]\n"

@@ -16,8 +16,13 @@
 
 open Sync_problems
 
-(* A "mechanism" that serializes everything. *)
+(* A "mechanism" that serializes everything. It locks the platform
+   mutex, as every mechanism should: the staged scenarios run on the
+   deterministic runtime, which can only schedule around primitives it
+   knows. *)
 module Big_lock : Rw_intf.S = struct
+  open Sync_platform
+
   type t = {
     lock : Mutex.t;
     res_read : pid:int -> int;

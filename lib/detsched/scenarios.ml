@@ -65,7 +65,7 @@ let fcfs name (module S : Fcfs_intf.S) ~variant ~users =
     (fun () ->
       let report = ref None in
       { Detsched.body =
-          (fun () -> report := Some (Fcfs_harness.det_run (module S) ~users ()));
+          (fun () -> report := Some (Fcfs_harness.run (module S) ~users ()));
         check =
           (fun () ->
             match !report with

@@ -1,10 +1,12 @@
 (* The robustness axis (E19): how each mechanism behaves when the code it
    synchronizes fails. Two scenario families per mechanism x problem cell:
 
-   - {e aborts} (real threads): deterministic fault plans inject
-     exceptions into operation bodies, blocking entries and wakeup paths;
-     the existing trace checkers must still pass on the surviving
-     operations.
+   - {e aborts}: deterministic fault plans inject exceptions into
+     operation bodies, blocking entries and wakeup paths; the existing
+     trace checkers must still pass on the surviving operations. The
+     bounded-buffer and readers-writers mixes run on real threads; the
+     FCFS round is staged, so it runs on the deterministic runtime, once
+     per {!Sync_problems.Staged} seed.
    - {e storms} (deterministic runtime): high-rate probabilistic
      cancellation at every blocking site, explored over seeded random
      schedules and — for the smallest instance — bounded-exhaustive DFS,
@@ -106,11 +108,10 @@ let fcfs_aborts (mechanism, (module S : Fcfs_intf.S)) =
   row_of_plans ~mechanism ~problem:"fcfs"
     (abort_plans ~body_sites:[ "fcfs.use.body" ])
     (fun plan ->
-      let r =
-        Fault.with_plan plan (fun () ->
-            Fcfs_harness.run_abort (module S) ~users:5 ())
-      in
-      Fcfs_harness.check_abort r)
+      Staged.check (fun () ->
+          Fcfs_harness.check_abort
+            (Fault.with_plan plan (fun () ->
+                 Fcfs_harness.run_abort (module S) ~users:5 ()))))
 
 let evc_row problem =
   { mechanism = "eventcount"; problem; scenario = "aborts";
@@ -304,9 +305,10 @@ let fcfs_solutions : (string * (module Fcfs_intf.S)) list =
     ("serializer", (module Fcfs_ser)); ("pathexpr", (module Fcfs_path));
     ("csp", (module Fcfs_csp)); ("ccr", (module Fcfs_ccr)) ]
 
-(* CSP's server runs on a real thread (see bb_csp.ml), so it cannot join
-   the deterministic-runtime storms; its cancellation behaviour is covered
-   by the threaded abort matrix above. *)
+(* CSP's server would run as a virtual task like any other process (a
+   spawn inside a deterministic run is always [`Det]), but the storms
+   keep to the five mechanisms they were sized for; CSP's cancellation
+   behaviour is covered by the abort matrix above. *)
 let det_storm_solutions : (string * (module Bb_intf.S)) list =
   [ ("semaphore", (module Bb_sem)); ("monitor", (module Bb_mon));
     ("serializer", (module Bb_ser)); ("pathexpr", (module Bb_path));

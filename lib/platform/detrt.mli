@@ -108,9 +108,9 @@ val self_info : unit -> (int * string) option
     Also registered as the {!Deadlock} watchdog's task provider. *)
 
 val await_quiescence : unit -> unit
-(** Park the calling task until no other task is runnable — the
-    deterministic replacement for the stress harnesses' settle delays:
-    "everyone else has either finished or parked". *)
+(** Park the calling task until no other task is runnable — how the
+    staged harnesses know their contenders are in place: "everyone else
+    has either finished or parked". *)
 
 val task_tid : task -> int
 

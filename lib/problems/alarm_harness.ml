@@ -1,40 +1,31 @@
 (** Workload driver and checker for the alarm clock.
 
-    The driver registers a batch of sleepers at virtual time 0 (staggered
-    with settle delays so registration completes before the first tick),
-    then advances the clock one tick at a time. After every tick it waits
-    for exactly the sleepers whose deadlines have passed and verifies no
-    other sleeper woke early — an exact, deterministic conformance check
-    of both constraints (wake no earlier than the deadline; deadline
-    order respected tick by tick). Each sleep is also recorded as a trace
-    interval ([Enter] before [wakeme], [Exit] on return) and the trace is
-    checked for well-formedness. *)
+    The driver runs on the deterministic runtime ({!Staged}). It
+    registers a batch of sleepers at virtual time 0, each left to park
+    before the next is spawned, so registration completes before the
+    first tick. It then advances the clock one tick at a time and waits
+    for quiescence after each tick: exactly the sleepers whose deadlines
+    have passed must have returned by then — an exact, deterministic
+    conformance check of both constraints (wake no earlier than the
+    deadline; deadline order respected tick by tick). Each sleep is also
+    recorded as a trace interval ([Enter] before [wakeme], [Exit] on
+    return) and the trace is checked for well-formedness. *)
 
 open Sync_platform
 
+(* The staged batch. Must be called inside a [Detrt.run] body. On a
+   failed check it returns at once, leaving unwoken sleepers parked;
+   {!Staged.check} reports the verdict. *)
 let run_exact (module S : Alarm_intf.S) ?(durations = [ 3; 1; 4; 1; 5; 9; 2 ])
-    ?settle () =
-  let settle =
-    match settle with
-    | Some s -> s
-    | None -> Testwait.settle_s ~default:0.01 ()
-  in
+    () =
   let trace = Trace.create () in
   let t = S.create () in
-  let n = List.length durations in
-  let done_ = Array.make n false in
-  let done_lock = Mutex.create () in
-  let is_done i =
-    Mutex.lock done_lock;
-    let d = done_.(i) in
-    Mutex.unlock done_lock;
-    d
-  in
+  let woke = Array.make (List.length durations) false in
   let sleepers =
     List.mapi
       (fun i dur ->
         let p =
-          Process.spawn ~backend:`Thread (fun () ->
+          Process.spawn (fun () ->
               Trace.record trace ~pid:i ~op:"sleep" ~phase:Trace.Request
                 ~arg:dur ();
               Trace.record trace ~pid:i ~op:"sleep" ~phase:Trace.Enter ~arg:dur
@@ -42,75 +33,61 @@ let run_exact (module S : Alarm_intf.S) ?(durations = [ 3; 1; 4; 1; 5; 9; 2 ])
               S.wakeme t ~pid:i dur;
               Trace.record trace ~pid:i ~op:"sleep" ~phase:Trace.Exit ~arg:dur
                 ();
-              Mutex.lock done_lock;
-              done_.(i) <- true;
-              Mutex.unlock done_lock)
+              woke.(i) <- true)
         in
-        Thread.delay settle;
+        Detrt.await_quiescence ();
         p)
       durations
   in
+  let misfit now =
+    List.find_map
+      (fun (i, dur) ->
+        match (woke.(i), dur <= now) with
+        | true, false ->
+          Some
+            (Printf.sprintf "sleeper %d (deadline %d) woke early at tick %d" i
+               dur now)
+        | false, true ->
+          Some
+            (Printf.sprintf "sleeper %d (deadline %d) still asleep at tick %d"
+               i dur now)
+        | _ -> None)
+      (List.mapi (fun i dur -> (i, dur)) durations)
+  in
   let horizon = List.fold_left max 0 durations in
-  let result = ref (Ok ()) in
-  (try
-     for tick_no = 1 to horizon do
-       S.tick t;
-       List.iteri
-         (fun i dur ->
-           if dur <= tick_no then
-             Testwait.until
-               (Printf.sprintf "sleeper %d due at %d (tick %d)" i dur tick_no)
-               (fun () -> is_done i))
-         durations;
-       List.iteri
-         (fun i dur ->
-           if dur > tick_no && is_done i && Result.is_ok !result then
-             result :=
-               Error
-                 (Printf.sprintf
-                    "sleeper %d (deadline %d) woke early at tick %d" i dur
-                    tick_no))
-         durations
-     done
-   with Failure msg -> result := Error msg);
-  (* After a failure some sleepers may still be parked with deadlines
-     past the last tick — a sleeper that registered only after the first
-     tick (a loaded box outran the settle delay) shifted its deadline
-     later. Keep ticking until every sleeper has returned, so the join
-     below reports the failure instead of blocking forever. *)
-  let drain_deadline = Int64.add (Clock.now_ns ()) 10_000_000_000L in
-  while
-    (not (List.for_all is_done (List.init n Fun.id)))
-    && Clock.now_ns () < drain_deadline
-  do
-    S.tick t;
-    Thread.delay 0.001
-  done;
-  List.iter Process.join sleepers;
-  S.stop t;
-  match !result with
+  let rec go now =
+    match misfit now with
+    | Some msg -> Error msg
+    | None when now = horizon -> Ok ()
+    | None ->
+      S.tick t;
+      Detrt.await_quiescence ();
+      go (now + 1)
+  in
+  match go 0 with
   | Error _ as e -> e
-  | Ok () -> Ivl.check_wellformed (Trace.events trace)
+  | Ok () ->
+    List.iter Process.join sleepers;
+    S.stop t;
+    Ivl.check_wellformed (Trace.events trace)
 
 let verify ?durations (module S : Alarm_intf.S) =
-  match run_exact (module S) ?durations () with
-  | r -> r
-  | exception e -> Error ("exception: " ^ Printexc.to_string e)
+  Staged.check (run_exact (module S) ?durations)
 
 (* A sleeper asking for zero ticks must return without any tick. *)
 let verify_zero (module S : Alarm_intf.S) =
-  let t = S.create () in
-  let woke = ref false in
-  let p =
-    Process.spawn ~backend:`Thread (fun () ->
-        S.wakeme t ~pid:0 0;
-        woke := true)
-  in
-  match Testwait.until ~timeout:3.0 "zero-duration wake" (fun () -> !woke) with
-  | () ->
-    Process.join p;
-    S.stop t;
-    Ok ()
-  | exception Failure msg ->
-    S.stop t;
-    Error msg
+  Staged.check (fun () ->
+      let t = S.create () in
+      let woke = ref false in
+      let p =
+        Process.spawn (fun () ->
+            S.wakeme t ~pid:0 0;
+            woke := true)
+      in
+      Detrt.await_quiescence ();
+      if !woke then begin
+        Process.join p;
+        S.stop t;
+        Ok ()
+      end
+      else Error "a zero-tick sleeper blocked")

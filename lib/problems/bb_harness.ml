@@ -191,9 +191,11 @@ let run_abort (module B : Bb_intf.S) ?(backend = `Thread) ?(capacity = 4)
     loop ()
   in
   Fun.protect
-    (* A poisoned mechanism may fail its own stop protocol; that is part
-       of the abort contract, not a harness error. *)
-    ~finally:(fun () -> try B.stop buffer with _ -> ())
+    (* Teardown is masked: a fault injected inside [stop] would leave
+       the CSP server parked for good. A poisoned mechanism may still
+       fail its own stop protocol; that is part of the abort contract,
+       not a harness error. *)
+    ~finally:(fun () -> try Fault.mask (fun () -> B.stop buffer) with _ -> ())
     (fun () ->
       let prods =
         List.init producers (fun pid -> Process.spawn ~backend (produce pid))

@@ -1,11 +1,12 @@
 (** Workload drivers and checkers for the disk-head scheduler.
 
     SCAN order is timing-sensitive in free-running workloads, so the
-    conformance check is {e staged}: a holder occupies the disk at a known
-    track, a batch of requests parks (each with a settle delay), the
-    holder releases, and the drain order must equal the pure elevator
-    order computed from the batch — ascending tracks at or above the
-    head, then descending below it. The stress driver checks exclusion
+    conformance check is {e staged} on the deterministic runtime
+    ({!Staged}): a holder occupies the disk at a known track, a batch of
+    requests parks (each waiting for quiescence, so the arrival order is
+    exact), the holder releases, and the drain order must equal the pure
+    elevator order computed from the batch — ascending tracks at or above
+    the head, then descending below it. The stress driver checks exclusion
     and completion under noise and reports total arm travel (the figure
     of merit for bench E-disk, SCAN vs the {!Disk_fcfs} baseline). *)
 
@@ -20,13 +21,9 @@ let expected_scan ~head tracks =
   let down = List.filter (fun t -> t < head) tracks in
   List.sort compare up @ List.rev (List.sort compare down)
 
+(* The staged batch. Must be called inside a [Detrt.run] body. *)
 let run_staged (module S : Disk_intf.S) ?(tracks = 100) ?(head = 50)
-    ?(batch = [ 10; 60; 55; 20; 90; 5; 75 ]) ?settle () =
-  let settle =
-    match settle with
-    | Some s -> s
-    | None -> Testwait.settle_s ~default:0.02 ()
-  in
+    ?(batch = [ 10; 60; 55; 20; 90; 5; 75 ]) () =
   let trace = Trace.create () in
   let gate = Latch.create 1 in
   let res_access ~pid track =
@@ -35,20 +32,13 @@ let run_staged (module S : Disk_intf.S) ?(tracks = 100) ?(head = 50)
     Trace.record trace ~pid ~op:"access" ~phase:Trace.Exit ~arg:track ()
   in
   let t = S.create ~tracks ~access:res_access in
-  let holder =
-    Process.spawn ~backend:`Thread (fun () -> S.access t ~pid:holder_pid head)
-  in
-  Testwait.until "holder entered" (fun () ->
-      List.exists
-        (fun (e : Trace.event) -> e.pid = holder_pid && e.phase = Trace.Enter)
-        (Trace.events trace));
+  let holder = Process.spawn (fun () -> S.access t ~pid:holder_pid head) in
+  Detrt.await_quiescence ();
   let requesters =
     List.mapi
       (fun i track ->
-        let r =
-          Process.spawn ~backend:`Thread (fun () -> S.access t ~pid:i track)
-        in
-        Thread.delay settle;
+        let r = Process.spawn (fun () -> S.access t ~pid:i track) in
+        Detrt.await_quiescence ();
         r)
       batch
   in
@@ -66,16 +56,18 @@ let run_staged (module S : Disk_intf.S) ?(tracks = 100) ?(head = 50)
   (order, expected_scan ~head batch, events)
 
 let verify_scan ?batch (module S : Disk_intf.S) =
-  let got, expected, events = run_staged (module S) ?batch () in
-  match Ivl.check_wellformed events with
-  | Error _ as e -> e
-  | Ok () ->
-    if got = expected then Ok ()
-    else
-      Error
-        (Printf.sprintf "SCAN order violated: served [%s], elevator wants [%s]"
-           (String.concat "; " (List.map string_of_int got))
-           (String.concat "; " (List.map string_of_int expected)))
+  Staged.check (fun () ->
+      let got, expected, events = run_staged (module S) ?batch () in
+      match Ivl.check_wellformed events with
+      | Error _ as e -> e
+      | Ok () ->
+        if got = expected then Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "SCAN order violated: served [%s], elevator wants [%s]"
+               (String.concat "; " (List.map string_of_int got))
+               (String.concat "; " (List.map string_of_int expected))))
 
 (* Free-running stress: correctness = exclusion + completion; returns the
    accumulated arm travel for throughput/travel comparisons. *)

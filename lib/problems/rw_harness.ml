@@ -8,12 +8,13 @@
       really happened (a solution that degraded readers to mutual
       exclusion would pass the store check but fail this one).
     - {b driven scenarios} reproducing the paper's priority arguments
-      deterministically. {!scenario_writer_handoff} is Figure 1's
-      footnote-3 situation: writer W1 active, writer W2 then reader R
-      queue up, W1 leaves — who wins? {!scenario_reader_arrival} probes
-      the dual situation: reader R1 active, writer W waiting, reader R2
-      arrives — may R2 overtake W? Together the two outcomes identify the
-      implemented policy (see {!classify}). *)
+      exactly: each is a staging script played on the deterministic
+      runtime, once per {!Staged} seed. {!scenario_writer_handoff} is
+      Figure 1's footnote-3 situation: writer W1 active, writer W2 then
+      reader R queue up, W1 leaves — who wins? {!scenario_reader_arrival}
+      probes the dual situation: reader R1 active, writer W waiting,
+      reader R2 arrives — may R2 overtake W? Together the two outcomes
+      identify the implemented policy (see {!verify_policy}). *)
 
 open Sync_platform
 
@@ -125,7 +126,9 @@ let run_abort (module S : Rw_intf.S) ?(backend = `Thread) ?(readers = 3)
   in
   let worker pid op n () = try for _ = 1 to n do step pid op done with Exit -> () in
   Fun.protect
-    ~finally:(fun () -> try S.stop t with _ -> ())
+    (* Teardown is masked: a fault injected inside [stop] would leave
+       the CSP server parked for good. *)
+    ~finally:(fun () -> try Fault.mask (fun () -> S.stop t) with _ -> ())
     (fun () ->
       Process.run_all ~backend
         (List.init readers (fun pid -> worker pid "read" reads_each)
@@ -149,222 +152,128 @@ let verify_exclusion ?backend ?readers ?writers ?reads_each ?writes_each
 (* ------------------------------------------------------------------ *)
 (* Driven scenarios                                                    *)
 
+(* A staging script. [Read pid] / [Write pid] launch one operation;
+   [Release pid] opens the gate [pid] is blocked on inside its resource
+   body. Every pid that some [Release] names is gated. *)
+type step = Read of int | Write of int | Release of int
+
+(* Play [script] inside a det run. Quiescence separates the steps, so
+   every arrival has entered or parked in the mechanism before the next
+   step: the arrival order is exact by construction and the outcome
+   depends only on the mechanism's own grant decisions. Returns the
+   trace once every operation has finished. *)
+let stage (module S : Rw_intf.S) script =
+  let trace = Trace.create () in
+  let gates =
+    List.filter_map
+      (function Release pid -> Some (pid, Latch.create 1) | _ -> None)
+      script
+  in
+  let res op ~pid =
+    Trace.record trace ~pid ~op ~phase:Trace.Enter ();
+    Option.iter Latch.wait (List.assoc_opt pid gates);
+    Trace.record trace ~pid ~op ~phase:Trace.Exit ()
+  in
+  let t =
+    S.create
+      ~read:(fun ~pid ->
+        res "read" ~pid;
+        0)
+      ~write:(res "write")
+  in
+  let play = function
+    | Read pid -> Some (Process.spawn (fun () -> ignore (S.read t ~pid)))
+    | Write pid -> Some (Process.spawn (fun () -> S.write t ~pid))
+    | Release pid ->
+      Latch.arrive (List.assoc pid gates);
+      None
+  in
+  let procs =
+    List.mapi
+      (fun i step ->
+        if i > 0 then Detrt.await_quiescence ();
+        play step)
+      script
+  in
+  List.iter Process.join (List.filter_map Fun.id procs);
+  S.stop t;
+  Trace.events trace
+
+let enters events =
+  List.filter_map
+    (fun (e : Trace.event) ->
+      if e.phase = Trace.Enter then Some e.pid else None)
+    events
+
+(* The first grant to anyone but [pid]. *)
+let first_grant_after ~what pid events =
+  match List.filter (( <> ) pid) (enters events) with
+  | p :: _ -> p
+  | [] -> failwith (what ^ ": no grants recorded")
+
 (* Reader concurrency cannot be asserted statistically on one core, so it
    gets its own driven scenario: with no writers anywhere, a second reader
    must be able to enter while the first is still inside. Every policy
-   must pass. *)
-let scenario_reader_overlap (module S : Rw_intf.S) =
-  let trace = Trace.create () in
-  let gate = Latch.create 1 in
-  let r1 = 1 and r2 = 2 in
-  let res_read ~pid =
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Enter ();
-    if pid = r1 then Latch.wait gate;
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Exit ();
-    0
-  in
-  let res_write ~pid =
-    ignore pid;
-    failwith "no writer in this scenario"
-  in
-  let t = S.create ~read:res_read ~write:res_write in
-  let reader1 =
-    Process.spawn ~backend:`Thread (fun () -> ignore (S.read t ~pid:r1))
-  in
-  Testwait.until "r1 entered" (fun () ->
-      List.exists
-        (fun (e : Trace.event) -> e.pid = r1 && e.phase = Trace.Enter)
-        (Trace.events trace));
-  let reader2 =
-    Process.spawn ~backend:`Thread (fun () -> ignore (S.read t ~pid:r2))
-  in
-  let overlapped =
-    match
-      Testwait.until ~timeout:3.0 "r2 entered while r1 inside" (fun () ->
-          List.exists
-            (fun (e : Trace.event) -> e.pid = r2 && e.phase = Trace.Enter)
-            (Trace.events trace))
-    with
-    | () -> true
-    | exception Failure _ -> false
-  in
-  Latch.arrive gate;
-  List.iter Process.join [ reader1; reader2 ];
-  S.stop t;
-  if overlapped then Ok ()
+   must pass. [Rw_epoch]'s writer spins on plain atomics and would never
+   yield a det run; this scenario is the only one it plays (its policy is
+   [No_priority], so {!verify_policy} stages nothing for it), and it has
+   no writer. *)
+let det_scenario_reader_overlap (module S : Rw_intf.S) () =
+  let events = stage (module S) [ Read 1; Read 2; Release 1 ] in
+  if Ivl.max_concurrency ~op:"read" (Ivl.intervals events) >= 2 then Ok ()
   else Error "second reader could not overlap the first: readers serialized"
+
+let scenario_reader_overlap m = Staged.check (det_scenario_reader_overlap m)
 
 (* Writer W1 is mid-write; writer W2 then reader R arrive (in that order)
    and park; W1 finishes. Reports who is granted first. Under a correct
    readers-priority policy the reader wins (Courtois: it arrived while no
    reader had been excluded by anything but the active writer); Figure 1
-   lets W2 overtake — footnote 3. *)
-let scenario_writer_handoff_trace (module S : Rw_intf.S) =
-  let trace = Trace.create () in
-  let gate = Latch.create 1 in
-  let w1 = 200 and w2 = 201 and r = 1 in
-  let res_read ~pid =
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Enter ();
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Exit ();
-    0
-  in
-  let res_write ~pid =
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Enter ();
-    if pid = w1 then Latch.wait gate;
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Exit ()
-  in
-  let t = S.create ~read:res_read ~write:res_write in
-  let first_writer = Process.spawn ~backend:`Thread (fun () -> S.write t ~pid:w1) in
-  Testwait.until "w1 entered" (fun () ->
-      List.exists
-        (fun (e : Trace.event) -> e.pid = w1 && e.phase = Trace.Enter)
-        (Trace.events trace));
-  let second_writer =
-    Process.spawn ~backend:`Thread (fun () -> S.write t ~pid:w2)
-  in
-  Testwait.settle ();
-  let reader = Process.spawn ~backend:`Thread (fun () -> ignore (S.read t ~pid:r)) in
-  Testwait.settle ();
-  Latch.arrive gate;
-  List.iter Process.join [ first_writer; second_writer; reader ];
-  S.stop t;
-  let after_w1 =
-    List.filter
-      (fun (e : Trace.event) -> e.phase = Trace.Enter && e.pid <> w1)
-      (Trace.events trace)
-  in
-  let outcome =
-    match after_w1 with
-    | e :: _ -> if e.pid = r then Reader_first else Writer_first
-    | [] -> failwith "scenario_writer_handoff: no grants recorded"
-  in
-  (outcome, Trace.events trace)
-
-let scenario_writer_handoff m = fst (scenario_writer_handoff_trace m)
-
-(* Deterministic-schedule variant of {!scenario_writer_handoff}: must be
-   called inside a [Detrt.run] body. Quiescence replaces the settle
-   delays, so the arrival order W1 < W2 < R is exact by construction and
-   the winner depends only on the mechanism's own grant decision. *)
+   lets W2 overtake — footnote 3. Must be called inside a [Detrt.run]
+   body; the {!Sync_detsched} catalog explores it directly. *)
 let det_scenario_writer_handoff (module S : Rw_intf.S) () =
-  let trace = Trace.create () in
-  let gate = Latch.create 1 in
   let w1 = 200 and w2 = 201 and r = 1 in
-  let res_read ~pid =
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Enter ();
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Exit ();
-    0
-  in
-  let res_write ~pid =
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Enter ();
-    if pid = w1 then Latch.wait gate;
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Exit ()
-  in
-  let t = S.create ~read:res_read ~write:res_write in
-  let first_writer = Process.spawn (fun () -> S.write t ~pid:w1) in
-  Detrt.await_quiescence ();
-  let second_writer = Process.spawn (fun () -> S.write t ~pid:w2) in
-  Detrt.await_quiescence ();
-  let reader = Process.spawn (fun () -> ignore (S.read t ~pid:r)) in
-  Detrt.await_quiescence ();
-  Latch.arrive gate;
-  List.iter Process.join [ first_writer; second_writer; reader ];
-  S.stop t;
-  let events = Trace.events trace in
-  let after_w1 =
-    List.filter
-      (fun (e : Trace.event) -> e.phase = Trace.Enter && e.pid <> w1)
-      events
-  in
-  match after_w1 with
-  | e :: _ -> ((if e.pid = r then Reader_first else Writer_first), events)
-  | [] -> failwith "det_scenario_writer_handoff: no grants recorded"
+  let events = stage (module S) [ Write w1; Write w2; Read r; Release w1 ] in
+  let first = first_grant_after ~what:"writer handoff" w1 events in
+  ((if first = r then Reader_first else Writer_first), events)
+
+let scenario_writer_handoff m =
+  Staged.outcome (fun () -> fst (det_scenario_writer_handoff m ()))
 
 (* Reader R1 is mid-read; writer W arrives and parks; reader R2 arrives.
    May R2 begin (overtaking W)? Readers-priority: yes. Writers-priority
    and FCFS: no. *)
-let scenario_reader_arrival (module S : Rw_intf.S) =
-  let trace = Trace.create () in
-  let gate = Latch.create 1 in
+let det_scenario_reader_arrival (module S : Rw_intf.S) () =
   let r1 = 1 and r2 = 2 and w = 200 in
-  let res_read ~pid =
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Enter ();
-    if pid = r1 then Latch.wait gate;
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Exit ();
-    0
-  in
-  let res_write ~pid =
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Enter ();
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Exit ()
-  in
-  let t = S.create ~read:res_read ~write:res_write in
-  let reader1 = Process.spawn ~backend:`Thread (fun () -> ignore (S.read t ~pid:r1)) in
-  Testwait.until "r1 entered" (fun () ->
-      List.exists
-        (fun (e : Trace.event) -> e.pid = r1 && e.phase = Trace.Enter)
-        (Trace.events trace));
-  let writer = Process.spawn ~backend:`Thread (fun () -> S.write t ~pid:w) in
-  Testwait.settle ();
-  let reader2 = Process.spawn ~backend:`Thread (fun () -> ignore (S.read t ~pid:r2)) in
-  Testwait.settle ();
-  Latch.arrive gate;
-  List.iter Process.join [ reader1; writer; reader2 ];
-  S.stop t;
-  let grants =
-    List.filter
-      (fun (e : Trace.event) -> e.phase = Trace.Enter && e.pid <> r1)
-      (Trace.events trace)
-  in
-  match grants with
-  | e :: _ -> if e.pid = r2 then Reader_first else Writer_first
-  | [] -> failwith "scenario_reader_arrival: no grants recorded"
+  let events = stage (module S) [ Read r1; Write w; Read r2; Release r1 ] in
+  if first_grant_after ~what:"reader arrival" r1 events = r2 then
+    Reader_first
+  else Writer_first
+
+let scenario_reader_arrival m = Staged.outcome (det_scenario_reader_arrival m)
 
 (* Writer starvation (the paper notes readers-priority "allows writers to
-   starve"): keep three staggered readers alive continuously (three, so
-   that the instants where every reader is between two reads — when even
-   a readers-priority policy would admit the writer — have negligible
-   probability); a writer requests midstream. Returns whether the writer
-   was admitted before the reader stream ended. Under readers-priority it
-   must wait out the whole stream; under FCFS/writers-priority it is
-   admitted promptly. *)
-let scenario_writer_starvation (module S : Rw_intf.S) =
-  let trace = Trace.create () in
-  let res_read ~pid =
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Enter ();
-    Thread.delay 0.01;
-    Trace.record trace ~pid ~op:"read" ~phase:Trace.Exit ();
-    0
+   starve"), as a relay: reader R1 is inside, writer W parks, and then
+   each next reader arrives before the previous one leaves, so some
+   reader is inside at every moment of the stream. Under
+   readers-priority W waits out the whole relay — its grant follows
+   every reader's; under FCFS and writers-priority it is admitted as
+   soon as R1 leaves, ahead of the readers that queued behind it. *)
+let det_scenario_writer_starvation (module S : Rw_intf.S) () =
+  let readers = 3 and w = 200 in
+  let relay =
+    List.concat
+      (List.init (readers - 1) (fun i -> [ Read (i + 2); Release (i + 1) ]))
   in
-  let res_write ~pid =
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Enter ();
-    Trace.record trace ~pid ~op:"write" ~phase:Trace.Exit ()
+  let events =
+    stage (module S) ((Read 1 :: Write w :: relay) @ [ Release readers ])
   in
-  let t = S.create ~read:res_read ~write:res_write in
-  let stop = Atomic.make false in
-  (* Staggered readers: at least one is always inside. *)
-  let reader pid () =
-    while not (Atomic.get stop) do
-      ignore (S.read t ~pid)
-    done
-  in
-  let r1 = Process.spawn ~backend:`Thread (reader 1) in
-  Thread.delay 0.003;
-  let r2 = Process.spawn ~backend:`Thread (reader 2) in
-  Thread.delay 0.003;
-  let r3 = Process.spawn ~backend:`Thread (reader 3) in
-  Thread.delay 0.02;
-  let writer_done = Atomic.make false in
-  let w =
-    Process.spawn ~backend:`Thread (fun () ->
-        S.write t ~pid:200;
-        Atomic.set writer_done true)
-  in
-  Thread.delay 0.3;
-  let starved = not (Atomic.get writer_done) in
-  Atomic.set stop true;
-  List.iter Process.join [ r1; r2; r3; w ];
-  S.stop t;
-  starved
+  match List.rev (enters events) with
+  | last :: _ -> last = w
+  | [] -> failwith "writer starvation: no grants recorded"
+
+let scenario_writer_starvation m =
+  Staged.outcome (det_scenario_writer_starvation m)
 
 (* What the two scenario outcomes must be for each policy. *)
 let expected_outcomes = function
@@ -376,43 +285,39 @@ let expected_outcomes = function
 (* Checker for {!det_scenario_writer_handoff}: trace well-formedness,
    reader/writer exclusion, and the policy's expected winner. *)
 let det_check_writer_handoff (module S : Rw_intf.S) (outcome, events) =
-  match Ivl.check_wellformed events with
+  match check_exclusion_events events with
   | Error _ as e -> e
   | Ok () -> (
-    let conflicts a b = a = "write" || b = "write" in
-    match Ivl.exclusion_violations ~conflicts (Ivl.intervals events) with
-    | (a, b) :: _ ->
-      Error
-        (Printf.sprintf
-           "exclusion violated: %s by pid %d overlaps %s by pid %d" a.Ivl.op
-           a.Ivl.pid b.Ivl.op b.Ivl.pid)
-    | [] -> (
-      match expected_outcomes S.policy with
-      | None -> Ok ()
-      | Some (expected, _) ->
-        if outcome = expected then Ok ()
-        else
-          Error
-            (Printf.sprintf "writer-handoff: %s policy expected %s, got %s"
-               (Rw_intf.policy_to_string S.policy)
-               (outcome_to_string expected)
-               (outcome_to_string outcome))))
+    match expected_outcomes S.policy with
+    | None -> Ok ()
+    | Some (expected, _) ->
+      if outcome = expected then Ok ()
+      else
+        Error
+          (Printf.sprintf "writer-handoff: %s policy expected %s, got %s"
+             (Rw_intf.policy_to_string S.policy)
+             (outcome_to_string expected)
+             (outcome_to_string outcome)))
 
+(* Both scenarios, each on every seed: the handoff first, so a
+   footnote-3 anomaly is reported as such. *)
 let verify_policy (module S : Rw_intf.S) =
   match expected_outcomes S.policy with
   | None -> Ok ()
   | Some (exp_handoff, exp_arrival) ->
-    let got_handoff = scenario_writer_handoff (module S) in
-    if got_handoff <> exp_handoff then
-      Error
-        (Printf.sprintf "writer-handoff scenario: expected %s, got %s"
-           (outcome_to_string exp_handoff)
-           (outcome_to_string got_handoff))
-    else
-      let got_arrival = scenario_reader_arrival (module S) in
-      if got_arrival <> exp_arrival then
-        Error
-          (Printf.sprintf "reader-arrival scenario: expected %s, got %s"
-             (outcome_to_string exp_arrival)
-             (outcome_to_string got_arrival))
-      else Ok ()
+    let expect what expected scenario =
+      Staged.check (fun () ->
+          let got = scenario () in
+          if got = expected then Ok ()
+          else
+            Error
+              (Printf.sprintf "%s scenario: expected %s, got %s" what
+                 (outcome_to_string expected)
+                 (outcome_to_string got)))
+    in
+    Result.bind
+      (expect "writer-handoff" exp_handoff (fun () ->
+           fst (det_scenario_writer_handoff (module S) ())))
+      (fun () ->
+        expect "reader-arrival" exp_arrival
+          (det_scenario_reader_arrival (module S)))

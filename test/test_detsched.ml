@@ -293,12 +293,6 @@ let fcfs_det_case name () =
     Alcotest.failf "%s failed at seed %d: %s" name seed
       (Detsched.verdict_message v)
 
-(* The Mesa ticket monitor must also hold up under real preemptive
-   threads (the classic harness with settle delays). *)
-let test_fcfs_mesa_threaded () =
-  check_result "fcfs-mon-mesa (threads)"
-    (Sync_problems.Fcfs_harness.verify (module Sync_problems.Fcfs_mon.Mesa))
-
 let () =
   let catalog =
     List.map
@@ -337,6 +331,5 @@ let () =
             (fcfs_det_case "fcfs-mon-hoare");
           Alcotest.test_case "mesa (det)" `Quick (fcfs_det_case "fcfs-mon-mesa");
           Alcotest.test_case "semaphore (det)" `Quick
-            (fcfs_det_case "fcfs-sem");
-          Alcotest.test_case "mesa (threads)" `Quick test_fcfs_mesa_threaded ]
+            (fcfs_det_case "fcfs-sem") ]
       ) ]

@@ -511,8 +511,8 @@ let test_report_fields () =
 (* ------------------------------------------------------------------ *)
 
 (* The suite is CPU-bound exploration (the two rw-mon certifications take
-   about a minute each), so it drops its priority first: suites running
-   alongside it wait on settle windows and must not be starved. *)
+   about a minute each), so it drops its priority first: the real-thread
+   stress suites running alongside it must not be starved of CPU. *)
 let () =
   ignore (Unix.nice 19);
   Alcotest.run "dpor"

@@ -266,8 +266,8 @@ let test_axis_cli_choices () =
 
 (* Every axis at its quick size, on 1 ms windows: its document names its
    experiment. The grids are real multi-domain loads, so the test drops
-   its priority first: suites running alongside it wait on settle
-   windows, and must not be starved of CPU by a tag check. *)
+   its priority first: the real-thread suites running alongside it must
+   not be starved of CPU by a tag check. *)
 let test_axis_documents () =
   ignore (Unix.nice 19);
   let saved = Option.value (Sys.getenv_opt "SYNC_LOAD_MS") ~default:"" in

@@ -74,6 +74,40 @@ let test_rw_mon_cascade () =
   | Some (seed, v) ->
     Alcotest.failf "seed %d: %s" seed (D.verdict_message v)
 
+(* The staged FCFS round on CSP with every fourth blocking entry aborted.
+   A fault that fired inside the teardown's [stop] used to strand the CSP
+   server, and the run deadlocked on some seeds; teardown is masked. *)
+let fcfs_csp_aborts =
+  D.scenario ~name:"fcfs-csp-aborts" ~descr:"CSP fcfs, 5 users, prewait-every4"
+    (fun () ->
+      let report = ref None in
+      let plan =
+        Fault.plan
+          (List.map
+             (fun site -> (site, Fault.Every 4))
+             [ "waitq.pre-wait"; "semaphore.pre-wait"; "serializer.pre-wait";
+               "ccr.pre-wait"; "csp.pre-wait" ])
+      in
+      { D.body =
+          (fun () ->
+            report :=
+              Some
+                (Fault.with_plan plan (fun () ->
+                     Sync_problems.Fcfs_harness.run_abort
+                       (module Sync_problems.Fcfs_csp) ~users:5 ())));
+        check =
+          (fun () ->
+            match !report with
+            | None -> Error "scenario body did not run"
+            | Some r -> Sync_problems.Fcfs_harness.check_abort r) })
+
+let test_fcfs_csp_teardown () =
+  for seed = 0 to 19 do
+    let v = D.run_random ~seed fcfs_csp_aborts in
+    if not (D.verdict_ok v) then
+      Alcotest.failf "seed %d: %s" seed (D.verdict_message v)
+  done
+
 (* A deliberately non-compensating holder: the injected abort lands
    between P and V and the token is never returned, so the second worker
    blocks forever and the runtime reports a deadlock. This is the
@@ -146,7 +180,9 @@ let () =
     [ ( "abort-matrix",
         [ Alcotest.test_case "bounded-buffer smoke" `Quick test_abort_smoke;
           Alcotest.test_case "rw monitor reader cascade" `Quick
-            test_rw_mon_cascade ] );
+            test_rw_mon_cascade;
+          Alcotest.test_case "fcfs csp teardown" `Quick
+            test_fcfs_csp_teardown ] );
       ( "replay",
         [ Alcotest.test_case "seeded failure replays byte-for-byte" `Quick
             test_seeded_failure_replays ] );

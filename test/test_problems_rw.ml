@@ -86,7 +86,10 @@ let test_correct_solutions_contrast () =
       ("csp", (module Rw_csp.Readers_prio)) ]
 
 (* E16: the paper notes readers-priority "allows writers to starve"; the
-   FCFS and writers-priority policies must not. *)
+   FCFS and writers-priority policies must not. Every readers-priority
+   solution starves the writer through the reader relay, Courtois
+   problem 1 and Figure 1 included: their anomaly is the writer-to-writer
+   handoff, not reader admission. *)
 let starvation_cases =
   [ ("mon/readers-prio", (module Rw_mon.Readers_prio : Rw_intf.S), true);
     ("mon/writers-prio", (module Rw_mon.Writers_prio), false);
@@ -94,7 +97,14 @@ let starvation_cases =
     ("ser/readers-prio", (module Rw_ser.Readers_prio), true);
     ("ser/fcfs", (module Rw_ser.Fcfs), false);
     ("ccr/readers-prio", (module Rw_ccr.Readers_prio), true);
-    ("ccr/fcfs", (module Rw_ccr.Fcfs), false) ]
+    ("ccr/fcfs", (module Rw_ccr.Fcfs), false);
+    ("sem/readers-prio-courtois", (module Rw_sem.Readers_prio), true);
+    ("sem/readers-prio-baton", (module Rw_sem.Readers_prio_baton), true);
+    ("sem/writers-prio", (module Rw_sem.Writers_prio), false);
+    ("path/fig1", (module Rw_path.Fig1), true);
+    ("path/fig2", (module Rw_path.Fig2), false);
+    ("csp/readers-prio", (module Rw_csp.Readers_prio), true);
+    ("csp/fcfs", (module Rw_csp.Fcfs), false) ]
 
 let starvation_tests =
   List.map

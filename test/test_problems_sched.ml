@@ -26,6 +26,14 @@ let disk_scan_below (name, m) () =
 let disk_scan_mixed_edges (name, m) () =
   check_result name (Disk_harness.verify_scan ~batch:[ 0; 99; 50; 51; 49 ] m)
 
+(* Broken control: arrival order is not SCAN, so the staged check must
+   catch the FCFS baseline on the default batch (quiescence cannot make
+   the check vacuous). *)
+let disk_fcfs_fails_scan () =
+  match Disk_harness.verify_scan (module Disk_fcfs) with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "the FCFS baseline passed the SCAN check"
+
 let disk_stress (name, m) () = check_result name (Disk_harness.verify_stress m)
 
 let disk_fcfs_baseline_serves_all () =
@@ -53,6 +61,47 @@ let alarm_same_deadlines (name, m) () =
   check_result name
     (Alarm_harness.verify ~durations:[ 2; 2; 2; 1; 1; 3 ] m)
 
+(* Broken control: an alarm clock that wakes every sleeper at the first
+   tick, whatever its deadline, must fail the exact tick-by-tick check. *)
+module Alarm_wake_all : Alarm_intf.S = struct
+  open Sync_platform
+
+  type t = { m : Mutex.t; ticked : Condition.t; mutable now : int }
+
+  let mechanism = "wake-all"
+
+  let create () =
+    { m = Mutex.create (); ticked = Condition.create (); now = 0 }
+
+  let wakeme t ~pid n =
+    ignore pid;
+    if n > 0 then begin
+      Mutex.lock t.m;
+      let start = t.now in
+      while t.now = start do
+        Condition.wait t.ticked t.m
+      done;
+      Mutex.unlock t.m
+    end
+
+  let tick t =
+    Mutex.lock t.m;
+    t.now <- t.now + 1;
+    Condition.broadcast t.ticked;
+    Mutex.unlock t.m
+
+  let now t = Mutex.protect t.m (fun () -> t.now)
+
+  let stop _ = ()
+
+  let meta = Alarm_mon.meta
+end
+
+let alarm_wake_all_fails () =
+  match Alarm_harness.verify (module Alarm_wake_all) with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "waking every sleeper at the first tick passed"
+
 let alarm_zero (name, m) () = check_result name (Alarm_harness.verify_zero m)
 
 let suite solutions mk =
@@ -70,7 +119,12 @@ let () =
         [ Alcotest.test_case "fcfs baseline completes" `Quick
             disk_fcfs_baseline_serves_all;
           Alcotest.test_case "scan beats fcfs travel" `Quick
-            test_scan_beats_fcfs_travel ] );
+            test_scan_beats_fcfs_travel;
+          Alcotest.test_case "fcfs baseline fails scan" `Quick
+            disk_fcfs_fails_scan ] );
       ("alarm-exact", suite alarm_solutions alarm_exact);
       ("alarm-ties", suite alarm_solutions alarm_same_deadlines);
-      ("alarm-zero", suite alarm_solutions alarm_zero) ]
+      ("alarm-zero", suite alarm_solutions alarm_zero);
+      ( "alarm-controls",
+        [ Alcotest.test_case "wake-all fails exact" `Quick
+            alarm_wake_all_fails ] ) ]

@@ -30,7 +30,7 @@ let slot_many (name, m) () =
 let fcfs_default (name, m) () = check_result name (Fcfs_harness.verify m)
 
 let fcfs_more_users (name, m) () =
-  check_result name (Fcfs_harness.verify ~users:8 ~rounds:2 m)
+  check_result name (Fcfs_harness.verify ~users:8 m)
 
 let suite solutions mk =
   List.map

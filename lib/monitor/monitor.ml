@@ -38,17 +38,17 @@ let grant t =
   else if Waitq.wake_first t.entry then ()
   else t.busy <- false
 
-(* Returns the instant the Acquire span ended: the start of the caller's
-   Hold. *)
-let enter_stamped t =
-  let t0 = Probe.now () in
+(* [mark] is a [Probe.mark] taken just before: the Acquire span starts
+   where [t.lock]'s Acquire does and ends where its Hold does, borrowing
+   their timestamps. Returns that end: the start of the caller's Hold. *)
+let enter_marked t mark =
   Mutex.protect t.lock (fun () ->
       if t.busy then
         Waitq.wait t.entry ~lock:t.lock () ~on_abort:(fun () -> grant t)
       else t.busy <- true);
-  Probe.span_end Acquire ~site:"monitor" ~since:t0 ~arg:0
+  Probe.span_marked Acquire ~site:"monitor" ~mark ~arg:0
 
-let enter t = ignore (enter_stamped t)
+let enter t = ignore (enter_marked t (Probe.mark ()))
 
 (* Must hold t.lock; the caller does NOT own the monitor (its grant was
    passed on when it began waiting or signalling). Re-acquires through
@@ -64,16 +64,19 @@ let reacquire t =
 
 let exit t = Mutex.protect t.lock (fun () -> grant t)
 
+(* The Hold runs from the end of the entry's lock hold to the end of the
+   exit's, where ownership is given up. *)
 let with_monitor t f =
-  let h0 = enter_stamped t in
+  let mark = Probe.mark () in
+  let h0 = enter_marked t mark in
   match f () with
   | v ->
-    Probe.span Hold ~site:"monitor" ~since:h0 ~arg:0;
     exit t;
+    Probe.span_to_latest Hold ~site:"monitor" ~since:h0 ~mark ~arg:0;
     v
   | exception e ->
-    Probe.span Hold ~site:"monitor" ~since:h0 ~arg:0;
     exit t;
+    Probe.span_to_latest Hold ~site:"monitor" ~since:h0 ~mark ~arg:0;
     raise e
 
 let entry_waiters t = Mutex.protect t.lock (fun () -> Waitq.length t.entry)

@@ -3,12 +3,14 @@
    must not itself be abortable — an injection there would leave flags and
    counts pointing at an effect that already happened. *)
 let access m ~before ~after ?abort op =
-  let t0 = Sync_trace.Probe.now () in
+  let mark = Sync_trace.Probe.mark () in
   Monitor.with_monitor m before;
   match op () with
   | v ->
     Sync_platform.Fault.mask (fun () -> Monitor.with_monitor m after);
-    Sync_trace.Probe.span Op ~site:"protected.access" ~since:t0 ~arg:0;
+    (* From the monitor lock's first Acquire to its last Hold's end. *)
+    ignore
+      (Sync_trace.Probe.span_marked Op ~site:"protected.access" ~mark ~arg:0);
     v
   | exception e ->
     Sync_platform.Fault.mask (fun () ->

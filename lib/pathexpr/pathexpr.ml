@@ -24,7 +24,7 @@ let run t op body =
   match List.assoc_opt op t.table with
   | None -> raise (Unknown_operation op)
   | Some wrappers ->
-    let t0 = Sync_trace.Probe.now () in
+    let mark = Sync_trace.Probe.mark () in
     (* Roll back on abort: whether a prologue aborts partway (e.g. while
        blocked on the second of several path counters) or the body raises,
        return the tokens the completed prologues consumed — newest first —
@@ -53,7 +53,10 @@ let run t op body =
       Sync_platform.Fault.mask (fun () ->
           List.iter (fun w -> w.Compile.epilogue ()) wrappers;
           t.engine.Engine.poke ());
-      Sync_trace.Probe.span Op ~site:"pathexpr.op" ~since:t0 ~arg:0;
+      (* From the first path counter's lock Acquire to the last one's
+         Hold end. *)
+      ignore
+        (Sync_trace.Probe.span_marked Op ~site:"pathexpr.op" ~mark ~arg:0);
       v
     | exception e ->
       unwind ();

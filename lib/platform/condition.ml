@@ -41,14 +41,8 @@ let create () =
         parked = Atomic.make 0 }
 
 (* Waiting releases the mutex internally, so the holder's Hold span must
-   close here (park time is wait time, not hold time) and restart when
-   the waiter re-acquires. *)
-let close_hold (m : Mutex.t) =
-  if m.Mutex.acquired_at <> 0 then begin
-    Probe.span Hold ~site:m.Mutex.name ~since:m.Mutex.acquired_at ~arg:0;
-    m.Mutex.acquired_at <- 0
-  end
-
+   close before it ([Mutex.close_hold]: park time is wait time, not hold
+   time) and restart when the waiter re-acquires. *)
 let reopen_hold (m : Mutex.t) =
   if Probe.enabled () then m.Mutex.acquired_at <- Probe.now ()
 
@@ -59,7 +53,7 @@ let worlds_mismatch () =
      deterministic run"
 
 let wait c (m : Mutex.t) =
-  close_hold m;
+  Mutex.close_hold m;
   (match (c, m.Mutex.impl) with
   | Real r, Mutex.Sys sm -> Stdlib.Condition.wait r.sys sm
   | Real r, (Mutex.Cell _ | Mutex.Swap _) ->
@@ -91,7 +85,7 @@ let wait_for c (m : Mutex.t) ~deadline =
   ignore c;
   if Deadline.expired deadline then false
   else begin
-    close_hold m;
+    Mutex.close_hold m;
     Mutex.raw_unlock m;
     (match m.Mutex.impl with
     | Mutex.Det _ -> Detrt.yield ()

@@ -58,9 +58,11 @@ type t = {
      always for Det mutexes, which carry their own id inside Detrt. *)
   rid : int;
   name : string;
-  (* Timestamp of the last successful acquire by the current holder; 0
-     when tracing is off. Written only under the lock, so plain mutable
-     is safe. Condition.wait resets it when the waiter re-acquires. *)
+  (* Start of the current holder's Hold, 0 when tracing is off: positive
+     once its Acquire is written, negated while a zero-wait Acquire is
+     still pending (written with the Hold by [close_hold]). Written only
+     under the lock, so plain mutable is safe. Condition.wait resets it
+     when the waiter re-acquires. *)
   mutable acquired_at : int;
 }
 
@@ -316,24 +318,28 @@ let[@inline] raw_try t =
   | Swap s -> swap_try s
   | Det m -> Detrt.mutex_try_lock m
 
-(* A zero-wait Acquire at [n] (from [Probe.now]), and the Hold it opens
-   at the same instant. *)
-let acquired_at_once t n =
-  Probe.record Acquire ~site:t.name ~t0:n ~dur:0 ~arg:0;
-  t.acquired_at <- n
-
 (* Traced acquire: the Hold starts where the Acquire ends, one clock read
    for both. On a real tier a first try that succeeds is a zero-wait
-   Acquire; only a contended acquire reads the clock on both sides of its
-   wait. Det mutexes never take the extra try: it would be one more
-   scheduling point for the explorer. *)
+   Acquire; it stays pending in [acquired_at] (negated) and [close_hold]
+   writes it together with its Hold. Only a contended acquire reads the
+   clock on both sides of its wait, writing its Acquire at once. Det
+   mutexes never take the extra try: it would be one more scheduling
+   point for the explorer. *)
 let traced_lock t =
   let t0 = Probe.now () in
   match t.impl with
-  | (Sys _ | Cell _ | Swap _) when raw_try t -> acquired_at_once t t0
+  | (Sys _ | Cell _ | Swap _) when raw_try t -> t.acquired_at <- -t0
   | _ ->
     raw_lock t;
     t.acquired_at <- Probe.span_end Acquire ~site:t.name ~since:t0 ~arg:0
+
+let close_hold t =
+  let a = t.acquired_at in
+  if a <> 0 then begin
+    t.acquired_at <- 0;
+    if a > 0 then Probe.span Hold ~site:t.name ~since:a ~arg:0
+    else Probe.round_trip ~site:t.name ~t0:(-a)
+  end
 
 let lock t =
   let watched = t.rid >= 0 && Deadlock.enabled () in
@@ -342,10 +348,7 @@ let lock t =
   if watched then Deadlock.acquired t.rid
 
 let unlock t =
-  if t.acquired_at <> 0 then begin
-    Probe.span Hold ~site:t.name ~since:t.acquired_at ~arg:0;
-    t.acquired_at <- 0
-  end;
+  close_hold t;
   if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
   raw_unlock t
 
@@ -355,7 +358,7 @@ let try_lock t =
     if t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
     (* A successful try_lock is a zero-wait acquire; emit the span so
        profiled acquire counts include try-lock users. *)
-    acquired_at_once t (Probe.now ())
+    t.acquired_at <- -Probe.now ()
   end;
   ok
 

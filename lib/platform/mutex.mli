@@ -16,8 +16,11 @@
     enabled at creation, and acquire/hold probe spans when tracing. The
     Hold starts at the instant the Acquire ends. A traced [lock] on a
     real tier tries the lock first; when that succeeds its Acquire is
-    zero-wait ([dur = 0]), stamped by one clock read. Det mutexes skip
-    the try, so tracing adds no scheduling point.
+    zero-wait ([dur = 0]), stamped by one clock read, and written
+    together with its Hold at release ({!Sync_trace.Probe.round_trip}):
+    an uncontended traced round trip is two clock reads and one ring
+    publish. Det mutexes skip the try, so tracing adds no scheduling
+    point.
 
     [Sys] stays a direct constructor: [Stdlib.Condition.wait] needs the
     raw stdlib mutex, and every default-tier mutex would otherwise pay a
@@ -57,6 +60,11 @@ val raw_lock : t -> unit
 val raw_unlock : t -> unit
 (** Release with no probe/watchdog bookkeeping. Internal: used by
     {!Condition}. *)
+
+val close_hold : t -> unit
+(** Record the current holder's [Hold] span (with its zero-wait
+    [Acquire] if that is still pending) and clear [acquired_at].
+    Internal: [unlock] calls it, and {!Condition} before a park. *)
 
 val create : ?name:string -> unit -> t
 (** A mutex on the current tier; deterministic inside a {!Detrt} run.

@@ -118,10 +118,10 @@ let park t ~site w =
     done
   end
 
-(* Returns the instant the Acquire span ended: the start of the caller's
-   Hold. *)
-let acquire t =
-  let t0 = Probe.now () in
+(* [mark] is a [Probe.mark] taken just before: the Acquire span borrows
+   the timestamps of [t.lock]'s events. Returns the instant it ended: the
+   start of the caller's Hold. *)
+let acquire t mark =
   Mutex.protect t.lock (fun () ->
       if t.busy then begin
         Fault.site "serializer.pre-wait";
@@ -130,20 +130,23 @@ let acquire t =
         park t ~site:"serializer.entry" w
       end
       else t.busy <- true);
-  Probe.span_end Acquire ~site:"serializer.entry" ~since:t0 ~arg:0
+  Probe.span_marked Acquire ~site:"serializer.entry" ~mark ~arg:0
 
 let release t = Mutex.protect t.lock (fun () -> release_possession t)
 
+(* The Hold runs from the end of the acquire's lock hold to the end of
+   the release's, where possession is handed on. *)
 let with_serializer t f =
-  let h0 = acquire t in
+  let mark = Probe.mark () in
+  let h0 = acquire t mark in
   match f () with
   | v ->
-    Probe.span Hold ~site:"serializer" ~since:h0 ~arg:0;
     release t;
+    Probe.span_to_latest Hold ~site:"serializer" ~since:h0 ~mark ~arg:0;
     v
   | exception e ->
-    Probe.span Hold ~site:"serializer" ~since:h0 ~arg:0;
     release t;
+    Probe.span_to_latest Hold ~site:"serializer" ~since:h0 ~mark ~arg:0;
     raise e
 
 let inside t = Mutex.protect t.lock (fun () -> t.busy)

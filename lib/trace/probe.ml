@@ -4,9 +4,18 @@
    Contention design mirrors [Sync_metrics.Recorder]: share-nothing. Each
    OS thread (workers are threads or domain mains) records into its own
    ring buffer, found by an indexed slot keyed on the thread id; buffers
-   are snapshotted after the traced region quiesces. One event is five
-   int stores into one preallocated int array plus two string stores —
-   no per-event allocation.
+   are snapshotted after the traced region quiesces. One event is four
+   int stores into one preallocated int array plus one string store (the
+   site) — no per-event allocation, one write barrier.
+
+   The clock is most of the cost of a recorded event, so an instrumented
+   operation reads it once per distinct instant. A platform lock reads it
+   at acquire and at release; the mechanism spans wrapped around those
+   locks (monitor entry, a protected access, a path-expression operation)
+   start and end exactly where the lock events inside them do, so they
+   borrow those timestamps from the ring ({!mark}, {!span_marked},
+   {!span_to_latest}, {!latest_start}) instead of reading the clock
+   again.
 
    Disabled cost is the whole game: every probe entry point reads one
    atomic flag and returns. No closure is built, no optional argument is
@@ -73,14 +82,31 @@ let set_capacity n =
   let rec pow2 c = if c >= n then c else pow2 (2 * c) in
   capacity := pow2 2
 
+(* An event's header word packs three fields:
+   bits 0-3 the kind, bits 4-19 the op-label index, and the rest the
+   actor, signed (read back with an arithmetic shift). *)
+let op_shift = 4
+
+let op_bits = 16
+
+let actor_shift = op_shift + op_bits
+
+let max_labels = 1 lsl op_bits
+
+let max_op_labels = max_labels - 1
+
+let max_actor = (1 lsl (62 - actor_shift)) - 1
+
+let min_actor = -max_actor - 1
+
 (* Per-thread ring buffer. Only the owning thread writes; [pos] counts
    every event ever written, so [pos - cap] events have been overwritten
    once the ring wraps.
 
-   Event [i] occupies [words.(stride * i) .. words.(stride * i + 4)]
-   (kind, t0, dur, arg, actor) plus [bsite.(i)] and [bop.(i)]: seven
-   words per event, all but the two strings stored without a write
-   barrier.
+   Event [i] occupies [words.(4i) .. words.(4i + 3)] (header, t0, dur,
+   arg) plus [bsite.(i)]: five words per event, the site the only store
+   with a write barrier. [bop] is the current op label's index, already
+   shifted into header position; [bactor] likewise for the thread id.
 
    [pos] is atomic so a concurrent reader (the adaptive sampler) can use
    it as a sequence lock: the owning thread fills every slot field and
@@ -88,22 +114,19 @@ let set_capacity n =
    atomics), so any event below the published count is fully written. *)
 type buffer = {
   btid : int;
+  bactor : int;
   cap : int;
   words : int array;
   bsite : string array;
-  bop : string array;
-  mutable bop_cur : string;
+  mutable bop : int;
   pos : int Atomic.t;
 }
 
-let stride = 5
-
 let make_buffer tid cap =
-  { btid = tid; cap;
-    words = Array.make (stride * cap) 0;
+  { btid = tid; bactor = tid lsl actor_shift; cap;
+    words = Array.make (4 * cap) 0;
     bsite = Array.make cap "";
-    bop = Array.make cap "";
-    bop_cur = ""; pos = Atomic.make 0 }
+    bop = 0; pos = Atomic.make 0 }
 
 (* Buffer lookup: a fixed array of atomic slots indexed by thread id,
    each re-verified against the owner's id. Two live threads whose ids
@@ -146,6 +169,53 @@ let my_buffer () =
   let b = Atomic.get slot in
   if b.btid = tid then b else claim slot tid
 
+(* Op labels, interned: an event carries the label's index, and the
+   table maps it back at snapshot time. The table only grows until the
+   next [reset], so a label outlives every event that carries it, also
+   across ring wraparound. Readers take one immutable version from the
+   atomic; [intern] publishes a new version under [registry_lock]. New
+   names are written into spare room of the shared [names] array beyond
+   every published [count], where no reader looks. *)
+module Smap = Map.Make (String)
+
+type labels = { names : string array; count : int; index : int Smap.t }
+
+let no_labels () =
+  { names = Array.make 16 ""; count = 1; index = Smap.singleton "" 0 }
+
+let labels = Atomic.make (no_labels ())
+
+let add_label name =
+  let l = Atomic.get labels in
+  match Smap.find name l.index with
+  | i -> i
+  | exception Not_found ->
+    let n = l.count in
+    if n >= max_labels then
+      invalid_arg
+        (Printf.sprintf "Probe.set_op: more than %d distinct op labels"
+           max_op_labels);
+    let names =
+      if n < Array.length l.names then l.names
+      else Array.init (2 * n) (fun i -> if i < n then l.names.(i) else "")
+    in
+    names.(n) <- name;
+    Atomic.set labels { names; count = n + 1; index = Smap.add name n l.index };
+    n
+
+let intern name =
+  match Smap.find name (Atomic.get labels).index with
+  | i -> i
+  | exception Not_found ->
+    Stdlib.Mutex.lock registry_lock;
+    Fun.protect
+      ~finally:(fun () -> Stdlib.Mutex.unlock registry_lock)
+      (fun () -> add_label name)
+
+let label i =
+  let l = Atomic.get labels in
+  if i < l.count then l.names.(i) else ""
+
 (* Actor ids: the OS thread id normally; inside a deterministic run the
    virtual task id, reported by the runtime through the same provider
    pattern Fault/Deadlock use. Virtual actors are encoded negative so a
@@ -166,21 +236,29 @@ let current_actor b =
   if Atomic.get virtual_runs = 0 then b.btid
   else match !task_provider () with Some vt -> -(vt + 1) | None -> b.btid
 
+let actor_bits b =
+  if Atomic.get virtual_runs = 0 then b.bactor
+  else current_actor b lsl actor_shift
+
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let now () = if enabled () then now_ns () else 0
 
+(* Fill slot [p] without publishing it. The indices are in bounds by
+   construction: [p land (cap - 1)] < [cap], and [words] has [4 * cap]
+   entries. *)
+let put b p k ~site ~t0 ~dur ~arg =
+  let i = p land (b.cap - 1) in
+  let w = b.words and j = 4 * i in
+  Array.unsafe_set w j (kind_index k lor b.bop lor actor_bits b);
+  Array.unsafe_set w (j + 1) t0;
+  Array.unsafe_set w (j + 2) dur;
+  Array.unsafe_set w (j + 3) arg;
+  Array.unsafe_set b.bsite i site
+
 let write b k ~site ~t0 ~dur ~arg =
   let p = Atomic.get b.pos in
-  let i = p land (b.cap - 1) in
-  let w = b.words and j = stride * i in
-  w.(j) <- kind_index k;
-  w.(j + 1) <- t0;
-  w.(j + 2) <- dur;
-  w.(j + 3) <- arg;
-  w.(j + 4) <- current_actor b;
-  b.bsite.(i) <- site;
-  b.bop.(i) <- b.bop_cur;
+  put b p k ~site ~t0 ~dur ~arg;
   (* Publish: slot stores above happen-before this release store. *)
   Atomic.set b.pos (p + 1)
 
@@ -200,11 +278,103 @@ let span k ~site ~since ~arg = ignore (span_end k ~site ~since ~arg)
 let instant k ~site ~arg =
   if enabled () then write (my_buffer ()) k ~site ~t0:(now_ns ()) ~dur:0 ~arg
 
-let set_op name = if enabled () then (my_buffer ()).bop_cur <- name
+let round_trip ~site ~t0 =
+  if enabled () && t0 <> 0 then begin
+    let t1 = now_ns () in
+    let b = my_buffer () in
+    let p = Atomic.get b.pos in
+    put b p Acquire ~site ~t0 ~dur:0 ~arg:0;
+    put b (p + 1) Hold ~site ~t0 ~dur:(t1 - t0) ~arg:0;
+    Atomic.set b.pos (p + 2)
+  end
+
+(* -- spans borrowed from the ring ---------------------------------- *)
+
+(* A mark is the thread's event count plus one, so that 0 stays the
+   "tracing was off" token: the events recorded since mark [m] are
+   numbered [m - 1] up to [pos - 1]. *)
+let mark () = if enabled () then Atomic.get (my_buffer ()).pos + 1 else 0
+
+(* Inside a deterministic run several virtual tasks share one OS
+   thread's ring, so an event is borrowed only if it is the caller's:
+   the searches below skip the other tasks' events. Outside such runs
+   every event in the ring is the caller's and they stop at once. *)
+let own b p =
+  Atomic.get virtual_runs = 0
+  || b.words.(4 * (p land (b.cap - 1))) asr actor_shift = current_actor b
+
+let start_of b p = b.words.((4 * (p land (b.cap - 1))) + 1)
+
+let end_of b p =
+  let j = 4 * (p land (b.cap - 1)) in
+  b.words.(j + 1) + b.words.(j + 2)
+
+(* The first of the caller's events numbered [e] to [p - 1], or -1; and
+   the latest of those numbered [lo] to [e]. Top-level, so that a search
+   allocates no closure. *)
+let rec forward b e p =
+  if e >= p then -1 else if own b e then e else forward b (e + 1) p
+
+let rec backward b e lo =
+  if e < lo then -1 else if own b e then e else backward b (e - 1) lo
+
+(* The caller's first event recorded since mark [m] that is still in the
+   ring (if the ring wrapped since, the oldest retained one: a bound that
+   still encloses every retained event), or -1. *)
+let first_own b m =
+  let p = Atomic.get b.pos in
+  forward b (max (m - 1) (p - b.cap)) p
+
+(* The caller's latest event recorded since mark [m], or -1. *)
+let latest_own b m =
+  let p = Atomic.get b.pos in
+  backward b (p - 1) (max (m - 1) (p - b.cap))
+
+let latest_end b m =
+  match latest_own b m with -1 -> now_ns () | e -> end_of b e
+
+let latest_start m =
+  if m <> 0 && enabled () then begin
+    let b = my_buffer () in
+    match latest_own b m with -1 -> now_ns () | e -> start_of b e
+  end
+  else 0
+
+let span_to_latest k ~site ~since ~mark ~arg =
+  if mark <> 0 && since <> 0 && enabled () then begin
+    let b = my_buffer () in
+    let t1 = latest_end b mark in
+    write b k ~site ~t0:since ~dur:(t1 - since) ~arg
+  end
+
+let span_marked k ~site ~mark ~arg =
+  if mark <> 0 && enabled () then begin
+    let b = my_buffer () in
+    let t0 =
+      match first_own b mark with -1 -> now_ns () | e -> start_of b e
+    in
+    let t1 = latest_end b mark in
+    write b k ~site ~t0 ~dur:(t1 - t0) ~arg;
+    t1
+  end
+  else 0
+
+(* A label that cannot be interned leaves the thread's later events
+   unlabelled rather than carrying the previous op's label. *)
+let set_op name =
+  if enabled () then begin
+    let b = my_buffer () in
+    match intern name with
+    | i -> b.bop <- i lsl op_shift
+    | exception e ->
+      b.bop <- 0;
+      raise e
+  end
 
 let reset () =
   Stdlib.Mutex.lock registry_lock;
   registry := [];
+  Atomic.set labels (no_labels ());
   Stdlib.Mutex.unlock registry_lock;
   Array.iter (fun s -> Atomic.set s vacant) slots
 
@@ -222,24 +392,30 @@ type event = {
 
 let event_at b p =
   let i = p land (b.cap - 1) in
-  let w = b.words and j = stride * i in
-  { kind = kind_of_index.(w.(j)); t0 = w.(j + 1); dur = w.(j + 2);
-    arg = w.(j + 3); actor = w.(j + 4); site = b.bsite.(i); op = b.bop.(i) }
+  let w = b.words and j = 4 * i in
+  let h = w.(j) in
+  { kind = kind_of_index.(h land ((1 lsl op_shift) - 1)); t0 = w.(j + 1);
+    dur = w.(j + 2); arg = w.(j + 3); actor = h asr actor_shift;
+    site = b.bsite.(i); op = label ((h lsr op_shift) land (max_labels - 1)) }
 
 (* The events numbered [from] onwards that are still in the ring, read
    consistently while the owner may keep writing (the sampler path) —
    and, once the owner has quiesced, simply every retained event.
 
    [p0] is read before reading the slots and [p1] after: any slot the
-   owner touched meanwhile belongs to an event numbered in [p0, p1),
-   which overwrote the event numbered cap earlier. Events in
-   [max(lo, p1 - cap), p0) were therefore fully published before the
-   read began and untouched during it — no torn slot can leak out. If
-   the owner laps the reader by a full ring the window is empty and we
+   owner touched meanwhile belongs to an event numbered below
+   [p1 + inflight] — those published by then, plus the ones a write in
+   progress has filled but not yet published (two: {!round_trip}
+   publishes a pair) — which overwrote the event numbered cap earlier.
+   Events in [max(lo, p1 + inflight - cap), p0) were therefore fully
+   published before the read began and untouched during it — no torn
+   slot can leak out. A quiesced ring has nothing in flight, so
+   [snapshot] reads with [inflight = 0] and keeps every retained event.
+   If the owner laps the reader by a full ring the window is empty and we
    retry (bounded; in practice one pass suffices). The work is bounded
    by the number of new events, so a periodic sampler's cost is
    proportional to recording activity, not to ring capacity. *)
-let buffer_events_from b ~from =
+let buffer_events_from ~inflight b ~from =
   let rec attempt tries =
     let p0 = Atomic.get b.pos in
     let lo = max from (max 0 (p0 - b.cap)) in
@@ -247,7 +423,7 @@ let buffer_events_from b ~from =
     else begin
       let evs = Array.init (p0 - lo) (fun j -> event_at b (lo + j)) in
       let p1 = Atomic.get b.pos in
-      let lo' = max lo (p1 - b.cap) in
+      let lo' = max lo (p1 + inflight - b.cap) in
       if lo' >= p0 && tries < 8 then attempt (tries + 1)
       else
         let keep = max 0 (p0 - lo') in
@@ -255,8 +431,6 @@ let buffer_events_from b ~from =
     end
   in
   attempt 0
-
-let buffer_events b = fst (buffer_events_from b ~from:0)
 
 let buffers () =
   Stdlib.Mutex.lock registry_lock;
@@ -270,9 +444,14 @@ let sort_events evs =
       match compare a.t0 b.t0 with 0 -> compare b.dur a.dur | c -> c)
     evs
 
-let snapshot () = buffers () |> List.concat_map buffer_events |> sort_events
+let all_events ~inflight () =
+  buffers ()
+  |> List.concat_map (fun b -> fst (buffer_events_from ~inflight b ~from:0))
+  |> sort_events
 
-let live_snapshot = snapshot
+let snapshot = all_events ~inflight:0
+
+let live_snapshot = all_events ~inflight:2
 
 type cursor = (buffer * int) list
 
@@ -283,7 +462,7 @@ let live_read cur =
     List.map
       (fun b ->
         let from = try List.assq b cur with Not_found -> 0 in
-        let evs, next = buffer_events_from b ~from in
+        let evs, next = buffer_events_from ~inflight:2 b ~from in
         (evs, (b, next)))
       (buffers ())
   in

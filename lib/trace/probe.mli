@@ -12,17 +12,27 @@
     (queue depth, waiters woken, nanoseconds abandoned...).
 
     Recording is share-nothing: one ring buffer per thread, wraparound
-    overwrites the oldest events ({!dropped} counts them). When tracing
-    is disabled — the default — every probe is one atomic flag read and
-    a branch: no clock read, no allocation. When enabled, recording
-    allocates nothing once the thread's ring exists. Both claims are
-    machine-checked (Gc-stat tests; A/B bench cell), so keep them true
-    when extending this interface: no optional arguments, no closures on
-    the fast path.
+    overwrites the oldest events ({!dropped} counts them). An event is
+    four ints in one int array — a header packing kind, op-label index
+    and actor, then start, duration and argument — plus its site in a
+    string array: one write barrier per event. When tracing is disabled
+    — the default — every probe is one atomic flag read and a branch: no
+    clock read, no allocation. When enabled, recording allocates nothing
+    once the thread's ring exists. Both claims are machine-checked
+    (Gc-stat tests; A/B bench cell), so keep them true when extending
+    this interface: no optional arguments, no closures on the fast path.
 
-    One clock read per span boundary: where one instant ends a span and
-    starts the next (an acquire ending where its hold begins), read the
-    clock once and pass the timestamp to {!record}. *)
+    Cost is mostly clock reads (tens of ns each, against a few ns for the
+    ring stores), so a traced operation reads the clock once per distinct
+    instant. Where one instant ends a span and starts the next (an
+    acquire ending where its hold begins), read the clock once and pass
+    the timestamp to {!record}. Where a span starts and ends exactly
+    where events recorded inside it do (a monitor entry around its
+    platform lock, a mechanism operation around its lock round trips),
+    take a {!mark} before and let {!span_marked} or {!span_to_latest}
+    borrow those events' timestamps: no clock read at all. Only the
+    platform mutex ([Acquire]/[Hold] of its site), the waits and the
+    instants read the clock. *)
 
 type kind =
   | Acquire  (** span: blocked entering a lock / region / possession *)
@@ -47,7 +57,8 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Drop all buffers. Call only while no traced code is running. *)
+(** Drop all buffers and the op-label table. Call only while no traced
+    code is running. *)
 
 val set_capacity : int -> unit
 (** Ring capacity for buffers created after the call (default 65536),
@@ -76,9 +87,63 @@ val span_end : kind -> site:string -> since:int -> arg:int -> int
 
 val instant : kind -> site:string -> arg:int -> unit
 
+val round_trip : site:string -> t0:int -> unit
+(** A zero-wait [Acquire] at [t0] and the [Hold] it opened, ending now:
+    one clock read, both events written and published together. The
+    platform mutex calls it at unlock for an acquire that did not wait.
+    No-op when disabled or [t0 = 0] — a round trip whose release runs
+    after tracing was disabled records neither event. *)
+
+(** {1 Spans borrowed from recorded events} *)
+
+val mark : unit -> int
+(** A token for the calling thread's position in its ring, [0] when
+    tracing is disabled. Events the thread records after it are "since
+    the mark"; inside a deterministic run, only the calling virtual
+    task's. *)
+
+val span_marked : kind -> site:string -> mark:int -> arg:int -> int
+(** Record a span from the start of the first event the thread wrote
+    since [mark] to the end of the latest one, and return that end (the
+    start of a span that begins where this one ends). No clock read
+    unless nothing was recorded since [mark]: then the span is the
+    instant of one read. The first event {e written}: a platform lock
+    writes a zero-wait [Acquire] only at release, after any instant
+    recorded while it was held, so take the mark right before the span's
+    first lock. No-op returning [0] when disabled or [mark = 0]. *)
+
+val span_to_latest :
+  kind -> site:string -> since:int -> mark:int -> arg:int -> unit
+(** Record a span from [since] to the end of the latest event the thread
+    recorded since [mark] (one clock read if none). No-op when disabled,
+    [since = 0] or [mark = 0]. *)
+
+val latest_start : int -> int
+(** [latest_start mark]: the start of the latest event the thread
+    recorded since [mark] (one clock read if none); [0] when disabled or
+    [mark = 0]. *)
+
 val set_op : string -> unit
 (** Stamp the calling thread's subsequent events with an operation
-    label (the load engine calls this before each driven op). *)
+    label (the load engine calls this before each driven op). The label
+    is interned once per call; events carry its index, and the label
+    table lives until the next {!reset}, so every retained event keeps
+    its label across ring wraparound.
+    @raise Invalid_argument on a label beyond the {!max_op_labels}th
+    distinct one since the last {!reset}; the thread's events are then
+    unlabelled ([op = ""]) until its next successful [set_op]. *)
+
+val max_op_labels : int
+(** Distinct op labels an event can carry between resets: 65535, plus
+    the empty label of events recorded before any {!set_op}. *)
+
+val min_actor : int
+(** The smallest actor id an event can carry, [-2{^42}]: a virtual task
+    id up to [2{^42} - 1]. *)
+
+val max_actor : int
+(** The largest, [2{^42} - 1] (OS thread ids are small sequential
+    numbers). *)
 
 val set_task_provider : (unit -> int option) -> unit
 (** Actor ids inside deterministic runs (wired up by [Detrt], like the

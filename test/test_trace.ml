@@ -295,6 +295,233 @@ let test_span_since_zero_ignored () =
   Probe.disable ();
   Alcotest.(check int) "since:0 spans are dropped" 0 (Probe.total ())
 
+(* --- packed events ------------------------------------------------ *)
+
+(* An event is a header word (kind, op-label index, actor) plus start,
+   duration and argument: every field must come back exactly as
+   recorded, at the extremes of each. *)
+let all_kinds =
+  Probe.[ Acquire; Hold; Wait; Op; Signal; Handoff; Abandon; Spurious; Flip ]
+
+let test_packed_kinds () =
+  let args = [| min_int; max_int; -1; 0; 1; 42; -42; 1 lsl 61; -(1 lsl 61) |] in
+  Probe.reset ();
+  Probe.enable ();
+  List.iteri
+    (fun i k ->
+      Probe.set_op (Printf.sprintf "op-%d" i);
+      Probe.record k ~site:(Probe.kind_to_string k) ~t0:(1000 + i)
+        ~dur:(if i = 0 then max_int - 1000 else 7 * i)
+        ~arg:args.(i))
+    all_kinds;
+  Probe.disable ();
+  let events = Probe.snapshot () in
+  Alcotest.(check int) "nine events" 9 (List.length events);
+  let me = Thread.id (Thread.self ()) in
+  List.iteri
+    (fun i (e : Probe.event) ->
+      let k = List.nth all_kinds i in
+      let name = Probe.kind_to_string k in
+      Alcotest.(check string) (name ^ ": kind") name
+        (Probe.kind_to_string e.Probe.kind);
+      Alcotest.(check string) (name ^ ": site") name e.Probe.site;
+      Alcotest.(check string) (name ^ ": op") (Printf.sprintf "op-%d" i)
+        e.Probe.op;
+      Alcotest.(check int) (name ^ ": t0") (1000 + i) e.Probe.t0;
+      Alcotest.(check int) (name ^ ": dur")
+        (if i = 0 then max_int - 1000 else 7 * i)
+        e.Probe.dur;
+      Alcotest.(check int) (name ^ ": arg") args.(i) e.Probe.arg;
+      Alcotest.(check int) (name ^ ": actor") me e.Probe.actor)
+    events
+
+(* Actors: the OS thread id outside deterministic runs, the virtual task
+   inside them, and the two ends of the packed field. The extremes go
+   through a stand-in task provider (a negative "task id" is the only
+   way to reach the positive limit); Detrt's own provider is put back
+   afterwards. *)
+let test_packed_actors () =
+  let restore () =
+    Probe.set_task_provider (fun () ->
+        Option.map fst (Sync_platform.Detrt.self_info ()))
+  in
+  Fun.protect ~finally:restore (fun () ->
+      Probe.reset ();
+      Probe.enable ();
+      let cases =
+        [ (0, -1); (41, -42); (-Probe.min_actor - 1, Probe.min_actor);
+          (Probe.min_actor, Probe.max_actor) ]
+      in
+      let vt = ref 0 in
+      Probe.set_task_provider (fun () -> Some !vt);
+      Probe.virtual_run (fun () ->
+          List.iteri
+            (fun i (task, _) ->
+              vt := task;
+              Probe.record Signal ~site:"limit" ~t0:(100 + i) ~dur:0 ~arg:i)
+            cases);
+      restore ();
+      (* Real virtual tasks: each stamps its own id into the argument. *)
+      ignore
+        (Sync_platform.Detrt.run ~choose:(fun _ -> 0) (fun () ->
+             let emit () =
+               match Sync_platform.Detrt.self_info () with
+               | Some (tid, _) -> Probe.instant Signal ~site:"task" ~arg:tid
+               | None -> Alcotest.fail "no task inside Detrt.run"
+             in
+             let a = Sync_platform.Detrt.spawn emit in
+             let b = Sync_platform.Detrt.spawn emit in
+             emit ();
+             Sync_platform.Detrt.join a;
+             Sync_platform.Detrt.join b));
+      Probe.instant Signal ~site:"thread" ~arg:0;
+      Probe.disable ();
+      let events = Probe.snapshot () in
+      let sited s =
+        List.filter (fun (e : Probe.event) -> e.Probe.site = s) events
+      in
+      List.iter
+        (fun (e : Probe.event) ->
+          let task, actor = List.nth cases e.Probe.arg in
+          Alcotest.(check int)
+            (Printf.sprintf "task %d packs to actor %d" task actor)
+            actor e.Probe.actor)
+        (sited "limit");
+      Alcotest.(check int) "every limit case recorded" (List.length cases)
+        (List.length (sited "limit"));
+      let tasks = sited "task" in
+      Alcotest.(check int) "three virtual tasks" 3 (List.length tasks);
+      List.iter
+        (fun (e : Probe.event) ->
+          Alcotest.(check int) "virtual task actor"
+            (-(e.Probe.arg + 1))
+            e.Probe.actor)
+        tasks;
+      match sited "thread" with
+      | [ e ] ->
+        Alcotest.(check int) "thread actor"
+          (Thread.id (Thread.self ()))
+          e.Probe.actor
+      | _ -> Alcotest.fail "thread event missing")
+
+let labelled i = Printf.sprintf "label-%d" i
+
+(* Hundreds of labels, each on its own events, then the same labels
+   again in reverse: interning hands back the index it gave first. *)
+let test_many_labels () =
+  let n = 600 in
+  Probe.reset ();
+  Probe.enable ();
+  for i = 0 to n - 1 do
+    Probe.set_op (labelled i);
+    Probe.record Signal ~site:"labels" ~t0:(1 + i) ~dur:0 ~arg:i
+  done;
+  for i = n - 1 downto 0 do
+    Probe.set_op (labelled i);
+    Probe.record Signal ~site:"labels" ~t0:(1 + (2 * n) - i) ~dur:0 ~arg:i
+  done;
+  Probe.disable ();
+  let events = Probe.snapshot () in
+  Alcotest.(check int) "every event kept" (2 * n) (List.length events);
+  List.iter
+    (fun (e : Probe.event) ->
+      Alcotest.(check string) "label of its op" (labelled e.Probe.arg)
+        e.Probe.op)
+    events
+
+(* Wraparound overwrites events, never labels: an event whose label was
+   interned long before the ring wrapped still reads it back, and the
+   survivors of a wrapped ring all carry their own labels. *)
+let test_labels_survive_wrap () =
+  Probe.set_capacity 16;
+  Probe.reset ();
+  Probe.enable ();
+  Probe.set_op "first";
+  Probe.instant Signal ~site:"wrap" ~arg:(-1);
+  for i = 0 to 99 do
+    Probe.set_op (labelled (i mod 7));
+    Probe.instant Signal ~site:"wrap" ~arg:i
+  done;
+  Probe.set_op "first";
+  Probe.instant Signal ~site:"wrap" ~arg:(-1);
+  Probe.disable ();
+  let events = Probe.snapshot () in
+  Alcotest.(check int) "ring retains capacity" 16 (List.length events);
+  Alcotest.(check int) "dropped" 86 (Probe.dropped ());
+  List.iter
+    (fun (e : Probe.event) ->
+      let want =
+        if e.Probe.arg < 0 then "first" else labelled (e.Probe.arg mod 7)
+      in
+      Alcotest.(check string) "label after wraparound" want e.Probe.op)
+    events
+
+(* The label table is bounded by the header's field: one label too many
+   raises, mislabels nothing (earlier events keep theirs, later ones are
+   unlabelled), and [reset] empties the table so labels intern again. *)
+let test_label_overflow () =
+  Probe.reset ();
+  Probe.enable ();
+  for i = 1 to Probe.max_op_labels do
+    Probe.set_op (labelled i)
+  done;
+  Probe.instant Signal ~site:"full" ~arg:0;
+  Probe.set_op (labelled 1);
+  Probe.instant Signal ~site:"full" ~arg:1;
+  (match Probe.set_op "one too many" with
+  | () -> Alcotest.fail "an overflowing label table must raise"
+  | exception Invalid_argument _ -> ());
+  Probe.instant Signal ~site:"full" ~arg:2;
+  Probe.disable ();
+  let ops =
+    List.map (fun (e : Probe.event) -> (e.Probe.arg, e.Probe.op))
+      (Probe.snapshot ())
+  in
+  Alcotest.(check (list (pair int string)))
+    "labels around the overflow"
+    [ (0, labelled Probe.max_op_labels); (1, labelled 1); (2, "") ]
+    ops;
+  Probe.reset ();
+  Probe.enable ();
+  Probe.set_op "after reset";
+  Probe.instant Signal ~site:"fresh" ~arg:0;
+  Probe.disable ();
+  match Probe.snapshot () with
+  | [ e ] ->
+    Alcotest.(check string) "reset empties the table" "after reset"
+      e.Probe.op
+  | _ -> Alcotest.fail "expected one event after reset"
+
+(* An uncontended lock writes its zero-wait Acquire together with the
+   Hold, at release. A release after tracing was disabled writes neither
+   (the round trip is all or nothing), and leaves nothing pending for
+   the next traced round trip. *)
+let test_disable_while_pending () =
+  let m = Sync_platform.Mutex.create ~name:"pending" () in
+  Probe.reset ();
+  Probe.enable ();
+  Sync_platform.Mutex.lock m;
+  Probe.disable ();
+  Sync_platform.Mutex.unlock m;
+  Alcotest.(check int) "disabled before release: nothing recorded" 0
+    (Probe.total ());
+  Probe.enable ();
+  Sync_platform.Mutex.lock m;
+  Sync_platform.Mutex.unlock m;
+  Probe.disable ();
+  let events = Probe.snapshot () in
+  let of_kind k =
+    List.filter (fun (e : Probe.event) -> e.Probe.kind = k) events
+  in
+  match (of_kind Probe.Acquire, of_kind Probe.Hold) with
+  | [ a ], [ h ] when List.length events = 2 ->
+    Alcotest.(check int) "zero-wait acquire" 0 a.Probe.dur;
+    Alcotest.(check int) "hold opens where the acquire ends" a.Probe.t0
+      h.Probe.t0
+  | _ ->
+    Alcotest.failf "expected one acquire and one hold, got %d events"
+      (List.length events)
+
 (* --- chrome export / JSON escaping ------------------------------- *)
 
 let hostile = "we\"ird\\site\nwith\ttabs & unicode \xe2\x9c\x93 \x01ctl"
@@ -400,6 +627,21 @@ let test_try_lock_emits_acquire () =
 
 (* --- end to end: a traced load run ------------------------------- *)
 
+(* A wake by construction: a getter parks on an empty monitor buffer —
+   observed through the condition's waiter count, not a timing guess —
+   before the put that must wake it. *)
+let park_then_wake () =
+  let module B = Sync_problems.Bb_mon in
+  let buf =
+    B.create ~capacity:1 ~put:(fun ~pid:_ _ -> ()) ~get:(fun ~pid:_ -> 0)
+  in
+  let getter = Thread.create (fun () -> ignore (B.get buf ~pid:1)) () in
+  while Sync_monitor.Monitor.Cond.count buf.B.notempty = 0 do
+    Thread.yield ()
+  done;
+  B.put buf ~pid:0 7;
+  Thread.join getter
+
 let test_traced_monitor_load () =
   match
     Sync_workload.Target.create ~problem:"bounded-buffer" ~mechanism:"monitor"
@@ -416,6 +658,7 @@ let test_traced_monitor_load () =
     in
     let report, events =
       Probe.with_tracing (fun () ->
+          park_then_wake ();
           Sync_workload.Loadgen.run instance cfg)
     in
     let s = report.Sync_workload.Report.summary in
@@ -440,28 +683,88 @@ let test_traced_monitor_load () =
 (* The event stream each bench mechanism records per bounded-buffer op,
    uncontended: a cheaper recording path must keep every event. The
    table is per op (put and get record the same multiset). Uncontended,
-   a serializer [enqueue] admits directly, so no queue event appears. *)
+   a serializer [enqueue] admits directly, so no queue event appears.
+
+   The first number is the most distinct timestamps one op may carry:
+   each is a clock read, and only the platform locks read the clock (two
+   reads per uncontended round trip), so every mechanism-level span must
+   borrow its start and end from the lock events inside it. *)
 let bb_stream =
-  [ ("semaphore", [ (Probe.Acquire, "sem.lock", 4); (Hold, "sem.lock", 4) ]);
+  [ ("semaphore", 8, [ (Probe.Acquire, "sem.lock", 4); (Hold, "sem.lock", 4) ]);
     ( "monitor",
+      8,
       [ (Acquire, "monitor", 2); (Acquire, "monitor.lock", 4);
         (Hold, "monitor", 2); (Hold, "monitor.lock", 4);
         (Op, "protected.access", 1) ] );
     ( "serializer",
+      10,
       [ (Acquire, "serializer.entry", 1); (Acquire, "serializer.lock", 5);
         (Hold, "serializer", 1); (Hold, "serializer.lock", 5) ] );
     ( "pathexpr",
+      8,
       [ (Acquire, "sem.lock", 4); (Hold, "sem.lock", 4);
         (Op, "pathexpr.op", 1) ] );
     ( "ccr",
+      4,
       [ (Acquire, "ccr.lock", 2); (Hold, "ccr.lock", 2);
         (Hold, "ccr.region", 2) ] ) ]
+
+let is_lock_site s = Filename.extension s = ".lock"
+
+let ends (e : Probe.event) = e.Probe.t0 + e.Probe.dur
+
+(* Every mechanism-level span starts and ends exactly on a boundary of a
+   platform-lock event of its own thread, and no lock event straddles
+   either of its ends: each lies wholly inside the span or wholly
+   outside, and at least one lies inside. *)
+let check_on_lock_boundaries mechanism events =
+  let locks, spans =
+    List.partition (fun (e : Probe.event) -> is_lock_site e.Probe.site) events
+  in
+  List.iter
+    (fun (sp : Probe.event) ->
+      let what =
+        Printf.sprintf "%s: %s %s" mechanism
+          (Probe.kind_to_string sp.Probe.kind)
+          sp.Probe.site
+      in
+      let mine =
+        List.filter
+          (fun (l : Probe.event) -> l.Probe.actor = sp.Probe.actor)
+          locks
+      in
+      let on_boundary t =
+        List.exists (fun l -> l.Probe.t0 = t || ends l = t) mine
+      in
+      if not (on_boundary sp.Probe.t0) then
+        Alcotest.failf "%s starts off every lock boundary" what;
+      if not (on_boundary (ends sp)) then
+        Alcotest.failf "%s ends off every lock boundary" what;
+      let inside l = l.Probe.t0 >= sp.Probe.t0 && ends l <= ends sp in
+      let outside l = ends l <= sp.Probe.t0 || l.Probe.t0 >= ends sp in
+      List.iter
+        (fun l ->
+          if not (inside l || outside l) then
+            Alcotest.failf "%s straddles a %s %s event" what
+              (Probe.kind_to_string l.Probe.kind)
+              l.Probe.site)
+        mine;
+      if not (List.exists inside mine) then
+        Alcotest.failf "%s encloses no lock event" what)
+    spans
+
+let distinct_instants events =
+  let module S = Set.Make (Int) in
+  S.cardinal
+    (List.fold_left
+       (fun s (e : Probe.event) -> S.add e.Probe.t0 (S.add (ends e) s))
+       S.empty events)
 
 let test_event_stream_pin () =
   let module Target = Sync_workload.Target in
   let rounds = 3 and me = Thread.id (Thread.self ()) in
   List.iter
-    (fun (mechanism, per_op) ->
+    (fun (mechanism, instants, per_op) ->
       match Target.create ~problem:"bounded-buffer" ~mechanism () with
       | Error e -> Alcotest.fail e
       | Ok inst ->
@@ -495,22 +798,76 @@ let test_event_stream_pin () =
         Array.iter
           (fun (o : Target.op) ->
             let op = o.Target.name in
-            let got =
-              List.filter_map
-                (fun (e : Probe.event) ->
-                  if String.equal e.Probe.op op then
-                    Some (Probe.kind_to_string e.Probe.kind, e.Probe.site)
-                  else None)
+            let of_op =
+              List.filter
+                (fun (e : Probe.event) -> String.equal e.Probe.op op)
                 events
+            in
+            let got =
+              List.map
+                (fun (e : Probe.event) ->
+                  (Probe.kind_to_string e.Probe.kind, e.Probe.site))
+                of_op
             in
             Alcotest.(check (list (pair string string)))
               (Printf.sprintf "%s %s stream" mechanism op)
-              expected (List.sort compare got))
+              expected (List.sort compare got);
+            let n = distinct_instants of_op in
+            if n > instants * rounds then
+              Alcotest.failf
+                "%s %s: %d distinct timestamps in %d ops (at most %d each)"
+                mechanism op n rounds instants)
           inst.Target.ops;
         Alcotest.(check int) (mechanism ^ ": every event op-stamped")
           (Array.length inst.Target.ops * List.length expected)
-          (List.length events))
+          (List.length events);
+        check_on_lock_boundaries mechanism events)
     bb_stream
+
+(* Inside a deterministic run the tasks share one OS thread's ring, so a
+   borrowed span must skip the other tasks' events: interleaved monitor
+   entries still start and end on their own lock events. *)
+let test_virtual_spans_own_events () =
+  let module Monitor = Sync_monitor.Monitor in
+  Probe.reset ();
+  Probe.enable ();
+  (* Seeded random schedules: task switches land between a mark and the
+     lock events it borrows from. *)
+  for seed = 1 to 20 do
+    let rng = Random.State.make [| seed |] in
+    ignore
+      (Sync_platform.Detrt.run
+         ~choose:(fun c -> Random.State.int rng (Array.length c))
+         (fun () ->
+           let m = Monitor.create () in
+           let work () =
+             for _ = 1 to 3 do
+               Monitor.with_monitor m Sync_platform.Detrt.yield
+             done
+           in
+           let a = Sync_platform.Detrt.spawn work in
+           work ();
+           Sync_platform.Detrt.join a))
+  done;
+  Probe.disable ();
+  let events = Probe.snapshot () in
+  let module S = Set.Make (Int) in
+  let actors =
+    List.fold_left (fun s (e : Probe.event) -> S.add e.Probe.actor s) S.empty
+      events
+  in
+  Alcotest.(check int) "two virtual actors" 2 (S.cardinal actors);
+  Alcotest.(check int) "a monitor hold per entry" (20 * 6)
+    (List.length
+       (List.filter
+          (fun (e : Probe.event) ->
+            e.Probe.kind = Probe.Hold && e.Probe.site = "monitor")
+          events));
+  check_on_lock_boundaries "detrt monitor"
+    (List.filter
+       (fun (e : Probe.event) ->
+         is_lock_site e.Probe.site || e.Probe.site = "monitor")
+       events)
 
 let test_actor_label () =
   Alcotest.(check string) "thread label" "t12" (Probe.actor_label 12);
@@ -539,6 +896,18 @@ let () =
       ( "enabled",
         [ Alcotest.test_case "zero-allocation" `Quick
             (scrubbed test_enabled_no_alloc) ] );
+      ( "packing",
+        [ Alcotest.test_case "nine kinds" `Quick (scrubbed test_packed_kinds);
+          Alcotest.test_case "actor limits" `Quick
+            (scrubbed test_packed_actors);
+          Alcotest.test_case "hundreds of labels" `Quick
+            (scrubbed test_many_labels);
+          Alcotest.test_case "labels survive wraparound" `Quick
+            (scrubbed test_labels_survive_wrap);
+          Alcotest.test_case "label overflow and reset" `Quick
+            (scrubbed test_label_overflow);
+          Alcotest.test_case "disabled while acquire pending" `Quick
+            (scrubbed test_disable_while_pending) ] );
       ( "export",
         [ Alcotest.test_case "chrome-escaping" `Quick
             (scrubbed test_chrome_escaping);
@@ -554,5 +923,7 @@ let () =
             (scrubbed test_traced_monitor_load);
           Alcotest.test_case "bb event-stream pin" `Quick
             (scrubbed test_event_stream_pin);
+          Alcotest.test_case "virtual-task spans" `Quick
+            (scrubbed test_virtual_spans_own_events);
           Alcotest.test_case "actor-labels" `Quick (scrubbed test_actor_label) ]
       ) ]

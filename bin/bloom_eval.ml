@@ -353,7 +353,7 @@ let load_cmd =
         | None -> ()
         | Some file ->
           Sync_metrics.Emit.write_file file
-            (Sweep.sweep_to_json ~problem ~mechanism ~base cells);
+            (Sync_eval.Perf.sweep_doc ~problem ~mechanism ~base cells);
           Format.fprintf ppf "wrote %s@." file)
     end
     else
@@ -495,7 +495,7 @@ let trace_cmd =
       Sync_eval.Observability.run_traced ~duration_ms ()
     in
     let rows = List.map (fun t -> t.Sync_eval.Observability.row) traced in
-    Sync_eval.Observability.pp ppf rows;
+    Sync_metrics.Bench_doc.pp ppf (Sync_eval.Observability.to_json rows);
     List.iter
       (fun (t : Sync_eval.Observability.traced) ->
         Format.fprintf ppf "@.-- %s --@.%a"

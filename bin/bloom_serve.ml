@@ -21,6 +21,7 @@ module Driver = Sync_workload.Serve_driver
 module Loadgen = Sync_workload.Loadgen
 module Report = Sync_workload.Report
 module Emit = Sync_metrics.Emit
+module Doc = Sync_metrics.Bench_doc
 module Probe = Sync_trace.Probe
 
 let default_sock () =
@@ -372,6 +373,31 @@ let drill_cmd =
 
 (* -- grid ---------------------------------------------------------- *)
 
+(* One grid row: the driver's summary, every per-op field, then the
+   typed outcome counts. *)
+let grid_row (report : Report.t) outcome =
+  let s = report.summary in
+  Doc.row
+    [ ("problem", Emit.Str report.problem);
+      ("connections", Emit.Int report.workers);
+      ("rate_per_s", Emit.Float (Option.value report.rate_per_s ~default:0.)) ]
+    ([ ("elapsed_ns", Int64.to_float s.elapsed_ns);
+       ("total_ops", float_of_int s.total_ops);
+       ("total_failures", float_of_int s.total_failures);
+       ("throughput_per_s", s.throughput_per_s) ]
+    @ Doc.per_op s
+    @ List.map (fun (k, v) -> (k, float_of_int v)) (Driver.outcome_fields outcome))
+
+(* The knobs every row shares: the grid's windows and seed, and the
+   report fields that are the same for every cell. *)
+let grid_params ~duration_ms ~seed (r : Report.t) =
+  [ ("duration_ms", Emit.Int duration_ms); ("seed", Emit.Int seed);
+    ("variant", Emit.Str r.variant); ("mechanism", Emit.Str r.mechanism);
+    ("tier", Emit.Str r.tier); ("backend", Emit.Str r.backend);
+    ("mode", Emit.Str r.mode);
+    ("arrival", Emit.Str (Option.value r.arrival ~default:"-"));
+    ("warmup_ms", Emit.Int r.warmup_ms) ]
+
 let grid_cmd =
   let doc =
     "Run the E24 service-tier grid (problem x connections x rate) against a \
@@ -419,7 +445,7 @@ let grid_cmd =
                 let report, outcome =
                   Driver.run ~sockaddr:(Unix.ADDR_UNIX sock) cfg
                 in
-                cells := run_json report outcome :: !cells)
+                cells := (report, outcome) :: !cells)
               rate_grid)
           conn_grid)
       problems;
@@ -427,15 +453,18 @@ let grid_cmd =
     let drain_clean =
       match Proc.wait child with `Exited 0 -> true | _ -> false
     in
+    let cells = List.rev !cells in
     Emit.write_file out
-      (Emit.Obj
-         [ ("experiment", Emit.Str "E24");
-           ("duration_ms", Emit.Int duration_ms);
-           ("seed", Emit.Int seed);
-           ("drain_clean", Emit.Bool drain_clean);
-           ("cells", Emit.List (List.rev !cells)) ]);
-    Printf.eprintf "grid: wrote %s (%d cells, drain_clean=%b)\n%!" out
-      (List.length !cells) drain_clean;
+      (Doc.document ~experiment:"E24"
+         ~description:"service tier: bloom_serve open loop, problem x connections x rate"
+         ~params:
+           (match cells with
+           | (r, _) :: _ -> grid_params ~duration_ms ~seed r
+           | [] -> [])
+         ~summary:[ ("drain_clean", Emit.Bool drain_clean) ]
+         (List.map (fun (r, o) -> grid_row r o) cells));
+    Printf.eprintf "grid: wrote %s (%d rows, drain_clean=%b)\n%!" out
+      (List.length cells) drain_clean;
     exit (if drain_clean then 0 else 1)
   in
   Cmd.v (Cmd.info "grid" ~doc) Term.(const run $ out $ seed_t)

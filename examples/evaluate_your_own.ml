@@ -9,7 +9,9 @@
      reader-overlap scenario exposes that it cannot express the
      exclusion constraint's concurrency half (readers serialized).
    - [Broken_rwlock]: a hand-rolled reader/writer lock with a classic
-     check-then-act race. The self-checking store catches the overlap.
+     check-then-act race. Exhaustive exploration of the deterministic
+     runtime's schedules (DPOR) finds the interleaving where a writer
+     overlaps a reader, and prints it.
 
      dune exec examples/evaluate_your_own.exe
 *)
@@ -58,12 +60,17 @@ module Big_lock : Rw_intf.S = struct
       ~separation:Sync_taxonomy.Meta.Separated ()
 end
 
-(* A racy reader/writer lock: the reader counts itself in WITHOUT holding
-   the mutex while checking the writer flag — check-then-act. *)
+(* A racy reader/writer lock on the platform Mutex/Condition: the reader
+   checks the writer flag, lets go of the mutex, and only then counts
+   itself in — check-then-act. *)
 module Broken_rwlock : Rw_intf.S = struct
+  open Sync_platform
+
   type t = {
-    readers : int Atomic.t;
-    writing : bool Atomic.t;
+    m : Mutex.t;
+    changed : Condition.t;
+    mutable readers : int;
+    mutable writing : bool;
     res_read : pid:int -> int;
     res_write : pid:int -> unit;
   }
@@ -73,33 +80,39 @@ module Broken_rwlock : Rw_intf.S = struct
   let policy = Rw_intf.No_priority
 
   let create ~read ~write =
-    { readers = Atomic.make 0; writing = Atomic.make false;
-      res_read = read; res_write = write }
+    { m = Mutex.create (); changed = Condition.create (); readers = 0;
+      writing = false; res_read = read; res_write = write }
+
+  let locked t f =
+    Mutex.lock t.m;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
   let read t ~pid =
-    (* BUG: a writer can set [writing] between this check and the
-       increment becoming visible to it. *)
-    while Atomic.get t.writing do
-      Thread.yield ()
-    done;
-    (* The sleep stands in for the preemption a loaded multicore machine
-       provides for free: the check above is stale by the next line. *)
-    Thread.delay 0.0005;
-    Atomic.incr t.readers;
+    locked t (fun () ->
+        while t.writing do
+          Condition.wait t.changed t.m
+        done);
+    (* BUG: a writer can take the lock between the check above and the
+       count below, see no readers, and write while this one reads. *)
+    locked t (fun () -> t.readers <- t.readers + 1);
     Fun.protect
-      ~finally:(fun () -> Atomic.decr t.readers)
+      ~finally:(fun () ->
+        locked t (fun () ->
+            t.readers <- t.readers - 1;
+            Condition.broadcast t.changed))
       (fun () -> t.res_read ~pid)
 
   let write t ~pid =
-    while not (Atomic.compare_and_set t.writing false true) do
-      Thread.yield ()
-    done;
-    (* BUG: checks readers once instead of excluding new arrivals. *)
-    while Atomic.get t.readers > 0 do
-      Thread.yield ()
-    done;
+    locked t (fun () ->
+        while t.writing || t.readers > 0 do
+          Condition.wait t.changed t.m
+        done;
+        t.writing <- true);
     Fun.protect
-      ~finally:(fun () -> Atomic.set t.writing false)
+      ~finally:(fun () ->
+        locked t (fun () ->
+            t.writing <- false;
+            Condition.broadcast t.changed))
       (fun () -> t.res_write ~pid)
 
   let stop _ = ()
@@ -114,23 +127,26 @@ module Broken_rwlock : Rw_intf.S = struct
       ~separation:Sync_taxonomy.Meta.Blended ()
 end
 
+(* Exclusion is judged over every schedule class of a small instance
+   (1 reader, 1 writer, one operation each) on the deterministic
+   runtime, so a race cannot hide behind a lucky interleaving. *)
 let evaluate name (m : (module Rw_intf.S)) =
   Printf.printf "\n== evaluating %s ==\n%!" name;
-  (* A race needs the right interleaving: give the stress several rounds
-     to find one before declaring the mechanism clean. *)
-  let rec stress round =
-    if round > 8 then print_endline "exclusion stress:       pass (8 rounds)"
-    else
-      match
-        Rw_harness.verify_exclusion ~readers:4 ~writers:4 ~reads_each:50
-          ~writes_each:50 m
-      with
-      | Ok () -> stress (round + 1)
-      | Error msg ->
-        Printf.printf "exclusion stress:       FAIL in round %d (%s)\n%!"
-          round msg
+  let module D = Sync_detsched.Detsched in
+  let scenario =
+    Sync_detsched.Scenarios.rw_excl name m ~readers:1 ~writers:1 ~ops:1
   in
-  stress 1;
+  let r = D.explore_dpor ~max_schedules:100_000 scenario in
+  (match r.failures with
+  | [] ->
+    Printf.printf "exclusion (DPOR):       pass (%d schedule classes%s)\n%!"
+      r.explored
+      (if r.complete then ", complete" else ", budget reached")
+  | (schedule, msg) :: _ ->
+    Printf.printf
+      "exclusion (DPOR):       FAIL in %d of %d schedule classes (%s)\n\
+      \                        failing schedule: %s\n%!"
+      r.failed r.explored msg (D.Schedule.to_string schedule));
   match Rw_harness.scenario_reader_overlap m with
   | Ok () -> print_endline "reader concurrency:     pass"
   | Error msg -> Printf.printf "reader concurrency:     FAIL (%s)\n%!" msg
@@ -146,4 +162,5 @@ let () =
   print_endline
     "\nThe big lock is caught by the reader-overlap scenario (it cannot\n\
      express the concurrency half of the exclusion constraint); the racy\n\
-     lock is caught by the self-checking resource under stress."
+     lock is caught by exploring its schedules, which names the one that\n\
+     breaks exclusion."

@@ -158,47 +158,14 @@ let win_rate ~slack t =
 let total_flips t =
   List.fold_left (fun acc r -> acc + r.cell.Cell.flips) 0 t.rows
 
-let progress_line r =
-  Printf.sprintf "%-16s %-10s %-8s d=%-2d %-9s %s" r.problem r.mechanism
-    (Loadgen.arrival_name r.arrival)
-    r.domains r.tier
-    (Cell.status_string r.cell.Cell.status)
-
-let pp spec ppf t =
-  Format.fprintf ppf "  %-16s %-10s %-8s %7s %-9s %12s %9s %9s %6s  %s@."
-    "problem" "mechanism" "arrival" "domains" "tier" "ops/s" "p50 ns"
-    "p99 ns" "flips" "status";
-  List.iter
-    (fun r ->
-      let c = r.cell in
-      let arrival = Loadgen.arrival_name r.arrival in
-      match c.Cell.status with
-      | Supported ->
-        Format.fprintf ppf
-          "  %-16s %-10s %-8s %7d %-9s %12.0f %9d %9d %6d  %s@." r.problem
-          r.mechanism arrival r.domains r.tier c.Cell.throughput_per_s
-          c.Cell.p50_ns c.Cell.p99_ns c.Cell.flips
-          (Cell.status_string c.Cell.status)
-      | _ ->
-        Format.fprintf ppf
-          "  %-16s %-10s %-8s %7d %-9s %12s %9s %9s %6s  %s@." r.problem
-          r.mechanism arrival r.domains r.tier "-" "-" "-" "-"
-          (Cell.status_string c.Cell.status))
-    t.rows;
-  Format.fprintf ppf
-    "  adaptive never below worst static: %b   win rate vs best static: \
-     %.2f   flips: %d@."
-    (never_worst ~slack:spec.never_worst_slack t)
-    (win_rate ~slack:spec.win_slack t)
-    (total_flips t)
-
-let row_to_json r =
-  Emit.Obj
-    ([ ("problem", Emit.Str r.problem);
-       ("mechanism", Emit.Str r.mechanism);
-       ("arrival", Emit.Str (Loadgen.arrival_name r.arrival));
-       ("domains", Emit.Int r.domains); ("tier", Emit.Str r.tier) ]
-    @ Cell.json ~extra:[ ("flips", Emit.Int r.cell.Cell.flips) ] r.cell)
+let row_doc r =
+  Cell.doc
+    ~extra:[ ("flips", float_of_int r.cell.Cell.flips) ]
+    [ ("tier", Emit.Str r.tier); ("problem", Emit.Str r.problem);
+      ("mechanism", Emit.Str r.mechanism);
+      ("arrival", Emit.Str (Loadgen.arrival_name r.arrival));
+      ("domains", Emit.Int r.domains) ]
+    r.cell
 
 (* Wheel scaling: per-tick cost of the hierarchical timer wheel as the
    pending-alarm population grows 1k -> 1M. Every alarm is scheduled
@@ -256,70 +223,45 @@ let wheel_ratio rows =
   let mx = List.fold_left Float.max 0. costs in
   if mn > 0. then mx /. mn else Float.infinity
 
-let pp_wheel ppf rows =
-  Format.fprintf ppf "wheel scaling (%d timed ticks per population)@."
-    wheel_ticks;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  pending %8d  add %7.0f ns/alarm  tick %8.1f ns@."
-        r.pending r.add_ns_per_alarm r.tick_ns)
-    rows;
-  Format.fprintf ppf "  tick cost max/min across populations: %.2fx@."
-    (wheel_ratio rows)
+let wheel_row_doc r =
+  Bench_doc.row
+    ~status:
+      (if r.intact then Bench_doc.Supported
+       else Bench_doc.Failed "an alarm fired or went missing in the timed window")
+    [ ("pending", Emit.Int r.pending) ]
+    [ ("add_ns_per_alarm", r.add_ns_per_alarm); ("tick_ns", r.tick_ns) ]
 
-let wheel_json rows =
-  Emit.Obj
-    [ ("ticks_timed", Emit.Int wheel_ticks);
-      ("deadline_span_ticks", Emit.Int wheel_span);
-      ( "rows",
-        Emit.List
-          (List.map
-             (fun r ->
-               Emit.Obj
-                 [ ("pending", Emit.Int r.pending);
-                   ("add_ns_per_alarm", Emit.Float r.add_ns_per_alarm);
-                   ("tick_ns", Emit.Float r.tick_ns) ])
-             rows) );
-      ("tick_cost_max_over_min", Emit.Float (wheel_ratio rows)) ]
-
-let to_json ?wheel spec t =
-  Emit.Obj
-    ([ ("experiment", Emit.Str "E27");
-       ("description",
-        Emit.Str
-          "self-tuning tier: each problem x arrival x domain cell run on \
-           every static platform tier and on the adaptive tier, where a \
-           feedback controller retiers hot-swappable mutex sites live from \
-           the contention probes; probe tracing on for every row");
-       ("mode", Emit.Str "open");
-       ("backend", Emit.Str "domain");
-       ("traced", Emit.Bool true);
-       ("rate_per_s", Emit.Float spec.rate_per_s);
-       ("duration_ms", Emit.Int spec.duration_ms);
-       ("warmup_ms", Emit.Int spec.warmup_ms);
-       ("seed", Emit.Int spec.seed);
-       ("never_worst_slack", Emit.Float spec.never_worst_slack);
-       ("win_slack", Emit.Float spec.win_slack);
-       ("ocaml", Emit.Str Sys.ocaml_version);
-       ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
-       ("cells",
-        Emit.List
-          (List.map
-             (fun (p, m) -> Emit.List [ Emit.Str p; Emit.Str m ])
-             spec.cells));
-       ("static_tiers",
-        Emit.List
-          (List.map (fun s -> Emit.Str (Sync_prims.Tier.name s))
-             spec.static_tiers));
-       ("arrivals",
-        Emit.List
-          (List.map (fun a -> Emit.Str (Loadgen.arrival_name a)) spec.arrivals));
-       ("domain_counts", Emit.List (List.map (fun d -> Emit.Int d) spec.domains));
-       ("never_worst", Emit.Bool (never_worst ~slack:spec.never_worst_slack t));
-       ("win_rate", Emit.Float (win_rate ~slack:spec.win_slack t));
-       ("flips", Emit.Int (total_flips t));
-       ("rows", Emit.List (List.map row_to_json t.rows)) ]
-    @
-    match wheel with
-    | Some rows -> [ ("wheel_tick", wheel_json rows) ]
-    | None -> [])
+(* The wheel rows follow the grid rows, told apart by their one
+   coordinate, [pending]. *)
+let to_json ?(wheel = []) spec t =
+  Bench_doc.document ~experiment:"E27"
+    ~description:
+      "self-tuning tier: each problem x arrival x domain cell run on every \
+       static platform tier and on the adaptive tier, where a feedback \
+       controller retiers hot-swappable mutex sites live from the \
+       contention probes; probe tracing on for every row"
+    ~params:
+      ([ ("mode", Emit.Str "open"); ("backend", Emit.Str "domain");
+         ("traced", Emit.Bool true); ("rate_per_s", Emit.Float spec.rate_per_s);
+         ("duration_ms", Emit.Int spec.duration_ms);
+         ("warmup_ms", Emit.Int spec.warmup_ms); ("seed", Emit.Int spec.seed);
+         ("never_worst_slack", Emit.Float spec.never_worst_slack);
+         ("win_slack", Emit.Float spec.win_slack);
+         ("pairs",
+          Emit.List (List.map (fun (p, m) -> Emit.strings [ p; m ]) spec.cells));
+         ("static_tiers", Emit.strings (List.map Sync_prims.Tier.name spec.static_tiers));
+         ("arrivals", Emit.strings (List.map Loadgen.arrival_name spec.arrivals));
+         ("domain_counts", Emit.ints spec.domains) ]
+      @
+      if wheel = [] then []
+      else
+        [ ("ticks_timed", Emit.Int wheel_ticks);
+          ("deadline_span_ticks", Emit.Int wheel_span) ])
+    ~summary:
+      ([ ("never_worst", Emit.Bool (never_worst ~slack:spec.never_worst_slack t));
+         ("win_rate", Emit.Float (win_rate ~slack:spec.win_slack t));
+         ("flips", Emit.Int (total_flips t)) ]
+      @
+      if wheel = [] then []
+      else [ ("tick_cost_max_over_min", Emit.Float (wheel_ratio wheel)) ])
+    (List.map row_doc t.rows @ List.map wheel_row_doc wheel)

@@ -61,9 +61,8 @@ val win_rate : slack:float -> t -> float
 (** Fraction of fully measured cells where the adaptive row reaches
     [slack] of the best static tier's throughput. *)
 
-val progress_line : row -> string
-
-val pp : spec -> Format.formatter -> t -> unit
+val row_doc : row -> Sync_metrics.Bench_doc.row
+(** The row as written to the document, with its flips. *)
 
 (** {1 Timer-wheel scaling} *)
 
@@ -82,8 +81,6 @@ val wheel_rows : unit -> wheel_row list
 val wheel_ratio : wheel_row list -> float
 (** Max over min per-tick cost across the populations. *)
 
-val pp_wheel : Format.formatter -> wheel_row list -> unit
-
 val to_json : ?wheel:wheel_row list -> spec -> t -> Sync_metrics.Emit.t
-(** The committed [BENCH_E27.json] envelope; its ["wheel_tick"] object
-    is present when [wheel] is given. *)
+(** The committed [BENCH_E27.json] document: the grid rows, then one row
+    per [wheel] population (coordinate ["pending"]) when given. *)

@@ -15,20 +15,18 @@ type t = {
 }
 
 (* An outcome is its report plus the named gates it was judged by: [ok]
-   iff every gate held, and the report ends with one line per gate. *)
-let judged gates pp json =
+   iff every gate held, and the report ends with one line per gate. The
+   report is the document's table unless the axis prints its own. *)
+let judged ?pp gates json =
   { ok = List.for_all snd gates;
     json;
     pp =
       (fun ppf ->
-        pp ppf;
+        (match pp with Some pp -> pp ppf | None -> Bench_doc.pp ppf json);
         List.iter
           (fun (what, held) ->
             Format.fprintf ppf "%s: %s@." (if held then "ok" else "FAILED") what)
           gates) }
-
-let rows_doc experiment rows =
-  Emit.Obj [ ("experiment", Emit.Str experiment); ("rows", rows) ]
 
 let robustness =
   { name = "robustness"; experiment = "E19";
@@ -42,41 +40,59 @@ let robustness =
         in
         judged
           [ ("all runs recovered", Robustness.all_recovered rows) ]
-          (fun ppf -> Robustness.pp ppf rows)
-          (rows_doc "E19" (Robustness.to_json rows))) }
+          (Robustness.to_json rows)) }
+
+(* A grid on more than the default tier lists its tiers (E22). *)
+let grid_doc ~experiment ~description (spec : Sweep.baseline_spec) cells =
+  Bench_doc.document ~experiment ~description
+    ~params:
+      ([ ("mode", Emit.Str "closed"); ("backend", Emit.Str "domain");
+         ("duration_ms", Emit.Int spec.duration_ms);
+         ("warmup_ms", Emit.Int spec.warmup_ms); ("seed", Emit.Int spec.seed) ]
+      @ (if spec.tiers = [ `Default ] then []
+         else [ ("tiers", Emit.strings (List.map Sync_prims.Tier.name spec.tiers)) ])
+      @ [ ("mechanisms", Emit.strings spec.mechanisms);
+          ("problems", Emit.strings spec.problems);
+          ("domain_counts", Emit.ints spec.domain_counts) ])
+    (List.map Perf.cell_row cells)
 
 (* E20 and E22 have one grid each; they pass when it completes. *)
-let sweep_axis ~name ~experiment ~title ~spec ~grid ~to_json ~pp =
+let sweep_axis ~name ~experiment ~title ~description ?(pp = fun _ _ -> ()) spec =
   { name; experiment; title;
     run =
       (fun ~full:_ ~progress ->
         let spec = spec () in
-        match grid ~progress:(fun c -> progress (Perf.cell_line c)) spec with
+        let line c = progress (Bench_doc.row_line (Perf.cell_row c)) in
+        match Sweep.grid ~progress:line spec with
         | Ok cells ->
-          judged [ ("grid completed", true) ] (fun ppf -> pp ppf cells)
-            (to_json spec cells)
+          let doc = grid_doc ~experiment ~description spec cells in
+          judged [ ("grid completed", true) ]
+            ~pp:(fun ppf ->
+              Bench_doc.pp ppf doc;
+              pp ppf cells)
+            doc
         | Error e ->
-          judged [ ("grid completed: " ^ e, false) ] ignore
-            (Emit.Obj
-               [ ("experiment", Emit.Str experiment); ("error", Emit.Str e) ])) }
+          judged [ ("grid completed: " ^ e, false) ]
+            (Bench_doc.document ~experiment ~description
+               ~summary:[ ("error", Emit.Str e) ] [])) }
 
 let perf =
   sweep_axis ~name:"perf" ~experiment:"E20"
     ~title:"performance (closed-loop throughput + tail latency)"
-    ~spec:Sweep.default_baseline_spec
-    ~grid:(fun ~progress spec -> Sweep.baseline ~progress spec)
-    ~to_json:Sweep.baseline_to_json ~pp:Perf.pp
+    ~description:
+      "multicore workload baseline: closed-loop throughput and latency \
+       quantiles per mechanism per problem per domain count"
+    Sweep.default_baseline_spec
 
 let tiers =
   sweep_axis ~name:"tiers" ~experiment:"E22"
     ~title:"substrate tiers (default vs fast on the E20 grid)"
-    ~spec:Sweep.default_e22_spec
-    ~grid:(fun ~progress spec -> Sweep.e22 ~progress spec)
-    ~to_json:Sweep.e22_to_json
-    ~pp:(fun ppf cells ->
-      Perf.pp ppf cells;
-      Format.fprintf ppf "@.";
-      Perf.pp_speedups ppf cells)
+    ~description:
+      "contention-adaptive platform fast paths: the E20 grid run on both \
+       substrate tiers (default stdlib-backed vs fast CAS/spin-then-park) \
+       with identical seeds and windows; adjacent tier rows of one cell \
+       measure the substrate, not the mechanism"
+    ~pp:Perf.pp_speedups Sweep.default_e22_spec
 
 let observability =
   { name = "observability"; experiment = "E21";
@@ -87,8 +103,7 @@ let observability =
         judged
           [ ("every mechanism produced a complete trace",
              Observability.all_ok rows) ]
-          (fun ppf -> Observability.pp ppf rows)
-          (rows_doc "E21" (Observability.to_json rows))) }
+          (Observability.to_json rows)) }
 
 let service =
   { name = "service"; experiment = "E24";
@@ -104,8 +119,7 @@ let service =
         judged
           [ ("every scenario recovered with zero hung connections",
              Service_axis.all_ok rows) ]
-          (fun ppf -> Service_axis.pp ppf rows)
-          (rows_doc "E24" (Service_axis.to_json rows))) }
+          (Service_axis.to_json rows)) }
 
 (* Quick: single-domain cells, since d>1 spin-construction cells on a
    small shared box measure preemption, not the primitive. *)
@@ -120,13 +134,12 @@ let hierarchy =
         in
         let rows =
           Hierarchy_axis.run
-            ~progress:(fun r -> progress (Cell.progress_line r))
+            ~progress:(fun r -> progress (Bench_doc.row_line (Cell.row_doc r)))
             spec
         in
         judged
           [ ("every supported cell ran clean; unsupported cells are typed",
              Hierarchy_axis.all_ok rows) ]
-          (fun ppf -> Hierarchy_axis.pp ppf rows)
           (Hierarchy_axis.to_json spec rows)) }
 
 let scaling =
@@ -138,8 +151,8 @@ let scaling =
         let spec = S.default_spec () in
         let t =
           S.run
-            ~progress_queue:(fun r -> progress (Cell.progress_line r))
-            ~progress_epoch:(fun r -> progress (S.epoch_line spec r))
+            ~progress_queue:(fun r -> progress (Bench_doc.row_line (Cell.row_doc r)))
+            ~progress_epoch:(fun r -> progress (Bench_doc.row_line (S.epoch_doc r)))
             spec
         in
         judged
@@ -150,7 +163,6 @@ let scaling =
              [ ("epoch read throughput strictly rises with domains",
                 S.epoch_monotonic t) ]
            else []))
-          (fun ppf -> S.pp spec ppf t)
           (S.to_json spec t)) }
 
 (* Quick is the CI slice: two cells under two arrival processes at two
@@ -173,7 +185,9 @@ let adaptive =
               arrivals = [ Loadgen.Poisson; Loadgen.Bursty ];
               domains = [ 2 ] }
         in
-        let t = A.run ~progress:(fun r -> progress (A.progress_line r)) spec in
+        let t =
+          A.run ~progress:(fun r -> progress (Bench_doc.row_line (A.row_doc r))) spec
+        in
         let wheel = if full then A.wheel_rows () else [] in
         let full_gates =
           if not full then []
@@ -190,10 +204,7 @@ let adaptive =
              ("adaptive never below the worst static tier",
               A.never_worst ~slack:spec.never_worst_slack t) ]
           @ full_gates)
-          (fun ppf ->
-            A.pp spec ppf t;
-            if full then A.pp_wheel ppf wheel)
-          (A.to_json ?wheel:(if full then Some wheel else None) spec t)) }
+          (A.to_json ~wheel spec t)) }
 
 let exploration =
   { name = "exploration"; experiment = "E26";
@@ -202,17 +213,30 @@ let exploration =
       (fun ~full ~progress ->
         let rows =
           Exploration.run ~full
-            ~progress:(fun r -> progress (Exploration.progress_line r))
+            ~progress:(fun r ->
+              progress (Bench_doc.row_line (Exploration.row_doc r)))
             ()
         in
         judged
           [ ("every ground-truth row agrees", Exploration.sound rows) ]
-          (fun ppf -> Exploration.pp ppf rows)
           (Exploration.to_json rows)) }
+
+let micro =
+  { name = "micro"; experiment = "E7-E22";
+    title = "micro-benchmarks (the rows no ladder metric or other axis prices)";
+    run =
+      (fun ~full ~progress ->
+        let rows =
+          Micro.run ~full ~progress:(fun r -> progress (Bench_doc.row_line r))
+        in
+        judged
+          [ ("every row ran clean",
+             List.for_all (fun (r : Bench_doc.row) -> r.status = Bench_doc.Supported) rows) ]
+          (Micro.to_json ~full rows)) }
 
 let all =
   [ robustness; perf; tiers; observability; service; hierarchy; scaling;
-    adaptive; exploration ]
+    adaptive; exploration; micro ]
 
 let find name = List.find_opt (fun a -> a.name = name) all
 

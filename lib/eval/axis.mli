@@ -12,8 +12,8 @@ type outcome = {
   ok : bool;  (** every gate the axis applies held *)
   pp : Format.formatter -> unit;  (** the human report and its verdict *)
   json : Sync_metrics.Emit.t;
-      (** the standalone document; its ["experiment"] field is the
-          entry's [experiment] *)
+      (** the standalone {!Sync_metrics.Bench_doc} document; its header's
+          ["experiment"] is the entry's [experiment] *)
 }
 
 type t = {

@@ -3,35 +3,6 @@ open Sync_workload
 module Tier = Sync_prims.Tier
 module Prims = Sync_prims.Prims
 
-let load file =
-  try Ok (Emit.parse_file file) with
-  | Sys_error e -> Error e
-  | Emit.Parse_error e -> Error (file ^ ": " ^ e)
-
-let same a b =
-  match (Emit.number a, Emit.number b) with
-  | Some x, Some y -> x = y
-  | _ -> a = b
-
-let select doc ~rows ~coords =
-  let matches r =
-    List.for_all
-      (fun (k, v) ->
-        match Emit.member k r with Some f -> same f v | None -> false)
-      coords
-    &&
-    match Emit.member "status" r with
-    | None -> true
-    | Some s -> s = Emit.Str "supported"
-  in
-  List.filter matches
-    (Emit.to_list (Option.value ~default:Emit.Null (Emit.member rows doc)))
-
-let lookup doc ~rows ~coords ~metric =
-  match select doc ~rows ~coords with
-  | r :: _ -> Option.bind (Emit.member metric r) Emit.number
-  | [] -> None
-
 type probe = {
   tier : Tier.t;
   problem : string;
@@ -40,12 +11,7 @@ type probe = {
   arrival : Loadgen.arrival option;
 }
 
-type group = {
-  file : string;
-  rows : string;
-  tier_key : string option;
-  probes : probe list;
-}
+type group = { file : string; probes : probe list }
 
 (* Every cell on every tier, cell-major. *)
 let on_tiers ?arrival tiers cells =
@@ -61,35 +27,30 @@ let on_tiers ?arrival tiers cells =
    (`Prim Native`) row is the unrestricted twin the E25 ratios anchor
    on. *)
 let sanity =
-  let group ?(rows = "rows") ?tier_key file probes =
-    { file; rows; tier_key; probes }
-  in
+  let group file probes = { file; probes } in
   [ group "BENCH_E20.json"
       (on_tiers [ `Default ]
          [ ("fcfs", "semaphore", 1); ("fcfs", "monitor", 1);
            ("bounded-buffer", "ccr", 4) ]);
-    group "BENCH_E22.json" ~tier_key:"tier"
+    group "BENCH_E22.json"
       (on_tiers [ `Default; `Fast ]
          [ ("fcfs", "semaphore", 1); ("bounded-buffer", "ccr", 4) ]);
-    group "BENCH_E25.json" ~tier_key:"class"
+    group "BENCH_E25.json"
       (on_tiers
          (List.map (fun c -> `Prim c) Prims.[ Native; CAS; FAA; LLSC ])
          [ ("fcfs", "monitor", 1) ]);
-    group "BENCH_E23.json" ~rows:"queue_rows" ~tier_key:"kind"
+    group "BENCH_E23.json"
       (on_tiers
          (List.map (fun k -> `Queue k) Sync_prims.Queuelock.all)
          [ ("bounded-buffer", "monitor", 1) ]);
-    group "BENCH_E27.json" ~tier_key:"tier"
+    group "BENCH_E27.json"
       (on_tiers ~arrival:Loadgen.Poisson
          [ `Default; `Fast; `Adaptive ]
          [ ("bounded-buffer", "semaphore", 2) ]) ]
 
-let coords g p =
-  [ ("mechanism", Emit.Str p.mechanism); ("problem", Emit.Str p.problem);
-    ("domains", Emit.Int p.domains) ]
-  @ (match g.tier_key with
-    | Some k -> [ (k, Emit.Str (Tier.name p.tier)) ]
-    | None -> [])
+let coords p =
+  [ ("tier", Emit.Str (Tier.name p.tier)); ("problem", Emit.Str p.problem);
+    ("mechanism", Emit.Str p.mechanism); ("domains", Emit.Int p.domains) ]
   @
   match p.arrival with
   | Some a -> [ ("arrival", Emit.Str (Loadgen.arrival_name a)) ]
@@ -123,6 +84,8 @@ type pair = {
   drift : float;
   ok : bool;
 }
+
+let drift_factor = 5.0
 
 let drift ~factor cells =
   let usable x = Float.is_finite x && x > 0. in

@@ -1,24 +1,7 @@
-(** The committed [BENCH_E2x.json] documents as gate baselines.
-
-    Every committed grid is a list of row objects under one key
-    (["rows"], ["queue_rows"], ["epoch_rows"]), each row a set of
-    coordinate fields plus metrics. A row is found by a coordinate-subset
-    match: every requested coordinate must be present and equal (numbers
-    compare by value), and a row that carries a ["status"] field must be
-    ["supported"]. The files are read as they are committed. *)
-
-val load : string -> (Sync_metrics.Emit.t, string) result
-(** Parse a committed document; the error names the file. *)
-
-val select :
-  Sync_metrics.Emit.t -> rows:string ->
-  coords:(string * Sync_metrics.Emit.t) list -> Sync_metrics.Emit.t list
-(** Every row under [rows] matching [coords], in document order. *)
-
-val lookup :
-  Sync_metrics.Emit.t -> rows:string ->
-  coords:(string * Sync_metrics.Emit.t) list -> metric:string -> float option
-(** [metric] of the first {!select} hit, if it has one. *)
+(** The committed [BENCH_E2x.json] documents as gate baselines: which
+    cells the perf-sanity gate re-measures, and how far a live
+    throughput ratio may drift from the committed one. The documents
+    are read through {!Sync_metrics.Bench_doc}. *)
 
 (** {1 The perf-sanity table} *)
 
@@ -34,10 +17,6 @@ type probe = {
 
 type group = {
   file : string;  (** committed document, relative to the repo root *)
-  rows : string;
-  tier_key : string option;
-      (** row field holding {!Sync_prims.Tier.name}, if the grid has
-          tiers *)
   probes : probe list;  (** cross-ratio checked against each other *)
 }
 
@@ -46,14 +25,19 @@ val sanity : group list
     E23, E27): a few cheap cells each, chosen so the ratios inside a
     group compare mechanisms, tiers, atomic classes or queue kinds. *)
 
-val coords : group -> probe -> (string * Sync_metrics.Emit.t) list
-(** The probe's coordinates in [group]'s document. *)
+val coords : probe -> (string * Sync_metrics.Emit.t) list
+(** The probe's coordinates in its group's document. *)
 
 val id : probe -> string
 
 val measure : duration_ms:int -> probe -> Cell.t
 
 (** {1 The drift gate} *)
+
+val drift_factor : float
+(** How far a live cell-to-cell throughput ratio may drift from the
+    committed one, either way, before perf-sanity fails: a fixed guess,
+    not yet derived from a measured spread. *)
 
 type pair = {
   a : string;

@@ -4,7 +4,7 @@ module Prims = Sync_prims.Prims
 module Tier = Sync_prims.Tier
 module Controller = Sync_adaptive.Controller
 
-type status =
+type status = Bench_doc.status =
   | Supported
   | Unsupported of { feature : string; reason : string }
   | Failed of string
@@ -68,22 +68,16 @@ let measure ?params ?(tier = `Default) ?(traced = false) ~problem ~mechanism
 
 let ok c = match c.status with Failed _ -> false | _ -> true
 
-let status_string = function
-  | Supported -> "ok"
-  | Unsupported { feature; _ } -> "unsupported: " ^ feature
-  | Failed e -> "FAILED: " ^ e
+let status_string = Bench_doc.status_string
 
-let json ?(extra = []) c =
-  match c.status with
-  | Supported ->
-    [ ("status", Emit.Str "supported");
-      ("throughput_per_s", Emit.Float c.throughput_per_s);
-      ("p50_ns", Emit.Int c.p50_ns); ("p99_ns", Emit.Int c.p99_ns) ]
-    @ extra
-  | Unsupported { feature; reason } ->
-    [ ("status", Emit.Str "unsupported"); ("feature", Emit.Str feature);
-      ("reason", Emit.Str reason) ]
-  | Failed e -> [ ("status", Emit.Str "failed"); ("error", Emit.Str e) ]
+let doc ?(extra = []) coords c =
+  Bench_doc.row ~status:c.status coords
+    (match c.status with
+    | Supported ->
+      [ ("throughput_per_s", c.throughput_per_s);
+        ("p50_ns", float_of_int c.p50_ns); ("p99_ns", float_of_int c.p99_ns) ]
+      @ extra
+    | Unsupported _ | Failed _ -> [])
 
 type row = {
   tier : Tier.t;
@@ -134,41 +128,8 @@ let grid ?(progress = ignore) ~tiers ~problems ~mechanisms ~domains config =
         problems)
     tiers
 
-let pp_grid ~header ppf rows =
-  let tiers =
-    List.fold_left
-      (fun acc r -> if List.mem r.tier acc then acc else acc @ [ r.tier ])
-      [] rows
-  in
-  List.iter
-    (fun tier ->
-      Format.fprintf ppf "%s@." (header tier);
-      Format.fprintf ppf "  %-16s %-12s %7s %12s %9s %9s  %s@." "problem"
-        "mechanism" "domains" "ops/s" "p50 ns" "p99 ns" "status";
-      List.iter
-        (fun r ->
-          let c = r.cell in
-          match c.status with
-          | Supported ->
-            Format.fprintf ppf "  %-16s %-12s %7d %12.0f %9d %9d  %s@."
-              r.problem r.mechanism r.domains c.throughput_per_s c.p50_ns
-              c.p99_ns (status_string c.status)
-          | _ ->
-            Format.fprintf ppf "  %-16s %-12s %7s %12s %9s %9s  %s@."
-              r.problem r.mechanism "-" "-" "-" "-" (status_string c.status))
-        (List.filter (fun r -> r.tier = tier) rows);
-      Format.fprintf ppf "@.")
-    tiers
-
-let row_json ~tier_key r =
-  Emit.Obj
-    ([ (tier_key, Emit.Str (Tier.name r.tier));
-       ("problem", Emit.Str r.problem);
-       ("mechanism", Emit.Str r.mechanism);
-       ("domains", Emit.Int r.domains) ]
-    @ json r.cell)
-
-let progress_line r =
-  Printf.sprintf "%-7s %-16s %-12s d=%-2d %s" (Tier.name r.tier) r.problem
-    r.mechanism r.domains
-    (status_string r.cell.status)
+let row_doc r =
+  doc
+    [ ("tier", Emit.Str (Tier.name r.tier)); ("problem", Emit.Str r.problem);
+      ("mechanism", Emit.Str r.mechanism); ("domains", Emit.Int r.domains) ]
+    r.cell

@@ -7,7 +7,7 @@
     primitive the mechanism needs is [Unsupported] (a result), a run
     that errors or trips a self-checking resource is [Failed] (a bug). *)
 
-type status =
+type status = Sync_metrics.Bench_doc.status =
   | Supported
   | Unsupported of { feature : string; reason : string }
       (** the target cannot be built on this tier, and why *)
@@ -36,11 +36,11 @@ val ok : t -> bool
 
 val status_string : status -> string
 
-val json : ?extra:(string * Sync_metrics.Emit.t) list -> t ->
-  (string * Sync_metrics.Emit.t) list
-(** The ["status"] discriminator plus its payload: throughput and the
-    p50/p99 ladder (then [extra]) when supported, the typed
-    feature/reason when unsupported, the error when failed. *)
+val doc :
+  ?extra:(string * float) list -> (string * Sync_metrics.Emit.t) list -> t ->
+  Sync_metrics.Bench_doc.row
+(** One document row at the given coords: throughput and the p50/p99
+    ladder (then [extra]) when supported, no metrics otherwise. *)
 
 (** {1 Tier grids} *)
 
@@ -62,11 +62,7 @@ val grid :
     tier cannot build, is one typed row with [domains = 0] instead of
     one per domain count. *)
 
-val pp_grid :
-  header:(Sync_prims.Tier.t -> string) -> Format.formatter -> row list -> unit
-(** One table per tier, in first-appearance order. *)
+val row_doc : row -> Sync_metrics.Bench_doc.row
+(** {!doc} at coords tier ({!Sync_prims.Tier.name}), problem, mechanism,
+    domains. *)
 
-val row_json : tier_key:string -> row -> Sync_metrics.Emit.t
-(** Coordinates ([tier_key] holds {!Sync_prims.Tier.name}) then {!json}. *)
-
-val progress_line : row -> string

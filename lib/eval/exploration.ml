@@ -104,51 +104,43 @@ let verdict r =
   else if r.dpor.complete then "dpor-only"
   else "both-bounded"
 
-let progress_line r =
-  let eng e =
-    Printf.sprintf "%d%s" e.explored (if e.complete then " (complete)" else "")
+(* A disagreement with the ground truth is a failed row; where DFS
+   completed, [reduction] is how many times fewer schedules DPOR
+   needed. *)
+let row_doc r =
+  let open Sync_metrics in
+  let eng name e =
+    [ (name ^ ".explored", float_of_int e.explored);
+      (name ^ ".complete", if e.complete then 1. else 0.);
+      (name ^ ".failure_modes", float_of_int (List.length e.modes));
+      (name ^ ".secs", e.secs) ]
   in
-  Printf.sprintf "  [%s] dfs %s  dpor %s" r.scenario (eng r.dfs) (eng r.dpor)
+  Bench_doc.row
+    ~status:
+      (if verdict r = "DISAGREE" then Bench_doc.Failed "DISAGREE"
+       else Bench_doc.Supported)
+    [ ("scenario", Emit.Str r.scenario) ]
+    ([ ("budget", float_of_int r.budget); ("races", float_of_int r.races);
+       ("workers", float_of_int r.workers) ]
+    @ eng "dfs" r.dfs @ eng "dpor" r.dpor
+    @
+    if r.dfs.complete && r.dpor.explored > 0 then
+      [ ("reduction", float_of_int r.dfs.explored /. float_of_int r.dpor.explored) ]
+    else [])
 
-let pp ppf rows =
-  Format.fprintf ppf "%-22s %9s %16s %16s %7s %6s  %s@." "scenario" "budget"
-    "dfs" "dpor" "races" "speed" "verdict";
-  List.iter
-    (fun r ->
-      let eng e =
-        Format.asprintf "%d%s" e.explored
-          (if e.complete then " full" else " part")
-      in
-      let reduction =
-        if r.dfs.complete && r.dpor.explored > 0 then
-          Format.asprintf "%.0fx"
-            (float_of_int r.dfs.explored /. float_of_int r.dpor.explored)
-        else "-"
-      in
-      Format.fprintf ppf "%-22s %9d %16s %16s %7d %6s  %s%s@." r.scenario
-        r.budget (eng r.dfs) (eng r.dpor) r.races reduction (verdict r)
-        (match r.dpor.modes with
-        | [] -> ""
-        | ms -> "  [" ^ String.concat " | " ms ^ "]"))
-    rows
-
+(* The failure modes DPOR found go to the summary, keyed by scenario. *)
 let to_json rows =
-  let open Sync_metrics.Emit in
-  let eng e =
-    Obj
-      [ ("explored", Int e.explored); ("complete", Bool e.complete);
-        ("failure_modes", List (List.map (fun m -> Str m) e.modes));
-        ("secs", Float e.secs) ]
-  in
-  Obj
-    [ ("experiment", Str "E26");
-      ( "rows",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [ ("scenario", Str r.scenario); ("budget", Int r.budget);
-                   ("dfs", eng r.dfs); ("dpor", eng r.dpor);
-                   ("races", Int r.races); ("workers", Int r.workers);
-                   ("verdict", Str (verdict r)) ])
-             rows) ) ]
+  let open Sync_metrics in
+  Bench_doc.document ~experiment:"E26"
+    ~description:
+      "exploration: bounded DFS vs DPOR at one schedule budget per \
+       scenario; complete = 1 when the engine covered its whole tree"
+    ~summary:
+      [ ("sound", Emit.Bool (sound rows));
+        ( "failure_modes",
+          Emit.Obj
+            (List.map
+               (fun r ->
+                 (r.scenario, Emit.List (List.map (fun m -> Emit.Str m) r.dpor.modes)))
+               rows) ) ]
+    (List.map row_doc rows)

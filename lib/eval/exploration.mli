@@ -36,8 +36,9 @@ val sound : row list -> bool
 (** Every row where DFS completed: DPOR also completed, agreed on the
     failure modes, and explored no more schedules. *)
 
-val progress_line : row -> string
-
-val pp : Format.formatter -> row list -> unit
+val row_doc : row -> Sync_metrics.Bench_doc.row
+(** Budget, races, workers and each engine's explored count, completion
+    (1/0), distinct failure modes and seconds; [reduction] where DFS
+    completed. A row that disagrees with the ground truth is failed. *)
 
 val to_json : row list -> Sync_metrics.Emit.t

@@ -40,37 +40,17 @@ let run ?progress spec =
 
 let all_ok rows = List.for_all (fun (r : Cell.row) -> Cell.ok r.cell) rows
 
-let cls_doc = function
-  | Prims.RW -> "atomic read/write registers only (bakery)"
-  | Prims.CAS -> "compare-and-swap only"
-  | Prims.FAA -> "fetch-and-add only (ticket)"
-  | Prims.LLSC -> "LL/SC emulated from CAS with ABA tags"
-  | Prims.Native -> "unrestricted platform substrate"
-
-let pp =
-  Cell.pp_grid ~header:(function
-    | `Prim c ->
-      Printf.sprintf "class %-6s — %s" (Prims.cls_name c) (cls_doc c)
-    | t -> Sync_prims.Tier.name t)
-
 let to_json spec rows =
-  Emit.Obj
-    [ ("experiment", Emit.Str "E25");
-      ("description",
-       Emit.Str
-         "hardware-primitive hierarchy: every mechanism x problem target \
-          run unmodified on restricted atomic classes (rw/cas/faa/llsc \
-          vs native); unsupported cells carry typed reasons");
-      ("mode", Emit.Str "closed");
-      ("backend", Emit.Str "domain");
-      ("duration_ms", Emit.Int spec.duration_ms);
-      ("warmup_ms", Emit.Int spec.warmup_ms);
-      ("seed", Emit.Int spec.seed);
-      ("ocaml", Emit.Str Sys.ocaml_version);
-      ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
-      ("classes",
-       Emit.List
-         (List.map (fun c -> Emit.Str (Prims.cls_name c)) spec.classes));
-      ("problems", Emit.List (List.map (fun p -> Emit.Str p) spec.problems));
-      ("domain_counts", Emit.List (List.map (fun d -> Emit.Int d) spec.domains));
-      ("rows", Emit.List (List.map (Cell.row_json ~tier_key:"class") rows)) ]
+  Bench_doc.document ~experiment:"E25"
+    ~description:
+      "hardware-primitive hierarchy: every mechanism x problem target run \
+       unmodified on restricted atomic classes (rw/cas/faa/llsc vs native); \
+       unsupported cells carry typed reasons"
+    ~params:
+      ([ ("mode", Emit.Str "closed"); ("backend", Emit.Str "domain");
+         ("duration_ms", Emit.Int spec.duration_ms);
+         ("warmup_ms", Emit.Int spec.warmup_ms); ("seed", Emit.Int spec.seed) ]
+      @ [ ("classes", Emit.strings (List.map Prims.cls_name spec.classes));
+          ("problems", Emit.strings spec.problems);
+          ("domain_counts", Emit.ints spec.domains) ])
+    (List.map Cell.row_doc rows)

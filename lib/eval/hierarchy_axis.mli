@@ -44,9 +44,6 @@ val run : ?progress:(Cell.row -> unit) -> spec -> Cell.row list
 val all_ok : Cell.row list -> bool
 (** No [Failed] rows. *)
 
-val pp : Format.formatter -> Cell.row list -> unit
-(** Human scorecard, grouped by class. *)
-
 val to_json : spec -> Cell.row list -> Sync_metrics.Emit.t
-(** The committed [BENCH_E25.json] document: grid metadata plus one row
-    per cell keyed by ["class"], with a ["status"] discriminator. *)
+(** The committed [BENCH_E25.json] document: one row per cell, the
+    atomic class as its tier. *)

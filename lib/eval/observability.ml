@@ -109,30 +109,22 @@ let run ?duration_ms ?problem ?mechanisms () =
 
 let all_ok rows = List.for_all (fun r -> r.ok) rows
 
-let pp ppf rows =
-  Format.fprintf ppf "%-12s %-16s %8s %8s %8s %8s %9s %8s %5s@." "mechanism"
-    "problem" "events" "ops" "waits" "wakes" "spurious" "dropped" "ok";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-12s %-16s %8d %8d %8d %8d %9d %8d %5s@."
-        r.mechanism r.problem r.events r.op_spans r.wait_spans r.wakes
-        r.spurious r.dropped
-        (if r.ok then "yes" else "NO"))
-    rows
-
 let to_json rows =
-  Emit.List
+  Bench_doc.document ~experiment:"E21"
+    ~description:
+      "observability: one traced load per mechanism; span, wake and drop \
+       counts from the probe rings"
     (List.map
        (fun r ->
-         Emit.Obj
-           [ ("mechanism", Emit.Str r.mechanism);
-             ("problem", Emit.Str r.problem);
-             ("events", Emit.Int r.events);
-             ("op_spans", Emit.Int r.op_spans);
-             ("wait_spans", Emit.Int r.wait_spans);
-             ("wakes", Emit.Int r.wakes);
-             ("spurious", Emit.Int r.spurious);
-             ("dropped", Emit.Int r.dropped);
-             ("failures", Emit.Int r.failures);
-             ("ok", Emit.Bool r.ok) ])
+         Bench_doc.row
+           ~status:
+             (if r.ok then Bench_doc.Supported
+              else Bench_doc.Failed "incomplete trace or self-check failures")
+           [ ("mechanism", Emit.Str r.mechanism); ("problem", Emit.Str r.problem) ]
+           (List.map
+              (fun (k, v) -> (k, float_of_int v))
+              [ ("events", r.events); ("op_spans", r.op_spans);
+                ("wait_spans", r.wait_spans); ("wakes", r.wakes);
+                ("spurious", r.spurious); ("dropped", r.dropped);
+                ("failures", r.failures) ]))
        rows)

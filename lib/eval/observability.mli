@@ -56,6 +56,4 @@ val run :
 
 val all_ok : row list -> bool
 
-val pp : Format.formatter -> row list -> unit
-
 val to_json : row list -> Sync_metrics.Emit.t

@@ -4,15 +4,38 @@ open Sync_workload
 let throughput (c : Sweep.cell) =
   c.Sweep.report.Report.summary.Summary.throughput_per_s
 
-let p99 (c : Sweep.cell) =
-  Summary.overall_quantile c.Sweep.report.Report.summary (fun o ->
-      o.Summary.p99_ns)
-
-let cell_line (c : Sweep.cell) =
+(* One grid row: the overall latency ladder, then every per-op field. *)
+let cell_row (c : Sweep.cell) =
   let r = c.Sweep.report in
-  Printf.sprintf "%-12s %-18s %-8s d=%d %12.0f ops/s  p99 %d ns"
-    r.Report.mechanism r.Report.problem r.Report.tier c.Sweep.domains
-    (throughput c) (p99 c)
+  let s = r.Report.summary in
+  let q f = float_of_int (Summary.overall_quantile s f) in
+  Bench_doc.row
+    [ ("tier", Emit.Str r.Report.tier); ("problem", Emit.Str r.Report.problem);
+      ("mechanism", Emit.Str r.Report.mechanism);
+      ("variant", Emit.Str r.Report.variant); ("domains", Emit.Int c.Sweep.domains) ]
+    ([ ("throughput_per_s", s.Summary.throughput_per_s);
+       ("total_ops", float_of_int s.Summary.total_ops);
+       ("total_failures", float_of_int s.Summary.total_failures);
+       ("p50_ns", q (fun o -> o.Summary.p50_ns));
+       ("p95_ns", q (fun o -> o.Summary.p95_ns));
+       ("p99_ns", q (fun o -> o.Summary.p99_ns));
+       ("p999_ns", q (fun o -> o.Summary.p999_ns));
+       ("max_ns", q (fun o -> o.Summary.max_ns)) ]
+    @ Bench_doc.per_op s)
+
+let sweep_doc ~problem ~mechanism ~(base : Loadgen.config) cells =
+  Bench_doc.document ~experiment:"E20"
+    ~description:"domain-scaling sweep: one target at increasing worker counts"
+    ~params:
+      [ ("problem", Emit.Str problem); ("mechanism", Emit.Str mechanism);
+        ("mode",
+         Emit.Str
+           (match base.mode with
+           | Loadgen.Closed -> "closed"
+           | Loadgen.Open_loop _ -> "open"));
+        ("duration_ms", Emit.Int base.duration_ms);
+        ("warmup_ms", Emit.Int base.warmup_ms); ("seed", Emit.Int base.seed) ]
+    (List.map cell_row cells)
 
 let coverage_errors () =
   List.concat_map
@@ -37,23 +60,6 @@ let coverage_errors () =
                    (Sync_taxonomy.Meta.id meta)))
         (Target.mechanisms ~problem))
     Target.problems
-
-let pp ppf cells =
-  Format.fprintf ppf "%-12s %-18s %-8s %7s %12s %10s %10s %10s %10s@."
-    "mechanism" "problem" "tier" "domains" "ops/s" "p50 ns" "p95 ns" "p99 ns"
-    "p99.9 ns";
-  List.iter
-    (fun (c : Sweep.cell) ->
-      let r = c.Sweep.report in
-      let q f = Summary.overall_quantile r.Report.summary f in
-      Format.fprintf ppf "%-12s %-18s %-8s %7d %12.0f %10d %10d %10d %10d@."
-        r.Report.mechanism r.Report.problem r.Report.tier c.Sweep.domains
-        (throughput c)
-        (q (fun o -> o.Summary.p50_ns))
-        (q (fun o -> o.Summary.p95_ns))
-        (p99 c)
-        (q (fun o -> o.Summary.p999_ns)))
-    cells
 
 (* The default -> fast speedup per cell of a tier grid: the number the
    E22 acceptance gate (>= 1.3x on a contended 4-domain cell) reads. *)

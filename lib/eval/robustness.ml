@@ -23,7 +23,7 @@ open Sync_problems
 type row = {
   mechanism : string;
   problem : string;
-  scenario : string; (* "aborts" | "storm" *)
+  scenario : string; (* "aborts" | "storm" | "dfs" (the exhaustive storm) *)
   policy : string;
   runs : int;
   recovered : int;
@@ -52,14 +52,18 @@ let blocking_sites trigger =
 
 (* The abort matrix runs each plan once; triggers must eventually stop
    firing (consumers retry aborted gets), so no [Always] here. *)
+let mixed_plan ~body_sites =
+  Fault.plan ~seed:42
+    (List.map (fun s -> (s, Fault.Prob 0.05)) body_sites
+    @ blocking_sites (Fault.Prob 0.04))
+
 let abort_plans ~body_sites =
   let body t = List.map (fun s -> (s, t)) body_sites in
   [ ("body-nth2", Fault.plan (body (Fault.Nth 2)));
     ("body-every5", Fault.plan (body (Fault.Every 5)));
     ("prewait-every4", Fault.plan (blocking_sites (Fault.Every 4)));
     ("postwake-nth2", Fault.plan [ ("waitq.post-wakeup", Fault.Nth 2) ]);
-    ("mixed-prob", Fault.plan ~seed:42
-       (body (Fault.Prob 0.05) @ blocking_sites (Fault.Prob 0.04))) ]
+    ("mixed-prob", mixed_plan ~body_sites) ]
 
 let row_of_plans ~mechanism ~problem plans run_plan =
   let failures =
@@ -169,7 +173,7 @@ let det_row ~mechanism ~problem ?(runs = 8) ?(max_steps = 200_000) scen =
 let dfs_storm_row () =
   let scen = Sync_detsched.Scenarios.storm_bb_sem () in
   let r = Sync_detsched.Detsched.explore_dfs ~max_steps:50_000 ~max_schedules:2_000 scen in
-  { mechanism = "semaphore"; problem = "bounded-buffer"; scenario = "storm";
+  { mechanism = "semaphore"; problem = "bounded-buffer"; scenario = "dfs";
     policy = policy_of "semaphore";
     runs = r.Sync_detsched.Detsched.explored;
     recovered = r.Sync_detsched.Detsched.explored - List.length r.Sync_detsched.Detsched.failures;
@@ -357,23 +361,24 @@ let progress_line r =
   Printf.sprintf "  [%s/%s %s] %d/%d  %s" r.mechanism r.problem r.scenario
     r.recovered r.runs r.detail
 
-let pp ppf rows =
-  Format.fprintf ppf "%-12s %-16s %-7s %-34s %s@." "mechanism" "problem"
-    "scen" "abort policy" "recovered";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-12s %-16s %-7s %-34s %d/%d  %s@." r.mechanism
-        r.problem r.scenario r.policy r.recovered r.runs r.detail)
-    rows
-
+(* A row that did not recover every run is failed, with its first
+   counterexample as the reason; a row with no runs is excluded. *)
 let to_json rows =
-  Sync_metrics.Emit.(
-    List
-      (List.map
-         (fun r ->
-           Obj
-             [ ("mechanism", Str r.mechanism); ("problem", Str r.problem);
-               ("scenario", Str r.scenario); ("policy", Str r.policy);
-               ("runs", Int r.runs); ("recovered", Int r.recovered);
-               ("detail", Str r.detail) ])
-         rows))
+  let open Sync_metrics in
+  Bench_doc.document ~experiment:"E19"
+    ~description:
+      "robustness: fault plans and cancellation storms per mechanism x \
+       problem; runs survived out of runs attempted"
+    (List.map
+       (fun r ->
+         Bench_doc.row
+           ~status:
+             (if r.runs = 0 then
+                Bench_doc.Unsupported { feature = "aborts"; reason = r.detail }
+              else if r.recovered = r.runs then Bench_doc.Supported
+              else Bench_doc.Failed r.detail)
+           [ ("mechanism", Emit.Str r.mechanism); ("problem", Emit.Str r.problem);
+             ("scenario", Emit.Str r.scenario); ("policy", Emit.Str r.policy) ]
+           [ ("runs", float_of_int r.runs);
+             ("recovered", float_of_int r.recovered) ])
+       rows)

@@ -9,7 +9,8 @@
 type row = {
   mechanism : string;
   problem : string;
-  scenario : string;  (** ["aborts"] or ["storm"] *)
+  scenario : string;
+      (** ["aborts"], ["storm"], or ["dfs"] (the exhaustive storm) *)
   policy : string;  (** the mechanism's declared abort policy *)
   runs : int;
   recovered : int;  (** runs whose post-fault invariants all held *)
@@ -25,10 +26,12 @@ val run : ?progress:(row -> unit) -> unit -> row list
     so a failing row's [detail] names the seed (or DFS schedule) that
     replays it. *)
 
+val mixed_plan : body_sites:string list -> Sync_platform.Fault.plan
+(** The matrix's seeded probabilistic plan: 5% aborts at [body_sites],
+    4% at every mechanism's blocking site. *)
+
 val all_recovered : row list -> bool
 
 val progress_line : row -> string
-
-val pp : Format.formatter -> row list -> unit
 
 val to_json : row list -> Sync_metrics.Emit.t

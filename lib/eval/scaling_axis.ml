@@ -129,74 +129,34 @@ let epoch_monotonic t =
     in
     strictly_up first rest
 
-let epoch_line spec r =
-  Printf.sprintf "epoch   %-12s d=%-2d think %d us  %s" r.e_mechanism
-    r.e_domains spec.think_us
-    (Cell.status_string r.e_cell.Cell.status)
-
-let pp spec ppf t =
-  Cell.pp_grid
-    ~header:(fun tier -> "queue lock " ^ Sync_prims.Tier.name tier)
-    ppf t.queue;
-  if t.epoch <> [] then begin
-    Format.fprintf ppf "epoch read-mostly scaling (readers-writers)@.";
-    Format.fprintf ppf "  %-12s %7s %8s %8s %12s %12s  %s@." "mechanism"
-      "domains" "think_us" "read%" "reads/s" "ops/s" "status";
-    List.iter
-      (fun r ->
-        let c = r.e_cell in
-        match c.Cell.status with
-        | Supported ->
-          Format.fprintf ppf "  %-12s %7d %8d %8d %12.0f %12.0f  %s@."
-            r.e_mechanism r.e_domains spec.think_us spec.read_pct
-            r.e_read_per_s c.Cell.throughput_per_s
-            (Cell.status_string c.Cell.status)
-        | _ ->
-          Format.fprintf ppf "  %-12s %7d %8s %8s %12s %12s  %s@."
-            r.e_mechanism r.e_domains "-" "-" "-" "-"
-            (Cell.status_string c.Cell.status))
-      t.epoch;
-    Format.fprintf ppf "  epoch read throughput monotonic 1..n: %b@."
-      (epoch_monotonic t)
-  end
-
-let epoch_row_to_json spec r =
-  Emit.Obj
-    ([ ("mechanism", Emit.Str r.e_mechanism);
-       ("domains", Emit.Int r.e_domains);
-       ("think_us", Emit.Int spec.think_us);
-       ("read_pct", Emit.Int spec.read_pct) ]
-    @ Cell.json ~extra:[ ("read_per_s", Emit.Float r.e_read_per_s) ] r.e_cell)
+(* The epoch rows run on the default tier, which is what tells them
+   apart from the queue-lock rows; their think time and read share are
+   header params. *)
+let epoch_doc r =
+  Cell.doc
+    ~extra:[ ("read_per_s", r.e_read_per_s) ]
+    [ ("tier", Emit.Str "default"); ("problem", Emit.Str "readers-writers");
+      ("mechanism", Emit.Str r.e_mechanism); ("domains", Emit.Int r.e_domains) ]
+    r.e_cell
 
 let to_json spec t =
-  Emit.Obj
-    [ ("experiment", Emit.Str "E23");
-      ("description",
-       Emit.Str
-         "scalable-lock tier: mechanism x problem targets on MCS/CLH/ticket \
-          queue locks (absent pairs are typed unsupported cells), plus the \
-          epoch read-mostly readers-writers path at increasing domain \
-          counts with closed-loop think time");
-      ("mode", Emit.Str "closed");
-      ("backend", Emit.Str "domain");
-      ("duration_ms", Emit.Int spec.duration_ms);
-      ("warmup_ms", Emit.Int spec.warmup_ms);
-      ("seed", Emit.Int spec.seed);
-      ("think_us", Emit.Int spec.think_us);
-      ("read_pct", Emit.Int spec.read_pct);
-      ("ocaml", Emit.Str Sys.ocaml_version);
-      ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
-      ("kinds",
-       Emit.List
-         (List.map (fun k -> Emit.Str (Queuelock.kind_name k)) spec.kinds));
-      ("problems", Emit.List (List.map (fun p -> Emit.Str p) spec.problems));
-      ("mechanisms",
-       Emit.List (List.map (fun m -> Emit.Str m) spec.mechanisms));
-      ("epoch_mechanisms",
-       Emit.List (List.map (fun m -> Emit.Str m) spec.epoch_mechanisms));
-      ("domain_counts", Emit.List (List.map (fun d -> Emit.Int d) spec.domains));
-      ("epoch_domain_counts",
-       Emit.List (List.map (fun d -> Emit.Int d) spec.epoch_domains));
-      ("epoch_monotonic", Emit.Bool (epoch_monotonic t));
-      ("queue_rows", Emit.List (List.map (Cell.row_json ~tier_key:"kind") t.queue));
-      ("epoch_rows", Emit.List (List.map (epoch_row_to_json spec) t.epoch)) ]
+  Bench_doc.document ~experiment:"E23"
+    ~description:
+      "scalable-lock tier: mechanism x problem targets on MCS/CLH/ticket \
+       queue locks (absent pairs are typed unsupported cells), plus the \
+       epoch read-mostly readers-writers path at increasing domain counts \
+       with closed-loop think time"
+    ~params:
+      ([ ("mode", Emit.Str "closed"); ("backend", Emit.Str "domain");
+         ("duration_ms", Emit.Int spec.duration_ms);
+         ("warmup_ms", Emit.Int spec.warmup_ms); ("seed", Emit.Int spec.seed) ]
+      @ [ ("think_us", Emit.Int spec.think_us);
+          ("read_pct", Emit.Int spec.read_pct);
+          ("kinds", Emit.strings (List.map Queuelock.kind_name spec.kinds));
+          ("problems", Emit.strings spec.problems);
+          ("mechanisms", Emit.strings spec.mechanisms);
+          ("epoch_mechanisms", Emit.strings spec.epoch_mechanisms);
+          ("domain_counts", Emit.ints spec.domains);
+          ("epoch_domain_counts", Emit.ints spec.epoch_domains) ])
+    ~summary:[ ("epoch_monotonic", Emit.Bool (epoch_monotonic t)) ]
+    (List.map Cell.row_doc t.queue @ List.map epoch_doc t.epoch)

@@ -53,11 +53,10 @@ val epoch_monotonic : t -> bool
     throughput strictly increases across their sorted domain counts
     (false when fewer than two supported epoch rows exist). *)
 
-val epoch_line : spec -> epoch_row -> string
-(** One progress line. *)
-
-val pp : spec -> Format.formatter -> t -> unit
+val epoch_doc : epoch_row -> Sync_metrics.Bench_doc.row
+(** The row as written to the document (on the default tier). *)
 
 val to_json : spec -> t -> Sync_metrics.Emit.t
-(** The committed-artifact envelope ([BENCH_E23.json]): experiment,
-    knobs, [epoch_monotonic], and both row lists. *)
+(** The committed [BENCH_E23.json] document: the queue-lock rows, then
+    the epoch rows on the default tier; [epoch_monotonic] in the
+    summary. *)

@@ -134,32 +134,19 @@ let run ?(progress = fun _ -> ()) () =
 
 let all_ok rows = List.for_all (fun r -> r.passed) rows
 
-let pp ppf rows =
-  Format.fprintf ppf "%-8s %-6s %6s %6s %6s %6s %5s %5s %-6s  %s@." "scenario"
-    "mix" "ok" "dline" "over" "cfail" "hung" "recov" "drain" "detail";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-8s %-6s %6d %6d %6d %6d %5d %5d %-6s  %s@."
-        r.scenario r.problem r.ok r.deadline r.overloaded r.conn_failed r.hung
-        r.recovered
-        (if r.drain_clean then "clean" else "DIRTY")
-        (if r.passed then r.detail else "FAIL: " ^ r.detail))
-    rows
-
 let to_json rows =
-  Emit.List
+  Bench_doc.document ~experiment:"E24"
+    ~description:
+      "service tier: spawned daemons under load, chaos and a kill -9 crash \
+       drill; typed outcome counts per scenario"
     (List.map
        (fun r ->
-         Emit.Obj
-           [ ("scenario", Emit.Str r.scenario);
-             ("problem", Emit.Str r.problem);
-             ("ok", Emit.Int r.ok);
-             ("deadline", Emit.Int r.deadline);
-             ("overloaded", Emit.Int r.overloaded);
-             ("conn_failed", Emit.Int r.conn_failed);
-             ("hung", Emit.Int r.hung);
-             ("recovered", Emit.Int r.recovered);
-             ("drain_clean", Emit.Bool r.drain_clean);
-             ("passed", Emit.Bool r.passed);
-             ("detail", Emit.Str r.detail) ])
+         Bench_doc.row
+           ~status:(if r.passed then Bench_doc.Supported else Bench_doc.Failed r.detail)
+           [ ("scenario", Emit.Str r.scenario); ("problem", Emit.Str r.problem) ]
+           (List.map
+              (fun (k, v) -> (k, float_of_int v))
+              [ ("ok", r.ok); ("deadline", r.deadline);
+                ("overloaded", r.overloaded); ("conn_failed", r.conn_failed);
+                ("hung", r.hung); ("recovered", r.recovered) ]))
        rows)

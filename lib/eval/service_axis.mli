@@ -43,6 +43,4 @@ val run : ?progress:(row -> unit) -> unit -> row list
 
 val all_ok : row list -> bool
 
-val pp : Format.formatter -> row list -> unit
-
 val to_json : row list -> Sync_metrics.Emit.t

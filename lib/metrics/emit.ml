@@ -81,6 +81,10 @@ let to_string ?(pretty = true) v =
   emit b ~pretty ~level:0 v;
   Buffer.contents b
 
+let strings xs = List (List.map (fun x -> Str x) xs)
+
+let ints xs = List (List.map (fun x -> Int x) xs)
+
 let write_file path v =
   let oc = open_out path in
   Fun.protect

@@ -21,6 +21,12 @@ val to_string : ?pretty:bool -> t -> string
 (** Render as JSON. [pretty] (default true) indents nested structures
     two spaces per level; compact otherwise. *)
 
+val strings : string list -> t
+(** A {!List} of {!Str}. *)
+
+val ints : int list -> t
+(** A {!List} of {!Int}. *)
+
 val write_file : string -> t -> unit
 (** Write [to_string ~pretty:true] plus a trailing newline to a file,
     creating or truncating it. *)

@@ -61,16 +61,13 @@ type outcome = {
   hung : int;
 }
 
+let outcome_fields o =
+  [ ("ok", o.ok); ("overloaded", o.overloaded); ("deadline", o.deadline);
+    ("conn_failed", o.conn_failed); ("bad", o.bad); ("retries", o.retries);
+    ("reconnects", o.reconnects); ("hung", o.hung) ]
+
 let outcome_to_json o =
-  Emit.Obj
-    [ ("ok", Emit.Int o.ok);
-      ("overloaded", Emit.Int o.overloaded);
-      ("deadline", Emit.Int o.deadline);
-      ("conn_failed", Emit.Int o.conn_failed);
-      ("bad", Emit.Int o.bad);
-      ("retries", Emit.Int o.retries);
-      ("reconnects", Emit.Int o.reconnects);
-      ("hung", Emit.Int o.hung) ]
+  Emit.Obj (List.map (fun (k, v) -> (k, Emit.Int v)) (outcome_fields o))
 
 (* Op mixes per served problem. Queue alternates put/get so the service
    queue neither drains dry nor fills to capacity systematically. *)

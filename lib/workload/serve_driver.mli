@@ -63,6 +63,9 @@ type outcome = {
   hung : int;
 }
 
+val outcome_fields : outcome -> (string * int) list
+(** Every count, in declaration order. *)
+
 val outcome_to_json : outcome -> Sync_metrics.Emit.t
 
 val run : sockaddr:Unix.sockaddr -> config -> Report.t * outcome

@@ -1,5 +1,3 @@
-open Sync_metrics
-
 type cell = { domains : int; report : Report.t }
 
 let default_domain_counts () =
@@ -22,44 +20,6 @@ let run ?params ?tier ?(progress = ignore) ~problem ~mechanism ~base
   in
   go [] domain_counts
 
-(* [tier] is off only for the E20 rows, whose committed document
-   predates substrate tiers (every E20 cell runs on the default one). *)
-let cell_row ?(tier = true) c =
-  let s = c.report.Report.summary in
-  let q f = Summary.overall_quantile s f in
-  Emit.Obj
-    ([ ("mechanism", Emit.Str c.report.Report.mechanism);
-       ("problem", Emit.Str c.report.Report.problem);
-       ("variant", Emit.Str c.report.Report.variant) ]
-    @ (if tier then [ ("tier", Emit.Str c.report.Report.tier) ] else [])
-    @ [ ("domains", Emit.Int c.domains);
-        ("throughput_per_s", Emit.Float s.Summary.throughput_per_s);
-        ("total_ops", Emit.Int s.Summary.total_ops);
-        ("total_failures", Emit.Int s.Summary.total_failures);
-        ("p50_ns", Emit.Int (q (fun o -> o.Summary.p50_ns)));
-        ("p95_ns", Emit.Int (q (fun o -> o.Summary.p95_ns)));
-        ("p99_ns", Emit.Int (q (fun o -> o.Summary.p99_ns)));
-        ("p999_ns", Emit.Int (q (fun o -> o.Summary.p999_ns)));
-        ("max_ns", Emit.Int (q (fun o -> o.Summary.max_ns)));
-        ("per_op",
-         match Summary.to_json s with
-         | Emit.Obj fields -> List.assoc "per_op" fields
-         | _ -> Emit.Null) ])
-
-let sweep_to_json ~problem ~mechanism ~base cells =
-  Emit.Obj
-    [ ("problem", Emit.Str problem);
-      ("mechanism", Emit.Str mechanism);
-      ("mode",
-       Emit.Str
-         (match base.Loadgen.mode with
-         | Loadgen.Closed -> "closed"
-         | Loadgen.Open_loop _ -> "open"));
-      ("duration_ms", Emit.Int base.Loadgen.duration_ms);
-      ("warmup_ms", Emit.Int base.Loadgen.warmup_ms);
-      ("seed", Emit.Int base.Loadgen.seed);
-      ("cells", Emit.List (List.map cell_row cells)) ]
-
 type baseline_spec = {
   mechanisms : string list;
   problems : string list;
@@ -68,6 +28,7 @@ type baseline_spec = {
   warmup_ms : int;
   seed : int;
   params : Target.params;
+  tiers : Target.tier list;
 }
 
 let default_baseline_spec () =
@@ -78,54 +39,29 @@ let default_baseline_spec () =
     duration_ms = Loadgen.duration_from_env ~default:150;
     warmup_ms = 50;
     seed = 42;
-    params = Target.default_params }
+    params = Target.default_params;
+    tiers = [ `Default ] }
 
 let baseline_config spec =
   { Loadgen.workers = 1; backend = `Domain; duration_ms = spec.duration_ms;
     warmup_ms = spec.warmup_ms; mode = Loadgen.Closed; seed = spec.seed;
     think_us = 0 }
 
-exception Baseline_failure of string
-
-let baseline ?progress spec =
-  let base = baseline_config spec in
-  try
-    Ok
-      (List.concat_map
-         (fun problem ->
-           List.concat_map
-             (fun mechanism ->
-               match
-                 run ~params:spec.params ?progress ~problem ~mechanism ~base
-                   ~domain_counts:spec.domain_counts ()
-               with
-               | Error e ->
-                 raise
-                   (Baseline_failure
-                      (Printf.sprintf "%s@%s: %s" problem mechanism e))
-               | Ok cells -> cells)
-             spec.mechanisms)
-         spec.problems)
-  with Baseline_failure e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* E22: the default-vs-fast substrate grid. Same machinery as the E20
-   baseline, but every (problem, mechanism, domains) cell is run twice
-   — once per tier — with identical seed and windows, so the committed
-   grid holds side-by-side rows and the ratio between adjacent cells
-   is the measured substrate win. *)
-
+(* E22 is the E20 grid on both substrate tiers: every (problem,
+   mechanism, domains) cell runs once per tier with identical seed and
+   windows, so adjacent tier rows measure the substrate. Eventcounts
+   ride along: their barging wakeups are exactly the shape the fast
+   substrate rewards. *)
 let default_e22_spec () =
   let b = default_baseline_spec () in
-  (* Eventcounts ride along: they are not part of the six-mechanism E20
-     grid, but their barging wakeups are exactly the shape the fast
-     substrate rewards, so the E22 grid records them wherever the
-     workload engine offers a target. *)
   { b with
     mechanisms = b.mechanisms @ [ "eventcount" ];
-    domain_counts = [ 1; 4 ] }
+    domain_counts = [ 1; 4 ];
+    tiers = [ `Default; `Fast ] }
 
-let e22 ?progress ?(tiers = [ `Default; `Fast ]) spec =
+exception Grid_failure of string
+
+let grid ?progress spec =
   let base = baseline_config spec in
   try
     Ok
@@ -134,10 +70,6 @@ let e22 ?progress ?(tiers = [ `Default; `Fast ]) spec =
            let offered = Target.mechanisms ~problem in
            List.concat_map
              (fun mechanism ->
-               (* Unlike the E20 baseline, the E22 grid tolerates a
-                  mechanism with partial problem coverage (eventcount has
-                  no readers-writers target): absent pairs are skipped,
-                  anything else still fails the whole grid. *)
                if not (List.mem mechanism offered) then []
                else
                  List.concat_map
@@ -148,54 +80,11 @@ let e22 ?progress ?(tiers = [ `Default; `Fast ]) spec =
                      with
                      | Error e ->
                        raise
-                         (Baseline_failure
+                         (Grid_failure
                             (Printf.sprintf "%s@%s[%s]: %s" problem mechanism
                                (Sync_prims.Tier.name tier) e))
                      | Ok cells -> cells)
-                   tiers)
+                   spec.tiers)
              spec.mechanisms)
          spec.problems)
-  with Baseline_failure e -> Error e
-
-let e22_to_json spec cells =
-  Emit.Obj
-    [ ("experiment", Emit.Str "E22");
-      ("description",
-       Emit.Str
-         "contention-adaptive platform fast paths: the E20 grid run on \
-          both substrate tiers (default stdlib-backed vs fast \
-          CAS/spin-then-park) with identical seeds and windows; adjacent \
-          tier rows of one cell measure the substrate, not the mechanism");
-      ("mode", Emit.Str "closed");
-      ("backend", Emit.Str "domain");
-      ("duration_ms", Emit.Int spec.duration_ms);
-      ("warmup_ms", Emit.Int spec.warmup_ms);
-      ("seed", Emit.Int spec.seed);
-      ("ocaml", Emit.Str Sys.ocaml_version);
-      ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
-      ("tiers", Emit.List [ Emit.Str "default"; Emit.Str "fast" ]);
-      ("mechanisms", Emit.List (List.map (fun m -> Emit.Str m) spec.mechanisms));
-      ("problems", Emit.List (List.map (fun p -> Emit.Str p) spec.problems));
-      ("domain_counts",
-       Emit.List (List.map (fun d -> Emit.Int d) spec.domain_counts));
-      ("rows", Emit.List (List.map cell_row cells)) ]
-
-let baseline_to_json spec cells =
-  Emit.Obj
-    [ ("experiment", Emit.Str "E20");
-      ("description",
-       Emit.Str
-         "multicore workload baseline: closed-loop throughput and latency \
-          quantiles per mechanism per problem per domain count");
-      ("mode", Emit.Str "closed");
-      ("backend", Emit.Str "domain");
-      ("duration_ms", Emit.Int spec.duration_ms);
-      ("warmup_ms", Emit.Int spec.warmup_ms);
-      ("seed", Emit.Int spec.seed);
-      ("ocaml", Emit.Str Sys.ocaml_version);
-      ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
-      ("mechanisms", Emit.List (List.map (fun m -> Emit.Str m) spec.mechanisms));
-      ("problems", Emit.List (List.map (fun p -> Emit.Str p) spec.problems));
-      ("domain_counts",
-       Emit.List (List.map (fun d -> Emit.Int d) spec.domain_counts));
-      ("rows", Emit.List (List.map (cell_row ~tier:false) cells)) ]
+  with Grid_failure e -> Error e

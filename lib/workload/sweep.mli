@@ -1,12 +1,12 @@
-(** Domain-scaling sweeps and the E20 baseline.
+(** Domain-scaling sweeps and the E20/E22 grids.
 
     A sweep re-runs one mechanism x problem target at increasing worker
     counts (fresh instance per cell, identical seed and windows) so the
     scaling shape — and the point where a mechanism's tail collapses
-    under contention — is measured rather than argued. The {!baseline}
-    runs the full mechanism-grid sweep behind [BENCH_E20.json], the
-    repo's first recorded performance trajectory; future perf PRs are
-    judged against it. *)
+    under contention — is measured rather than argued. {!grid} runs the
+    full mechanism grid behind [BENCH_E20.json] (and, on two tiers,
+    [BENCH_E22.json]), the repo's first recorded performance
+    trajectory. *)
 
 type cell = { domains : int; report : Report.t }
 
@@ -22,10 +22,6 @@ val run :
     the count). [tier] selects the platform substrate (default
     [`Default]); [progress] fires after each cell. *)
 
-val sweep_to_json :
-  problem:string -> mechanism:string -> base:Loadgen.config -> cell list ->
-  Sync_metrics.Emit.t
-
 (** Specification of a full baseline grid. *)
 type baseline_spec = {
   mechanisms : string list;
@@ -35,38 +31,24 @@ type baseline_spec = {
   warmup_ms : int;
   seed : int;
   params : Target.params;
+  tiers : Target.tier list;  (** every cell runs once per tier *)
 }
 
 val default_baseline_spec : unit -> baseline_spec
 (** Six full-coverage mechanisms x {bounded-buffer, readers-writers,
-    fcfs} x domain counts [1; 2; 4]; per-cell steady window from
-    [SYNC_LOAD_MS] (default 150 ms), closed loop on the domain
-    backend. *)
-
-val baseline :
-  ?progress:(cell -> unit) -> baseline_spec -> (cell list, string) result
-(** Run every cell of the grid in a fixed order (problem-major, then
-    mechanism, then domain count). Fails fast on an unknown pair. *)
-
-val baseline_to_json : baseline_spec -> cell list -> Sync_metrics.Emit.t
-(** The committed [BENCH_E20.json] document: grid metadata + one row per
-    cell with throughput and the latency ladder. *)
+    fcfs} x domain counts [1; 2; 4] on the default tier; per-cell
+    steady window from [SYNC_LOAD_MS] (default 150 ms), closed loop on
+    the domain backend. *)
 
 val default_e22_spec : unit -> baseline_spec
-(** The E20 spec narrowed to domain counts [1; 4] with eventcount added
-    to the mechanism list — each cell is run on both substrate tiers,
-    so the grid doubles; 1 domain captures the uncontended fast-path
-    cost, 4 the contended win. *)
+(** The E20 spec on tiers [[`Default; `Fast]], narrowed to domain
+    counts [1; 4] with eventcount added to the mechanism list; 1 domain
+    captures the uncontended fast-path cost, 4 the contended win. *)
 
-val e22 :
-  ?progress:(cell -> unit) -> ?tiers:Target.tier list -> baseline_spec ->
-  (cell list, string) result
-(** Run the grid once per tier per cell (problem-major, then mechanism,
-    then tier, then domain count), identical seed and windows across
-    tiers. [tiers] defaults to [[`Default; `Fast]]. Pairs the workload
-    engine does not offer (e.g. eventcount readers-writers) are
-    skipped; any other per-cell failure aborts the grid. *)
-
-val e22_to_json : baseline_spec -> cell list -> Sync_metrics.Emit.t
-(** The committed [BENCH_E22.json] document: like {!baseline_to_json}
-    but rows carry a ["tier"] field and the metadata lists both tiers. *)
+val grid :
+  ?progress:(cell -> unit) -> baseline_spec -> (cell list, string) result
+(** Run every cell of the grid (problem-major, then mechanism, then
+    tier, then domain count) with identical seed and windows. Pairs
+    the workload engine does not offer (e.g. eventcount
+    readers-writers) are skipped; any other per-cell failure aborts the
+    grid. *)

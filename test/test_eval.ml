@@ -232,6 +232,7 @@ let test_scorecard_ok () =
 (* The axis registry and the committed-baseline lookup                 *)
 
 module Emit = Sync_metrics.Emit
+module Doc = Sync_metrics.Bench_doc
 
 let test_axis_names () =
   Alcotest.(check (list string))
@@ -264,57 +265,95 @@ let test_axis_cli_choices () =
       (String.split_on_char ' ' listed)
   | None -> Alcotest.failf "no axis list in %S" text
 
-(* Every axis at its quick size, on 1 ms windows: its document names its
-   experiment. The grids are real multi-domain loads, so the test drops
-   its priority first: the real-thread suites running alongside it must
-   not be starved of CPU by a tag check. *)
+(* Every axis at its quick size, on 1 ms windows, run once for the two
+   document tests below. The grids are real multi-domain loads, so the
+   run drops its priority first: the real-thread suites running
+   alongside it must not be starved of CPU by a document check. *)
+let quick_documents =
+  lazy
+    (ignore (Unix.nice 19);
+     let saved = Option.value (Sys.getenv_opt "SYNC_LOAD_MS") ~default:"" in
+     Unix.putenv "SYNC_LOAD_MS" "1";
+     Fun.protect
+       ~finally:(fun () -> Unix.putenv "SYNC_LOAD_MS" saved)
+       (fun () ->
+         List.map
+           (fun (a : Axis.t) -> (a, (a.run ~full:false ~progress:ignore).Axis.json))
+           Axis.all))
+
+(* Each quick document names its experiment in its header. *)
 let test_axis_documents () =
-  ignore (Unix.nice 19);
-  let saved = Option.value (Sys.getenv_opt "SYNC_LOAD_MS") ~default:"" in
-  Unix.putenv "SYNC_LOAD_MS" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SYNC_LOAD_MS" saved)
-    (fun () ->
-      List.iter
-        (fun (a : Axis.t) ->
-          let o = a.run ~full:false ~progress:ignore in
-          match Emit.member "experiment" o.Axis.json with
-          | Some (Emit.Str e) -> Alcotest.(check string) a.name a.experiment e
-          | _ -> Alcotest.failf "%s: no experiment tag" a.name)
-        Axis.all)
+  List.iter
+    (fun ((a : Axis.t), doc) ->
+      match Doc.header "experiment" doc with
+      | Some (Emit.Str e) -> Alcotest.(check string) a.name a.experiment e
+      | _ -> Alcotest.failf "%s: no experiment in the header" a.name)
+    (Lazy.force quick_documents)
+
+(* The committed grids and row counts the converted files must keep. *)
+let committed =
+  [ ("BENCH_E20.json", 54); ("BENCH_E22.json", 80); ("BENCH_E23.json", 60);
+    ("BENCH_E24.json", 24); ("BENCH_E25.json", 194);
+    ("BENCH_E27.json", 108 + 4) ]
+
+(* One shape for every committed file and every quick axis document:
+   the header fields are present, each row has exactly coords, metrics
+   and status, every metric is a finite number, and no two rows share
+   coords. *)
+let test_one_shape () =
+  let check name doc =
+    Alcotest.(check (list string)) (name ^ " shape") [] (Doc.validate doc)
+  in
+  List.iter
+    (fun (file, rows) ->
+      let doc = Emit.parse_file (Filename.concat ".." file) in
+      check file doc;
+      Alcotest.(check int) (file ^ " rows") rows
+        (List.length
+           (Emit.to_list (Option.value ~default:Emit.Null (Emit.member "rows" doc)))))
+    committed;
+  List.iter
+    (fun ((a : Axis.t), doc) -> check ("axis " ^ a.name) doc)
+    (Lazy.force quick_documents)
 
 let test_baseline_finds_sanity_cells () =
   List.iter
     (fun (g : Baseline.group) ->
       let doc =
-        match Baseline.load (Filename.concat ".." g.file) with
+        match Doc.load (Filename.concat ".." g.file) with
         | Ok d -> d
         | Error e -> Alcotest.fail e
       in
       List.iter
         (fun p ->
           match
-            Baseline.lookup doc ~rows:g.rows ~coords:(Baseline.coords g p)
-              ~metric:"throughput_per_s"
+            Doc.lookup doc ~coords:(Baseline.coords p) ~metric:"throughput_per_s"
           with
           | Some t when t > 0. -> ()
           | _ -> Alcotest.failf "%s: %s not found" g.file (Baseline.id p))
         g.probes)
     Baseline.sanity
 
-(* Numbers match by value; a row with a status must be supported. *)
+(* Coordinates match by value (4 and 4.0 are one domain count); an
+   unsupported row never matches; the lookup reads the first hit. *)
 let test_baseline_select () =
   let doc =
     Emit.parse
-      {|{"rows": [{"k": "a", "d": 4, "status": "unsupported"},
-                  {"k": "a", "d": 4.0, "status": "supported", "v": 1},
-                  {"k": "a", "d": 4, "v": 2}]}|}
+      {|{"header": {}, "rows": [
+          {"coords": {"k": "a", "d": 4}, "metrics": {},
+           "status": {"unsupported": {"feature": "f", "reason": "r"}}},
+          {"coords": {"k": "a", "d": 4.0}, "metrics": {"v": 1},
+           "status": "supported"},
+          {"coords": {"k": "a", "d": 4}, "metrics": {"v": 2},
+           "status": "supported"}]}|}
   in
   let coords = [ ("k", Emit.Str "a"); ("d", Emit.Int 4) ] in
-  Alcotest.(check int) "supported or status-free"
-    2 (List.length (Baseline.select doc ~rows:"rows" ~coords));
+  Alcotest.(check int) "supported rows, numbers by value"
+    2 (List.length (Doc.select doc ~coords));
   Alcotest.(check (option (float 0.))) "first hit" (Some 1.)
-    (Baseline.lookup doc ~rows:"rows" ~coords ~metric:"v")
+    (Doc.lookup doc ~coords ~metric:"v");
+  Alcotest.(check int) "a coordinate no row has" 0
+    (List.length (Doc.select doc ~coords:(("tier", Emit.Str "fast") :: coords)))
 
 let test_drift_gate () =
   let verdicts cells =
@@ -368,7 +407,8 @@ let () =
         [ Alcotest.test_case "registry names" `Quick test_axis_names;
           Alcotest.test_case "cli choices" `Quick test_axis_cli_choices;
           Alcotest.test_case "documents carry experiment" `Slow
-            test_axis_documents ] );
+            test_axis_documents;
+          Alcotest.test_case "one document shape" `Slow test_one_shape ] );
       ( "baseline",
         [ Alcotest.test_case "finds sanity cells" `Quick
             test_baseline_finds_sanity_cells;

@@ -403,7 +403,9 @@ let test_hierarchy_json_snapshot () =
   Alcotest.(check bool) "unsupported is still all_ok" true (H.all_ok rows);
   let doc = Emit.to_string ~pretty:true (H.to_json spec rows) in
   let parsed = Emit.parse doc in
-  (match Emit.member "experiment" parsed with
+  Alcotest.(check (list string)) "one document shape" []
+    (Sync_metrics.Bench_doc.validate parsed);
+  (match Sync_metrics.Bench_doc.header "experiment" parsed with
   | Some (Emit.Str e) -> Alcotest.(check string) "experiment tag" "E25" e
   | _ -> Alcotest.fail "missing experiment tag");
   match Emit.member "rows" parsed with
@@ -413,9 +415,15 @@ let test_hierarchy_json_snapshot () =
       let cell = List.hd cells in
       List.iter
         (fun key ->
-          if Emit.member key cell = None then
-            Alcotest.failf "snapshot row missing %S" key)
-        [ "class"; "problem"; "mechanism"; "status"; "feature" ]
+          if Sync_metrics.Bench_doc.coord key cell = None then
+            Alcotest.failf "snapshot row has no %S coordinate" key)
+        [ "tier"; "problem"; "mechanism"; "domains" ];
+      (match Option.bind (Emit.member "status" cell) (Emit.member "unsupported") with
+      | Some s ->
+          Alcotest.(check (option string)) "typed feature in the status"
+            (Some "semaphore.strong")
+            (match Emit.member "feature" s with Some (Emit.Str f) -> Some f | _ -> None)
+      | None -> Alcotest.fail "snapshot row is not unsupported")
   | None -> Alcotest.fail "missing rows"
 
 let () =

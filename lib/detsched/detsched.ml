@@ -148,19 +148,34 @@ let choices_pick (cs : int array) : pick =
 (* ------------------------------------------------------------------ *)
 (* Running                                                              *)
 
+(* The decisions of a run so far: [r_n] (alternatives, chosen) pairs. *)
+type recording = {
+  mutable r_alts : int array;
+  mutable r_chosen : int array;
+  mutable r_n : int;
+}
+
 let run_raw ?max_steps ?observe ~(pick : pick) body : outcome =
-  let rev = ref [] in
-  let count = ref 0 in
+  let r = { r_alts = Array.make 64 0; r_chosen = Array.make 64 0; r_n = 0 } in
   let choose alts =
     let i = pick alts in
-    rev := { Schedule.alts = Array.length alts; chosen = i } :: !rev;
-    incr count;
+    let k = r.r_n in
+    if k = Array.length r.r_alts then begin
+      r.r_alts <- Array.append r.r_alts r.r_alts;
+      r.r_chosen <- Array.append r.r_chosen r.r_chosen
+    end;
+    r.r_alts.(k) <- Array.length alts;
+    r.r_chosen.(k) <- i;
+    r.r_n <- k + 1;
     i
   in
-  let sched () = Array.of_list (List.rev !rev) in
+  let sched () =
+    Array.init r.r_n (fun k ->
+        { Schedule.alts = r.r_alts.(k); chosen = r.r_chosen.(k) })
+  in
   match Detrt.run ?max_steps ?observe ~choose body with
   | steps -> { schedule = sched (); steps; result = Ok () }
-  | exception e -> { schedule = sched (); steps = !count; result = Error e }
+  | exception e -> { schedule = sched (); steps = r.r_n; result = Error e }
 
 let run ?max_steps ?observe ~pick sc : verdict =
   let inst = ref None in
@@ -373,32 +388,40 @@ type dpor_report = {
 module Dpor = struct
   module Obs = Detrt.Obs
   module ISet = Set.Make (Int)
-  module IH = Hashtbl.Make (Int)
 
   exception Diverged of string
 
   let nondeterministic msg =
     failwith ("Detsched.explore_dpor: scenario is not deterministic: " ^ msg)
 
-  (* Objects are keyed by a private int: the kind in the low two bits over
-     the ordinal. Injective for every id the runtime hands out (ordinals
-     are >= -1, task ids >= 0), leaving 0 for the scheduler-global
-     pseudo-object. *)
-  let global = 0
+  (* Objects are the runtime's packed [Obs] keys; a quantum's object set
+     is a duplicate-free int array (a segment of the trace below while
+     the run is live). *)
+  let global = Obs.global
 
-  let key : Obs.objid -> int = function
-    | Obs.Global -> global
-    | Task_o i -> (4 * i) + 4
-    | Mutex_o i -> (4 * i) + 5
-    | Cond_o i -> (4 * i) + 6
-    | Reg_o i -> (4 * i) + 7
+  let rec mem_from (o : int) (a : int array) i n =
+    i < n && (a.(i) = o || mem_from o a (i + 1) n)
 
-  let rec mem (o : int) = function [] -> false | x :: r -> x = o || mem o r
+  let int_array_equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  (* Grow [a] to hold index [i], zero-filled. *)
+  let ensure (a : int array) i =
+    if i < Array.length a then a
+    else begin
+      let b = Array.make (Int.max (i + 1) (2 * Array.length a)) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
 
   (* A sleeping task id together with the objects its already-explored
      transition touched: the entry wakes (is dropped) as soon as any
      executed quantum is dependent with it. *)
-  type sleeper = { s_tid : int; s_objs : int list }
+  type sleeper = { s_tid : int; s_objs : int array }
 
   (* One decision of the explored run. Task frames carry persistent
      backtrack/sleep state across re-executions; waiter frames (which
@@ -406,150 +429,224 @@ module Dpor = struct
      pick changes synchronization outcomes by construction, so no
      independence argument applies. *)
   type frame = {
-    f_kind : [ `Task | `Waiter ];
+    f_task : bool; (* a task pick; otherwise a waiter pick *)
     f_cands : int array;
     mutable f_chosen : int; (* task id dictated on the next replay *)
     mutable f_backtrack : ISet.t;
     mutable f_done : ISet.t;
     mutable f_sleep : sleeper list;
-    mutable f_objs : int list; (* objs of the chosen quantum *)
+    mutable f_objs : int array; (* objs of the chosen quantum *)
   }
 
-  type quantum = {
-    q_proc : int;
-    q_dec : int; (* decision index that dispatched it; -1 when forced *)
-    q_enabled : int array;
-    mutable q_objs : int list;
+  (* One run's quanta, flat: quantum [i] ran task [proc.(i)], was
+     dispatched by decision [dec.(i)] (-1 when forced) and touched
+     [objs.(ostart.(i)) .. objs.(ostart.(i + 1) - 1)]. [n] quanta are
+     closed; while [q_open], quantum [n] is being filled. *)
+  type trace = {
+    mutable n : int;
+    mutable proc : int array;
+    mutable dec : int array;
+    mutable ostart : int array;
+    mutable objs : int array;
+    mutable olen : int;
+    mutable q_open : bool;
   }
 
-  let dependent objs1 objs2 =
-    mem global objs1 || mem global objs2
-    || List.exists (fun o -> mem o objs2) objs1
+  let trace () =
+    { n = 0; proc = Array.make 64 0; dec = Array.make 64 0;
+      ostart = Array.make 65 0; objs = Array.make 256 0; olen = 0;
+      q_open = false }
+
+  let open_quantum tr tid dec =
+    let i = tr.n in
+    if i >= Array.length tr.proc then begin
+      tr.proc <- ensure tr.proc i;
+      tr.dec <- ensure tr.dec i
+    end;
+    tr.proc.(i) <- tid;
+    tr.dec.(i) <- dec;
+    tr.q_open <- true
+
+  let close_quantum tr =
+    if tr.q_open then begin
+      let i = tr.n + 1 in
+      if i >= Array.length tr.ostart then tr.ostart <- ensure tr.ostart i;
+      tr.ostart.(i) <- tr.olen;
+      tr.n <- i;
+      tr.q_open <- false
+    end
+
+  let add_obj tr o =
+    if not (mem_from o tr.objs tr.ostart.(tr.n) tr.olen) then begin
+      if tr.olen >= Array.length tr.objs then tr.objs <- ensure tr.objs tr.olen;
+      tr.objs.(tr.olen) <- o;
+      tr.olen <- tr.olen + 1
+    end
+
+  (* Some object of [objs1] from index [i] on is in [a.(lo .. hi - 1)]. *)
+  let rec meets (objs1 : int array) i a lo hi =
+    i < Array.length objs1
+    && (mem_from objs1.(i) a lo hi || meets objs1 (i + 1) a lo hi)
+
+  (* [dependent]: a sleeper's objects against quantum [q]'s. *)
+  let dependent (objs1 : int array) tr q =
+    let lo = tr.ostart.(q) and hi = tr.ostart.(q + 1) in
+    mem_from global objs1 0 (Array.length objs1)
+    || mem_from global tr.objs lo hi
+    || meets objs1 0 tr.objs lo hi
+
+  (* An exploration shard's state, reused across its runs. The frame
+     stack is [frames.(0 .. depth - 1)]. [cur] is filled by the run in
+     progress and [prev] holds the previous run, whose vector clocks sit
+     in [vcs]: row [i] (quantum [i]) at offset [i * width]. [width] is
+     the widest clock so far and never shrinks, so a reused clock is
+     never wider than a fresh one.
+
+     The rest are the analysis's "latest quantum" tables, rebuilt by each
+     analysis in place: per task ([last_of_proc], and [proc_qs.(p)], its
+     first [nq.(p)] quanta in order), per object key ([last_touch]; -1
+     none) and scheduler-global ([last_global]). *)
+  type shard = {
+    mutable frames : frame array;
+    mutable depth : int;
+    mutable cur : trace;
+    mutable prev : trace;
+    mutable vcs : int array;
+    mutable width : int;
+    mutable last_of_proc : int array;
+    mutable nq : int array;
+    mutable proc_qs : int array array;
+    mutable last_touch : int array;
+    mutable last_global : int;
+    mutable all_vc : int array;
+  }
+
+  let shard frames =
+    { frames; depth = Array.length frames; cur = trace (); prev = trace ();
+      vcs = [||]; width = 0; last_of_proc = [||]; nq = [||]; proc_qs = [||];
+      last_touch = [||]; last_global = -1; all_vc = [||] }
+
+  let push_frame sh f =
+    if sh.depth = Array.length sh.frames then begin
+      let a = Array.make (Int.max 16 (2 * sh.depth)) f in
+      Array.blit sh.frames 0 a 0 sh.depth;
+      sh.frames <- a
+    end;
+    sh.frames.(sh.depth) <- f;
+    sh.depth <- sh.depth + 1
+
+  (* The per-event state of [run_one]. *)
+  type runst = {
+    tr : trace;
+    n_stack : int; (* frames dictated by the stack *)
+    mutable dec_i : int;
+    (* the Choice awaiting [pick]: 0 none, 1 task, 2 waiter *)
+    mutable pending : int;
+    mutable fresh_from : int;
+    mutable dec_for_sched : int;
+    mutable online_sleep : sleeper list;
+    (* the first closed quantum not yet applied to the sleep set *)
+    mutable unconsumed : int;
+    mutable redundant : int;
+  }
+
+  let sync_sleep st =
+    let tr = st.tr in
+    for q = st.unconsumed to tr.n - 1 do
+      match st.online_sleep with
+      | _ :: _ as sleep when tr.ostart.(q + 1) > tr.ostart.(q) ->
+        st.online_sleep <-
+          List.filter (fun sl -> not (dependent sl.s_objs tr q)) sleep
+      | _ -> ()
+    done;
+    st.unconsumed <- tr.n
 
   (* Execute one run: decisions below the stack are dictated by the
      frames, decisions beyond it extend the stack, preferring tasks not
-     in the current sleep set. Returns the verdict, the quantum sequence,
-     the full frame stack, the count of sleep-redundant extensions and
+     in the current sleep set. Fills [sh.cur] with the run's quanta and
+     returns the verdict, the count of sleep-redundant extensions and
      [fresh_from]: how many quanta closed before the stack's top
      (mutated) decision, i.e. the prefix that replays the previous run. *)
-  let run_one ?max_steps sc (stack : frame array) =
-    let n_stack = Array.length stack in
-    let dec_i = ref 0 in
-    let pending = ref None in
-    let new_frames = ref [] in
-    let quanta_rev = ref [] in
-    let closed = ref 0 in
-    let fresh_from = ref 0 in
-    let q_open = ref None in
-    let dec_for_sched = ref (-1) in
-    let online_sleep = ref [] in
-    let unconsumed = ref [] in
-    let redundant = ref 0 in
-    let close_quantum () =
-      match !q_open with
-      | None -> ()
-      | Some q ->
-        quanta_rev := q :: !quanta_rev;
-        unconsumed := q :: !unconsumed;
-        incr closed;
-        q_open := None
-    in
-    let sync_sleep () =
-      List.iter
-        (fun q ->
-          if q.q_objs <> [] then
-            online_sleep :=
-              List.filter
-                (fun sl -> not (dependent sl.s_objs q.q_objs))
-                !online_sleep)
-        (List.rev !unconsumed);
-      unconsumed := []
+  let run_one ?max_steps sc sh =
+    let tr = sh.cur in
+    tr.n <- 0;
+    tr.olen <- 0;
+    tr.ostart.(0) <- 0;
+    tr.q_open <- false;
+    let st =
+      { tr; n_stack = sh.depth; dec_i = 0; pending = 0; fresh_from = 0;
+        dec_for_sched = -1; online_sleep = []; unconsumed = 0; redundant = 0 }
     in
     let observe ev =
       match ev with
       | Obs.Choice { kind = `Task; _ } ->
-        close_quantum ();
-        pending := Some `Task
-      | Obs.Choice { kind = `Waiter; _ } -> pending := Some `Waiter
-      | Obs.Sched { tid; runnable } ->
-        close_quantum ();
-        let dec = !dec_for_sched in
-        dec_for_sched := -1;
-        q_open :=
-          Some { q_proc = tid; q_dec = dec; q_enabled = runnable; q_objs = [] }
+        close_quantum tr;
+        st.pending <- 1
+      | Obs.Choice { kind = `Waiter; _ } -> st.pending <- 2
+      | Obs.Sched { tid; _ } ->
+        close_quantum tr;
+        open_quantum tr tid st.dec_for_sched;
+        st.dec_for_sched <- -1
       | Obs.Op { tid; obj; _ } ->
-        let q =
-          match !q_open with
-          | Some q -> q
-          | None ->
-            (* ops of the main task before its first dispatch *)
-            let q =
-              { q_proc = tid; q_dec = -1; q_enabled = [| tid |]; q_objs = [] }
-            in
-            q_open := Some q;
-            q
-        in
-        let o = key obj in
-        if not (mem o q.q_objs) then q.q_objs <- o :: q.q_objs
+        (* ops of the main task before its first dispatch open a forced
+           quantum *)
+        if not tr.q_open then open_quantum tr tid (-1);
+        add_obj tr obj
     in
+    (* [alts] is fresh for each decision, so new frames keep it *)
     let pick alts =
-      let kind =
-        match !pending with
-        | Some k ->
-          pending := None;
-          k
-        | None -> raise (Diverged "choose without a Choice event")
+      let is_task =
+        match st.pending with
+        | 1 -> true
+        | 2 -> false
+        | _ -> raise (Diverged "choose without a Choice event")
       in
-      let d = !dec_i in
-      incr dec_i;
-      if d = n_stack - 1 then fresh_from := !closed;
+      st.pending <- 0;
+      let d = st.dec_i in
+      st.dec_i <- d + 1;
+      if d = st.n_stack - 1 then st.fresh_from <- tr.n;
       let tid =
-        if d < n_stack then begin
-          let f = stack.(d) in
-          if f.f_kind <> kind || f.f_cands <> alts then
+        if d < st.n_stack then begin
+          let f = sh.frames.(d) in
+          if f.f_task <> is_task || not (int_array_equal f.f_cands alts) then
             raise
               (Diverged (Printf.sprintf "replayed decision %d changed shape" d));
-          (if kind = `Task then begin
-             online_sleep := f.f_sleep;
-             unconsumed := []
-           end);
+          if is_task then begin
+            st.online_sleep <- f.f_sleep;
+            st.unconsumed <- tr.n
+          end;
           f.f_chosen
         end
+        else if not is_task then begin
+          let tid = alts.(0) in
+          push_frame sh
+            { f_task = false; f_cands = alts; f_chosen = tid;
+              f_backtrack =
+                Array.fold_left (fun s t -> ISet.add t s) ISet.empty alts;
+              f_done = ISet.empty; f_sleep = []; f_objs = [||] };
+          tid
+        end
         else begin
-          match kind with
-          | `Waiter ->
-            let tid = alts.(0) in
-            new_frames :=
-              { f_kind = `Waiter; f_cands = Array.copy alts; f_chosen = tid;
-                f_backtrack =
-                  Array.fold_left (fun s t -> ISet.add t s) ISet.empty alts;
-                f_done = ISet.empty; f_sleep = []; f_objs = [] }
-              :: !new_frames;
-            tid
-          | `Task ->
-            sync_sleep ();
-            let asleep t =
-              List.exists (fun sl -> sl.s_tid = t) !online_sleep
-            in
-            let tid =
-              match Array.find_opt (fun t -> not (asleep t)) alts with
-              | Some t -> t
-              | None ->
-                (* every candidate's next transition was already explored
-                   from an equivalent state: the branch is redundant, but
-                   we must still run it to completion to stay replayable *)
-                incr redundant;
-                alts.(0)
-            in
-            new_frames :=
-              { f_kind = `Task; f_cands = Array.copy alts; f_chosen = tid;
-                f_backtrack = ISet.singleton tid; f_done = ISet.empty;
-                f_sleep = !online_sleep; f_objs = [] }
-              :: !new_frames;
-            tid
+          sync_sleep st;
+          let asleep t = List.exists (fun sl -> sl.s_tid = t) st.online_sleep in
+          let tid =
+            match Array.find_opt (fun t -> not (asleep t)) alts with
+            | Some t -> t
+            | None ->
+              (* every candidate's next transition was already explored
+                 from an equivalent state: the branch is redundant, but
+                 we must still run it to completion to stay replayable *)
+              st.redundant <- st.redundant + 1;
+              alts.(0)
+          in
+          push_frame sh
+            { f_task = true; f_cands = alts; f_chosen = tid;
+              f_backtrack = ISet.singleton tid; f_done = ISet.empty;
+              f_sleep = st.online_sleep; f_objs = [||] };
+          tid
         end
       in
-      if kind = `Task then dec_for_sched := d;
+      if is_task then st.dec_for_sched <- d;
       let rec find i =
         if i >= Array.length alts then
           raise
@@ -562,162 +659,218 @@ module Dpor = struct
       find 0
     in
     let v = run ?max_steps ~observe ~pick sc in
-    close_quantum ();
+    close_quantum tr;
     (match v.outcome.result with
     | Error (Diverged msg) -> nondeterministic msg
     | _ -> ());
-    let frames =
-      Array.append stack (Array.of_list (List.rev !new_frames))
-    in
-    (v, Array.of_list (List.rev !quanta_rev), frames, !redundant, !fresh_from)
+    (v, st.redundant, st.fresh_from)
 
-  (* What a shard's previous run leaves for the next one's analysis: its
-     quanta and their vector clocks. [h_ntids] is the widest clock so far
-     and never shrinks, so a reused clock is never wider than a fresh one. *)
-  type history = {
-    mutable h_quanta : quantum array;
-    mutable h_vcs : int array array;
-    mutable h_ntids : int;
-  }
+  (* Join the [w]-wide clock at [src.(soff ..)] into [dst.(doff ..)]. *)
+  let join (dst : int array) doff (src : int array) soff w =
+    for t = 0 to w - 1 do
+      let x = src.(soff + t) in
+      if x > dst.(doff + t) then dst.(doff + t) <- x
+    done
 
-  (* Post-run analysis: vector clocks over the quantum sequence, then
-     reversible-race detection. For a race (j, i) the candidate witnesses
-     are, per Flanagan–Godefroid, the tasks enabled at j's decision that
-     either are i's task or have a later quantum happens-before i; when
-     none is enabled the whole frontier is expanded. Returns how many
-     backtrack points were planted. Races whose decision frame lies below
-     [pin] belong to another exploration shard and are discarded — sound
-     because the pinned levels are fully expanded across shards.
+  (* Grow the per-task tables to [w] tasks and the clock rows to [w]
+     entries, re-laying out the first [rows] rows. *)
+  let widen sh w rows =
+    let w0 = sh.width in
+    let v = Array.make (Int.max (rows * w) (2 * Array.length sh.vcs)) 0 in
+    for i = 0 to rows - 1 do
+      Array.blit sh.vcs (i * w0) v (i * w) w0
+    done;
+    sh.vcs <- v;
+    sh.last_of_proc <- Array.make w (-1);
+    sh.nq <- Array.make w 0;
+    sh.all_vc <- Array.make w 0;
+    sh.proc_qs <-
+      Array.init w (fun p ->
+          if p < w0 then sh.proc_qs.(p) else Array.make 16 0);
+    sh.width <- w
+
+  (* Record quantum [i] of [tr] in the tables. *)
+  let touch sh tr i =
+    let p = tr.proc.(i) in
+    sh.last_of_proc.(p) <- i;
+    let c = sh.nq.(p) in
+    if c >= Array.length sh.proc_qs.(p) then
+      sh.proc_qs.(p) <- ensure sh.proc_qs.(p) c;
+    sh.proc_qs.(p).(c) <- i;
+    sh.nq.(p) <- c + 1;
+    for k = tr.ostart.(i) to tr.ostart.(i + 1) - 1 do
+      let o = tr.objs.(k) in
+      sh.last_touch.(o) <- i;
+      if o = global then sh.last_global <- i
+    done
+
+  (* Quantum [i] of [a] and of [b] ran the same task on the same objects. *)
+  let same_quantum a b i =
+    let lo = a.ostart.(i) and hi = a.ostart.(i + 1) in
+    let d = b.ostart.(i) - lo in
+    a.proc.(i) = b.proc.(i)
+    && hi - lo = b.ostart.(i + 1) - b.ostart.(i)
+    &&
+    let rec go k = k >= hi || (a.objs.(k) = b.objs.(k + d) && go (k + 1)) in
+    go lo
+
+  (* [j -> m], for an immediate predecessor [m] of the quantum being
+     analyzed: [m] lies after [j] and its clock has seen [j]. *)
+  let[@inline] via vcs w j pj cj m = m > j && vcs.((m * w) + pj) >= cj
+
+  (* Is there a happens-before chain j -> k -> i with j < k < i? Some k
+     lies on one iff one of i's immediate predecessors does: its task's
+     previous quantum [prev_p], the last toucher of each of its objects,
+     and the last global quantum, or every task's last quantum if i is
+     global itself. *)
+  let chained sh tr w ~prev_p ~lo ~hi ~has_global j =
+    let vcs = sh.vcs in
+    let pj = tr.proc.(j) in
+    let cj = vcs.((j * w) + pj) in
+    let via = via vcs w j pj cj in
+    via prev_p
+    || (let rec objs k =
+          k < hi && (via sh.last_touch.(tr.objs.(k)) || objs (k + 1))
+        in
+        objs lo)
+    ||
+    if has_global then
+      let rec tasks t = t < w && (via sh.last_of_proc.(t) || tasks (t + 1)) in
+      tasks 0
+    else via sh.last_global
+
+  (* Task [q] has a quantum after [j] that happens-before the quantum
+     whose clock row starts at [row]: the last of [q]'s quanta that row
+     has seen, its [vcs.(row + q)]-th, lies after [j]. *)
+  let later_hb sh w row j q =
+    q < w
+    &&
+    let c = sh.vcs.(row + q) in
+    c > 0 && sh.proc_qs.(q).(c - 1) > j
+
+  (* Plant task [q] in [f]'s backtrack set; true if it was not there. *)
+  let plant f q =
+    (not (ISet.mem q f.f_backtrack))
+    && begin
+         f.f_backtrack <- ISet.add q f.f_backtrack;
+         true
+       end
+
+  (* A race partner [j] of quantum [i] (task [p], clock row at [row],
+     objects [lo .. hi - 1]): if the race is reversible — no
+     happens-before chain passes strictly between j and i — plant a
+     backtrack point at j's decision. Returns how many were planted;
+     planting is idempotent, so a partner met twice plants nothing more. *)
+  let race sh tr w ~pin ~p ~row ~prev_p ~lo ~hi ~has_global j =
+    if j < 0 || tr.proc.(j) = p || tr.dec.(j) < Int.max pin 0
+       || chained sh tr w ~prev_p ~lo ~hi ~has_global j
+    then 0
+    else begin
+      let d = tr.dec.(j) in
+      let f = sh.frames.(d) in
+      let enabled = f.f_cands in
+      let plant q = if plant f q then 1 else 0 in
+      if Array.length enabled <= 1 then 0
+      else if Array.mem p enabled then plant p
+      else
+        match Array.find_opt (later_hb sh w row j) enabled with
+        | Some q -> plant q
+        | None -> Array.fold_left (fun n q -> n + plant q) 0 enabled
+    end
+
+  (* Post-run analysis of [sh.cur]: vector clocks over the quantum
+     sequence, then reversible-race detection. For a race (j, i) the
+     candidate witnesses are, per Flanagan–Godefroid, the tasks enabled at
+     j's decision that either are i's task or have a later quantum
+     happens-before i; when none is enabled the whole frontier is
+     expanded. Returns how many backtrack points were planted. Races whose
+     decision frame lies below [pin] belong to another exploration shard
+     and are discarded — sound because the pinned levels are fully
+     expanded across shards.
 
      The analysis is incremental. The first [fresh_from] quanta replay the
-     shard's previous run ([h]), so their clocks are taken from it
-     and only the tables that index them are rebuilt; races and backtrack
-     points are computed for the fresh quanta alone. A race between two
+     shard's previous run ([sh.prev]), so their clocks are kept and only
+     the tables that index them are rebuilt; races and backtrack points
+     are computed for the fresh quanta alone. A race between two
      prefix quanta depends only on that prefix, so the run that first
      executed it already planted its backtrack point, on a frame below the
      mutated decision that is still on the stack; planting is idempotent,
      so skipping it changes neither the frames nor the race count. *)
-  let analyze ~pin (h : history) ~fresh_from (frames : frame array)
-      (quanta : quantum array) =
-    let n = Array.length quanta in
-    let reuse = min fresh_from (Array.length h.h_quanta) in
-    let ntids = ref h.h_ntids in
-    for i = reuse to n - 1 do
-      ntids := max !ntids (quanta.(i).q_proc + 1)
-    done;
-    let ntids = !ntids in
-    let vcs = Array.make n [||] in
-    (* latest quantum per task, per object, and scheduler-global; -1 none *)
-    let last_of_proc = Array.make ntids (-1) in
-    let last_touch = IH.create 32 in
-    let last_global = ref (-1) in
-    let touch i q =
-      last_of_proc.(q.q_proc) <- i;
-      List.iter (fun o -> IH.replace last_touch o i) q.q_objs;
-      if mem global q.q_objs then last_global := i
-    in
+  let analyze ~pin sh ~fresh_from =
+    let tr = sh.cur and pv = sh.prev in
+    let n = tr.n in
+    let reuse = Int.min fresh_from pv.n in
     for i = 0 to reuse - 1 do
-      let q = quanta.(i) and p = h.h_quanta.(i) in
-      if q.q_proc <> p.q_proc || not (List.equal Int.equal q.q_objs p.q_objs)
-      then
+      if not (same_quantum tr pv i) then
         nondeterministic
-          (Printf.sprintf "replayed quantum %d changed task or objects" i);
-      vcs.(i) <- h.h_vcs.(i);
-      touch i q
+          (Printf.sprintf "replayed quantum %d changed task or objects" i)
     done;
-    (* a shorter [src] is a prefix clock from a run with fewer tasks *)
-    let join dst src =
-      for t = 0 to Array.length src - 1 do
-        if src.(t) > dst.(t) then dst.(t) <- src.(t)
-      done
-    in
-    let join_last dst j = if j >= 0 then join dst vcs.(j) in
+    let w = ref (Int.max 1 sh.width) in
+    for i = reuse to n - 1 do
+      if tr.proc.(i) >= !w then w := tr.proc.(i) + 1
+    done;
+    let w = !w in
+    if w > sh.width then widen sh w reuse;
+    if n * w > Array.length sh.vcs then begin
+      let v = Array.make (Int.max (n * w) (2 * Array.length sh.vcs)) 0 in
+      Array.blit sh.vcs 0 v 0 (reuse * w);
+      sh.vcs <- v
+    end;
+    let max_key = ref (-1) in
+    for k = 0 to tr.olen - 1 do
+      max_key := Int.max !max_key tr.objs.(k)
+    done;
+    if !max_key >= Array.length sh.last_touch then
+      sh.last_touch <-
+        Array.make (Int.max (!max_key + 1) (2 * Array.length sh.last_touch)) 0;
+    Array.fill sh.last_of_proc 0 w (-1);
+    Array.fill sh.nq 0 w 0;
+    Array.fill sh.last_touch 0 (!max_key + 1) (-1);
+    sh.last_global <- -1;
+    for i = 0 to reuse - 1 do
+      touch sh tr i
+    done;
+    let vcs = sh.vcs and all_vc = sh.all_vc in
     (* each task's clocks only grow, so its last one joins all of them *)
-    let all_vc = Array.make ntids 0 in
-    Array.iter (join_last all_vc) last_of_proc;
-    (* [hb j k]: quantum [j] happens-before quantum [k] (for j < k). *)
-    let hb j k =
-      let p = quanta.(j).q_proc in
-      vcs.(k).(p) >= vcs.(j).(p)
-    in
+    Array.fill all_vc 0 w 0;
+    for p = 0 to w - 1 do
+      let j = sh.last_of_proc.(p) in
+      if j >= 0 then join all_vc 0 vcs (j * w) w
+    done;
     let planted = ref 0 in
     for i = reuse to n - 1 do
-      let q = quanta.(i) in
-      if q.q_dec >= 0 then frames.(q.q_dec).f_objs <- q.q_objs;
-      let has_global = mem global q.q_objs in
-      let vc = Array.make ntids 0 in
-      join_last vc last_of_proc.(q.q_proc);
-      List.iter
-        (fun o ->
-          match IH.find_opt last_touch o with
-          | Some j -> join vc vcs.(j)
-          | None -> ())
-        q.q_objs;
-      if has_global then join vc all_vc else join_last vc !last_global;
+      let p = tr.proc.(i) in
+      let lo = tr.ostart.(i) and hi = tr.ostart.(i + 1) in
+      let dec = tr.dec.(i) in
+      if dec >= 0 then sh.frames.(dec).f_objs <- Array.sub tr.objs lo (hi - lo);
+      let has_global = mem_from global tr.objs lo hi in
+      let row = i * w in
+      Array.fill vcs row w 0;
+      let prev_p = sh.last_of_proc.(p) in
+      if prev_p >= 0 then join vcs row vcs (prev_p * w) w;
+      for k = lo to hi - 1 do
+        let j = sh.last_touch.(tr.objs.(k)) in
+        if j >= 0 then join vcs row vcs (j * w) w
+      done;
+      if has_global then join vcs row all_vc 0 w
+      else if sh.last_global >= 0 then join vcs row vcs (sh.last_global * w) w;
       (* the joins leave the task's own entry at its previous quantum's
          count, since no clock runs ahead of a task on its own entry *)
-      vc.(q.q_proc) <- vc.(q.q_proc) + 1;
-      vcs.(i) <- vc;
+      vcs.(row + p) <- vcs.(row + p) + 1;
       (* candidate race partners: the latest earlier quantum per shared
          object, plus — for scheduler-global quanta — the immediately
          preceding quantum and the latest global one. *)
-      let partners = ref ISet.empty in
-      List.iter
-        (fun o ->
-          match IH.find_opt last_touch o with
-          | Some j when quanta.(j).q_proc <> q.q_proc ->
-            partners := ISet.add j !partners
-          | _ -> ())
-        q.q_objs;
-      if has_global && i > 0 && quanta.(i - 1).q_proc <> q.q_proc then
-        partners := ISet.add (i - 1) !partners;
-      if !last_global >= 0 && quanta.(!last_global).q_proc <> q.q_proc then
-        partners := ISet.add !last_global !partners;
-      ISet.iter
-        (fun j ->
-          (* the race is reversible iff no happens-before chain passes
-             strictly between j and i *)
-          let chained = ref false in
-          for k = j + 1 to i - 1 do
-            if (not !chained) && hb j k && hb k i then chained := true
-          done;
-          if not !chained then begin
-            let qj = quanta.(j) in
-            let d = qj.q_dec in
-            if d >= pin && d >= 0 && Array.length qj.q_enabled > 1 then begin
-              let f = frames.(d) in
-              let witness p =
-                p = q.q_proc
-                ||
-                let ok = ref false in
-                for k = j + 1 to i - 1 do
-                  if (not !ok) && quanta.(k).q_proc = p && hb k i then
-                    ok := true
-                done;
-                !ok
-              in
-              let enabled = Array.to_list qj.q_enabled in
-              let to_add =
-                match List.filter witness enabled with
-                | [] -> enabled
-                | es -> if mem q.q_proc es then [ q.q_proc ] else [ List.hd es ]
-              in
-              List.iter
-                (fun p ->
-                  if not (ISet.mem p f.f_backtrack) then begin
-                    f.f_backtrack <- ISet.add p f.f_backtrack;
-                    incr planted
-                  end)
-                to_add
-            end
-          end)
-        !partners;
-      touch i q;
-      join all_vc vc
+      let race = race sh tr w ~pin ~p ~row ~prev_p ~lo ~hi ~has_global in
+      for k = lo to hi - 1 do
+        planted := !planted + race sh.last_touch.(tr.objs.(k))
+      done;
+      if has_global && i > 0 then planted := !planted + race (i - 1);
+      planted := !planted + race sh.last_global;
+      touch sh tr i;
+      join all_vc 0 vcs row w
     done;
-    h.h_quanta <- quanta;
-    h.h_vcs <- vcs;
-    h.h_ntids <- ntids;
+    sh.cur <- pv;
+    sh.prev <- tr;
     !planted
 
   type acc = {
@@ -730,18 +883,49 @@ module Dpor = struct
     mutable a_redundant : int;
   }
 
-  (* The exploration loop for one shard: run, analyze, then sweep the
-     frame stack bottom-up for the deepest frame with a pending backtrack
-     task that is neither done nor asleep, truncate there and re-run.
-     [budget] is the explored-schedule budget shared across shards. *)
+  (* Sweep the frame stack top-down for the deepest frame at or above
+     [pin] with a pending backtrack task that is neither done nor asleep,
+     and truncate the stack there with that task dictated. False when no
+     frame has one: the shard's tree is exhausted. *)
+  let backtrack ~pin sh =
+    let rec sweep i =
+      if i < pin then false
+      else begin
+        let f = sh.frames.(i) in
+        f.f_done <- ISet.add f.f_chosen f.f_done;
+        let asleep t = List.exists (fun sl -> sl.s_tid = t) f.f_sleep in
+        if f.f_task && not (asleep f.f_chosen) then
+          f.f_sleep <- { s_tid = f.f_chosen; s_objs = f.f_objs } :: f.f_sleep;
+        let pending t = not (ISet.mem t f.f_done || (f.f_task && asleep t)) in
+        (* the least pending backtrack task: [fold] runs in increasing order *)
+        match
+          ISet.fold
+            (fun t first ->
+              match first with
+              | None when pending t -> Some t
+              | _ -> first)
+            f.f_backtrack None
+        with
+        | Some t ->
+          f.f_chosen <- t;
+          f.f_objs <- [||];
+          sh.depth <- i + 1;
+          true
+        | None -> sweep (i - 1)
+      end
+    in
+    sweep (sh.depth - 1)
+
+  (* The exploration loop for one shard: run, analyze, then backtrack and
+     re-run. [budget] is the explored-schedule budget shared across
+     shards. *)
   let explore_from ?max_steps ~max_schedules ~max_failures ~pin ~budget sc
       init_stack =
     let a =
       { a_explored = 0; a_complete = true; a_failures = []; a_failed = 0;
         a_deepest = 0; a_races = 0; a_redundant = 0 }
     in
-    let stack = ref init_stack in
-    let h = { h_quanta = [||]; h_vcs = [||]; h_ntids = 1 } in
+    let sh = shard init_stack in
     let running = ref true in
     while !running do
       if Atomic.fetch_and_add budget 1 >= max_schedules then begin
@@ -749,46 +933,18 @@ module Dpor = struct
         running := false
       end
       else begin
-        let v, quanta, frames, red, fresh_from = run_one ?max_steps sc !stack in
+        let v, red, fresh_from = run_one ?max_steps sc sh in
         a.a_explored <- a.a_explored + 1;
         a.a_redundant <- a.a_redundant + red;
-        a.a_deepest <- max a.a_deepest (Array.length v.outcome.schedule);
+        a.a_deepest <- Int.max a.a_deepest (Array.length v.outcome.schedule);
         (match v.verdict with
         | Error m ->
           a.a_failed <- a.a_failed + 1;
           if a.a_failed <= max_failures then
             a.a_failures <- (v.outcome.schedule, m) :: a.a_failures
         | Ok () -> ());
-        a.a_races <- a.a_races + analyze ~pin h ~fresh_from frames quanta;
-        let next_stack = ref None in
-        let i = ref (Array.length frames - 1) in
-        while !next_stack = None && !i >= pin do
-          let f = frames.(!i) in
-          f.f_done <- ISet.add f.f_chosen f.f_done;
-          (if
-             f.f_kind = `Task
-             && not (List.exists (fun sl -> sl.s_tid = f.f_chosen) f.f_sleep)
-           then
-             f.f_sleep <- { s_tid = f.f_chosen; s_objs = f.f_objs } :: f.f_sleep);
-          let blocked =
-            match f.f_kind with
-            | `Waiter -> f.f_done
-            | `Task ->
-              List.fold_left
-                (fun s sl -> ISet.add sl.s_tid s)
-                f.f_done f.f_sleep
-          in
-          let waiting = ISet.diff f.f_backtrack blocked in
-          if not (ISet.is_empty waiting) then begin
-            f.f_chosen <- ISet.min_elt waiting;
-            f.f_objs <- [];
-            next_stack := Some (Array.sub frames 0 (!i + 1))
-          end
-          else decr i
-        done;
-        match !next_stack with
-        | Some st -> stack := st
-        | None -> running := false
+        a.a_races <- a.a_races + analyze ~pin sh ~fresh_from;
+        running := backtrack ~pin sh
       end
     done;
     a
@@ -847,8 +1003,9 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
        candidate to a shard with that first decision pinned. The root is
        thereby fully expanded, so races crossing shard boundaries need no
        backtrack points (every alternative root choice is explored). *)
-    let v0, _, frames0, _, _ = Dpor.run_one ?max_steps sc [||] in
-    if Array.length frames0 = 0 then
+    let probe = Dpor.shard [||] in
+    let v0, _, _ = Dpor.run_one ?max_steps sc probe in
+    if probe.depth = 0 then
       (* no decisions at all: the tree is a single schedule *)
       let a =
         { Dpor.a_explored = 1; a_complete = true;
@@ -862,13 +1019,13 @@ let explore_dpor ?max_steps ?(max_schedules = 10_000) ?(max_failures = 10)
       in
       finish ~workers:1 [ a ]
     else begin
-      let root = frames0.(0) in
+      let root = probe.frames.(0) in
       let shards =
         Array.map
           (fun tid ->
-            [| { Dpor.f_kind = root.f_kind; f_cands = Array.copy root.f_cands;
+            [| { Dpor.f_task = root.f_task; f_cands = Array.copy root.f_cands;
                  f_chosen = tid; f_backtrack = Dpor.ISet.singleton tid;
-                 f_done = Dpor.ISet.empty; f_sleep = []; f_objs = [] } |])
+                 f_done = Dpor.ISet.empty; f_sleep = []; f_objs = [||] } |])
           root.f_cands
       in
       let results = Array.make (Array.length shards) None in

@@ -13,10 +13,17 @@
 
    The runtime optionally narrates a run to an [observe] callback: which
    decision is about to be taken, which task each quantum belongs to, and
-   which synchronization object every primitive op touched. The DPOR
-   explorer in [sync_detsched] derives its dependency relation from this
-   stream. Scheduler state is domain-local, so independent runs may
-   proceed in parallel on separate domains (exploration shards). *)
+   which synchronization object every primitive op touched, named by a
+   packed int key. The DPOR explorer in [sync_detsched] derives its
+   dependency relation from this stream. Events are built only when an
+   observer is installed, so an unobserved run pays for none of them.
+   Scheduler state is domain-local, so independent runs may proceed in
+   parallel on separate domains (exploration shards).
+
+   Dispatch is kept cheap because the explorer runs a scenario hundreds
+   of thousands of times: the run queue and waiter queues are int arrays
+   of task ids in FIFO order, each task's effect handlers are built once,
+   and each primitive reads the domain-local state once. *)
 
 exception Deadlock of string
 
@@ -24,7 +31,9 @@ exception Step_limit of int
 
 (* Observable events. Object identities are per-run ordinals assigned at
    creation; creation order is itself schedule-determined, so ids are
-   stable across replays of the same schedule. *)
+   stable across replays of the same schedule. An [Op] carries the
+   object as one packed int — the kind in the low two bits over the
+   ordinal — computed once when the object is created. *)
 module Obs = struct
   type objid =
     | Mutex_o of int
@@ -51,7 +60,28 @@ module Obs = struct
   type event =
     | Choice of { kind : [ `Task | `Waiter ]; candidates : int array }
     | Sched of { tid : int; runnable : int array }
-    | Op of { tid : int; obj : objid; op : op }
+    | Op of { tid : int; obj : int; op : op }
+
+  (* Injective for every id the runtime hands out (ordinals are >= -1,
+     task ids >= 0), leaving 0 for the scheduler-global pseudo-object. *)
+  let global = 0
+
+  let task_key i = (4 * i) + 4
+
+  let mutex_key i = (4 * i) + 5
+
+  let cond_key i = (4 * i) + 6
+
+  let reg_key i = (4 * i) + 7
+
+  let decode k =
+    if k = global then Global
+    else
+      match k land 3 with
+      | 0 -> Task_o ((k asr 2) - 1)
+      | 1 -> Mutex_o ((k - 5) asr 2)
+      | 2 -> Cond_o ((k - 6) asr 2)
+      | _ -> Reg_o ((k - 7) asr 2)
 
   let objid_to_string = function
     | Mutex_o i -> Printf.sprintf "m%d" i
@@ -63,30 +93,63 @@ end
 
 type state = Unstarted | Runnable | Running | Blocked | Quiescing | Done
 
+(* Task ids in FIFO order: the run queue, and each mutex's, condition's
+   and register's waiters. Removal shifts the tail down, so the order of
+   the rest never changes; the queues hold a handful of tasks. *)
+type fifo = { mutable q : int array; mutable len : int }
+
+let fifo () = { q = [||]; len = 0 }
+
+let push f tid =
+  if f.len = Array.length f.q then begin
+    let q = Array.make (Int.max 4 (2 * f.len)) 0 in
+    Array.blit f.q 0 q 0 f.len;
+    f.q <- q
+  end;
+  f.q.(f.len) <- tid;
+  f.len <- f.len + 1
+
+let remove_at f i =
+  let q = f.q in
+  for j = i to f.len - 2 do
+    q.(j) <- q.(j + 1)
+  done;
+  f.len <- f.len - 1
+
 type task = {
   tid : int;
   tname : string;
+  sched : sched;
   mutable state : state;
-  (* The resumption: for Unstarted tasks, starting the body; otherwise
-     continuing a captured fiber. Uniformly a thunk so that effects with
-     differently-typed continuations share one queue. *)
-  mutable resume : (unit -> unit) option;
+  mutable resume : resume;
   mutable t_exn : exn option;
   mutable joiners : task list;
+  (* keys of the registers a task parked in [reg_await] watches *)
+  mutable watch : int array;
+  (* [Some] of this task, built once: what the DLS's current task holds *)
+  some : task option;
 }
 
-type sched = {
+(* How a runnable task continues: by starting its body, or by resuming
+   the fiber it suspended in one of the runtime's effects. *)
+and resume =
+  | Start of (unit -> unit)
+  | Cont of (unit, unit) Effect.Deep.continuation
+  | Gone
+
+and sched = {
   choose : int array -> int;
   observe : (Obs.event -> unit) option;
   max_steps : int;
-  mutable runq : task list; (* deterministic FIFO of runnable tasks *)
-  mutable quiescers : task list;
-  (* Tasks parked in [reg_await], with the object ordinals they watch;
-     a write to a watched register makes them runnable again. *)
-  mutable regwaiters : (task * int list) list;
+  dls : dls;
+  mutable tasks : task array; (* by tid *)
+  runq : fifo; (* deterministic FIFO of runnable tasks *)
+  mutable quiescers : task list; (* newest first *)
+  (* Tasks parked in [reg_await]; a write to a watched register makes
+     them runnable again. *)
+  regwaiters : fifo;
   (* Bumped by every register write: [reg_await]'s missed-write guard. *)
   mutable reg_epoch : int;
-  mutable all : task list; (* spawn order, newest first *)
   mutable next_tid : int;
   mutable next_oid : int; (* object ordinal for [Obs] identities *)
   mutable steps : int;
@@ -94,37 +157,30 @@ type sched = {
   mutable limit_hit : bool;
 }
 
-(* Domain-local current run / current task, so exploration shards can
-   drive independent runs concurrently on separate domains. *)
-type dls = { mutable d_sched : sched option; mutable d_task : task option }
+(* Domain-local current run / current task (its tid; -1 between tasks),
+   so exploration shards can drive independent runs concurrently on
+   separate domains. *)
+and dls = { mutable d_sched : sched option; mutable d_tid : int }
 
 let dls_key : dls Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { d_sched = None; d_task = None })
+  Domain.DLS.new_key (fun () -> { d_sched = None; d_tid = -1 })
 
 let dls () = Domain.DLS.get dls_key
 
+(* The running task. Primitives read the DLS once, through this. *)
+let[@inline] current d =
+  if d.d_tid < 0 then None
+  else match d.d_sched with Some s -> s.tasks.(d.d_tid).some | None -> None
+
 let active () = Option.is_some (dls ()).d_sched
 
-let in_fiber () = Option.is_some (dls ()).d_task
+let in_fiber () = (dls ()).d_tid >= 0
 
-let self () =
-  match (dls ()).d_task with
-  | Some t -> t
-  | None -> failwith "Detrt: primitive used outside a running task"
-
-let the_sched () =
-  match (dls ()).d_sched with
-  | Some s -> s
-  | None -> failwith "Detrt: no deterministic run in progress"
-
-let[@inline] emit s ev = match s.observe with None -> () | Some f -> f ev
-
-let emit_op s obj op =
-  match s.observe with
+(* The event is built only when an observer is installed. *)
+let[@inline] emit_op t obj op =
+  match t.sched.observe with
   | None -> ()
-  | Some f ->
-    let tid = match (dls ()).d_task with Some t -> t.tid | None -> -1 in
-    f (Obs.Op { tid; obj; op })
+  | Some f -> f (Obs.Op { tid = t.tid; obj; op })
 
 let fresh_oid () =
   match (dls ()).d_sched with
@@ -141,77 +197,71 @@ type _ Effect.t +=
 
 let make_runnable s t =
   t.state <- Runnable;
-  s.runq <- s.runq @ [ t ]
+  push s.runq t.tid
+
+(* Consult [choose] over [alts] (at least two candidates). *)
+let choose_among s kind alts =
+  (match s.observe with
+  | None -> ()
+  | Some f -> f (Obs.Choice { kind; candidates = alts }));
+  let i = s.choose alts and n = Array.length alts in
+  if i < 0 || i >= n then
+    invalid_arg
+      (Printf.sprintf "Detrt: strategy chose %d of %d alternatives" i n);
+  i
 
 (* Pick the next runnable task and transfer control to it. Returns only
    when no progress is possible anymore (all done, deadlock, or the step
    limit tripped); the caller's stack then unwinds through the suspended
    handler frames. *)
-let next s =
-  if s.runq = [] && s.quiescers <> [] then begin
-    let qs = s.quiescers in
+let rec next s =
+  let rq = s.runq in
+  (match s.quiescers with
+  | _ :: _ as qs when rq.len = 0 ->
     s.quiescers <- [];
-    List.iter (make_runnable s) qs
-  end;
-  match s.runq with
-  | [] -> () (* run loop over: [run] inspects task states afterwards *)
-  | q ->
+    List.iter (make_runnable s) (List.rev qs)
+  | _ -> ());
+  let n = rq.len in
+  if n = 0 then () (* run loop over: [run] inspects task states afterwards *)
+  else begin
     s.steps <- s.steps + 1;
     if s.steps > s.max_steps then s.limit_hit <- true
     else begin
-      let n = List.length q in
       let idx =
         if n = 1 then begin
           (match s.observe with
           | None -> ()
           | Some f ->
-            let t = List.hd q in
-            f (Obs.Sched { tid = t.tid; runnable = [| t.tid |] }));
+            let tid = rq.q.(0) in
+            f (Obs.Sched { tid; runnable = [| tid |] }));
           0
         end
         else begin
-          let tids = Array.of_list (List.map (fun t -> t.tid) q) in
-          emit s (Obs.Choice { kind = `Task; candidates = tids });
-          let i = s.choose tids in
-          if i < 0 || i >= n then
-            invalid_arg
-              (Printf.sprintf "Detrt: strategy chose %d of %d alternatives" i
-                 n)
-          else begin
-            emit s (Obs.Sched { tid = tids.(i); runnable = tids });
-            i
-          end
+          let tids = Array.sub rq.q 0 n in
+          let i = choose_among s `Task tids in
+          (match s.observe with
+          | None -> ()
+          | Some f -> f (Obs.Sched { tid = tids.(i); runnable = tids }));
+          i
         end
       in
-      let t = List.nth q idx in
-      s.runq <- List.filteri (fun i _ -> i <> idx) q;
-      let k =
-        match t.resume with
-        | Some k ->
-          t.resume <- None;
-          k
-        | None -> failwith "Detrt: runnable task has no continuation"
-      in
+      let t = s.tasks.(rq.q.(idx)) in
+      remove_at rq idx;
       t.state <- Running;
-      (dls ()).d_task <- Some t;
-      k ()
+      s.dls.d_tid <- t.tid;
+      match t.resume with
+      | Cont k -> Effect.Deep.continue k ()
+      | Start body ->
+        t.resume <- Gone;
+        exec s t body
+      | Gone -> failwith "Detrt: runnable task has no continuation"
     end
-
-let choose_index s alts =
-  let n = Array.length alts in
-  if n = 1 then 0
-  else begin
-    emit s (Obs.Choice { kind = `Waiter; candidates = alts });
-    let i = s.choose alts in
-    if i < 0 || i >= n then
-      invalid_arg
-        (Printf.sprintf "Detrt: strategy chose %d of %d alternatives" i n)
-    else i
   end
 
 (* Install the scheduler's effect handler around a task body and start
-   it. Called from within [next], i.e. on the current handler chain. *)
-let exec s t body =
+   it. Called from within [next], i.e. on the current handler chain. The
+   handlers are built once per task. *)
+and exec s t body =
   let open Effect.Deep in
   let finish exn_opt =
     t.state <- Done;
@@ -219,72 +269,85 @@ let exec s t body =
     (match (exn_opt, s.first_exn) with
     | Some e, None -> s.first_exn <- Some e
     | _ -> ());
-    (match s.observe with
-    | None -> ()
-    | Some f -> f (Obs.Op { tid = t.tid; obj = Obs.Task_o t.tid; op = Obs.Finish }));
+    emit_op t (Obs.task_key t.tid) Obs.Finish;
     List.iter (make_runnable s) (List.rev t.joiners);
     t.joiners <- [];
-    (dls ()).d_task <- None;
+    s.dls.d_tid <- -1;
     next s
+  in
+  let suspend (k : (unit, unit) continuation) =
+    t.resume <- Cont k;
+    s.dls.d_tid <- -1;
+    next s
+  in
+  let on_yield =
+    Some
+      (fun k ->
+        make_runnable s t;
+        suspend k)
+  and on_block =
+    Some
+      (fun k ->
+        t.state <- Blocked;
+        suspend k)
+  and on_quiesce =
+    Some
+      (fun k ->
+        t.state <- Quiescing;
+        s.quiescers <- t :: s.quiescers;
+        suspend k)
   in
   match_with body ()
     { retc = (fun () -> finish None);
       exnc = (fun e -> finish (Some e));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | Yield ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                t.resume <- Some (fun () -> continue k ());
-                make_runnable s t;
-                (dls ()).d_task <- None;
-                next s)
-          | Block ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                t.resume <- Some (fun () -> continue k ());
-                t.state <- Blocked;
-                (dls ()).d_task <- None;
-                next s)
-          | Quiesce ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                t.resume <- Some (fun () -> continue k ());
-                t.state <- Quiescing;
-                s.quiescers <- s.quiescers @ [ t ];
-                (dls ()).d_task <- None;
-                next s)
+          | Yield -> on_yield
+          | Block -> on_block
+          | Quiesce -> on_quiesce
           | _ -> None) }
 
-let spawn ?name body =
-  let s = the_sched () in
-  if not (in_fiber ()) then
-    failwith "Detrt.spawn: must be called from inside the deterministic run";
-  let tid = s.next_tid in
-  s.next_tid <- tid + 1;
-  let tname =
-    match name with Some n -> n | None -> Printf.sprintf "task-%d" tid
+let new_task s ~tid ~tname resume =
+  let rec t =
+    { tid; tname; sched = s; state = Unstarted; resume; t_exn = None;
+      joiners = []; watch = [||]; some = Some t }
   in
-  let t =
-    { tid; tname; state = Unstarted; resume = None; t_exn = None;
-      joiners = [] }
-  in
-  t.resume <- Some (fun () -> exec s t body);
-  s.all <- t :: s.all;
-  make_runnable s t;
-  emit_op s Obs.Global Obs.Spawn;
-  (* spawning is itself a scheduling point *)
-  Effect.perform Yield;
+  if tid >= Array.length s.tasks then begin
+    let a = Array.make (Int.max 8 (2 * Array.length s.tasks)) t in
+    Array.blit s.tasks 0 a 0 (Array.length s.tasks);
+    s.tasks <- a
+  end;
+  s.tasks.(tid) <- t;
   t
 
+let spawn ?name body =
+  let d = dls () in
+  match (d.d_sched, current d) with
+  | None, _ -> failwith "Detrt: no deterministic run in progress"
+  | Some _, None ->
+    failwith "Detrt.spawn: must be called from inside the deterministic run"
+  | Some s, Some me ->
+    let tid = s.next_tid in
+    s.next_tid <- tid + 1;
+    let tname =
+      match name with Some n -> n | None -> Printf.sprintf "task-%d" tid
+    in
+    let t = new_task s ~tid ~tname (Start body) in
+    make_runnable s t;
+    emit_op me Obs.global Obs.Spawn;
+    (* spawning is itself a scheduling point *)
+    Effect.perform Yield;
+    t
+
 let join t =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None ->
     if t.state <> Done then
       failwith "Detrt.join: task still live after the deterministic run"
   | Some me ->
-    emit_op (the_sched ()) (Obs.Task_o t.tid) Obs.Join;
+    emit_op me (Obs.task_key t.tid) Obs.Join;
     if t.state <> Done then begin
       t.joiners <- me :: t.joiners;
       Effect.perform Block
@@ -298,7 +361,7 @@ let yield () = if in_fiber () then Effect.perform Yield
 let relax () = if in_fiber () then Effect.perform Yield else Thread.yield ()
 
 let self_info () =
-  match (dls ()).d_task with Some t -> Some (t.tid, t.tname) | None -> None
+  match current (dls ()) with Some t -> Some (t.tid, t.tname) | None -> None
 
 let () =
   Deadlock.set_task_provider self_info;
@@ -306,11 +369,11 @@ let () =
   Sync_trace.Probe.set_task_provider (fun () -> Option.map fst (self_info ()))
 
 let await_quiescence () =
-  if in_fiber () then begin
-    emit_op (the_sched ()) Obs.Global Obs.Quiesce;
+  match current (dls ()) with
+  | Some t ->
+    emit_op t Obs.global Obs.Quiesce;
     Effect.perform Quiesce
-  end
-  else failwith "Detrt.await_quiescence: outside a deterministic run"
+  | None -> failwith "Detrt.await_quiescence: outside a deterministic run"
 
 let task_tid t = t.tid
 
@@ -322,148 +385,137 @@ let task_name t = t.tname
    directly on unlock; the receiving waiter is picked by [choose].      *)
 
 type mutex = {
-  mutable owner : task option;
-  mutable mwaiters : task list;
-  (* Observation ordinal; -1 when created outside a run. *)
-  moid : int;
+  mutable owner : int; (* the holder's tid; -1 when free *)
+  mwaiters : fifo;
+  (* Packed [Obs] key, over ordinal -1 when created outside a run. *)
+  mkey : int;
   (* Watchdog resource id; -1 when the watchdog was off at creation
      (instrumentation is then skipped for this mutex). *)
   mid : int;
 }
 
-type cond = { mutable cwaiters : task list; coid : int }
+type cond = { cwaiters : fifo; ckey : int }
 
 let mutex () =
-  { owner = None; mwaiters = []; moid = fresh_oid ();
+  { owner = -1; mwaiters = fifo (); mkey = Obs.mutex_key (fresh_oid ());
     mid = (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
            else -1) }
 
-let cond () = { cwaiters = []; coid = fresh_oid () }
+let cond () = { cwaiters = fifo (); ckey = Obs.cond_key (fresh_oid ()) }
 
-let pick_waiter s waiters =
-  match waiters with
-  | [] -> assert false
-  | [ w ] -> (w, [])
-  | ws ->
-    let arr = Array.of_list ws in
-    let idx = choose_index s (Array.map (fun t -> t.tid) arr) in
-    let w = arr.(idx) in
-    (w, List.filteri (fun i _ -> i <> idx) ws)
+(* Remove a waiter from a non-empty queue, the pick made by [choose]. *)
+let pick_waiter s f =
+  let idx =
+    if f.len = 1 then 0 else choose_among s `Waiter (Array.sub f.q 0 f.len)
+  in
+  let w = s.tasks.(f.q.(idx)) in
+  remove_at f idx;
+  w
 
 let mutex_lock m =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None ->
     (* Outside a run (e.g. post-run trace inspection): everything is
        quiesced, locking is a no-op as long as nobody holds the mutex. *)
-    if m.owner <> None then
+    if m.owner >= 0 then
       failwith "Detrt: mutex held after the deterministic run"
-  | Some _ ->
+  | Some t ->
     Effect.perform Yield;
     (* still the same task: Yield re-enqueues and resumes us *)
-    let t = self () in
-    emit_op (the_sched ()) (Obs.Mutex_o m.moid) Obs.Lock;
-    (match m.owner with
-    | None ->
-      m.owner <- Some t;
+    emit_op t m.mkey Obs.Lock;
+    if m.owner < 0 then begin
+      m.owner <- t.tid;
       if m.mid >= 0 then Deadlock.acquired m.mid
-    | Some _ ->
+    end
+    else begin
       if m.mid >= 0 then Deadlock.blocked m.mid;
-      m.mwaiters <- m.mwaiters @ [ t ];
+      push m.mwaiters t.tid;
       Effect.perform Block;
       (* ownership was transferred to us by the releasing task *)
-      if m.mid >= 0 then Deadlock.acquired m.mid)
+      if m.mid >= 0 then Deadlock.acquired m.mid
+    end
 
 (* Non-blocking acquire. The preceding Yield makes the attempt itself a
    recorded scheduling point, so the outcome is a pure function of the
    schedule and replays deterministically. *)
 let mutex_try_lock m =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None -> failwith "Detrt: try_lock outside the deterministic run"
-  | Some _ ->
+  | Some t ->
     Effect.perform Yield;
-    let t = self () in
-    let ok =
-      match m.owner with
-      | None ->
-        m.owner <- Some t;
-        if m.mid >= 0 then Deadlock.acquired m.mid;
-        true
-      | Some _ -> false
-    in
-    emit_op (the_sched ()) (Obs.Mutex_o m.moid) (Obs.Try_lock ok);
+    let ok = m.owner < 0 in
+    if ok then begin
+      m.owner <- t.tid;
+      if m.mid >= 0 then Deadlock.acquired m.mid
+    end;
+    (match t.sched.observe with
+    | None -> ()
+    | Some f -> f (Obs.Op { tid = t.tid; obj = m.mkey; op = Obs.Try_lock ok }));
     ok
 
 (* Release [m], handing ownership to a chosen waiter if any. Shared by
    [mutex_unlock] and [cond_wait]. *)
 let release_mutex s m =
-  match m.mwaiters with
-  | [] -> m.owner <- None
-  | ws ->
-    let w, rest = pick_waiter s ws in
-    m.mwaiters <- rest;
-    m.owner <- Some w;
+  if m.mwaiters.len = 0 then m.owner <- -1
+  else begin
+    let w = pick_waiter s m.mwaiters in
+    m.owner <- w.tid;
     make_runnable s w
-
-let holds m t = match m.owner with Some o -> o == t | None -> false
+  end
 
 let mutex_unlock m =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None -> ()
   | Some t ->
-    if not (holds m t) then
+    if m.owner <> t.tid then
       failwith "Detrt: mutex unlocked by a task that does not hold it";
     if m.mid >= 0 then Deadlock.released m.mid;
-    let s = the_sched () in
-    emit_op s (Obs.Mutex_o m.moid) Obs.Unlock;
-    release_mutex s m;
+    emit_op t m.mkey Obs.Unlock;
+    release_mutex t.sched m;
     Effect.perform Yield
 
 let cond_wait c m =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None -> failwith "Detrt: Condition.wait outside the deterministic run"
   | Some t ->
-    if not (holds m t) then
+    if m.owner <> t.tid then
       failwith "Detrt: Condition.wait without holding the mutex";
-    let s = the_sched () in
-    emit_op s (Obs.Cond_o c.coid) Obs.Wait;
-    emit_op s (Obs.Mutex_o m.moid) Obs.Unlock;
+    emit_op t c.ckey Obs.Wait;
+    emit_op t m.mkey Obs.Unlock;
     (* Atomic release-and-park: no scheduling point between enqueueing
        ourselves and releasing the mutex, so signals cannot be lost. *)
-    c.cwaiters <- c.cwaiters @ [ t ];
+    push c.cwaiters t.tid;
     if m.mid >= 0 then Deadlock.released m.mid;
-    release_mutex s m;
+    release_mutex t.sched m;
     Effect.perform Block;
     (* Signalled: re-acquire like any newcomer (Mesa-style, matching the
        stdlib [Condition] contract the mechanisms are written against). *)
     mutex_lock m
 
 let cond_signal c =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None ->
-    if c.cwaiters <> [] then
+    if c.cwaiters.len > 0 then
       failwith "Detrt: Condition.signal with waiters after the run"
-  | Some _ ->
-    let s = the_sched () in
-    emit_op s (Obs.Cond_o c.coid) Obs.Signal;
-    (match c.cwaiters with
-    | [] -> ()
-    | ws ->
-      let w, rest = pick_waiter s ws in
-      c.cwaiters <- rest;
-      make_runnable s w);
+  | Some t ->
+    let s = t.sched in
+    emit_op t c.ckey Obs.Signal;
+    if c.cwaiters.len > 0 then make_runnable s (pick_waiter s c.cwaiters);
     Effect.perform Yield
 
 let cond_broadcast c =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None ->
-    if c.cwaiters <> [] then
+    if c.cwaiters.len > 0 then
       failwith "Detrt: Condition.broadcast with waiters after the run"
-  | Some _ ->
-    let s = the_sched () in
-    emit_op s (Obs.Cond_o c.coid) Obs.Broadcast;
-    let ws = c.cwaiters in
-    c.cwaiters <- [];
-    List.iter (make_runnable s) ws;
+  | Some t ->
+    let s = t.sched in
+    emit_op t c.ckey Obs.Broadcast;
+    let f = c.cwaiters in
+    for i = 0 to f.len - 1 do
+      make_runnable s s.tasks.(f.q.(i))
+    done;
+    f.len <- 0;
     Effect.perform Yield
 
 (* ------------------------------------------------------------------ *)
@@ -476,84 +528,87 @@ let cond_broadcast c =
    wakes it; a lost wakeup therefore surfaces as a Detrt deadlock, which
    is exactly what the E26 scenarios assert against. *)
 
-type reg = { mutable rval : int; roid : int }
+type reg = { mutable rval : int; rkey : int (* packed [Obs] key *) }
 
-let reg v = { rval = v; roid = fresh_oid () }
+let reg v = { rval = v; rkey = Obs.reg_key (fresh_oid ()) }
 
-let reg_wake s roid =
-  match s.regwaiters with
-  | [] -> ()
-  | ws ->
-    let woken, kept =
-      List.partition (fun (_, watched) -> List.mem roid watched) ws
-    in
-    s.regwaiters <- kept;
-    List.iter (fun (t, _) -> make_runnable s t) woken
+(* Make runnable, in parking order, every waiter watching [rkey]. *)
+let reg_wake s rkey =
+  let f = s.regwaiters in
+  if f.len > 0 then begin
+    let kept = ref 0 in
+    for i = 0 to f.len - 1 do
+      let t = s.tasks.(f.q.(i)) in
+      if Array.mem rkey t.watch then make_runnable s t
+      else begin
+        f.q.(!kept) <- t.tid;
+        incr kept
+      end
+    done;
+    f.len <- !kept
+  end
 
 let reg_get r =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None -> r.rval (* post-run inspection *)
-  | Some _ ->
+  | Some t ->
     Effect.perform Yield;
-    emit_op (the_sched ()) (Obs.Reg_o r.roid) Obs.Read;
+    emit_op t r.rkey Obs.Read;
     r.rval
 
 let reg_write s r v =
   r.rval <- v;
   s.reg_epoch <- s.reg_epoch + 1;
-  reg_wake s r.roid
+  reg_wake s r.rkey
 
 let reg_set r v =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None -> r.rval <- v
-  | Some _ ->
+  | Some t ->
     Effect.perform Yield;
-    let s = the_sched () in
-    emit_op s (Obs.Reg_o r.roid) Obs.Write;
-    reg_write s r v
+    emit_op t r.rkey Obs.Write;
+    reg_write t.sched r v
 
 let reg_cas r seen v =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None -> failwith "Detrt: reg_cas outside the deterministic run"
-  | Some _ ->
+  | Some t ->
     Effect.perform Yield;
-    let s = the_sched () in
     let ok = r.rval = seen in
-    emit_op s (Obs.Reg_o r.roid) (Obs.Rmw ok);
-    if ok then reg_write s r v;
+    (match t.sched.observe with
+    | None -> ()
+    | Some f -> f (Obs.Op { tid = t.tid; obj = r.rkey; op = Obs.Rmw ok }));
+    if ok then reg_write t.sched r v;
     ok
 
 let reg_faa r n =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None -> failwith "Detrt: reg_faa outside the deterministic run"
-  | Some _ ->
+  | Some t ->
     Effect.perform Yield;
-    let s = the_sched () in
     let old = r.rval in
-    emit_op s (Obs.Reg_o r.roid) (Obs.Rmw true);
-    reg_write s r (old + n);
+    emit_op t r.rkey (Obs.Rmw true);
+    reg_write t.sched r (old + n);
     old
 
 let reg_await ~watch pred =
-  match (dls ()).d_task with
+  match current (dls ()) with
   | None ->
     if not (pred ()) then
       failwith "Detrt.reg_await: predicate false outside the run"
-  | Some _ ->
-    let watched = Array.to_list (Array.map (fun r -> r.roid) watch) in
+  | Some t ->
+    let s = t.sched in
     let rec loop () =
-      let s = the_sched () in
       (* Sampled with no scheduling point between here and the park
          decision except [pred]'s own reads: a write landing during the
          check bumps the epoch and forces a re-check, so a waiter never
          parks having missed the write that would have satisfied it. *)
       let e0 = s.reg_epoch in
       if not (pred ()) then begin
-        let s = the_sched () in
         if s.reg_epoch <> e0 then loop ()
         else begin
-          let t = self () in
-          s.regwaiters <- s.regwaiters @ [ (t, watched) ];
+          t.watch <- Array.map (fun r -> r.rkey) watch;
+          push s.regwaiters t.tid;
           Effect.perform Block;
           loop ()
         end
@@ -567,31 +622,30 @@ let run ?(max_steps = 200_000) ?observe ~choose body =
   let d = dls () in
   if active () then failwith "Detrt.run: deterministic runs do not nest";
   let s =
-    { choose; observe; max_steps; runq = []; quiescers = [];
-      regwaiters = []; reg_epoch = 0; all = [];
-      next_tid = 0; next_oid = 0; steps = 0; first_exn = None;
-      limit_hit = false }
+    { choose; observe; max_steps; dls = d; tasks = [||]; runq = fifo ();
+      quiescers = []; regwaiters = fifo (); reg_epoch = 0; next_tid = 0;
+      next_oid = 0; steps = 0; first_exn = None; limit_hit = false }
   in
   d.d_sched <- Some s;
   Sync_trace.Probe.virtual_run @@ fun () ->
   Fun.protect
     ~finally:(fun () ->
       d.d_sched <- None;
-      d.d_task <- None)
+      d.d_tid <- -1)
     (fun () ->
-      let main =
-        { tid = 0; tname = "main"; state = Unstarted; resume = None;
-          t_exn = None; joiners = [] }
-      in
+      let main = new_task s ~tid:0 ~tname:"main" Gone in
       s.next_tid <- 1;
-      s.all <- [ main ];
       main.state <- Running;
-      d.d_task <- Some main;
+      d.d_tid <- 0;
       exec s main body;
       (* The handler chain has fully unwound: classify the outcome. *)
       (match s.first_exn with Some e -> raise e | None -> ());
       if s.limit_hit then raise (Step_limit s.max_steps);
-      let stuck = List.filter (fun t -> t.state <> Done) s.all in
+      let stuck =
+        List.filter
+          (fun t -> t.state <> Done)
+          (Array.to_list (Array.sub s.tasks 0 s.next_tid))
+      in
       if stuck <> [] then begin
         (* When the watchdog is on, the blocked/holds edges of the stuck
            tasks are still registered: name the circular wait, if any. *)
@@ -605,7 +659,7 @@ let run ?(max_steps = 200_000) ?observe ~choose body =
              (Printf.sprintf "deadlock: %d task(s) blocked forever: %s%s"
                 (List.length stuck)
                 (String.concat ", "
-                   (List.rev_map
+                   (List.map
                       (fun t -> Printf.sprintf "%s(#%d)" t.tname t.tid)
                       stuck))
                 cycle))

@@ -15,7 +15,11 @@
     implementations (monitors, serializers, path-expression engines, CCRs,
     CSP) execute unmodified under controlled schedules. Everything the
     scenario synchronizes on must therefore be created {e inside} the
-    [run] body. *)
+    [run] body.
+
+    Each object a run creates gets a packed int key at creation (see
+    {!Obs.global}), and the {!Obs} narration is built only when [run] is
+    given an observer. *)
 
 exception Deadlock of string
 (** No task can make progress and at least one is blocked. *)
@@ -29,7 +33,10 @@ type task
     {e what} each scheduling quantum did, not just which task ran. Object
     identities are per-run creation ordinals; creation order is itself
     schedule-determined, so ids are stable across replays of the same
-    schedule and comparable across runs that share a prefix. *)
+    schedule and comparable across runs that share a prefix.
+
+    Events are built only when [run] was given an [observe] callback: an
+    unobserved run allocates none of them. *)
 module Obs : sig
   type objid =
     | Mutex_o of int  (** a deterministic mutex *)
@@ -37,6 +44,8 @@ module Obs : sig
     | Task_o of int  (** a task's lifecycle (join/finish) *)
     | Reg_o of int  (** a deterministic integer register (E25 prims) *)
     | Global  (** scheduler-global effects: spawn, quiescence *)
+  (** The decoded form of an object key, for printing and for folds
+      that group ops by kind. *)
 
   type op =
     | Lock
@@ -60,10 +69,22 @@ module Obs : sig
     | Sched of { tid : int; runnable : int array }
         (** a task was dispatched (including forced, single-candidate
             dispatches, which never reach [choose]) — delimits quanta *)
-    | Op of { tid : int; obj : objid; op : op }
-        (** a primitive operation inside the current quantum *)
+    | Op of { tid : int; obj : int; op : op }
+        (** a primitive operation inside the current quantum, on the
+            object with packed key [obj] *)
+
+  val global : int
+  (** The key of the scheduler-global pseudo-object ([0]). Every other
+      key packs the object's kind into its low two bits (task [0],
+      mutex [1], condition [2], register [3]) over its ordinal, so keys
+      are distinct per object, and equal keys mean the same object. The
+      runtime computes an object's key once, when it creates it. *)
+
+  val decode : int -> objid
+  (** The object a key names. *)
 
   val objid_to_string : objid -> string
+  (** ["m3"], ["c4"], ["t1"], ["r0"] or ["global"]. *)
 end
 
 val run :
@@ -77,7 +98,10 @@ val run :
     number of scheduling steps taken. Whenever more than one continuation
     is possible, [choose] receives the candidate task ids and returns the
     index to run ([choose] is never called with fewer than two
-    candidates). [observe] receives the event narration of the run (see
+    candidates). Each decision gets a fresh candidate array that the
+    runtime never mutates, so [choose] and [observe] may keep it; the
+    [Choice] event and, for a task pick, the following [Sched] carry
+    that same array. [observe] receives the event narration of the run (see
     {!Obs}); it must not touch deterministic primitives itself.
     Re-raises the first exception escaping any task;
     raises {!Deadlock} / {!Step_limit} otherwise when stuck or runaway.

@@ -20,8 +20,11 @@ let mechanism = "pathexpr"
 
 let paths = "path setalarm , advance end"
 
+(* parsed once; [create] only compiles *)
+let spec = Sync_pathexpr.Parser.parse paths
+
 let create () =
-  { sys = P.of_string paths;
+  { sys = P.compile spec;
     sleepers = Heap.create ~cmp:(fun a b -> compare a.deadline b.deadline) ();
     now = 0 }
 

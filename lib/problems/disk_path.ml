@@ -33,9 +33,12 @@ let mechanism = "pathexpr"
 
 let paths = "path enterq , leaveq end"
 
+(* parsed once; [create] only compiles *)
+let spec = Sync_pathexpr.Parser.parse paths
+
 let create ~tracks ~access =
   ignore tracks;
-  { sys = P.of_string paths;
+  { sys = P.compile spec;
     upq = Heap.create ~cmp:(fun a b -> compare a.dest b.dest) ();
     downq = Heap.create ~cmp:(fun a b -> compare b.dest a.dest) ();
     headpos = 0; direction = Up; busy = false; res_access = access }

@@ -11,8 +11,11 @@ type t = { sys : Sync_pathexpr.Pathexpr.t; res_use : pid:int -> unit }
 
 let mechanism = "pathexpr"
 
+(* parsed once; [create] only compiles *)
+let spec = Sync_pathexpr.Parser.parse "path use end"
+
 let create ~use =
-  { sys = Sync_pathexpr.Pathexpr.of_string "path use end"; res_use = use }
+  { sys = Sync_pathexpr.Pathexpr.compile spec; res_use = use }
 
 let use t ~pid =
   Sync_pathexpr.Pathexpr.run t.sys "use" (fun () -> t.res_use ~pid)

@@ -32,8 +32,11 @@ module Fig1 = struct
      path { requestread } , requestwrite end \
      path { read } , (openwrite ; write) end"
 
+  (* parsed once; [create] only compiles *)
+  let spec = Sync_pathexpr.Parser.parse paths
+
   let create ~read ~write =
-    { sys = P.of_string paths; res_read = read; res_write = write }
+    { sys = P.compile spec; res_read = read; res_write = write }
 
   (* READ = begin requestread end; requestread = begin read end *)
   let read t ~pid =
@@ -94,8 +97,11 @@ module Fig2 = struct
      path requestread , { requestwrite } end \
      path { openread ; read } , write end"
 
+  (* parsed once; [create] only compiles *)
+  let spec = Sync_pathexpr.Parser.parse paths
+
   let create ~read ~write =
-    { sys = P.of_string paths; res_read = read; res_write = write }
+    { sys = P.compile spec; res_read = read; res_write = write }
 
   (* READ = begin readattempt ; read end;
      readattempt = begin requestread end;
@@ -150,8 +156,11 @@ module Plain = struct
 
   let paths = "path { read } , write end"
 
+  (* parsed once; [create] only compiles *)
+  let spec = Sync_pathexpr.Parser.parse paths
+
   let create ~read ~write =
-    { sys = P.of_string paths; res_read = read; res_write = write }
+    { sys = P.compile spec; res_read = read; res_write = write }
 
   let read t ~pid = P.run t.sys "read" (fun () -> t.res_read ~pid)
 

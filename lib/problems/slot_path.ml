@@ -15,8 +15,11 @@ type t = {
 
 let mechanism = "pathexpr"
 
+(* parsed once; [create] only compiles *)
+let spec = Sync_pathexpr.Parser.parse "path put ; get end"
+
 let create ~put ~get =
-  { sys = Sync_pathexpr.Pathexpr.of_string "path put ; get end";
+  { sys = Sync_pathexpr.Pathexpr.compile spec;
     res_put = put; res_get = get }
 
 let put t ~pid v =

@@ -124,18 +124,18 @@ let test_all_guards_false () =
 let test_producer_consumer_pipeline () =
   let net = Csp.network () in
   let ch = Csp.Channel.create net in
-  let out = Sync_platform.Tsqueue.create () in
+  let out = Testutil.Tsqueue.create () in
   let producer () = for i = 1 to 50 do Csp.send ch i done in
   let consumer () =
     for _ = 1 to 50 do
-      Sync_platform.Tsqueue.push out (Csp.recv ch)
+      Testutil.Tsqueue.push out (Csp.recv ch)
     done
   in
   Testutil.run_all [ producer; consumer ];
   Alcotest.(check (list int))
     "in order"
     (List.init 50 (fun i -> i + 1))
-    (Sync_platform.Tsqueue.drain out)
+    (Testutil.Tsqueue.drain out)
 
 let test_select_stress_no_duplication () =
   (* Every sent value is received exactly once across two competing
@@ -143,20 +143,20 @@ let test_select_stress_no_duplication () =
   let net = Csp.network () in
   let a = Csp.Channel.create net in
   let b = Csp.Channel.create net in
-  let seen = Sync_platform.Tsqueue.create () in
+  let seen = Testutil.Tsqueue.create () in
   let n = 40 in
   let receiver () =
     for _ = 1 to n / 2 do
       let v =
         Csp.select [ Csp.recv_case a (fun v -> v); Csp.recv_case b (fun v -> v) ]
       in
-      Sync_platform.Tsqueue.push seen v
+      Testutil.Tsqueue.push seen v
     done
   in
   let sender_a () = for i = 0 to (n / 2) - 1 do Csp.send a i done in
   let sender_b () = for i = n / 2 to n - 1 do Csp.send b i done in
   Testutil.run_all [ receiver; receiver; sender_a; sender_b ];
-  let got = List.sort compare (Sync_platform.Tsqueue.drain seen) in
+  let got = List.sort compare (Testutil.Tsqueue.drain seen) in
   Alcotest.(check (list int)) "each value once" (List.init n Fun.id) got
 
 let () =

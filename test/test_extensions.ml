@@ -133,13 +133,13 @@ let test_eventcount_wakes_all_due () =
 
 let test_sequencer_unique_ordered () =
   let s = Seq_.create () in
-  let got = Tsqueue.create () in
+  let got = Testutil.Tsqueue.create () in
   Testutil.run_all
     (List.init 4 (fun _ () ->
          for _ = 1 to 25 do
-           Tsqueue.push got (Seq_.ticket s)
+           Testutil.Tsqueue.push got (Seq_.ticket s)
          done));
-  let tickets = List.sort compare (Tsqueue.drain got) in
+  let tickets = List.sort compare (Testutil.Tsqueue.drain got) in
   Alcotest.(check (list int)) "dense unique" (List.init 100 Fun.id) tickets
 
 let () =

@@ -241,26 +241,26 @@ let test_sem_binary () =
 (* Tsqueue, Latch, Barrier, Clock                                     *)
 
 let test_tsqueue_fifo () =
-  let q = Tsqueue.create () in
-  List.iter (Tsqueue.push q) [ 1; 2; 3 ];
-  check_int "len" 3 (Tsqueue.length q);
-  check_int "pop" 1 (Tsqueue.pop q);
-  Alcotest.(check (list int)) "drain" [ 2; 3 ] (Tsqueue.drain q);
-  check_bool "empty" true (Tsqueue.try_pop q = None)
+  let q = Testutil.Tsqueue.create () in
+  List.iter (Testutil.Tsqueue.push q) [ 1; 2; 3 ];
+  check_int "len" 3 (Testutil.Tsqueue.length q);
+  check_int "pop" 1 (Testutil.Tsqueue.pop q);
+  Alcotest.(check (list int)) "drain" [ 2; 3 ] (Testutil.Tsqueue.drain q);
+  check_bool "empty" true (Testutil.Tsqueue.try_pop q = None)
 
 let test_tsqueue_blocking_pop () =
-  let q = Tsqueue.create () in
+  let q = Testutil.Tsqueue.create () in
   let got = Atomic.make 0 in
-  let t = Testutil.spawn (fun () -> Atomic.set got (Tsqueue.pop q)) in
+  let t = Testutil.spawn (fun () -> Atomic.set got (Testutil.Tsqueue.pop q)) in
   Testutil.never "pop returns early" (fun () -> Atomic.get got <> 0);
-  Tsqueue.push q 42;
+  Testutil.Tsqueue.push q 42;
   Sync_platform.Process.join t;
   check_int "received" 42 (Atomic.get got)
 
 let test_tsqueue_pop_timeout () =
-  let q : int Tsqueue.t = Tsqueue.create () in
+  let q : int Testutil.Tsqueue.t = Testutil.Tsqueue.create () in
   check_bool "times out" true
-    (Tsqueue.pop_timeout q ~timeout_ns:10_000_000L = None)
+    (Testutil.Tsqueue.pop_timeout q ~timeout_ns:10_000_000L = None)
 
 let test_latch () =
   let l = Latch.create 3 in
@@ -289,17 +289,17 @@ let test_latch_wait_timeout () =
 let test_barrier_aligns () =
   let b = Latch.Barrier.create 3 in
   let counter = Atomic.make 0 in
-  let seen_at_barrier = Tsqueue.create () in
+  let seen_at_barrier = Testutil.Tsqueue.create () in
   let worker () =
     ignore (Atomic.fetch_and_add counter 1);
     Latch.Barrier.await b;
-    Tsqueue.push seen_at_barrier (Atomic.get counter);
+    Testutil.Tsqueue.push seen_at_barrier (Atomic.get counter);
     Latch.Barrier.await b
   in
   Testutil.run_all (List.init 3 (fun _ -> worker));
   List.iter
     (fun seen -> check_int "all arrived before any passed" 3 seen)
-    (Tsqueue.drain seen_at_barrier)
+    (Testutil.Tsqueue.drain seen_at_barrier)
 
 let test_virtual_clock () =
   let c = Clock.Virtual.create () in

@@ -97,3 +97,64 @@ module Gauge = struct
 
   let current t = Atomic.get t.current
 end
+
+(* Thread-safe unbounded FIFO with blocking and non-blocking removal:
+   how test threads hand results back to the checking thread. *)
+module Tsqueue = struct
+  type 'a t = { mutex : Mutex.t; nonempty : Condition.t; queue : 'a Queue.t }
+
+  let create () =
+    { mutex = Mutex.create (); nonempty = Condition.create ();
+      queue = Queue.create () }
+
+  let push t x =
+    Mutex.lock t.mutex;
+    Queue.push x t.queue;
+    Condition.signal t.nonempty;
+    Mutex.unlock t.mutex
+
+  (* Blocks until an element is available. *)
+  let pop t =
+    Mutex.lock t.mutex;
+    while Queue.is_empty t.queue do
+      Condition.wait t.nonempty t.mutex
+    done;
+    let x = Queue.pop t.queue in
+    Mutex.unlock t.mutex;
+    x
+
+  let try_pop t =
+    Mutex.lock t.mutex;
+    let x = if Queue.is_empty t.queue then None else Some (Queue.pop t.queue) in
+    Mutex.unlock t.mutex;
+    x
+
+  (* Polls up to [timeout_ns]; [None] on timeout. *)
+  let pop_timeout t ~timeout_ns =
+    let deadline = Int64.add (Clock.now_ns ()) timeout_ns in
+    let rec loop () =
+      match try_pop t with
+      | Some x -> Some x
+      | None ->
+        if Clock.now_ns () >= deadline then None
+        else begin
+          Thread.yield ();
+          loop ()
+        end
+    in
+    loop ()
+
+  let length t =
+    Mutex.lock t.mutex;
+    let n = Queue.length t.queue in
+    Mutex.unlock t.mutex;
+    n
+
+  (* Remove and return everything currently queued, oldest first. *)
+  let drain t =
+    Mutex.lock t.mutex;
+    let xs = List.of_seq (Queue.to_seq t.queue) in
+    Queue.clear t.queue;
+    Mutex.unlock t.mutex;
+    xs
+end

@@ -5,7 +5,9 @@ type t = {
   mutable total : int;
   mutable min_v : int;
   mutable max_v : int;
-  mutable sum : float;
+  sum : float array;
+      (* one element: a float field of this mixed record would be boxed,
+         and every [record] would allocate a fresh box *)
 }
 
 (* Bucket layout: indices [0, sub) are exact values; above that, each
@@ -20,7 +22,7 @@ let create ?(sub_bits = 5) () =
     invalid_arg "Histogram.create: sub_bits must be in 1..10";
   let sub = 1 lsl sub_bits in
   { sub_bits; sub; counts = Array.make (size ~sub_bits ~sub) 0; total = 0;
-    min_v = max_int; max_v = 0; sum = 0.0 }
+    min_v = max_int; max_v = 0; sum = [| 0.0 |] }
 
 let msb v =
   let v = ref v and r = ref 0 in
@@ -55,7 +57,7 @@ let record_n t v n =
     t.total <- t.total + n;
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v;
-    t.sum <- t.sum +. (float_of_int v *. float_of_int n)
+    t.sum.(0) <- t.sum.(0) +. (float_of_int v *. float_of_int n)
   end
 
 let record t v = record_n t v 1
@@ -66,7 +68,7 @@ let min_value t = if t.total = 0 then 0 else t.min_v
 
 let max_value t = t.max_v
 
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
+let mean t = if t.total = 0 then 0.0 else t.sum.(0) /. float_of_int t.total
 
 let quantile t q =
   if t.total = 0 then 0
@@ -96,11 +98,11 @@ let merge_into ~into src =
   if src.total > 0 then begin
     if src.min_v < into.min_v then into.min_v <- src.min_v;
     if src.max_v > into.max_v then into.max_v <- src.max_v;
-    into.sum <- into.sum +. src.sum
+    into.sum.(0) <- into.sum.(0) +. src.sum.(0)
   end
 
 let copy t =
-  { t with counts = Array.copy t.counts }
+  { t with counts = Array.copy t.counts; sum = Array.copy t.sum }
 
 let merge a b =
   let t = copy a in

@@ -8,26 +8,31 @@ type wrapped = {
 
 type table = (string * wrapped list) list
 
-(* Mutable accumulation: op -> wrapped list in reverse declaration order,
-   plus per-declaration duplicate detection. *)
+(* Mutable accumulation: each op with its wrappers in reverse declaration
+   order, the ops in reverse first-appearance order, plus per-declaration
+   duplicate detection. A spec names a handful of ops, so lists searched
+   by [String.equal] beat hashing, which every compile (one per DPOR
+   schedule of a path scenario) would pay. *)
 type acc = {
-  tbl : (string, wrapped list) Hashtbl.t;
-  mutable order : string list; (* first-appearance order, reversed *)
+  mutable ops : (string * wrapped list ref) list;
   mutable in_decl : string list; (* ops seen in the current declaration *)
 }
 
+let rec find name = function
+  | [] -> None
+  | (op, ws) :: rest ->
+    if String.equal op name then Some ws else find name rest
+
 let add acc name w =
-  if List.mem name acc.in_decl then
+  if List.exists (String.equal name) acc.in_decl then
     raise
       (Unsupported
          (Printf.sprintf
             "operation %S appears twice in one path declaration" name));
   acc.in_decl <- name :: acc.in_decl;
-  (match Hashtbl.find_opt acc.tbl name with
-  | None ->
-    acc.order <- name :: acc.order;
-    Hashtbl.add acc.tbl name [ w ]
-  | Some ws -> Hashtbl.replace acc.tbl name (w :: ws))
+  match find name acc.ops with
+  | None -> acc.ops <- (name, ref [ w ]) :: acc.ops
+  | Some ws -> ws := w :: !ws
 
 (* [undo] must return exactly the tokens [pro] consumed — the inverse of
    the prologue, NOT the epilogue: in a sequence the epilogue V's the
@@ -115,8 +120,6 @@ let compile_decl engine env acc decl =
   comp engine env acc body ~pro:s.Engine.p ~epi:s.Engine.v ~undo:s.Engine.v
 
 let compile ~engine ~env spec =
-  let acc = { tbl = Hashtbl.create 16; order = []; in_decl = [] } in
+  let acc = { ops = []; in_decl = [] } in
   List.iter (compile_decl engine env acc) spec;
-  List.rev_map
-    (fun name -> (name, List.rev (Hashtbl.find acc.tbl name)))
-    acc.order
+  List.rev_map (fun (name, ws) -> (name, List.rev !ws)) acc.ops

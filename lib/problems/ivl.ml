@@ -10,6 +10,17 @@ type interval = {
   exit_ : int;
 }
 
+(* Pids key tables by their own value: generic [Hashtbl] would hash every
+   lookup through [caml_hash], and a DPOR scenario runs its checks on
+   every explored schedule. *)
+module Pids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash pid = pid land max_int
+end)
+
 type pending = {
   mutable p_request : int;
   mutable p_enter : int;
@@ -17,14 +28,14 @@ type pending = {
 }
 
 let intervals events =
-  let pending : (int, pending) Hashtbl.t = Hashtbl.create 16 in
+  let pending : pending Pids.t = Pids.create 16 in
   let out = ref [] in
   let get_pending pid =
-    match Hashtbl.find_opt pending pid with
+    match Pids.find_opt pending pid with
     | Some p -> p
     | None ->
       let p = { p_request = -1; p_enter = -1; p_arg = 0 } in
-      Hashtbl.add pending pid p;
+      Pids.add pending pid p;
       p
   in
   List.iter
@@ -57,32 +68,32 @@ let intervals events =
   List.sort (fun a b -> compare a.enter b.enter) !out
 
 let check_wellformed events =
-  let inside : (int, string) Hashtbl.t = Hashtbl.create 16 in
+  let inside : string Pids.t = Pids.create 16 in
   let bad = ref None in
   List.iter
     (fun (e : Trace.event) ->
-      if !bad = None then
+      if Option.is_none !bad then
         match e.phase with
         | Trace.Mark | Trace.Request -> ()
         | Trace.Enter ->
-          if Hashtbl.mem inside e.pid then
+          if Pids.mem inside e.pid then
             bad :=
               Some
                 (Printf.sprintf "pid %d: Enter %s while still inside %s" e.pid
-                   e.op (Hashtbl.find inside e.pid))
-          else Hashtbl.add inside e.pid e.op
+                   e.op (Pids.find inside e.pid))
+          else Pids.add inside e.pid e.op
         | Trace.Exit ->
-          if not (Hashtbl.mem inside e.pid) then
+          if not (Pids.mem inside e.pid) then
             bad :=
               Some
                 (Printf.sprintf "pid %d: Exit %s without a matching Enter"
                    e.pid e.op)
-          else Hashtbl.remove inside e.pid)
+          else Pids.remove inside e.pid)
     events;
   match !bad with
   | Some msg -> Error ("malformed trace: " ^ msg)
   | None -> (
-    let stuck = Hashtbl.fold (fun pid op acc -> (pid, op) :: acc) inside [] in
+    let stuck = Pids.fold (fun pid op acc -> (pid, op) :: acc) inside [] in
     match List.sort compare stuck with
     | [] -> Ok ()
     | (pid, op) :: _ ->

@@ -6,7 +6,13 @@
    ring buffer, found by an indexed slot keyed on the thread id; buffers
    are snapshotted after the traced region quiesces. One event is four
    int stores into one preallocated int array plus one string store (the
-   site) — no per-event allocation, one write barrier.
+   site) — no per-event allocation, and a write barrier only when the
+   slot held another site.
+
+   An enabled event costs its clock read, the ring lookup and one
+   release publish of the ring's position; the rest is inlined here.
+   dune's dev profile compiles with -opaque, so the entry points stay
+   calls in their callers: only what is inside this file inlines.
 
    The clock is most of the cost of a recorded event, so an instrumented
    operation reads it once per distinct instant. A platform lock reads it
@@ -48,7 +54,7 @@ let is_span = function
   | Acquire | Hold | Wait | Op -> true
   | Signal | Handoff | Abandon | Spurious | Flip -> false
 
-let kind_index = function
+let[@inline] kind_index = function
   | Acquire -> 0
   | Hold -> 1
   | Wait -> 2
@@ -108,6 +114,12 @@ let min_actor = -max_actor - 1
    with a write barrier. [bop] is the current op label's index, already
    shifted into header position; [bactor] likewise for the thread id.
 
+   [ckeys]/[cops] cache the thread's recent op labels: [cops.(i)] is the
+   header-shifted index of the physical string [ckeys.(i)], so a [set_op]
+   with a label the thread used lately skips interning. The cache starts
+   full of [""], whose index is 0 in every label table, and goes with its
+   ring at [reset].
+
    [pos] is atomic so a concurrent reader (the adaptive sampler) can use
    it as a sequence lock: the owning thread fills every slot field and
    only then publishes with an [Atomic.set] (a release on OCaml's SC
@@ -119,14 +131,20 @@ type buffer = {
   words : int array;
   bsite : string array;
   mutable bop : int;
+  ckeys : string array;
+  cops : int array;
+  mutable cnext : int;
   pos : int Atomic.t;
 }
+
+let cache_size = 8
 
 let make_buffer tid cap =
   { btid = tid; bactor = tid lsl actor_shift; cap;
     words = Array.make (4 * cap) 0;
     bsite = Array.make cap "";
-    bop = 0; pos = Atomic.make 0 }
+    bop = 0; ckeys = Array.make cache_size ""; cops = Array.make cache_size 0;
+    cnext = 0; pos = Atomic.make 0 }
 
 (* Buffer lookup: a fixed array of atomic slots indexed by thread id,
    each re-verified against the owner's id. Two live threads whose ids
@@ -163,7 +181,7 @@ let claim slot tid =
   Atomic.set slot b;
   b
 
-let my_buffer () =
+let[@inline] my_buffer () =
   let tid = Thread.id (Thread.self ()) in
   let slot = slots.(tid land (slot_count - 1)) in
   let b = Atomic.get slot in
@@ -236,7 +254,11 @@ let current_actor b =
   if Atomic.get virtual_runs = 0 then b.btid
   else match !task_provider () with Some vt -> -(vt + 1) | None -> b.btid
 
-let actor_bits b =
+(* The header of the caller's next event, less its kind: op label and
+   actor. *)
+let[@inline] header b =
+  b.bop
+  lor
   if Atomic.get virtual_runs = 0 then b.bactor
   else current_actor b lsl actor_shift
 
@@ -246,19 +268,20 @@ let now () = if enabled () then now_ns () else 0
 
 (* Fill slot [p] without publishing it. The indices are in bounds by
    construction: [p land (cap - 1)] < [cap], and [words] has [4 * cap]
-   entries. *)
-let put b p k ~site ~t0 ~dur ~arg =
+   entries. A slot that already holds this very site string (a steady op
+   pattern come round the ring) skips the site store's write barrier. *)
+let[@inline] put b p h ~site ~t0 ~dur ~arg =
   let i = p land (b.cap - 1) in
   let w = b.words and j = 4 * i in
-  Array.unsafe_set w j (kind_index k lor b.bop lor actor_bits b);
+  Array.unsafe_set w j h;
   Array.unsafe_set w (j + 1) t0;
   Array.unsafe_set w (j + 2) dur;
   Array.unsafe_set w (j + 3) arg;
-  Array.unsafe_set b.bsite i site
+  if Array.unsafe_get b.bsite i != site then Array.unsafe_set b.bsite i site
 
-let write b k ~site ~t0 ~dur ~arg =
+let[@inline] write b k ~site ~t0 ~dur ~arg =
   let p = Atomic.get b.pos in
-  put b p k ~site ~t0 ~dur ~arg;
+  put b p (kind_index k lor header b) ~site ~t0 ~dur ~arg;
   (* Publish: slot stores above happen-before this release store. *)
   Atomic.set b.pos (p + 1)
 
@@ -282,9 +305,9 @@ let round_trip ~site ~t0 =
   if enabled () && t0 <> 0 then begin
     let t1 = now_ns () in
     let b = my_buffer () in
-    let p = Atomic.get b.pos in
-    put b p Acquire ~site ~t0 ~dur:0 ~arg:0;
-    put b (p + 1) Hold ~site ~t0 ~dur:(t1 - t0) ~arg:0;
+    let p = Atomic.get b.pos and h = header b in
+    put b p (kind_index Acquire lor h) ~site ~t0 ~dur:0 ~arg:0;
+    put b (p + 1) (kind_index Hold lor h) ~site ~t0 ~dur:(t1 - t0) ~arg:0;
     Atomic.set b.pos (p + 2)
   end
 
@@ -296,12 +319,11 @@ let round_trip ~site ~t0 =
 let mark () = if enabled () then Atomic.get (my_buffer ()).pos + 1 else 0
 
 (* Inside a deterministic run several virtual tasks share one OS
-   thread's ring, so an event is borrowed only if it is the caller's:
-   the searches below skip the other tasks' events. Outside such runs
-   every event in the ring is the caller's and they stop at once. *)
-let own b p =
-  Atomic.get virtual_runs = 0
-  || b.words.(4 * (p land (b.cap - 1))) asr actor_shift = current_actor b
+   thread's ring, so an event is borrowed only if it is the caller's
+   ([actor]): the walks below skip the other tasks' events. Outside such
+   runs every event in the ring is the caller's, and the searches are
+   index arithmetic. *)
+let own b actor p = b.words.(4 * (p land (b.cap - 1))) asr actor_shift = actor
 
 let start_of b p = b.words.((4 * (p land (b.cap - 1))) + 1)
 
@@ -312,23 +334,31 @@ let end_of b p =
 (* The first of the caller's events numbered [e] to [p - 1], or -1; and
    the latest of those numbered [lo] to [e]. Top-level, so that a search
    allocates no closure. *)
-let rec forward b e p =
-  if e >= p then -1 else if own b e then e else forward b (e + 1) p
+let rec forward b actor e p =
+  if e >= p then -1
+  else if own b actor e then e
+  else forward b actor (e + 1) p
 
-let rec backward b e lo =
-  if e < lo then -1 else if own b e then e else backward b (e - 1) lo
+let rec backward b actor e lo =
+  if e < lo then -1
+  else if own b actor e then e
+  else backward b actor (e - 1) lo
 
 (* The caller's first event recorded since mark [m] that is still in the
    ring (if the ring wrapped since, the oldest retained one: a bound that
    still encloses every retained event), or -1. *)
 let first_own b m =
   let p = Atomic.get b.pos in
-  forward b (max (m - 1) (p - b.cap)) p
+  let lo = Int.max (m - 1) (p - b.cap) in
+  if Atomic.get virtual_runs = 0 then if lo < p then lo else -1
+  else forward b (current_actor b) lo p
 
 (* The caller's latest event recorded since mark [m], or -1. *)
 let latest_own b m =
   let p = Atomic.get b.pos in
-  backward b (p - 1) (max (m - 1) (p - b.cap))
+  let lo = Int.max (m - 1) (p - b.cap) in
+  if Atomic.get virtual_runs = 0 then if lo < p then p - 1 else -1
+  else backward b (current_actor b) (p - 1) lo
 
 let latest_end b m =
   match latest_own b m with -1 -> now_ns () | e -> end_of b e
@@ -359,16 +389,31 @@ let span_marked k ~site ~mark ~arg =
   end
   else 0
 
+(* The cache entry holding the physical string [name], or -1. *)
+let rec cached keys name i =
+  if i = cache_size then -1
+  else if Array.unsafe_get keys i == name then i
+  else cached keys name (i + 1)
+
 (* A label that cannot be interned leaves the thread's later events
-   unlabelled rather than carrying the previous op's label. *)
+   unlabelled rather than carrying the previous op's label. A miss
+   replaces the cache's entries in turn. *)
 let set_op name =
   if enabled () then begin
     let b = my_buffer () in
-    match intern name with
-    | i -> b.bop <- i lsl op_shift
-    | exception e ->
-      b.bop <- 0;
-      raise e
+    match cached b.ckeys name 0 with
+    | -1 -> (
+      match intern name with
+      | i ->
+        let op = i lsl op_shift and c = b.cnext in
+        b.ckeys.(c) <- name;
+        b.cops.(c) <- op;
+        b.cnext <- (c + 1) land (cache_size - 1);
+        b.bop <- op
+      | exception e ->
+        b.bop <- 0;
+        raise e)
+    | c -> b.bop <- Array.unsafe_get b.cops c
   end
 
 let reset () =

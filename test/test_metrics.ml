@@ -30,7 +30,8 @@ let test_single_value () =
     (fun q -> check_int (Printf.sprintf "q%.3f" q) 12345 (Histogram.quantile h q))
     [ 0.0; 0.5; 0.99; 1.0 ];
   check_int "min" 12345 (Histogram.min_value h);
-  check_int "max" 12345 (Histogram.max_value h)
+  check_int "max" 12345 (Histogram.max_value h);
+  Alcotest.(check (float 0.)) "mean" 12345. (Histogram.mean h)
 
 let test_small_values_exact () =
   (* below 2^sub_bits the buckets are unit-width: quantiles are exact *)
@@ -38,7 +39,8 @@ let test_small_values_exact () =
   for v = 0 to 31 do Histogram.record h v done;
   check_int "median of 0..31" 15 (Histogram.quantile h 0.5);
   check_int "q1.0" 31 (Histogram.quantile h 1.0);
-  check_int "q0" 0 (Histogram.quantile h 0.0)
+  check_int "q0" 0 (Histogram.quantile h 0.0);
+  Alcotest.(check (float 0.)) "mean" 15.5 (Histogram.mean h)
 
 let test_known_distribution () =
   (* 1..10_000: true quantile q is q*10_000; bucketed answer must be
@@ -56,18 +58,23 @@ let test_known_distribution () =
     [ 0.50; 0.90; 0.95; 0.99 ];
   check_int "count" 10_000 (Histogram.count h);
   check_int "exact max" 10_000 (Histogram.max_value h);
-  check_int "exact min" 1 (Histogram.min_value h)
+  check_int "exact min" 1 (Histogram.min_value h);
+  Alcotest.(check (float 0.)) "mean" 5000.5 (Histogram.mean h)
 
 let test_negative_clamps () =
   let h = Histogram.create () in
   Histogram.record h (-7);
   check_int "count" 1 (Histogram.count h);
-  check_int "clamped to 0" 0 (Histogram.quantile h 1.0)
+  check_int "clamped to 0" 0 (Histogram.quantile h 1.0);
+  Alcotest.(check (float 0.)) "mean of the clamped value" 0. (Histogram.mean h)
 
 let test_buckets_conserve () =
   let h = Histogram.create () in
-  List.iter (fun v -> Histogram.record h v)
-    [ 0; 1; 31; 32; 33; 1000; 1_000_000; max_int ];
+  let values = [ 0; 1; 31; 32; 33; 1000; 1_000_000; max_int ] in
+  List.iter (fun v -> Histogram.record h v) values;
+  Alcotest.(check (float 0.)) "mean as a float sum"
+    (List.fold_left (fun acc v -> acc +. float_of_int v) 0. values /. 8.)
+    (Histogram.mean h);
   let total =
     List.fold_left (fun acc (_, _, c) -> acc + c) 0
       (Histogram.nonempty_buckets h)
@@ -76,6 +83,30 @@ let test_buckets_conserve () =
   List.iter
     (fun (lo, hi, _) -> check_bool "lo <= hi" true (lo <= hi))
     (Histogram.nonempty_buckets h)
+
+(* Every Loadgen op records into a histogram: recording must not
+   allocate (the running sum is a float, kept unboxed), and a merge or a
+   copy must not share that sum with its source. *)
+let test_record_no_alloc () =
+  let h = Histogram.create () in
+  Histogram.record h 1;
+  let before = Gc.minor_words () in
+  for v = 1 to 10_000 do
+    Histogram.record h (v * 997)
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "10k records allocate no minor words" 0.
+    allocated;
+  let mean = Histogram.mean h in
+  Alcotest.(check (float 0.)) "mean"
+    ((1. +. (997. *. 10_000. *. 10_001. /. 2.)) /. 10_001.)
+    mean;
+  let m = Histogram.merge h h in
+  Alcotest.(check (float 0.)) "merged mean" mean (Histogram.mean m);
+  Histogram.record m max_int;
+  Histogram.record (Histogram.copy h) max_int;
+  Alcotest.(check (float 0.)) "merge and copy leave the source's mean" mean
+    (Histogram.mean h)
 
 (* -- histogram properties ----------------------------------------- *)
 
@@ -308,7 +339,9 @@ let () =
           Alcotest.test_case "known distribution" `Quick
             test_known_distribution;
           Alcotest.test_case "negative clamps" `Quick test_negative_clamps;
-          Alcotest.test_case "buckets conserve" `Quick test_buckets_conserve ] );
+          Alcotest.test_case "buckets conserve" `Quick test_buckets_conserve;
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_record_no_alloc ] );
       ( "histogram-properties",
         [ Testutil.qcheck_case prop_quantile_monotone;
           Testutil.qcheck_case prop_quantile_bounds;

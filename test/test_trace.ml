@@ -43,6 +43,28 @@ let test_wraparound () =
     (fun a -> Alcotest.(check bool) "survivor is recent" true (a > 24))
     args
 
+(* A slot keeps its site string when the event overwriting it has the
+   same one: after wraparound every survivor must still name its own
+   site, whether its slot's previous event had that site or another. *)
+let test_sites_after_wrap () =
+  let sites = [| "site-a"; "site-b"; "site-c" |] in
+  Probe.set_capacity 16;
+  Probe.reset ();
+  Probe.enable ();
+  for i = 1 to 70 do
+    let site = if i > 48 then sites.(0) else sites.(i mod 3) in
+    Probe.record Signal ~site ~t0:i ~dur:0 ~arg:i
+  done;
+  Probe.disable ();
+  let events = Probe.snapshot () in
+  Alcotest.(check int) "ring retains capacity" 16 (List.length events);
+  List.iter
+    (fun (e : Probe.event) ->
+      let i = e.Probe.arg in
+      let want = if i > 48 then sites.(0) else sites.(i mod 3) in
+      Alcotest.(check string) "site after wraparound" want e.Probe.site)
+    events
+
 let test_no_wrap () =
   Probe.set_capacity 64;
   Probe.reset ();
@@ -255,10 +277,14 @@ let test_disabled_no_alloc () =
   Alcotest.(check int) "nothing recorded" 0 (Probe.total ())
 
 (* Recording allocates nothing once the thread's ring exists: traced
-   lock/unlock round trips (an Acquire and a Hold each) plus instants. *)
+   lock/unlock round trips (an Acquire and a Hold each) plus instants,
+   each under one of two op labels that hit the thread's label cache. *)
 let test_enabled_no_alloc () =
   let m = Sync_platform.Mutex.create () in
+  let flip = ref false in
   let round () =
+    flip := not !flip;
+    Probe.set_op (if !flip then "gc-even" else "gc-odd");
     Sync_platform.Mutex.lock m;
     Sync_platform.Mutex.unlock m;
     Probe.instant Signal ~site:"gc" ~arg:0
@@ -491,6 +517,54 @@ let test_label_overflow () =
     Alcotest.(check string) "reset empties the table" "after reset"
       e.Probe.op
   | _ -> Alcotest.fail "expected one event after reset"
+
+(* [set_op] caches the thread's recent labels by physical string. Hit
+   or miss, every event must carry the label set before it: shared
+   labels alternating, a fresh copy of a cached label, more labels than
+   the cache holds, the same labels after a [reset] in another order
+   (where a stale cached index would name another label), and an
+   overflow right after a cached label. *)
+let test_label_cache () =
+  let stamp label arg =
+    Probe.set_op label;
+    Probe.record Signal ~site:"cache" ~t0:(1 + arg) ~dur:0 ~arg
+  in
+  let check what want =
+    Alcotest.(check (list (pair int string)))
+      what want
+      (List.map
+         (fun (e : Probe.event) -> (e.Probe.arg, e.Probe.op))
+         (Probe.snapshot ()))
+  in
+  let shared = [| "alpha"; "beta" |] and many = Array.init 13 labelled in
+  let script =
+    List.init 10 (fun i -> shared.(i mod 2))
+    @ [ String.concat "" [ "al"; "pha" ] ]
+    @ List.init 52 (fun i -> many.(i mod 13))
+  in
+  Probe.reset ();
+  Probe.enable ();
+  List.iteri (fun i label -> stamp label i) script;
+  check "labels through the cache" (List.mapi (fun i l -> (i, l)) script);
+  let reversed = List.rev (Array.to_list many) in
+  Probe.reset ();
+  List.iteri (fun i label -> stamp label i) (reversed @ reversed);
+  check "labels re-interned after reset"
+    (List.mapi (fun i l -> (i, l)) (reversed @ reversed));
+  Probe.reset ();
+  stamp "alpha" 0;
+  for i = 1 to Probe.max_op_labels - 2 do
+    Probe.set_op (labelled i)
+  done;
+  stamp "beta" 1;
+  (match Probe.set_op "one too many" with
+  | () -> Alcotest.fail "an overflowing label table must raise"
+  | exception Invalid_argument _ -> ());
+  Probe.record Signal ~site:"cache" ~t0:3 ~dur:0 ~arg:2;
+  stamp "beta" 3;
+  Probe.disable ();
+  check "overflow after a cached label"
+    [ (0, "alpha"); (1, "beta"); (2, ""); (3, "beta") ]
 
 (* An uncontended lock writes its zero-wait Acquire together with the
    Hold, at release. A release after tracing was disabled writes neither
@@ -878,6 +952,8 @@ let () =
     [ ( "ring",
         [ Alcotest.test_case "wraparound" `Quick (scrubbed test_wraparound);
           Alcotest.test_case "no-wrap" `Quick (scrubbed test_no_wrap);
+          Alcotest.test_case "sites after wraparound" `Quick
+            (scrubbed test_sites_after_wrap);
           Alcotest.test_case "reset" `Quick (scrubbed test_reset_clears) ] );
       ( "concurrency",
         [ Alcotest.test_case "domain-writers" `Quick
@@ -906,6 +982,7 @@ let () =
             (scrubbed test_labels_survive_wrap);
           Alcotest.test_case "label overflow and reset" `Quick
             (scrubbed test_label_overflow);
+          Alcotest.test_case "label cache" `Quick (scrubbed test_label_cache);
           Alcotest.test_case "disabled while acquire pending" `Quick
             (scrubbed test_disable_while_pending) ] );
       ( "export",

@@ -1,8 +1,11 @@
-(* CLOCK_MONOTONIC via bechamel's no-alloc C stub: immune to wall-clock
-   steps and with true nanosecond resolution, which the latency
-   histograms need — gettimeofday floats bottom out around a
-   microsecond and made every sub-µs operation record as 0. *)
-let now_ns () = Monotonic_clock.now ()
+(* CLOCK_MONOTONIC through a noalloc C stub (in sync_trace, beside the
+   probe clock): immune to wall-clock steps and with true nanosecond
+   resolution, which the latency histograms need — gettimeofday floats
+   bottom out around a microsecond and made every sub-µs operation
+   record as 0. *)
+external now_ns : unit -> (int64[@unboxed])
+  = "sync_clock_monotonic_byte" "sync_clock_monotonic"
+[@@noalloc]
 
 let elapsed_ns t0 = Int64.sub (now_ns ()) t0
 

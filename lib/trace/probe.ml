@@ -74,7 +74,11 @@ let enabled_flag = Atomic.make false
 
 let enabled () = Atomic.get enabled_flag
 
-let enable () = Atomic.set enabled_flag true
+(* The clock's calibration is published before the flag, so no event is
+   stamped by the monotonic fallback once tracing is on. *)
+let enable () =
+  Probe_clock.calibrate ();
+  Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false
 
@@ -262,7 +266,7 @@ let[@inline] header b =
   if Atomic.get virtual_runs = 0 then b.bactor
   else current_actor b lsl actor_shift
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let[@inline] now_ns () = Probe_clock.now_ns ()
 
 let now () = if enabled () then now_ns () else 0
 

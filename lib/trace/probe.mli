@@ -23,12 +23,19 @@
     (Gc-stat tests; A/B bench cell), so keep them true when extending
     this interface: no optional arguments, no closures on the fast path.
 
+    Timestamps come from {!Probe_clock}: the invariant TSC, calibrated
+    against [CLOCK_MONOTONIC] at the first {!enable}, on an x86-64 box
+    whose kernel runs on the TSC; [CLOCK_MONOTONIC] anywhere else. Either
+    way they are nanoseconds, so a ring holds the same values it always
+    did.
+
     An enabled event costs its clock read, the thread's ring lookup, one
     release publish of the ring position and the ring stores. On a shared
-    2-vCPU box (OCaml 5.1.1, a second domain live) those are 35–45 ns,
-    ~7 ns, ~10 ns and ~5 ns; the stores were ~12 ns while the header
-    packing, the searches' bounds and the label lookup were calls and
-    every site store paid a write barrier. dune's dev profile compiles
+    2-vCPU box (OCaml 5.1.1, a second domain live) those are 17–18 ns,
+    ~7 ns, ~10 ns and ~5 ns. The read was 28–29 ns through
+    [clock_gettime] in the same session; the stores were ~12 ns while
+    the header packing, the searches' bounds and the label lookup were
+    calls and every site store paid a write barrier. dune's dev profile compiles
     with [-opaque], so these entry points stay out of line in their
     callers: only work inside probe.ml inlines. The clock dominates, so
     a traced operation reads the clock once per distinct instant. Where
@@ -61,6 +68,10 @@ val enabled : unit -> bool
 (** One atomic load. Check it before computing anything a probe needs. *)
 
 val enable : unit -> unit
+(** Start recording. The first call in a process calibrates the probe
+    clock ({!Probe_clock.calibrate}, a window of at least 2 ms) and
+    publishes it before the flag, so every event is stamped by the one
+    clock; later calls only set the flag. *)
 
 val disable : unit -> unit
 
@@ -75,7 +86,8 @@ val set_capacity : int -> unit
     @raise Invalid_argument below 2 or above 2{^30}. *)
 
 val now : unit -> int
-(** Monotonic nanoseconds as an int, or 0 when tracing is disabled —
+(** Monotonic nanoseconds as an int ({!Probe_clock.now_ns}), or 0 when
+    tracing is disabled —
     the span start token: [span] ignores calls with [since = 0], so
     [let t0 = now () in ... ; span K ~site ~since:t0 ~arg] is correct in
     both worlds and free in the disabled one. *)

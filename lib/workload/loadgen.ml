@@ -2,6 +2,13 @@ open Sync_platform
 open Sync_metrics
 module Probe = Sync_trace.Probe
 
+(* The op loop's clock is the probe clock, read whether or not tracing
+   is on: with probes recording, an op's latency stamps and its
+   [workload.op] span then share reads with the lock events inside it,
+   and the span nests them on one time line. It is an untagged int from
+   a noalloc C call, so a read allocates nothing. *)
+let[@inline] now_ns () = Sync_trace.Probe_clock.now_ns ()
+
 (* E27 adds the two shapes a self-tuning controller has to survive:
    [Diurnal] modulates a Poisson process with a slow sinusoid (rate
    swings between ~0.1x and ~1.9x of nominal over [diurnal_period_ms]),
@@ -110,7 +117,7 @@ let run (target : Target.instance) cfg =
   let worker w () =
     let rng = rngs.(w) in
     let recs = recorders.(w) in
-    let start_ns = Clock.now_ns () in
+    let start_ns = now_ns () in
     let next_arrival = ref start_ns in
     (* Exponential inter-arrival: -mean * ln(1 - U), U in [0,1). *)
     let exp_draw mean =
@@ -119,35 +126,32 @@ let run (target : Target.instance) cfg =
     in
     let interarrival () =
       match cfg.mode with
-      | Closed -> 0L
-      | Open_loop { arrival = Uniform_spaced; _ } ->
-        Int64.of_float mean_ia_ns
+      | Closed -> 0
+      | Open_loop { arrival = Uniform_spaced; _ } -> int_of_float mean_ia_ns
       | Open_loop { arrival = Poisson; _ } ->
-        Int64.of_float (exp_draw mean_ia_ns)
+        int_of_float (exp_draw mean_ia_ns)
       | Open_loop { arrival = Diurnal; _ } ->
         (* Sinusoid-modulated Poisson: the instantaneous rate follows
            1 + A*sin(2*pi*t/period), evaluated at the intended arrival
            time so the shape is schedule-driven, not execution-driven. *)
-        let t_ns =
-          Int64.to_float (Int64.sub !next_arrival start_ns)
-        in
+        let t_ns = float_of_int (!next_arrival - start_ns) in
         let phase =
           2.0 *. Float.pi *. t_ns /. (float_of_int diurnal_period_ms *. 1e6)
         in
         let factor = 1.0 +. (diurnal_amplitude *. sin phase) in
-        Int64.of_float (exp_draw (mean_ia_ns /. Float.max 0.05 factor))
+        int_of_float (exp_draw (mean_ia_ns /. Float.max 0.05 factor))
       | Open_loop { arrival = Bursty; _ } ->
         let scale =
           if Prng.float rng 1.0 < burst_gap_p then burst_gap_scale
           else burst_dense_scale
         in
-        Int64.of_float (exp_draw (mean_ia_ns *. scale))
+        int_of_float (exp_draw (mean_ia_ns *. scale))
     in
     let rec wait_until ns =
-      let now = Clock.now_ns () in
-      if Int64.compare now ns >= 0 || Atomic.get phase >= finished then ()
+      let now = now_ns () in
+      if now >= ns || Atomic.get phase >= finished then ()
       else begin
-        if Int64.compare (Int64.sub ns now) 2_000_000L > 0 then
+        if ns - now > 2_000_000 then
           Thread.delay 0.001
         else Thread.yield ();
         wait_until ns
@@ -163,10 +167,10 @@ let run (target : Target.instance) cfg =
       if cfg.think_us > 0 then Thread.delay (float_of_int cfg.think_us /. 1e6);
       let start =
         match cfg.mode with
-        | Closed -> Clock.now_ns ()
+        | Closed -> now_ns ()
         | Open_loop _ ->
           let s = !next_arrival in
-          next_arrival := Int64.add s (interarrival ());
+          next_arrival := s + interarrival ();
           wait_until s;
           (* Latency counts from the intended arrival: falling behind
              schedule surfaces as queueing delay, not omitted samples. *)
@@ -177,19 +181,16 @@ let run (target : Target.instance) cfg =
          the scheduled arrival, before the op really began). *)
       let t0 =
         match cfg.mode with
-        | Closed -> if Probe.enabled () then Int64.to_int start else 0
+        | Closed -> if Probe.enabled () then start else 0
         | Open_loop _ -> Probe.now ()
       in
       if t0 <> 0 then Probe.set_op op_names.(i);
       match ops.(i).Target.run ~rng ~pid:w with
       | () ->
-        let stop = Clock.now_ns () in
-        Probe.record Op ~site:"workload.op" ~t0
-          ~dur:(Int64.to_int stop - t0) ~arg:i;
+        let stop = now_ns () in
+        Probe.record Op ~site:"workload.op" ~t0 ~dur:(stop - t0) ~arg:i;
         let ph = Atomic.get phase in
-        if ph <= steady then
-          Recorder.record recs.(ph) ~op:i
-            ~ns:(Int64.to_int (Int64.sub stop start))
+        if ph <= steady then Recorder.record recs.(ph) ~op:i ~ns:(stop - start)
       | exception _ ->
         let ph = Atomic.get phase in
         if ph <= steady then Recorder.record_failure recs.(ph) ~op:i

@@ -297,6 +297,43 @@ let run_smoke mode =
     check_bool "json mentions throughput" true
       (Astring.String.is_infix ~affix:"throughput_per_s" json)
 
+(* A closed-loop turn of the op loop reads the clock twice, checks the
+   phase and records a latency: none of it may allocate. The op notes
+   its domain's minor-word count, so consecutive notes bracket one
+   turn of the loop around it. *)
+let test_loadgen_op_no_alloc () =
+  match
+    Sync_workload.Target.create ~problem:"bounded-buffer"
+      ~mechanism:"semaphore" ()
+  with
+  | Error e -> Alcotest.failf "target: %s" e
+  | Ok base ->
+    let n = 20_000 in
+    let words = Array.make n 0. and calls = ref 0 in
+    let note ~rng:_ ~pid:_ =
+      let c = !calls in
+      if c < n then begin
+        words.(c) <- Gc.minor_words ();
+        calls := c + 1
+      end
+    in
+    let instance =
+      { base with
+        Sync_workload.Target.ops = [| { Sync_workload.Target.name = "note"; run = note } |];
+        selection = Sync_workload.Target.Cycle }
+    in
+    let cfg =
+      { Sync_workload.Loadgen.workers = 1; backend = `Domain;
+        duration_ms = 50; warmup_ms = 0; mode = Sync_workload.Loadgen.Closed;
+        seed = 7; think_us = 0 }
+    in
+    ignore (Sync_workload.Loadgen.run instance cfg);
+    check_int "ops noted" n !calls;
+    let turns = n - 1 - 100 in
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "minor words over %d turns of the op loop" turns)
+      0. (words.(n - 1) -. words.(100))
+
 let test_loadgen_closed () = run_smoke Sync_workload.Loadgen.Closed
 
 let test_loadgen_open () =
@@ -360,6 +397,8 @@ let () =
       ( "workload",
         [ Alcotest.test_case "registry coverage" `Quick test_registry_coverage;
           Alcotest.test_case "closed-loop smoke" `Quick test_loadgen_closed;
+          Alcotest.test_case "op loop allocates nothing" `Quick
+            test_loadgen_op_no_alloc;
           Alcotest.test_case "open-loop smoke" `Quick test_loadgen_open;
           Alcotest.test_case "rejects bad config" `Quick test_loadgen_rejects;
           Alcotest.test_case "unknown pair" `Quick test_target_unknown ] ) ]

@@ -947,6 +947,159 @@ let test_actor_label () =
   Alcotest.(check string) "thread label" "t12" (Probe.actor_label 12);
   Alcotest.(check string) "virtual label" "v3" (Probe.actor_label (-4))
 
+(* --- the probe clock -------------------------------------------- *)
+
+module Pclock = Sync_trace.Probe_clock
+
+(* The source is a property of the box: (clocksource, CPU flags,
+   architecture). Only a kernel that runs on the TSC, on a CPU whose
+   TSC is invariant, on x86-64, gets it. *)
+let test_clock_choice () =
+  let invariant = [ "fpu"; "tsc"; "constant_tsc"; "nonstop_tsc"; "sse2" ] in
+  let cases =
+    [ ("tsc", invariant, true, Pclock.Tsc);
+      ("tsc\n", invariant, true, Pclock.Tsc);
+      ("tsc", [ "nonstop_tsc"; "tsc_known_freq"; "constant_tsc" ], true,
+       Pclock.Tsc);
+      ("tsc", invariant, false, Pclock.Monotonic);
+      ("hpet", invariant, true, Pclock.Monotonic);
+      ("kvm-clock", invariant, true, Pclock.Monotonic);
+      ("acpi_pm", invariant, true, Pclock.Monotonic);
+      ("arch_sys_counter", [], false, Pclock.Monotonic);
+      ("tsc", [ "tsc"; "constant_tsc" ], true, Pclock.Monotonic);
+      ("tsc", [ "tsc"; "nonstop_tsc" ], true, Pclock.Monotonic);
+      ("tsc", [ "tsc" ], true, Pclock.Monotonic);
+      ("", invariant, true, Pclock.Monotonic);
+      ("", [], true, Pclock.Monotonic) ]
+  in
+  List.iter
+    (fun (clocksource, cpu_flags, x86_64, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%S [%s] x86_64=%b" clocksource
+           (String.concat " " cpu_flags) x86_64)
+        (Pclock.source_name want)
+        (Pclock.source_name (Pclock.choose ~clocksource ~cpu_flags ~x86_64)))
+    cases
+
+(* How far the probe clock is from CLOCK_MONOTONIC: the probe read
+   against the midpoint of the tightest of 5 mono-probe-mono brackets. *)
+let clock_error () =
+  let best = ref (max_int, 0) in
+  for _ = 1 to 5 do
+    let m0 = Int64.to_int (Sync_platform.Clock.now_ns ()) in
+    let p = Pclock.now_ns () in
+    let m1 = Int64.to_int (Sync_platform.Clock.now_ns ()) in
+    if m1 - m0 < fst !best then best := (m1 - m0, p - (m0 + ((m1 - m0) / 2)))
+  done;
+  snd !best
+
+(* The calibrated clock stays on CLOCK_MONOTONIC's time line: its
+   offset is small right away and still small a second later. *)
+let test_clock_agrees_with_monotonic () =
+  Probe.enable ();
+  Probe.disable ();
+  let e0 = clock_error () in
+  Thread.delay 1.0;
+  let e1 = clock_error () in
+  Printf.printf "probe clock %s: offset from CLOCK_MONOTONIC %d ns, %d ns \
+                 after 1 s (drift %d ns)\n%!"
+    (Pclock.source_name (Pclock.source ())) e0 e1 (e1 - e0);
+  let bound = 100_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "offset %d ns within %d ns" e0 bound) true (abs e0 <= bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "offset after 1 s %d ns within %d ns" e1 bound) true
+    (abs e1 <= bound)
+
+let test_clock_monotonic_per_thread () =
+  Probe.enable ();
+  let prev = ref (Probe.now ()) and back = ref 0 in
+  for _ = 1 to 1_000_000 do
+    let t = Probe.now () in
+    if t < !prev then incr back;
+    prev := t
+  done;
+  Probe.disable ();
+  Alcotest.(check int) "reads that went backwards in 1M" 0 !back
+
+(* Two domains hand one traced Mutex back and forth 100k times, taking
+   turns through an atomic: every Hold ends before the next holder's
+   Acquire ends, as read by the two domains' own clocks. Blame edges
+   between holders rest on this order. *)
+let test_clock_cross_domain_order () =
+  let per_side = 50_000 in
+  Probe.set_capacity (1 lsl 17);
+  Probe.reset ();
+  Probe.enable ();
+  let m = Sync_platform.Mutex.create ~name:"handoff" () in
+  let turn = Atomic.make 0 in
+  let side me () =
+    for _ = 1 to per_side do
+      let spins = ref 0 in
+      while Atomic.get turn <> me do
+        incr spins;
+        if !spins land 4095 = 0 then Unix.sleepf 1e-6 else Domain.cpu_relax ()
+      done;
+      Sync_platform.Mutex.lock m;
+      Sync_platform.Mutex.unlock m;
+      Atomic.set turn (1 - me)
+    done
+  in
+  let d = Domain.spawn (side 1) in
+  side 0 ();
+  Domain.join d;
+  Probe.disable ();
+  let events =
+    List.filter (fun (e : Probe.event) -> e.Probe.site = "handoff")
+      (Probe.snapshot ())
+  in
+  Alcotest.(check int) "nothing dropped" 0 (Probe.dropped ());
+  (* This thread took the first turn. *)
+  let a0 = Thread.id (Thread.self ()) in
+  let a1 =
+    match
+      List.sort_uniq compare
+        (List.map (fun (e : Probe.event) -> e.Probe.actor) events)
+      |> List.filter (( <> ) a0)
+    with
+    | [ a ] -> a
+    | others -> Alcotest.failf "%d other holders" (List.length others)
+  in
+  (* Per actor, in its own (time) order: where its Holds and its
+     Acquires ended. *)
+  let ends a k =
+    List.filter_map
+      (fun (e : Probe.event) ->
+        if e.Probe.actor = a && e.Probe.kind = k then
+          Some (e.Probe.t0 + e.Probe.dur)
+        else None)
+      events
+    |> Array.of_list
+  in
+  let h0 = ends a0 Probe.Hold and h1 = ends a1 Probe.Hold in
+  let q0 = ends a0 Probe.Acquire and q1 = ends a1 Probe.Acquire in
+  List.iter
+    (fun (n, a) -> Alcotest.(check int) n per_side (Array.length a))
+    [ ("holds, first side", h0); ("holds, second side", h1);
+      ("acquires, first side", q0); ("acquires, second side", q1) ];
+  (* The holds alternate a0, a1, a0, ...: hold k of a0 hands to acquire
+     k of a1, and hold k of a1 to acquire k + 1 of a0. *)
+  let late = ref 0 and worst = ref 0 in
+  let check hold_end acq_end =
+    if hold_end > acq_end then begin
+      incr late;
+      worst := max !worst (hold_end - acq_end)
+    end
+  in
+  for k = 0 to per_side - 1 do
+    check h0.(k) q1.(k);
+    if k + 1 < per_side then check h1.(k) q0.(k + 1)
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "handoffs whose next Acquire ends before the Hold \
+                     (worst by %d ns)" !worst)
+    0 !late
+
 let () =
   Alcotest.run "trace"
     [ ( "ring",
@@ -1003,4 +1156,12 @@ let () =
           Alcotest.test_case "virtual-task spans" `Quick
             (scrubbed test_virtual_spans_own_events);
           Alcotest.test_case "actor-labels" `Quick (scrubbed test_actor_label) ]
-      ) ]
+      );
+      ( "clock",
+        [ Alcotest.test_case "source choice" `Quick test_clock_choice;
+          Alcotest.test_case "agrees with CLOCK_MONOTONIC" `Quick
+            (scrubbed test_clock_agrees_with_monotonic);
+          Alcotest.test_case "monotonic per thread" `Quick
+            (scrubbed test_clock_monotonic_per_thread);
+          Alcotest.test_case "cross-domain handoff order" `Quick
+            (scrubbed test_clock_cross_domain_order) ] ) ]

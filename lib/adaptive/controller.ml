@@ -16,6 +16,9 @@
      Backoff.set_limits (creation-scoped), steered by the observed
      median-ish wait scale. Short waits earn more spinning before the
      park; long waits cut the spin budget toward an immediate park.
+     The round count prices every real-thread spin: the fast tier's
+     backoff, the default tier's try_lock retries and the spin of
+     Condition.wait, so it moves the mechanisms' waits too.
 
    The controller never blocks workers: sampling copies rings, and
    swap_to's only wait is the old cell's drain (one critical section).

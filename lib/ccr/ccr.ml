@@ -29,12 +29,10 @@ let region ?when_ t f =
           match
             if not (guard t.state) then begin
               let t0 = Probe.now () in
-              Condition.wait t.changed t.lock;
-              while not (guard t.state) do
-                (* Broadcast reached us but the guard is still false. *)
-                Probe.instant Spurious ~site:"ccr.guard" ~arg:0;
-                Condition.wait t.changed t.lock
-              done;
+              (* A wakeup with the guard still false: a broadcast for
+                 another region's change. *)
+              Condition.await t.changed t.lock ~site:"ccr.guard" (fun () ->
+                  guard t.state);
               Probe.span Wait ~site:"ccr.guard" ~since:t0 ~arg:t.blocked
             end
           with

@@ -93,13 +93,8 @@ let purge c =
 let park net ~site ~depth cell =
   net.parked <- cell :: net.parked;
   let t0 = Probe.now () in
-  if not cell.done_ && net.poison = None then begin
-    Condition.wait cell.cond net.lock;
-    while not cell.done_ && net.poison = None do
-      Probe.instant Spurious ~site ~arg:0;
-      Condition.wait cell.cond net.lock
-    done
-  end;
+  Condition.await cell.cond net.lock ~site (fun () ->
+      cell.done_ || net.poison <> None);
   Probe.span Wait ~site ~since:t0 ~arg:depth;
   net.parked <- List.filter (fun c -> c != cell) net.parked;
   if not cell.done_ then begin

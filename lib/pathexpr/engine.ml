@@ -46,11 +46,7 @@ let gate () =
     Mutex.protect lock (fun () ->
         if not (f ()) then begin
           let t0 = Sync_trace.Probe.now () in
-          Condition.wait changed lock;
-          while not (f ()) do
-            Sync_trace.Probe.instant Spurious ~site:"path.pred" ~arg:0;
-            Condition.wait changed lock
-          done;
+          Condition.await changed lock ~site:"path.pred" f;
           Sync_trace.Probe.span Wait ~site:"path.pred" ~since:t0 ~arg:0
         end)
   in

@@ -1,23 +1,30 @@
 module Probe = Sync_trace.Probe
 
-(* A condition pairs with whatever mutex the caller hands to [wait], and
-   only a Sys mutex can use [Stdlib.Condition.wait] — that needs a
-   stdlib mutex to atomically release. So every real-thread condition
-   carries two faces: the plain stdlib condvar [sys] for waits under
-   Sys mutexes, and a private park lot [pk_m]/[pk_c]/[seq] for waits
-   under every other real mutex (cells and swappable sites). The
-   dispatch happens per wait, on the mutex's impl, because conditions
-   are routinely created at runtime (Waitq allocates one per wait) and
-   must work with any tier.
+(* A condition pairs with whatever mutex the caller hands to [wait]. A
+   real-thread wait either parks in the stdlib condvar [sys], which
+   needs a Sys mutex to release atomically, or spins and then parks in
+   a private lot [pk_m]/[pk_c] keyed on the wakeup [epoch], which works
+   under every real mutex. Sys waits take [sys] only when there is no
+   spin budget (a single core): that path is the stdlib's own. The
+   dispatch happens per wait, on the mutex's impl and the live budget,
+   because conditions are routinely created at runtime (Waitq allocates
+   one per wait) and must work with any tier.
 
-   Park protocol: the waiter takes [pk_m], snapshots [seq], bumps
-   [parked], and only then releases the user mutex; a signaler that ran
-   after the user mutex was released must therefore observe
-   [parked > 0], and its seq bump under [pk_m] cannot fire before the
-   waiter is actually waiting. Wakeups are level-triggered on [seq]
-   having moved, so a signal can wake more than one parked waiter
-   spuriously — allowed by the Mesa contract (every caller re-checks
-   its predicate). *)
+   Lot protocol: the waiter counts itself in [waiting] and notes
+   [epoch] while it still holds the user mutex, then releases it.
+   A signaler whose state change the waiter did not see took the user
+   mutex after that release, so it sees [waiting > 0] and bumps
+   [epoch]. The waiter spins until [epoch] moves or its budget runs
+   out, then parks: under [pk_m] it counts itself in [parked] and
+   sleeps while [epoch] has not moved. The signaler bumps [epoch]
+   before it reads [parked], and the waiter counts itself in [parked]
+   before it re-reads [epoch], so at least one sees the other; a
+   signaler that sees [parked > 0] signals under [pk_m], which the
+   waiter holds from its re-read until it sleeps. A signal with no
+   waiter costs one load past the stdlib signal. Wakeups are
+   level-triggered on [epoch], so one signal ends every spin and can
+   wake more than one parked waiter spuriously — allowed by the Mesa
+   contract (every caller re-checks its predicate). *)
 type t =
   | Det of Detrt.cond
   | Real of real
@@ -26,8 +33,9 @@ and real = {
   sys : Stdlib.Condition.t;
   pk_m : Stdlib.Mutex.t;
   pk_c : Stdlib.Condition.t;
-  mutable seq : int; (* guarded by pk_m *)
-  parked : int Atomic.t; (* fast-mutex waiters parked or about to park *)
+  epoch : int Atomic.t;
+  waiting : int Atomic.t; (* lot waiters, spinning or parked *)
+  parked : int Atomic.t; (* lot waiters parked or about to park *)
 }
 
 let create () =
@@ -37,7 +45,8 @@ let create () =
       { sys = Stdlib.Condition.create ();
         pk_m = Stdlib.Mutex.create ();
         pk_c = Stdlib.Condition.create ();
-        seq = 0;
+        epoch = Atomic.make 0;
+        waiting = Atomic.make 0;
         parked = Atomic.make 0 }
 
 (* Waiting releases the mutex internally, so the holder's Hold span must
@@ -52,27 +61,50 @@ let worlds_mismatch () =
      deterministic, one system); create both inside or both outside the \
      deterministic run"
 
-let wait c (m : Mutex.t) =
-  Mutex.close_hold m;
-  (match (c, m.Mutex.impl) with
-  | Real r, Mutex.Sys sm -> Stdlib.Condition.wait r.sys sm
-  | Real r, (Mutex.Cell _ | Mutex.Swap _) ->
-    (* A swappable site re-acquires through its indirection, so a
-       waiter parked across a tier flip wakes up into the new tier. *)
+(* Probes per spin round of a lot wait. *)
+let spin_probes = 64
+
+(* Entered holding [m]; returns holding it again. A swappable site
+   re-acquires through its indirection, so a waiter parked across a tier
+   flip wakes up into the new tier. *)
+let lot_wait r (m : Mutex.t) budget =
+  Atomic.incr r.waiting;
+  let e = Atomic.get r.epoch in
+  Mutex.raw_unlock m;
+  ignore (Mutex.spin budget (fun () -> Atomic.get r.epoch <> e));
+  if Atomic.get r.epoch = e then begin
     Stdlib.Mutex.lock r.pk_m;
-    let s = r.seq in
     Atomic.incr r.parked;
-    Mutex.raw_unlock m;
-    while r.seq = s do
+    while Atomic.get r.epoch = e do
       Stdlib.Condition.wait r.pk_c r.pk_m
     done;
     Atomic.decr r.parked;
-    Stdlib.Mutex.unlock r.pk_m;
-    Mutex.raw_lock m
+    Stdlib.Mutex.unlock r.pk_m
+  end;
+  Atomic.decr r.waiting;
+  Mutex.raw_lock m
+
+let wait c (m : Mutex.t) =
+  Mutex.close_hold m;
+  (match (c, m.Mutex.impl) with
+  | Real r, Mutex.Sys sm ->
+    let budget = spin_probes * Mutex.spin_rounds () in
+    if budget = 0 then Stdlib.Condition.wait r.sys sm else lot_wait r m budget
+  | Real r, (Mutex.Cell _ | Mutex.Swap _) ->
+    lot_wait r m (spin_probes * Mutex.spin_rounds ())
   | Det c, Mutex.Det dm -> Detrt.cond_wait c dm
   | Real _, Mutex.Det _ | Det _, (Mutex.Sys _ | Mutex.Cell _ | Mutex.Swap _) ->
     worlds_mismatch ());
   reopen_hold m
+
+let await c m ~site until =
+  if not (until ()) then begin
+    wait c m;
+    while not (until ()) do
+      Probe.instant Spurious ~site ~arg:0;
+      wait c m
+    done
+  end
 
 (* Timed wait by bounded polling: stdlib condition variables have no
    timed wait, so [wait_for] releases the mutex, lets someone else run,
@@ -95,24 +127,25 @@ let wait_for c (m : Mutex.t) ~deadline =
     true
   end
 
+(* [wake] signals or broadcasts the lot's parked waiters. *)
+let[@inline] lot_wake r wake =
+  if Atomic.get r.waiting > 0 then begin
+    Atomic.incr r.epoch;
+    if Atomic.get r.parked > 0 then begin
+      Stdlib.Mutex.lock r.pk_m;
+      wake r.pk_c;
+      Stdlib.Mutex.unlock r.pk_m
+    end
+  end
+
 let signal = function
   | Det c -> Detrt.cond_signal c
   | Real r ->
     Stdlib.Condition.signal r.sys;
-    if Atomic.get r.parked > 0 then begin
-      Stdlib.Mutex.lock r.pk_m;
-      r.seq <- r.seq + 1;
-      Stdlib.Condition.signal r.pk_c;
-      Stdlib.Mutex.unlock r.pk_m
-    end
+    lot_wake r Stdlib.Condition.signal
 
 let broadcast = function
   | Det c -> Detrt.cond_broadcast c
   | Real r ->
     Stdlib.Condition.broadcast r.sys;
-    if Atomic.get r.parked > 0 then begin
-      Stdlib.Mutex.lock r.pk_m;
-      r.seq <- r.seq + 1;
-      Stdlib.Condition.broadcast r.pk_c;
-      Stdlib.Mutex.unlock r.pk_m
-    end
+    lot_wake r Stdlib.Condition.broadcast

@@ -1,10 +1,16 @@
-(* [Wall] duplicates Clock.now_ns's one-liner rather than calling it:
-   Clock's virtual half uses the Mutex facade, and Mutex needs deadlines
-   for [try_lock_for], so depending on Clock here would be a cycle. *)
+(* [Wall] deadlines are CLOCK_MONOTONIC nanoseconds, read through the
+   same noalloc stub as [Clock.now_ns] and kept as an int, so [expired]
+   allocates nothing. The external is declared here, not reached through
+   Clock: Clock's virtual half uses the Mutex facade, and Mutex needs
+   deadlines for [try_lock_for]. *)
 
-type t = Wall of int64 | Polls of int ref | Never
+type t = Wall of int | Polls of int ref | Never
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+external clock_ns : unit -> (int64[@unboxed])
+  = "sync_clock_monotonic_byte" "sync_clock_monotonic"
+[@@noalloc]
+
+let[@inline] now_ns () = Int64.to_int (clock_ns ())
 
 (* A non-positive budget is already expired: the timed waits promise a
    fast reject with no syscall-level park on timeout = 0, and under
@@ -18,7 +24,13 @@ let budget_of_ns ns =
 
 let after_ns ns =
   if Detrt.active () then Polls (ref (budget_of_ns ns))
-  else Wall (Int64.add (now_ns ()) ns)
+  else
+    let now = now_ns () in
+    if Int64.compare ns 0L <= 0 then Wall now
+    else if Int64.compare ns (Int64.of_int (max_int - now)) >= 0 then
+      (* Past the int range: never fires. *)
+      Wall max_int
+    else Wall (now + Int64.to_int ns)
 
 let after_s s = after_ns (Int64.of_float (s *. 1e9))
 

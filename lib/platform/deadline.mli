@@ -12,6 +12,10 @@
 
 type t
 
+val now_ns : unit -> int
+(** [CLOCK_MONOTONIC] in nanoseconds, the clock [Wall] deadlines count
+    (the same read as [Clock.now_ns]), allocation-free. *)
+
 val after_ns : int64 -> t
 (** Deadline [ns] nanoseconds from now (det runs: a poll budget of about
     one unit per 50µs, clamped to [2, 100_000]). A non-positive [ns] is

@@ -41,12 +41,9 @@ module Eventcount = struct
     t.blocked <- t.blocked + 1;
     if t.count < n then begin
       let t0 = Probe.now () in
-      Condition.wait t.moved t.lock;
-      while t.count < n do
-        (* Broadcast advanced the count, but not far enough for us. *)
-        Probe.instant Spurious ~site:"evc" ~arg:0;
-        Condition.wait t.moved t.lock
-      done;
+      (* A wakeup short of [n]: a broadcast advanced the count, but not
+         far enough for us. *)
+      Condition.await t.moved t.lock ~site:"evc" (fun () -> t.count >= n);
       Probe.span Wait ~site:"evc" ~since:t0 ~arg:t.blocked
     end;
     t.blocked <- t.blocked - 1;

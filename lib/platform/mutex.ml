@@ -66,10 +66,12 @@ type t = {
   mutable acquired_at : int;
 }
 
-(* How many backoff rounds to spin before parking. Backoff doubles its
-   randomized spin bound each round, so this covers short critical
-   sections without burning a core when the holder is descheduled. On a
-   single-core machine the holder cannot run while we spin, so the only
+(* How many rounds to spin before parking: backoff rounds on the fast
+   tier, rounds of fixed probe counts on the default tier and in a
+   real-thread [Condition.wait]. Backoff doubles its randomized spin
+   bound each round, so this covers short critical sections without
+   burning a core when the holder is descheduled. On a single-core
+   machine the holder cannot run while we spin, so the only
    useful move is to park straight away (pthread mutexes make the same
    call: their adaptive spin is conditional on SMP). Yield-until-free
    is NOT an option here: with one thread per domain, [Thread.yield]
@@ -90,6 +92,64 @@ let spin_rounds () = Atomic.get spin_rounds_cell
 let set_spin_rounds n =
   if n < 0 then invalid_arg "Mutex.set_spin_rounds: negative round count";
   Atomic.set spin_rounds_cell n
+
+(* A real-thread spin: up to [n] probes of [ready], each after a
+   [Domain.cpu_relax]. Every [yield_every] probes the spinner offers
+   the domain's runtime lock ([Thread.yield]), so it never holds off a
+   thread of its own domain for long. That yield is one load when no
+   other thread of the domain waits for the lock. When it takes longer
+   than [handed_over_ns], another thread of this domain ran in between:
+   what the spinner waits for (a holder or signaler sharing its domain,
+   as in the daemon's pool) may need that lock too, and spinners taking
+   turns on it would convoy, so the spin stops after one last probe.
+   Every [os_yield_every] probes it also offers its CPU to the kernel
+   ([sched_yield], about 0.5 us when no other thread is runnable
+   there): a waker the scheduler put on the spinner's own CPU, as it
+   does with two threads that keep waking each other when the box has
+   little CPU to spare, runs then instead of after the whole spin. *)
+let yield_every = 16
+
+let os_yield_every = 64
+
+let handed_over_ns = 1_000
+
+external os_yield : unit -> unit = "sync_spin_yield" [@@noalloc]
+
+let handed_over () =
+  let t0 = Deadline.now_ns () in
+  Thread.yield ();
+  Deadline.now_ns () - t0 > handed_over_ns
+
+let rec spin_from i n ready =
+  if i >= n then false
+  else begin
+    Domain.cpu_relax ();
+    if i land (yield_every - 1) <> yield_every - 1 then
+      ready () || spin_from (i + 1) n ready
+    else if handed_over () then ready ()
+    else begin
+      if i land (os_yield_every - 1) = os_yield_every - 1 then os_yield ();
+      ready () || spin_from (i + 1) n ready
+    end
+  end
+
+let spin n ready = spin_from 0 n ready
+
+(* Probes per spin round of a contended default-tier acquire. *)
+let lock_probes = 25
+
+(* The default tier's acquire, also the adaptive [`Sys] cell's: a try,
+   then up to [lock_probes * spin_rounds ()] more in a [spin], then the
+   blocking lock. A holder running on another core usually releases
+   within the spin, so the handoff costs no futex sleep and wake. A
+   second lock by the holder fails every try and then raises
+   [Sys_error] in [Stdlib.Mutex.lock] (the stdlib mutex checks errors). *)
+let sys_lock_slow m =
+  let got () = Stdlib.Mutex.try_lock m in
+  if not (spin (lock_probes * spin_rounds ()) got) then Stdlib.Mutex.lock m
+
+let[@inline] sys_lock m =
+  if not (Stdlib.Mutex.try_lock m) then sys_lock_slow m
 
 let fast_lock_slow f =
   (* Bounded spin: cheap loads with exponential backoff between CAS
@@ -169,7 +229,7 @@ let tier_of_index i = if i < 0 then None else List.nth_opt all_tiers i
 let swap_cell : tier -> Tier.cell = function
   | `Sys ->
     let m = Stdlib.Mutex.create () in
-    { lock = (fun () -> Stdlib.Mutex.lock m);
+    { lock = (fun () -> sys_lock m);
       try_lock = (fun () -> Stdlib.Mutex.try_lock m);
       unlock = (fun () -> Stdlib.Mutex.unlock m);
       tier = `Default }
@@ -299,7 +359,7 @@ let rec swap_to t tier =
    around a park. *)
 let[@inline] raw_lock t =
   match t.impl with
-  | Sys m -> Stdlib.Mutex.lock m
+  | Sys m -> sys_lock m
   | Cell c -> c.lock ()
   | Swap s -> swap_lock s
   | Det m -> Detrt.mutex_lock m

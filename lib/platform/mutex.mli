@@ -61,6 +61,16 @@ val raw_unlock : t -> unit
 (** Release with no probe/watchdog bookkeeping. Internal: used by
     {!Condition}. *)
 
+val spin : int -> (unit -> bool) -> bool
+(** [spin n ready] probes [ready] up to [n] times, each after a
+    [Domain.cpu_relax], and returns whether it came true. Every 16
+    probes it offers the domain's runtime lock ([Thread.yield]); if
+    another thread of the domain took it meanwhile, the spin stops
+    after one more probe, so spinners sharing a domain never convoy on
+    that lock. Every 64 probes it also offers its CPU to the kernel
+    ([sched_yield]), so a waker scheduled on the spinner's own CPU runs
+    before the spin ends. Internal: used by {!Condition.wait}. *)
+
 val close_hold : t -> unit
 (** Record the current holder's [Hold] span (with its zero-wait
     [Acquire] if that is still pending) and clear [acquired_at].
@@ -144,11 +154,19 @@ val swap_to : t -> tier -> bool
 (** {1 Spin tuning (E27)} *)
 
 val spin_rounds : unit -> int
-(** Backoff rounds a contended fast-tier acquire spins before parking.
-    Defaults to 8 on multicore, 0 on a single core. *)
+(** Rounds a real thread spins before it parks. A contended fast-tier
+    acquire spins this many backoff rounds; a contended default-tier
+    acquire (and the adaptive [`Sys] cell's) retries [try_lock] 25
+    times per round; a real-thread {!Condition.wait} probes the
+    condition's wakeup epoch 64 times per round. Those two spins
+    ({!spin}) space their probes by [Domain.cpu_relax], yield the CPU
+    now and then, and end early when another thread of the spinner's
+    domain wants the runtime lock. Defaults to 8 on multicore, 0 on a
+    single core, where every one of these parks straight away. *)
 
 val set_spin_rounds : int -> unit
-(** Retune {!spin_rounds} live: the next contended acquisition — on
-    any fast-tier mutex — sees the new value. Read on the contended
-    slow path only; the uncontended CAS never loads it.
+(** Retune {!spin_rounds} live: the next contended acquisition on a
+    fast- or default-tier mutex, and the next real-thread
+    {!Condition.wait}, see the new value. Read on those slow paths
+    only; an uncontended acquire never loads it.
     @raise Invalid_argument on a negative count. *)

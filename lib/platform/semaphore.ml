@@ -105,12 +105,9 @@ module Counting = struct
   let weak_await t =
     if t.value = 0 then begin
       let t0 = Probe.now () in
-      Condition.wait t.cond t.mutex;
-      while t.value = 0 do
-        (* Broadcast race lost: another woken waiter took the unit. *)
-        Probe.instant Spurious ~site:"sem.cond" ~arg:0;
-        Condition.wait t.cond t.mutex
-      done;
+      (* A wakeup that finds no unit lost a broadcast race to another
+         woken waiter. *)
+      Condition.await t.cond t.mutex ~site:"sem.cond" (fun () -> t.value > 0);
       Probe.span Wait ~site:"sem.cond" ~since:t0 ~arg:t.weak_waiters
     end
 

@@ -56,14 +56,7 @@ let wait ?on_abort t ~lock tag =
   let depth = if t0 = 0 then 0 else List.length t.waiters in
   let w = enqueue t tag in
   if t.qrid >= 0 then Deadlock.blocked t.qrid;
-  if not w.released then begin
-    Condition.wait w.cond lock;
-    while not w.released do
-      (* Woken but not released: a spurious wakeup, absorbed here. *)
-      Probe.instant Spurious ~site:t.name ~arg:0;
-      Condition.wait w.cond lock
-    done
-  end;
+  Condition.await w.cond lock ~site:t.name (fun () -> w.released);
   if t.qrid >= 0 then Deadlock.unblocked ();
   Probe.span Wait ~site:t.name ~since:t0 ~arg:depth;
   post_wakeup on_abort

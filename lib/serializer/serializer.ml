@@ -109,14 +109,7 @@ let release_possession t =
       Condition.signal w.cond
     | [] -> t.busy <- false)
 
-let park t ~site w =
-  if not w.released then begin
-    Condition.wait w.cond t.lock;
-    while not w.released do
-      Probe.instant Spurious ~site ~arg:0;
-      Condition.wait w.cond t.lock
-    done
-  end
+let park t ~site w = Condition.await w.cond t.lock ~site (fun () -> w.released)
 
 (* [mark] is a [Probe.mark] taken just before: the Acquire span borrows
    the timestamps of [t.lock]'s events. Returns the instant it ended: the

@@ -231,6 +231,60 @@ let test_loadgen_fast_tier_on_domains () =
       (s.Sync_metrics.Summary.total_ops > 0);
     check_int "no failures" 0 s.Sync_metrics.Summary.total_failures
 
+(* Run [fs] on domains; fail if they have not all returned within
+   [bound] seconds (a lost wakeup hangs them, so they are then left
+   unjoined). *)
+let within ~bound what fs =
+  let left = Atomic.make (List.length fs) in
+  let ds =
+    List.map (fun f -> Domain.spawn (fun () -> f (); Atomic.decr left)) fs
+  in
+  let t0 = Clock.now_ns () in
+  while
+    Atomic.get left > 0 && Int64.to_float (Clock.elapsed_ns t0) < bound *. 1e9
+  do
+    Thread.delay 0.01
+  done;
+  if Atomic.get left > 0 then
+    Alcotest.failf "%s: not done after %.0f s" what bound;
+  List.iter Domain.join ds
+
+(* Lost wakeups: two domains pass a turn 100k times through one mutex
+   and condition. The turn flips under the lock and the signal goes out
+   after the unlock, so a waiter's spin can end, and its park begin,
+   while a signal is in flight. *)
+let test_turn_passing rounds () =
+  Testutil.with_spin_rounds rounds (fun () ->
+      let m = Mutex.create () and c = Condition.create () in
+      let turn = ref 0 in
+      let player me () =
+        for _ = 1 to 100_000 do
+          Mutex.lock m;
+          Condition.await c m ~site:"turn" (fun () -> !turn = me);
+          turn := 1 - me;
+          Mutex.unlock m;
+          Condition.signal c
+        done
+      in
+      within ~bound:60.0
+        (Printf.sprintf "turn passing at spin_rounds %d" rounds)
+        [ player 0; player 1 ])
+
+(* Exclusion with the default tier's spin: unguarded increments under
+   the lock from two domains sum exactly. *)
+let test_default_exclusion () =
+  let m = Mutex.create () in
+  let n = ref 0 in
+  let worker () =
+    for _ = 1 to 1_000_000 do
+      Mutex.lock m;
+      n := !n + 1;
+      Mutex.unlock m
+    done
+  in
+  within ~bound:60.0 "2 x 1M increments" [ worker; worker ];
+  check_int "every increment counted" 2_000_000 !n
+
 let () =
   Alcotest.run "domains"
     [ ( "parallel-invariants",
@@ -249,6 +303,13 @@ let () =
       ( "load-engine-on-domains",
         [ Alcotest.test_case "closed-loop smoke" `Quick
             test_loadgen_on_domains ] );
+      ( "spin-then-park-on-domains",
+        [ Alcotest.test_case "turn passing, default spin" `Quick
+            (test_turn_passing (Mutex.spin_rounds ()));
+          Alcotest.test_case "turn passing, no spin" `Quick
+            (test_turn_passing 0);
+          Alcotest.test_case "default-tier exclusion" `Quick
+            test_default_exclusion ] );
       ( "fast-tier-on-domains",
         [ Alcotest.test_case "fast mutex exclusion" `Quick
             test_fast_mutex_exclusion_domains;

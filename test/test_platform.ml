@@ -1021,6 +1021,46 @@ let test_det_probe_sequence () =
     [ [ "acquire"; "hold" ]; [ "acquire"; "hold" ]; [ "acquire 0"; "hold" ] ]
     (List.map by_actor [ -2; -3; -1 ])
 
+(* [Condition.await] with its spin (the default budget) and without it:
+   the waiter returns once another thread sets the flag, and its wait
+   closes its Hold once and reopens it once, so it holds the lock in two
+   spans plus one per wakeup that found the flag still false. *)
+let col_await r () =
+  let m = r.scope (fun () -> Mutex.create ~name:"await" ()) in
+  let c = Condition.create () in
+  List.iter
+    (fun rounds ->
+      Testutil.with_spin_rounds rounds (fun () ->
+          let flag = ref false and waiter = Atomic.make (-1) in
+          let evs =
+            traced_events ~site:"await" (fun () ->
+                let w =
+                  Testutil.spawn (fun () ->
+                      Mutex.lock m;
+                      Atomic.set waiter (Thread.id (Thread.self ()));
+                      Condition.await c m ~site:"await" (fun () -> !flag);
+                      Mutex.unlock m)
+                in
+                Testutil.eventually "waiter holds the lock" (fun () ->
+                    Atomic.get waiter >= 0);
+                Mutex.lock m;
+                flag := true;
+                Mutex.unlock m;
+                Condition.signal c;
+                Process.join w)
+          in
+          let count kind =
+            List.length
+              (List.filter
+                 (fun (e : Probe.event) ->
+                   e.Probe.actor = Atomic.get waiter && e.Probe.kind = kind)
+                 evs)
+          in
+          check_int
+            (Printf.sprintf "waiter holds at spin_rounds %d" rounds)
+            (2 + count Probe.Spurious) (count Probe.Hold)))
+    [ Mutex.spin_rounds (); 0 ]
+
 let table =
   let column suite name f =
     ( suite,
@@ -1033,6 +1073,7 @@ let table =
     column "abandonment" Fun.id col_abandonment;
     column "condition" (fun t -> t ^ " wait/signal") col_condition;
     column "wait-for" (fun t -> t ^ " expiry") col_wait_for;
+    column "await" (fun t -> t ^ " spin/park") col_await;
     column "detrt-inert" Fun.id col_detrt_inert;
     column "probe-spans" (fun t -> t ^ " acquire/hold") col_probe_spans ]
 
@@ -1114,6 +1155,81 @@ let test_deadline_expired_edges () =
   check_bool "never does not expire" false (Deadline.expired Deadline.never);
   check_bool "a generous deadline is live" false
     (Deadline.expired (Deadline.after_s 60.0))
+
+(* A default-tier mutex (or the adaptive [`Sys] cell) is error-checking:
+   its holder's second lock spins through every [try_lock] of the budget
+   and then raises instead of deadlocking. *)
+let test_relock_raises () =
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun rounds ->
+          Testutil.with_spin_rounds rounds (fun () ->
+              Mutex.lock m;
+              (match Mutex.lock m with
+              | () -> Alcotest.failf "%s relock at %d rounds returned" name rounds
+              | exception Sys_error _ -> ());
+              Mutex.unlock m))
+        [ 0; 8 ])
+    [ ("default", Mutex.create ());
+      ("swap", Mutex.with_swappable (fun () -> Mutex.create ())) ]
+
+(* [Mutex.spin] probes at most its budget and stops at the first probe
+   that finds [ready] true. A thread of the spinner's domain that wants
+   the runtime lock takes it at the spin's next yield, and the spin
+   stops there instead of taking turns with it. *)
+let test_spin_probes () =
+  check_bool "no budget" false (Mutex.spin 0 (fun () -> true));
+  let k = ref 0 in
+  let probe ready () =
+    incr k;
+    ready !k
+  in
+  check_bool "ready at the third probe" true (Mutex.spin 100 (probe (( = ) 3)));
+  check_int "three probes" 3 !k;
+  k := 0;
+  (* Under 16 probes: no yield, so nothing can cut it short. *)
+  check_bool "never ready" false (Mutex.spin 15 (probe (fun _ -> false)));
+  check_int "every probe" 15 !k;
+  let stop = Atomic.make false and started = Atomic.make false in
+  let neighbour =
+    Testutil.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          Thread.yield ()
+        done)
+  in
+  Testutil.eventually "neighbour running" (fun () -> Atomic.get started);
+  k := 0;
+  ignore (Mutex.spin 100_000 (probe (fun _ -> false)));
+  Atomic.set stop true;
+  Process.join neighbour;
+  if !k >= 100_000 then
+    Alcotest.fail "spin took turns with a thread of its own domain"
+
+(* Wall deadlines count CLOCK_MONOTONIC, the clock [Clock.now_ns] reads:
+   one taken after [t0] cannot fire before [t0 + 20 ms] on that clock.
+   Polling one allocates nothing. *)
+let test_deadline_monotonic () =
+  let span = 20_000_000 in
+  let t0 = Clock.now_ns () in
+  let d = Deadline.after_ns (Int64.of_int span) in
+  while not (Deadline.expired d) do
+    Thread.yield ()
+  done;
+  let waited = Int64.to_int (Clock.elapsed_ns t0) in
+  if waited < span then
+    Alcotest.failf "expired %d ns after the start of a %d ns deadline" waited
+      span;
+  check_bool "Int64.max_int never fires" false
+    (Deadline.expired (Deadline.after_ns Int64.max_int));
+  let live = Deadline.after_s 60.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Deadline.expired live))
+  done;
+  Alcotest.(check (float 0.)) "10k polls allocate no minor words" 0.
+    (Gc.minor_words () -. before)
 
 let test_timed_zero_budget () =
   (* Free primitives still succeed with no budget at all... *)
@@ -1354,9 +1470,15 @@ let () =
             test_scope_cross_thread;
           Alcotest.test_case "prim native builds sys" `Quick
             test_scope_native ] );
+      ( "spin-then-park",
+        [ Alcotest.test_case "default-tier relock raises" `Quick
+            test_relock_raises;
+          Alcotest.test_case "spin budget and yield" `Quick test_spin_probes ] );
       ( "timed-edges",
         [ Alcotest.test_case "deadline expiry edges" `Quick
             test_deadline_expired_edges;
+          Alcotest.test_case "monotonic and allocation-free" `Quick
+            test_deadline_monotonic;
           Alcotest.test_case "zero/negative budgets" `Quick
             test_timed_zero_budget;
           Alcotest.test_case "fast-tier zero budgets" `Quick

@@ -72,6 +72,12 @@ let qcheck_case test =
   in
   (name, speed, run')
 
+(* Run [f] at spin budget [n] (Mutex.set_spin_rounds), then restore it. *)
+let with_spin_rounds n f =
+  let saved = Mutex.spin_rounds () in
+  Mutex.set_spin_rounds n;
+  Fun.protect ~finally:(fun () -> Mutex.set_spin_rounds saved) f
+
 (* Spawn each thunk as a thread-backed process and join them all. *)
 let run_all fs = Process.run_all ~backend:`Thread fs
 

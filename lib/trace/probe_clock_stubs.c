@@ -9,7 +9,15 @@
 
    with a 128-bit product, so it cannot overflow in a process's
    lifetime, and a signed tick difference, so a read a few ticks before
-   the anchor on another CPU stays a few ns before base_ns. */
+   the anchor on another CPU stays a few ns before base_ns.
+
+   Every TSC read is ordered: an LFENCE before RDTSC, as the kernel's
+   own TSC clock does. A bare RDTSC may execute before an earlier load
+   has read memory, so a thread that sees another's release store could
+   stamp a time before the stamp the other took ahead of that store
+   (measured on a 2-vCPU Xeon: 1,875 of 4M turn handoffs stamped up to
+   218 ticks early bare, none fenced). The fence costs about 10 ns a
+   read back to back, still below a CLOCK_MONOTONIC call. */
 
 #define CAML_NAME_SPACE
 #include <stdint.h>
@@ -48,6 +56,12 @@ static int64_t base_ns, base_tsc, mult;
 static int ready;
 
 #if HAVE_RDTSC
+static inline uint64_t rdtsc_ordered(void)
+{
+  _mm_lfence();
+  return __rdtsc();
+}
+
 static inline int64_t tsc_to_ns(uint64_t tsc)
 {
   __int128 d = (int64_t)(tsc - (uint64_t)base_tsc);
@@ -60,7 +74,7 @@ intnat sync_probe_clock_now(value unit)
   (void)unit;
 #if HAVE_RDTSC
   if (__atomic_load_n(&ready, __ATOMIC_ACQUIRE))
-    return tsc_to_ns(__rdtsc());
+    return tsc_to_ns(rdtsc_ordered());
 #endif
   return mono_ns();
 }
@@ -84,7 +98,7 @@ static void anchor(int64_t *ns, uint64_t *tsc)
   int64_t best = INT64_MAX;
   for (int i = 0; i < 5; i++) {
     int64_t m0 = mono_ns();
-    uint64_t t = __rdtsc();
+    uint64_t t = rdtsc_ordered();
     int64_t m1 = mono_ns();
     if (m1 - m0 < best) {
       best = m1 - m0;

@@ -1470,7 +1470,7 @@ let () =
             test_scope_cross_thread;
           Alcotest.test_case "prim native builds sys" `Quick
             test_scope_native ] );
-      ( "spin-then-park",
+      ( "spin-park",
         [ Alcotest.test_case "default-tier relock raises" `Quick
             test_relock_raises;
           Alcotest.test_case "spin budget and yield" `Quick test_spin_probes ] );

@@ -339,22 +339,39 @@ let load_cmd =
       fail "--tier adaptive drives a live controller; drop --sweep"
     | _ -> ());
     if sweep then begin
-      let domain_counts = Sweep.default_domain_counts () in
-      let progress (c : Sweep.cell) =
-        Format.fprintf ppf "%a@." Report.pp c.Sweep.report
-      in
-      match
-        Sweep.run ~params ~tier ~progress ~problem ~mechanism ~base
-          ~domain_counts ()
-      with
+      (* One target at increasing worker counts, through the grid's
+         runner and row builder. *)
+      (match Target.create ~params ~problem ~mechanism () with
       | Error e -> fail e
-      | Ok cells ->
-        (match json with
-        | None -> ()
-        | Some file ->
-          Sync_metrics.Emit.write_file file
-            (Sync_eval.Perf.sweep_doc ~problem ~mechanism ~base cells);
-          Format.fprintf ppf "wrote %s@." file)
+      | Ok probe -> probe.Target.stop ());
+      let module Cell = Sync_eval.Cell in
+      let module Doc = Sync_metrics.Bench_doc in
+      let module Emit = Sync_metrics.Emit in
+      let rows =
+        Cell.grid ~params ~targets:[ (tier, problem, mechanism) ]
+          ~domains:
+            (List.sort_uniq compare
+               [ 1; 2; 4; Domain.recommended_domain_count () ])
+          ~progress:(fun r ->
+            Format.fprintf ppf "%s@." (Doc.row_line (Cell.row_doc r)))
+          base
+      in
+      match json with
+      | None -> ()
+      | Some file ->
+        let mode =
+          match mode with Loadgen.Closed -> "closed" | Open_loop _ -> "open"
+        in
+        Emit.write_file file
+          (Doc.document ~experiment:"E20"
+             ~description:
+               "domain-scaling sweep: one target at increasing worker counts"
+             ~params:
+               [ ("problem", Emit.Str problem); ("mechanism", Emit.Str mechanism);
+                 ("mode", Emit.Str mode); ("duration_ms", Emit.Int duration_ms);
+                 ("warmup_ms", Emit.Int warmup_ms); ("seed", Emit.Int seed) ]
+             (List.map Cell.row_doc rows));
+        Format.fprintf ppf "wrote %s@." file
     end
     else
       match Target.create ~params ~tier ~problem ~mechanism () with

@@ -42,68 +42,50 @@ let robustness =
           [ ("all runs recovered", Robustness.all_recovered rows) ]
           (Robustness.to_json rows)) }
 
-(* A grid on more than the default tier lists its tiers (E22). *)
-let grid_doc ~experiment ~description (spec : Sweep.baseline_spec) cells =
-  Bench_doc.document ~experiment ~description
-    ~params:
-      ([ ("mode", Emit.Str "closed"); ("backend", Emit.Str "domain");
-         ("duration_ms", Emit.Int spec.duration_ms);
-         ("warmup_ms", Emit.Int spec.warmup_ms); ("seed", Emit.Int spec.seed) ]
-      @ (if spec.tiers = [ `Default ] then []
-         else [ ("tiers", Emit.strings (List.map Sync_prims.Tier.name spec.tiers)) ])
-      @ [ ("mechanisms", Emit.strings spec.mechanisms);
-          ("problems", Emit.strings spec.problems);
-          ("domain_counts", Emit.ints spec.domain_counts) ])
-    (List.map Perf.cell_row cells)
-
-(* E20 and E22 have one grid each; they pass when it completes. *)
-let sweep_axis ~name ~experiment ~title ~description ?(pp = fun _ _ -> ()) spec =
-  { name; experiment; title;
+(* The tier grid behind E20, E22, E23's queue rows and E25. Quick is
+   the CI slice, judged by the drift gate against the committed grid;
+   full is the grid BENCH_GRID.json holds. *)
+let grid =
+  { name = "grid"; experiment = "E20/E22/E23/E25";
+    title = "tier grid (mechanisms x problems x tiers x domains)";
     run =
-      (fun ~full:_ ~progress ->
-        let spec = spec () in
-        let line c = progress (Bench_doc.row_line (Perf.cell_row c)) in
-        match Sweep.grid ~progress:line spec with
-        | Ok cells ->
-          let doc = grid_doc ~experiment ~description spec cells in
-          judged [ ("grid completed", true) ]
-            ~pp:(fun ppf ->
-              Bench_doc.pp ppf doc;
-              pp ppf cells)
-            doc
-        | Error e ->
-          judged [ ("grid completed: " ^ e, false) ]
-            (Bench_doc.document ~experiment ~description
-               ~summary:[ ("error", Emit.Str e) ] [])) }
+      (fun ~full ~progress ->
+        let rows =
+          Grid.run ~full ~progress:(fun r ->
+              progress (Bench_doc.row_line (Cell.row_doc r)))
+        in
+        let doc = Grid.document ~full rows in
+        let drift, drift_gates =
+          if full then (ignore, []) else Baseline.gate ~file:Grid.file doc
+        in
+        judged
+          (( "every supported cell ran clean; unsupported cells are typed",
+             List.for_all (fun (r : Cell.row) -> Cell.ok r.cell) rows )
+          :: drift_gates)
+          ~pp:(fun ppf ->
+            Bench_doc.pp ppf doc;
+            Grid.pp_speedups ppf doc;
+            drift ppf)
+          doc) }
 
-let perf =
-  sweep_axis ~name:"perf" ~experiment:"E20"
-    ~title:"performance (closed-loop throughput + tail latency)"
-    ~description:
-      "multicore workload baseline: closed-loop throughput and latency \
-       quantiles per mechanism per problem per domain count"
-    Sweep.default_baseline_spec
-
-let tiers =
-  sweep_axis ~name:"tiers" ~experiment:"E22"
-    ~title:"substrate tiers (default vs fast on the E20 grid)"
-    ~description:
-      "contention-adaptive platform fast paths: the E20 grid run on both \
-       substrate tiers (default stdlib-backed vs fast CAS/spin-then-park) \
-       with identical seeds and windows; adjacent tier rows of one cell \
-       measure the substrate, not the mechanism"
-    ~pp:Perf.pp_speedups Sweep.default_e22_spec
-
+(* Full adds the tracing A/B row: probes on against off on one cell,
+   measured first, in a process no traced load has run in yet. *)
 let observability =
   { name = "observability"; experiment = "E21";
     title = "observability (traced contention, wake accounting)";
     run =
-      (fun ~full:_ ~progress:_ ->
+      (fun ~full ~progress:_ ->
+        let ab = if full then Some (Observability.ab ()) else None in
         let rows = Observability.run () in
         judged
-          [ ("every mechanism produced a complete trace",
-             Observability.all_ok rows) ]
-          (Observability.to_json rows)) }
+          (( "every mechanism produced a complete trace",
+             Observability.all_ok rows )
+          ::
+          (match ab with
+          | Some r ->
+            [ ("the A/B cell ran clean", r.status = Bench_doc.Supported) ]
+          | None -> []))
+          (Observability.to_json ?ab rows)) }
 
 let service =
   { name = "service"; experiment = "E24";
@@ -121,53 +103,41 @@ let service =
              Service_axis.all_ok rows) ]
           (Service_axis.to_json rows)) }
 
-(* Quick: single-domain cells, since d>1 spin-construction cells on a
-   small shared box measure preemption, not the primitive. *)
-let hierarchy =
-  { name = "hierarchy"; experiment = "E25";
-    title = "primitive hierarchy (restricted atomic classes)";
-    run =
-      (fun ~full ~progress ->
-        let spec =
-          { (Hierarchy_axis.default_spec ()) with
-            domains = (if full then [ 1; 4 ] else [ 1 ]) }
-        in
-        let rows =
-          Hierarchy_axis.run
-            ~progress:(fun r -> progress (Bench_doc.row_line (Cell.row_doc r)))
-            spec
-        in
-        judged
-          [ ("every supported cell ran clean; unsupported cells are typed",
-             Hierarchy_axis.all_ok rows) ]
-          (Hierarchy_axis.to_json spec rows)) }
-
+(* Quick holds a live 1-vs-4-domain epoch measurement and the
+   committed rows to the same rule; full is the committed document. *)
 let scaling =
   { name = "scaling"; experiment = "E23";
-    title = "scalable-lock tier (queue locks, epoch readers)";
+    title = "scalable reader entry (epoch read path)";
     run =
       (fun ~full ~progress ->
         let module S = Scaling_axis in
-        let spec = S.default_spec () in
-        let t =
-          S.run
-            ~progress_queue:(fun r -> progress (Bench_doc.row_line (Cell.row_doc r)))
-            ~progress_epoch:(fun r -> progress (Bench_doc.row_line (S.epoch_doc r)))
-            spec
+        let spec = S.spec ~full in
+        let rows =
+          S.run spec ~progress:(fun r ->
+              progress (Bench_doc.row_line (Cell.row_doc r)))
+        in
+        let doc = S.to_json spec rows in
+        let committed =
+          if full then []
+          else
+            [ ( "committed BENCH_E23.json epoch read throughput strictly rises \
+                with domains",
+                match Bench_doc.load "BENCH_E23.json" with
+                | Ok c -> S.epoch_monotonic c
+                | Error _ -> false ) ]
         in
         judged
-          (("every measured cell ran clean; absent pairs are typed",
-            S.all_ok t)
-          ::
-          (if full then
-             [ ("epoch read throughput strictly rises with domains",
-                S.epoch_monotonic t) ]
-           else []))
-          (S.to_json spec t)) }
+          ([ ("every measured cell ran clean",
+              List.for_all (fun (r : Cell.row) -> Cell.ok r.cell) rows);
+             ("epoch read throughput strictly rises with domains",
+              S.epoch_monotonic doc) ]
+          @ committed)
+          doc) }
 
 (* Quick is the CI slice: two cells under two arrival processes at two
-   domains, judged on the never-below-worst claim only, which survives
-   shared-runner noise. Full is the committed grid plus the wheel rows
+   domains, judged on the never-below-worst claim, which survives
+   shared-runner noise, and by the drift gate's E27 ratios against the
+   committed document. Full is the committed grid plus the wheel rows
    and the claims that assume quiet cores. *)
 let adaptive =
   { name = "adaptive"; experiment = "E27";
@@ -189,22 +159,27 @@ let adaptive =
           A.run ~progress:(fun r -> progress (Bench_doc.row_line (A.row_doc r))) spec
         in
         let wheel = if full then A.wheel_rows () else [] in
-        let full_gates =
-          if not full then []
+        let doc = A.to_json ~wheel spec t in
+        let drift, gates =
+          if not full then Baseline.gate ~file:"BENCH_E27.json" doc
           else
+            ( ignore,
             [ ("adaptive win rate vs best static >= 0.8",
                A.win_rate ~slack:spec.win_slack t >= 0.8);
               ("no wheel alarm fired or went missing in the timed window",
                List.for_all (fun (r : A.wheel_row) -> r.intact) wheel);
               ("wheel tick cost flat across pending counts (max/min <= 10x)",
-               A.wheel_ratio wheel <= 10.0) ]
+               A.wheel_ratio wheel <= 10.0) ] )
         in
         judged
           ([ ("every measured cell ran clean", A.all_ok t);
              ("adaptive never below the worst static tier",
               A.never_worst ~slack:spec.never_worst_slack t) ]
-          @ full_gates)
-          (A.to_json ~wheel spec t)) }
+          @ gates)
+          ~pp:(fun ppf ->
+            Bench_doc.pp ppf doc;
+            drift ppf)
+          doc) }
 
 let exploration =
   { name = "exploration"; experiment = "E26";
@@ -235,8 +210,8 @@ let micro =
           (Micro.to_json ~full rows)) }
 
 let all =
-  [ robustness; perf; tiers; observability; service; hierarchy; scaling;
-    adaptive; exploration; micro ]
+  [ robustness; grid; observability; service; scaling; adaptive; exploration;
+    micro ]
 
 let find name = List.find_opt (fun a -> a.name = name) all
 

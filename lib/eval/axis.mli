@@ -5,7 +5,7 @@
     entry standalone (writing its JSON document with [--json]),
     [bloom_eval scorecard --axis NAME] appends it to the scorecard, and
     CI names the same entries. A quick run is the CI slice; a [full] run
-    is the grid behind the committed [BENCH_E2x.json], whose shape its
+    is the grid behind the committed [BENCH_*.json], whose shape its
     document reproduces. *)
 
 type outcome = {

@@ -1,9 +1,9 @@
-(** The committed [BENCH_E2x.json] documents as gate baselines: which
-    cells the perf-sanity gate re-measures, and how far a live
-    throughput ratio may drift from the committed one. The documents
-    are read through {!Sync_metrics.Bench_doc}. *)
+(** The committed documents as gate baselines: which cells the drift
+    gate reads, and how far a live throughput ratio may drift from the
+    committed one. The documents are read through
+    {!Sync_metrics.Bench_doc}. *)
 
-(** {1 The perf-sanity table} *)
+(** {1 The drift table} *)
 
 type probe = {
   tier : Sync_prims.Tier.t;
@@ -11,32 +11,32 @@ type probe = {
   mechanism : string;
   domains : int;
   arrival : Sync_workload.Loadgen.arrival option;
-      (** [Some]: the E27 measurement — open loop at the E27 rate, traced
-          on every tier; [None]: closed loop, untraced *)
+      (** [Some]: an E27 cell — open loop at the E27 rate, traced on
+          every tier; [None]: a closed-loop, untraced grid cell *)
 }
 
 type group = {
+  name : string;  (** the selection the probes lie in, e.g. ["E25"] *)
   file : string;  (** committed document, relative to the repo root *)
   probes : probe list;  (** cross-ratio checked against each other *)
 }
 
 val sanity : group list
-(** One group per committed grid the sanity gate covers (E20, E22, E25,
-    E23, E27): a few cheap cells each, chosen so the ratios inside a
-    group compare mechanisms, tiers, atomic classes or queue kinds. *)
+(** A few cheap cells per selection of the tier grid (E20, E22, E25,
+    E23, all in [BENCH_GRID.json]) and of E27 ([BENCH_E27.json]),
+    chosen so the ratios inside a group compare mechanisms, tiers,
+    atomic classes or queue kinds. *)
 
 val coords : probe -> (string * Sync_metrics.Emit.t) list
 (** The probe's coordinates in its group's document. *)
 
 val id : probe -> string
 
-val measure : duration_ms:int -> probe -> Cell.t
-
 (** {1 The drift gate} *)
 
 val drift_factor : float
 (** How far a live cell-to-cell throughput ratio may drift from the
-    committed one, either way, before perf-sanity fails: a fixed guess,
+    committed one, either way, before the gate fails: a fixed guess,
     not yet derived from a measured spread. *)
 
 type pair = {
@@ -53,3 +53,14 @@ val drift : factor:float -> (string * float * float) list -> pair list
     fails when its drift exceeds [factor], and whenever any of its four
     throughputs is non-positive or not finite — a cell that measured
     nothing never passes by way of a 0/0 ratio. *)
+
+val gate :
+  file:string -> Sync_metrics.Emit.t ->
+  (Format.formatter -> unit) * (string * bool) list
+(** Judge a live document against the committed [file] (read from the
+    working directory) over every {!sanity} group of that file: a
+    report of each probe's live and committed throughput and each
+    pair's drift, and one gate per group, which fails when a pair
+    drifts more than {!drift_factor} or a probe is missing or not
+    supported on either side. An unreadable [file] is one failed
+    gate. *)

@@ -72,12 +72,43 @@ let status_string = Bench_doc.status_string
 
 let doc ?(extra = []) coords c =
   Bench_doc.row ~status:c.status coords
-    (match c.status with
-    | Supported ->
-      [ ("throughput_per_s", c.throughput_per_s);
-        ("p50_ns", float_of_int c.p50_ns); ("p99_ns", float_of_int c.p99_ns) ]
-      @ extra
-    | Unsupported _ | Failed _ -> [])
+    (match c.summary with
+    | Some s ->
+      let q f = float_of_int (Summary.overall_quantile s f) in
+      [ ("throughput_per_s", s.Summary.throughput_per_s);
+        ("total_ops", float_of_int s.Summary.total_ops);
+        ("total_failures", float_of_int s.Summary.total_failures);
+        ("p50_ns", q (fun o -> o.Summary.p50_ns));
+        ("p95_ns", q (fun o -> o.Summary.p95_ns));
+        ("p99_ns", q (fun o -> o.Summary.p99_ns));
+        ("p999_ns", q (fun o -> o.Summary.p999_ns));
+        ("max_ns", q (fun o -> o.Summary.max_ns)) ]
+      @ Bench_doc.per_op s @ extra
+    | None -> [])
+
+let coverage_errors () =
+  List.concat_map
+    (fun problem ->
+      List.filter_map
+        (fun mechanism ->
+          match Target.create ~problem ~mechanism () with
+          | Error e -> Some (Printf.sprintf "%s@%s: %s" problem mechanism e)
+          | Ok instance ->
+            let meta = instance.Target.meta in
+            instance.Target.stop ();
+            let found =
+              Registry.find ~problem:meta.Sync_taxonomy.Meta.problem
+                ~variant:meta.Sync_taxonomy.Meta.variant
+                ~mechanism:meta.Sync_taxonomy.Meta.mechanism
+            in
+            if Option.is_some found then None
+            else
+              Some
+                (Printf.sprintf
+                   "workload target %s is not a registered solution"
+                   (Sync_taxonomy.Meta.id meta)))
+        (Target.mechanisms ~problem))
+    Target.problems
 
 type row = {
   tier : Tier.t;
@@ -87,49 +118,43 @@ type row = {
   cell : t;
 }
 
-let grid ?(progress = ignore) ~tiers ~problems ~mechanisms ~domains config =
-  let emit r =
-    progress r;
-    r
-  in
+let grid ?params ?(progress = ignore) ~targets ~domains config =
   List.concat_map
-    (fun tier ->
-      List.concat_map
-        (fun problem ->
-          let offered = Target.mechanisms ~problem in
-          List.concat_map
-            (fun mechanism ->
-              let row domains cell =
-                emit { tier; problem; mechanism; domains; cell }
-              in
-              if not (List.mem mechanism offered) then
-                (* An absent pair is a typed reason, never a 0 ops/s row. *)
-                [ row 0
-                    (unsupported ~feature:"load-target"
-                       ~reason:
-                         (Printf.sprintf "no %s target for %s" mechanism
-                            problem)) ]
-              else
-                (* Probe support once per tier x pair, so a rejected build
-                   is one row rather than one per domain count. *)
-                match Target.create ~tier ~problem ~mechanism () with
-                | exception Prims.Unsupported { feature; reason; _ } ->
-                  [ row 0 (unsupported ~feature ~reason) ]
-                | Error e -> [ row 0 (failed e) ]
-                | Ok probe ->
-                  probe.Target.stop ();
-                  List.map
-                    (fun d ->
-                      row d
-                        (measure ~tier ~problem ~mechanism
-                           { config with Loadgen.workers = d }))
-                    domains)
-            (mechanisms problem))
-        problems)
-    tiers
+    (fun (tier, problem, mechanism) ->
+      let row domains cell =
+        let r = { tier; problem; mechanism; domains; cell } in
+        progress r;
+        r
+      in
+      if not (List.mem mechanism (Target.mechanisms ~problem)) then
+        (* An absent pair is a typed reason, never a 0 ops/s row. *)
+        [ row 0
+            (unsupported ~feature:"load-target"
+               ~reason:
+                 (Printf.sprintf "no %s target for %s" mechanism problem)) ]
+      else
+        (* Probe support once per target, so a rejected build is one row
+           rather than one per domain count. *)
+        match Target.create ?params ~tier ~problem ~mechanism () with
+        | exception Prims.Unsupported { feature; reason; _ } ->
+          [ row 0 (unsupported ~feature ~reason) ]
+        | Error e -> [ row 0 (failed e) ]
+        | Ok probe ->
+          probe.Target.stop ();
+          List.map
+            (fun d ->
+              row d
+                (measure ?params ~tier ~problem ~mechanism
+                   { config with Loadgen.workers = d }))
+            domains)
+    targets
 
-let row_doc r =
-  doc
-    [ ("tier", Emit.Str (Tier.name r.tier)); ("problem", Emit.Str r.problem);
-      ("mechanism", Emit.Str r.mechanism); ("domains", Emit.Int r.domains) ]
+let row_doc ?extra r =
+  doc ?extra
+    ([ ("tier", Emit.Str (Tier.name r.tier)); ("problem", Emit.Str r.problem);
+       ("mechanism", Emit.Str r.mechanism); ("domains", Emit.Int r.domains) ]
+    @
+    if r.domains > Domain.recommended_domain_count () then
+      [ ("oversubscribed", Emit.Bool true) ]
+    else [])
     r.cell

@@ -1,5 +1,5 @@
-(** One measured load cell — the unit every grid axis (E23, E25, E27)
-    and every perf gate is made of.
+(** One measured load cell — the unit every load grid (the tier grid,
+    E23's epoch rows, E27) and every perf gate is made of.
 
     A cell builds one mechanism x problem load target on one platform
     tier and drives it with the E20 workload engine. The outcome is
@@ -39,10 +39,18 @@ val status_string : status -> string
 val doc :
   ?extra:(string * float) list -> (string * Sync_metrics.Emit.t) list -> t ->
   Sync_metrics.Bench_doc.row
-(** One document row at the given coords: throughput and the p50/p99
-    ladder (then [extra]) when supported, no metrics otherwise. *)
+(** The one row builder: at the given coords, when supported,
+    throughput, total ops and failures, the overall p50/p95/p99/p999/max
+    ladder and every per-op field ({!Sync_metrics.Bench_doc.per_op}),
+    then [extra]; no metrics otherwise. *)
 
-(** {1 Tier grids} *)
+val coverage_errors : unit -> string list
+(** For every (problem, mechanism) pair the workload engine offers,
+    instantiate it and look its metadata up in {!Registry.all}; returns
+    one message per pair that is {e not} a registered solution (must be
+    empty — asserted by tests). *)
+
+(** {1 Grids} *)
 
 type row = {
   tier : Sync_prims.Tier.t;
@@ -53,16 +61,16 @@ type row = {
 }
 
 val grid :
-  ?progress:(row -> unit) -> tiers:Sync_prims.Tier.t list ->
-  problems:string list -> mechanisms:(string -> string list) ->
-  domains:int list -> Sync_workload.Loadgen.config -> row list
-(** Tier-major (then problem, mechanism, domain count) closed grid with
-    [config]'s windows and seed; [mechanisms problem] lists the row's
-    mechanisms. A pair the workload engine does not offer, or that the
-    tier cannot build, is one typed row with [domains = 0] instead of
-    one per domain count. *)
+  ?params:Sync_workload.Target.params -> ?progress:(row -> unit) ->
+  targets:(Sync_prims.Tier.t * string * string) list -> domains:int list ->
+  Sync_workload.Loadgen.config -> row list
+(** Each (tier, problem, mechanism) target in order, once per domain
+    count, with [config]'s windows, mode and seed. A pair the workload
+    engine does not offer, or that the tier cannot build, is one typed
+    row with [domains = 0] instead of one per domain count. *)
 
-val row_doc : row -> Sync_metrics.Bench_doc.row
+val row_doc : ?extra:(string * float) list -> row -> Sync_metrics.Bench_doc.row
 (** {!doc} at coords tier ({!Sync_prims.Tier.name}), problem, mechanism,
-    domains. *)
-
+    domains, and [oversubscribed: true] when [domains] exceeds this
+    process's recommended domain count: such a row measures how the box
+    shares its cores, not only the mechanism. *)

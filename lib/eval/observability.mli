@@ -56,4 +56,13 @@ val run :
 
 val all_ok : row list -> bool
 
-val to_json : row list -> Sync_metrics.Emit.t
+val ab : unit -> Sync_metrics.Bench_doc.row
+(** The tracing A/B row: the default-tier fcfs/semaphore cell at one
+    domain, untraced then traced in the same run, best of three windows
+    per arm ([SYNC_LOAD_MS], default 200 ms): both throughputs and the
+    traced arm's [overhead_pct]. A cell that does not run clean is a
+    row with its status and no metrics. *)
+
+val to_json : ?ab:Sync_metrics.Bench_doc.row -> row list -> Sync_metrics.Emit.t
+(** With [ab], the A/B row follows the mechanism rows and the summary
+    records the [probe_clock] source the traced arm read. *)

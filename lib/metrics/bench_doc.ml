@@ -43,6 +43,34 @@ let row_json r =
       ("metrics", Emit.Obj (List.map (fun (k, v) -> (k, Emit.Float v)) r.metrics));
       ("status", status_json r.status) ]
 
+(* The checked-out commit, read from the working directory's own .git
+   (never a parent directory's); [Null] outside a git checkout. *)
+let commit () =
+  let read path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> Some (String.trim s)
+    | exception Sys_error _ -> None
+  in
+  let packed ref_ =
+    Option.bind (read ".git/packed-refs") (fun refs ->
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ h; r ] when r = ref_ -> Some h
+            | _ -> None)
+          (String.split_on_char '\n' refs))
+  in
+  let hash =
+    Option.bind (read ".git/HEAD") (fun head ->
+        if not (String.starts_with ~prefix:"ref: " head) then Some head
+        else
+          let ref_ = String.sub head 5 (String.length head - 5) in
+          match read (Filename.concat ".git" ref_) with
+          | Some h -> Some h
+          | None -> packed ref_)
+  in
+  Option.fold ~none:Emit.Null ~some:(fun h -> Emit.Str h) hash
+
 let document ~experiment ~description ?(params = []) ?(summary = []) rows =
   Emit.Obj
     [ ( "header",
@@ -51,14 +79,14 @@ let document ~experiment ~description ?(params = []) ?(summary = []) rows =
             ("description", Emit.Str description);
             ("ocaml", Emit.Str Sys.ocaml_version);
             ("recommended_domains", Emit.Int (Domain.recommended_domain_count ()));
-            ("params", Emit.Obj params); ("summary", Emit.Obj summary) ] );
+            ("commit", commit ()); ("params", Emit.Obj params); ("summary", Emit.Obj summary) ] );
       ("rows", Emit.List (List.map row_json rows)) ]
 
 (* -- reading -------------------------------------------------------- *)
 
 let header_fields =
-  [ "experiment"; "description"; "ocaml"; "recommended_domains"; "params";
-    "summary" ]
+  [ "experiment"; "description"; "ocaml"; "recommended_domains"; "commit";
+    "params"; "summary" ]
 
 let rows doc = Emit.to_list (Option.value ~default:Emit.Null (Emit.member "rows" doc))
 

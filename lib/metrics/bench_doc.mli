@@ -3,7 +3,7 @@
 
     {v
     {"header": {"experiment", "description", "ocaml",
-                "recommended_domains", "params", "summary"},
+                "recommended_domains", "commit", "params", "summary"},
      "rows": [{"coords": {...}, "metrics": {...}, "status": ...}]}
     v}
 
@@ -43,8 +43,10 @@ val document :
   experiment:string -> description:string ->
   ?params:(string * Emit.t) list -> ?summary:(string * Emit.t) list ->
   row list -> Emit.t
-(** The header records this process's OCaml version and recommended
-    domain count beside the caller's fields. *)
+(** The header records the box beside the caller's fields: this
+    process's OCaml version and recommended domain count, and the
+    commit checked out in the working directory ([null] outside a git
+    checkout). *)
 
 (** {1 Reading} *)
 

@@ -268,7 +268,7 @@ let create ?(name = "mutex") () =
   else begin
     let impl =
       match Tier.current () with
-      | `Default | `Prim Native -> Sys (Stdlib.Mutex.create ())
+      | `Default -> Sys (Stdlib.Mutex.create ())
       | `Fast -> Cell (fast_cell ())
       | `Prim c -> Cell (Prims.make_lock c)
       | `Queue k -> Cell (Queuelock.make_lock k)

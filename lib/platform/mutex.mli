@@ -5,8 +5,8 @@
     ordinary stdlib signature. A mutex is built once, at {!create}:
     inside a {!Detrt} run it is always a virtual-task mutex the
     deterministic scheduler controls ([Det]); otherwise it takes the
-    tier {!Sync_prims.Tier.current} names. [`Default] and
-    [`Prim Native] give a stdlib mutex ([Sys]); [`Fast] (E22), [`Prim c]
+    tier {!Sync_prims.Tier.current} names. [`Default] gives a
+    stdlib mutex ([Sys]); [`Fast] (E22), [`Prim c]
     (E25) and [`Queue k] (E23) give that tier's lock cell ([Cell]);
     [`Adaptive] (E27) gives a hot-swappable site ([Swap]). The contract
     is identical on every tier; only the cost profile changes.

@@ -72,13 +72,13 @@ module Counting = struct
           flock = Stdlib.Mutex.create ();
           fcond = Stdlib.Condition.create ();
           frid = rid () }
-    | `Prim ((RW | CAS | FAA | LLSC) as c) -> prim c
+    | `Prim c -> prim c
     (* Queue tier (E23): semaphores map onto the FAA-class
        constructions — the FIFO ticket semaphore for [`Strong],
        value-netting for [`Weak] — so the tier's ticket discipline
        covers semaphores too, not just mutexes. *)
     | `Queue _ -> prim Prims.FAA
-    | `Default | `Fast | `Prim Native | `Adaptive ->
+    | `Default | `Fast | `Adaptive ->
       queued ~fairness n ~srid:(rid ())
 
   (* The watchdog bracket around a blocking wait: while [f x] runs,

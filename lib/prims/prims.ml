@@ -9,13 +9,13 @@
    exception, never as a crash or a silent downgrade — the hierarchy
    scorecard records these as first-class results. *)
 
-type cls = Tier.cls = RW | CAS | FAA | LLSC | Native
+type cls = Tier.cls = RW | CAS | FAA | LLSC
 
 exception Unsupported of { cls : cls; feature : string; reason : string }
 
 let cls_name c = Tier.name (`Prim c)
 
-let all = [ RW; CAS; FAA; LLSC; Native ]
+let all = [ RW; CAS; FAA; LLSC ]
 
 let unsupported cls feature reason = raise (Unsupported { cls; feature; reason })
 
@@ -72,10 +72,6 @@ let make_lock cls : Tier.cell =
       try_lock = (fun () -> L.Lock.try_lock l);
       unlock = (fun () -> L.Lock.unlock l);
       tier }
-  | Native ->
-    unsupported Native "lock"
-      "the native class is the platform's own default/fast tier, not a \
-       prims construction"
 
 (* ------------------------------------------------------------------ *)
 (* Counting semaphores. [`Weak] exists in every class; [`Strong] (FCFS)
@@ -183,7 +179,3 @@ let make_sem cls ~fairness n =
   | FAA, `Strong -> sem (module T_faa)
   | LLSC, `Weak -> sem (module L.Sem)
   | LLSC, `Strong -> sem (module T_llsc)
-  | Native, _ ->
-    unsupported Native "semaphore"
-      "the native class is the platform's own default/fast tier, not a \
-       prims construction"

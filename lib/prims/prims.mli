@@ -15,14 +15,12 @@
     - {b LLSC} — load-linked/store-conditional, emulated from CAS with
       ABA tagging ({!Llsc}); locks and semaphores built only from the
       emulation.
-    - {b Native} — no restriction: [`Prim Native] builds the
-      platform's default tier; the factories here reject it.
 
     Classes that cannot express a primitive raise {!Unsupported} with a
     typed reason — the hierarchy scorecard records these as results,
     never as crashes. *)
 
-type cls = Tier.cls = RW | CAS | FAA | LLSC | Native
+type cls = Tier.cls = RW | CAS | FAA | LLSC
 
 exception Unsupported of { cls : cls; feature : string; reason : string }
 (** A class cannot express a requested primitive (e.g. [RW] ×
@@ -30,18 +28,17 @@ exception Unsupported of { cls : cls; feature : string; reason : string }
     label like ["semaphore.strong"]. *)
 
 val cls_name : cls -> string
-(** ["rw"], ["cas"], ["faa"], ["llsc"], ["native"] — report labels. *)
+(** ["rw"], ["cas"], ["faa"], ["llsc"] — report labels. *)
 
 val all : cls list
-(** [[RW; CAS; FAA; LLSC; Native]]; all but [Native] have prims
-    constructions. *)
+(** [[RW; CAS; FAA; LLSC]]. *)
 
 val with_class : cls -> (unit -> 'a) -> 'a
 (** [with_class c f] is [Tier.with_tier (`Prim c) f]. *)
 
 val make_lock : cls -> Tier.cell
 (** A class-restricted lock as a {!Tier.cell} tagged [`Prim cls].
-    @raise Unsupported for [Native]. RW-class locks assign bakery slots
+    RW-class locks assign bakery slots
     per calling thread: at most 64 distinct threads per lock; the 65th
     fails with [Failure "Prims: more than 64 distinct threads on one
     RW-class lock"]. *)
@@ -61,5 +58,5 @@ type sem = {
 
 val make_sem : cls -> fairness:[ `Strong | `Weak ] -> int -> sem
 (** @raise Unsupported for [RW] × [`Strong] (typed: FCFS needs an
-    order-assigning RMW) and for [Native].
+    order-assigning RMW).
     @raise Invalid_argument on a negative initial value. *)

@@ -1,4 +1,4 @@
-type cls = RW | CAS | FAA | LLSC | Native
+type cls = RW | CAS | FAA | LLSC
 
 type kind = MCS | CLH | Ticket
 
@@ -11,15 +11,14 @@ let name : t -> string = function
   | `Prim CAS -> "cas"
   | `Prim FAA -> "faa"
   | `Prim LLSC -> "llsc"
-  | `Prim Native -> "native"
   | `Queue MCS -> "mcs"
   | `Queue CLH -> "clh"
   | `Queue Ticket -> "ticket"
   | `Adaptive -> "adaptive"
 
 let all : t list =
-  [ `Default; `Fast; `Prim RW; `Prim CAS; `Prim FAA; `Prim LLSC; `Prim Native;
-    `Queue MCS; `Queue CLH; `Queue Ticket; `Adaptive ]
+  [ `Default; `Fast; `Prim RW; `Prim CAS; `Prim FAA; `Prim LLSC; `Queue MCS;
+    `Queue CLH; `Queue Ticket; `Adaptive ]
 
 let of_string s = List.find_opt (fun t -> name t = s) all
 

@@ -17,7 +17,7 @@
     callers that build targets from several threads must serialize the
     builds. *)
 
-type cls = RW | CAS | FAA | LLSC | Native
+type cls = RW | CAS | FAA | LLSC
 (** Restricted atomic classes (E25); re-exported as [Prims.cls]. *)
 
 type kind = MCS | CLH | Ticket
@@ -25,12 +25,12 @@ type kind = MCS | CLH | Ticket
 
 type t = [ `Default | `Fast | `Prim of cls | `Queue of kind | `Adaptive ]
 (** Stdlib-backed; contention-adaptive (E22); one restricted atomic
-    class (E25; [`Prim Native] is the default tier); a queue lock
+    class (E25); a queue lock
     (E23); hot-swappable mutex sites (E27). *)
 
 val name : t -> string
 (** ["default"], ["fast"], ["rw"], ["cas"], ["faa"], ["llsc"],
-    ["native"], ["mcs"], ["clh"], ["ticket"], ["adaptive"]: the report
+    ["mcs"], ["clh"], ["ticket"], ["adaptive"]: the report
     labels that committed BENCH files key their rows on. *)
 
 val of_string : string -> t option

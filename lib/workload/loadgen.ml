@@ -60,13 +60,19 @@ let default_config =
   { workers = 4; backend = `Domain; duration_ms = 1000; warmup_ms = 200;
     mode = Closed; seed = 42; think_us = 0 }
 
-let duration_from_env ~default =
-  match Sys.getenv_opt "SYNC_LOAD_MS" with
+(* An empty value counts as unset: the stdlib cannot unset a variable,
+   so code that restores an unset one writes "". *)
+let duration_of ~default = function
+  | None -> default
+  | Some s when String.trim s = "" -> default
   | Some s -> (
     match int_of_string_opt (String.trim s) with
     | Some ms when ms > 0 -> ms
-    | _ -> default)
-  | None -> default
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "SYNC_LOAD_MS=%S: not a positive number of milliseconds" s))
+
+let duration_from_env ~default = duration_of ~default (Sys.getenv_opt "SYNC_LOAD_MS")
 
 (* Phases. Workers look the phase up after each completed operation and
    file the sample accordingly; the coordinator owns the transitions. *)

@@ -83,7 +83,12 @@ val default_config : config
 
 val duration_from_env : default:int -> int
 (** The [SYNC_LOAD_MS] environment knob (CI shortens runs with it):
-    its value when set to a positive integer, [default] otherwise. *)
+    {!duration_of} its value. *)
+
+val duration_of : default:int -> string option -> int
+(** [default] when the value is absent or empty, the value when it is a
+    positive integer.
+    @raise Invalid_argument naming [SYNC_LOAD_MS] on any other value. *)
 
 val run : Target.instance -> config -> Report.t
 (** Execute one run and stop the instance. The report's summary covers

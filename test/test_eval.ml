@@ -290,11 +290,10 @@ let test_axis_documents () =
       | _ -> Alcotest.failf "%s: no experiment in the header" a.name)
     (Lazy.force quick_documents)
 
-(* The committed grids and row counts the converted files must keep. *)
+(* The committed documents and the row counts they must keep. *)
 let committed =
-  [ ("BENCH_E20.json", 54); ("BENCH_E22.json", 80); ("BENCH_E23.json", 60);
-    ("BENCH_E24.json", 24); ("BENCH_E25.json", 194);
-    ("BENCH_E27.json", 108 + 4) ]
+  [ ("BENCH_GRID.json", 426); ("BENCH_E23.json", 6);
+    ("BENCH_E24.json", 24); ("BENCH_E27.json", 108 + 4) ]
 
 (* One shape for every committed file and every quick axis document:
    the header fields are present, each row has exactly coords, metrics
@@ -315,6 +314,69 @@ let test_one_shape () =
   List.iter
     (fun ((a : Axis.t), doc) -> check ("axis " ^ a.name) doc)
     (Lazy.force quick_documents)
+
+(* The typed rows a tier cannot build or the engine does not offer, as
+   the restricted-class (E25) and queue-lock (E23) grids committed
+   them: the quick grid must produce exactly this set. *)
+let pinned_unsupported =
+  let strong =
+    "FCFS grants need an arrival-order-assigning read-modify-write (ticket \
+     fetch-and-add); atomic read/write registers only admit barging waits"
+  in
+  List.concat_map
+    (fun p ->
+      List.map
+        (fun m -> ("rw", p, m, "semaphore.strong", strong))
+        [ "semaphore"; "pathexpr" ])
+    [ "bounded-buffer"; "fcfs"; "readers-writers" ]
+  @ List.concat_map
+      (fun t ->
+        [ (t, "bounded-buffer", "epoch", "load-target",
+           "no epoch target for bounded-buffer");
+          (t, "readers-writers", "eventcount", "load-target",
+           "no eventcount target for readers-writers") ])
+      [ "mcs"; "clh"; "ticket" ]
+
+let unsupported_rows doc =
+  let str = function Some (Emit.Str s) -> s | _ -> "?" in
+  Emit.to_list (Option.value ~default:Emit.Null (Emit.member "rows" doc))
+  |> List.filter_map (fun r ->
+         match Option.bind (Emit.member "status" r) (Emit.member "unsupported") with
+         | Some u ->
+           Some
+             ( str (Doc.coord "tier" r), str (Doc.coord "problem" r),
+               str (Doc.coord "mechanism" r), str (Emit.member "feature" u),
+               str (Emit.member "reason" u) )
+         | None -> None)
+  |> List.sort compare
+
+let test_pinned_unsupported () =
+  let _, grid =
+    List.find (fun ((a : Axis.t), _) -> a.name = "grid") (Lazy.force quick_documents)
+  in
+  let show = List.map (fun (t, p, m, f, r) -> String.concat " " [ t; p; m; f; r ]) in
+  Alcotest.(check (list string))
+    "quick grid" (show (List.sort compare pinned_unsupported))
+    (show (unsupported_rows grid));
+  Alcotest.(check (list string))
+    "committed grid" (show (List.sort compare pinned_unsupported))
+    (show (unsupported_rows (Emit.parse_file "../BENCH_GRID.json")))
+
+(* A row with more domains than the box recommends says so in its
+   coords; one at the recommended count does not. *)
+let test_oversubscribed () =
+  let n = Domain.recommended_domain_count () in
+  let row domains =
+    Cell.row_doc
+      { Cell.tier = `Default; problem = "fcfs"; mechanism = "monitor"; domains;
+        cell =
+          { Cell.status = Cell.Supported; throughput_per_s = 0.; p50_ns = 0;
+            p99_ns = 0; summary = None; flips = 0 } }
+  in
+  Alcotest.(check bool) "at the recommended count" false
+    (List.mem_assoc "oversubscribed" (row n).coords);
+  Alcotest.(check bool) "one past it" true
+    (List.assoc_opt "oversubscribed" (row (n + 1)).coords = Some (Emit.Bool true))
 
 let test_baseline_finds_sanity_cells () =
   List.iter
@@ -408,7 +470,10 @@ let () =
           Alcotest.test_case "cli choices" `Quick test_axis_cli_choices;
           Alcotest.test_case "documents carry experiment" `Slow
             test_axis_documents;
-          Alcotest.test_case "one document shape" `Slow test_one_shape ] );
+          Alcotest.test_case "one document shape" `Slow test_one_shape;
+          Alcotest.test_case "pinned unsupported rows" `Slow
+            test_pinned_unsupported;
+          Alcotest.test_case "oversubscribed rows" `Quick test_oversubscribed ] );
       ( "baseline",
         [ Alcotest.test_case "finds sanity cells" `Quick
             test_baseline_finds_sanity_cells;

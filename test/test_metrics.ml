@@ -270,9 +270,38 @@ let test_emit_csv () =
 
 let test_registry_coverage () =
   (* every load target must be a registered, verified solution *)
-  match Sync_eval.Perf.coverage_errors () with
+  match Sync_eval.Cell.coverage_errors () with
   | [] -> ()
   | errs -> Alcotest.failf "%s" (String.concat "; " errs)
+
+(* SYNC_LOAD_MS: unset or empty is the default, a positive integer is
+   the window, anything else is refused by name rather than ignored.
+   Set values go through the environment; "unset" cannot, since the
+   stdlib has no unsetenv, and empty is how a caller restores it. *)
+let test_load_ms_env () =
+  let module L = Sync_workload.Loadgen in
+  let saved = Option.value (Sys.getenv_opt "SYNC_LOAD_MS") ~default:"" in
+  let read = function
+    | None -> (try Ok (L.duration_of ~default:150 None) with Invalid_argument m -> Error m)
+    | Some v -> (
+      Unix.putenv "SYNC_LOAD_MS" v;
+      try Ok (L.duration_from_env ~default:150) with Invalid_argument m -> Error m)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SYNC_LOAD_MS" saved)
+    (fun () ->
+      List.iter
+        (fun (value, expected) ->
+          let label = Option.value value ~default:"unset" in
+          match (read value, expected) with
+          | Ok ms, Some e -> Alcotest.(check int) label e ms
+          | Error m, None ->
+            check_bool (label ^ " names the variable") true
+              (Astring.String.is_infix ~affix:"SYNC_LOAD_MS" m)
+          | Ok ms, None -> Alcotest.failf "%s: accepted as %d ms" label ms
+          | Error m, Some _ -> Alcotest.failf "%s: refused: %s" label m)
+        [ (None, Some 150); (Some "", Some 150); (Some "200", Some 200);
+          (Some "0", None); (Some "-5", None); (Some "abc", None) ])
 
 let run_smoke mode =
   match
@@ -401,4 +430,5 @@ let () =
             test_loadgen_op_no_alloc;
           Alcotest.test_case "open-loop smoke" `Quick test_loadgen_open;
           Alcotest.test_case "rejects bad config" `Quick test_loadgen_rejects;
+          Alcotest.test_case "SYNC_LOAD_MS values" `Quick test_load_ms_env;
           Alcotest.test_case "unknown pair" `Quick test_target_unknown ] ) ]

@@ -652,7 +652,7 @@ let test_fast_mutex_tier_selection () =
   check_int "weak fast semaphore v restores" 1 (Semaphore.Counting.value w)
 
 (* Scope semantics (see tier.mli): innermost wins, a raise restores,
-   the cell is process-wide, and [`Prim Native] is the default tier. *)
+   and the cell is process-wide. *)
 let test_scope_innermost () =
   check_built "no scope" "default" (Mutex.create ());
   Tier.with_tier (`Queue Tier.MCS) (fun () ->
@@ -688,18 +688,6 @@ let test_scope_cross_thread () =
   match !m with
   | Some m -> check_built "other thread inherits the open scope" "clh" m
   | None -> Alcotest.fail "thread created no mutex"
-
-let test_scope_native () =
-  check_built "native builds Sys" "default"
-    (Tier.with_tier (`Prim Tier.Native) (fun () -> Mutex.create ()));
-  let s =
-    Tier.with_tier (`Prim Tier.Native) (fun () ->
-        Semaphore.Counting.create ~fairness:`Strong 1)
-  in
-  Semaphore.Counting.p s;
-  check_int "native semaphore is the default construction" 0
-    (Semaphore.Counting.value s);
-  Semaphore.Counting.v s
 
 (* Value conservation of the fast weak semaphore: k units, never more
    than k concurrent holders, and every P is matched by its V. *)
@@ -1467,9 +1455,7 @@ let () =
             test_scope_innermost;
           Alcotest.test_case "restored on raise" `Quick test_scope_raise;
           Alcotest.test_case "other threads inherit the scope" `Quick
-            test_scope_cross_thread;
-          Alcotest.test_case "prim native builds sys" `Quick
-            test_scope_native ] );
+            test_scope_cross_thread ] );
       ( "spin-park",
         [ Alcotest.test_case "default-tier relock raises" `Quick
             test_relock_raises;

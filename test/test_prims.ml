@@ -205,8 +205,8 @@ let test_rw_slot_overflow () =
    [bloom_eval load --tier] key on them. *)
 let test_tier_names () =
   Alcotest.(check (list string)) "labels"
-    [ "default"; "fast"; "rw"; "cas"; "faa"; "llsc"; "native"; "mcs"; "clh";
-      "ticket"; "adaptive" ]
+    [ "default"; "fast"; "rw"; "cas"; "faa"; "llsc"; "mcs"; "clh"; "ticket";
+      "adaptive" ]
     (List.map Tier.name Tier.all);
   List.iter
     (fun t ->
@@ -280,11 +280,6 @@ let test_rw_strong_rejected () =
   Alcotest.(check bool) "refilled" true (Platform.Semaphore.Counting.try_p s);
   Platform.Semaphore.Counting.v s
 
-let test_native_rejected () =
-  match Prims.make_lock Prims.Native with
-  | _ -> Alcotest.fail "Native has no prims construction"
-  | exception Prims.Unsupported _ -> ()
-
 (* ---------------------------------------------------------------- *)
 (* Backoff: creation-scoped spin-vs-yield decision                  *)
 (* ---------------------------------------------------------------- *)
@@ -354,30 +349,25 @@ let test_backoff_set_limits () =
       Backoff.once b)
 
 (* ---------------------------------------------------------------- *)
-(* Hierarchy axis: structure and JSON shape on a tiny grid          *)
+(* Hierarchy cells: structure and JSON shape on a tiny grid         *)
 (* ---------------------------------------------------------------- *)
 
-module H = Sync_eval.Hierarchy_axis
 module Cell = Sync_eval.Cell
 module Emit = Sync_metrics.Emit
 
-let tiny_spec ~classes ~mechanisms =
-  {
-    H.classes;
-    problems = [ "fcfs" ];
-    mechanisms = Some mechanisms;
-    domains = [ 1 ];
-    duration_ms = 40;
-    warmup_ms = 10;
-    seed = 7;
-  }
+let tiny_grid ~classes ~mechanism =
+  Cell.grid
+    ~targets:(List.map (fun c -> (`Prim c, "fcfs", mechanism)) classes)
+    ~domains:[ 1 ]
+    { Sync_workload.Loadgen.default_config with
+      duration_ms = 40; warmup_ms = 10; seed = 7 }
+
+let all_ok rows = List.for_all (fun (r : Cell.row) -> Cell.ok r.cell) rows
 
 let test_hierarchy_tiny_grid () =
-  let rows =
-    H.run (tiny_spec ~classes:[ Prims.RW; Prims.CAS ] ~mechanisms:[ "monitor" ])
-  in
+  let rows = tiny_grid ~classes:[ Prims.RW; Prims.CAS ] ~mechanism:"monitor" in
   Alcotest.(check int) "one row per class" 2 (List.length rows);
-  Alcotest.(check bool) "no failures" true (H.all_ok rows);
+  Alcotest.(check bool) "no failures" true (all_ok rows);
   List.iter
     (fun r ->
       (match r.Cell.cell.status with
@@ -391,8 +381,7 @@ let test_hierarchy_tiny_grid () =
    domains=0 row whose JSON carries the status discriminator and the
    typed feature; the document round-trips through the Emit parser. *)
 let test_hierarchy_json_snapshot () =
-  let spec = tiny_spec ~classes:[ Prims.RW ] ~mechanisms:[ "semaphore" ] in
-  let rows = H.run spec in
+  let rows = tiny_grid ~classes:[ Prims.RW ] ~mechanism:"semaphore" in
   Alcotest.(check int) "probe collapses the domain axis" 1 (List.length rows);
   let r = List.hd rows in
   (match r.Cell.cell.status with
@@ -400,13 +389,16 @@ let test_hierarchy_json_snapshot () =
       Alcotest.(check string) "typed feature" "semaphore.strong" feature
   | s -> Alcotest.failf "expected unsupported, got %s" (Cell.status_string s));
   Alcotest.(check int) "unsupported row has no domains" 0 r.Cell.domains;
-  Alcotest.(check bool) "unsupported is still all_ok" true (H.all_ok rows);
-  let doc = Emit.to_string ~pretty:true (H.to_json spec rows) in
+  Alcotest.(check bool) "unsupported is still all_ok" true (all_ok rows);
+  let doc =
+    Emit.to_string ~pretty:true (Sync_eval.Grid.document ~full:false rows)
+  in
   let parsed = Emit.parse doc in
   Alcotest.(check (list string)) "one document shape" []
     (Sync_metrics.Bench_doc.validate parsed);
   (match Sync_metrics.Bench_doc.header "experiment" parsed with
-  | Some (Emit.Str e) -> Alcotest.(check string) "experiment tag" "E25" e
+  | Some (Emit.Str e) ->
+      Alcotest.(check string) "experiment tag" "E20/E22/E23/E25" e
   | _ -> Alcotest.fail "missing experiment tag");
   match Emit.member "rows" parsed with
   | Some rows_json ->
@@ -475,8 +467,6 @@ let () =
         [
           Alcotest.test_case "rw strong semaphore is typed" `Quick
             test_rw_strong_rejected;
-          Alcotest.test_case "native has no construction" `Quick
-            test_native_rejected;
         ] );
       ( "backoff",
         [

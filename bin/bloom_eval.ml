@@ -4,7 +4,7 @@
    (see DESIGN.md's experiment index): the expressiveness matrix (E3),
    the constraint-independence analysis (E2/E4), the modularity table
    (E5), the conformance run (E6), the footnote-3 anomaly demo (E1), and
-   the nested-monitor-call demonstration (E11). The live axes (E19-E27)
+   the nested-monitor-call demonstration (E11). The live axes (E19-E26)
    share one subcommand, [axis NAME], over the Sync_eval.Axis registry. *)
 
 open Cmdliner
@@ -131,7 +131,7 @@ let scorecard_cmd =
 
 let axis_cmd =
   let doc =
-    "Run one live evaluation axis (E19-E27) and print its report. Quick by \
+    "Run one live evaluation axis (E19-E26) and print its report. Quick by \
      default (the CI slice); $(b,--full) runs the grid behind the committed \
      BENCH file, and $(b,--json) writes the axis document in that file's \
      shape. Exits 0 when every gate of the axis held, 1 otherwise, 2 on an \
@@ -262,9 +262,7 @@ let load_cmd =
                       Sync_prims.Tier.all)
                ^ ". $(b,default) is the stdlib-backed tier; the others are \
                   the contention-adaptive fast paths (E22), the restricted \
-                  atomic classes (E25), the local-spin queue locks (E23) and \
-                  the hot-swappable sites a feedback controller retiers \
-                  live (E27; implies probe tracing)"))
+                  atomic classes (E25) and the local-spin queue locks (E23)"))
   in
   let json =
     Arg.(value & opt (some string) None
@@ -334,10 +332,6 @@ let load_cmd =
     in
     if sweep && trace_out <> None then
       fail "--trace records a single run; drop --sweep";
-    (match tier with
-    | `Adaptive when sweep ->
-      fail "--tier adaptive drives a live controller; drop --sweep"
-    | _ -> ());
     if sweep then begin
       (* One target at increasing worker counts, through the grid's
          runner and row builder. *)
@@ -377,48 +371,14 @@ let load_cmd =
       match Target.create ~params ~tier ~problem ~mechanism () with
       | Error e -> fail e
       | Ok instance ->
-        let flips = ref 0 in
-        let decisions = ref [] in
-        let samples = ref 0 in
         let go () =
-          let exec () =
-            try Loadgen.run instance base
-            with Invalid_argument m -> fail ("invalid config: " ^ m)
-          in
-          match tier with
-          | `Adaptive ->
-            let r, ctrl = Sync_adaptive.Controller.with_controller exec in
-            flips := Sync_adaptive.Controller.flips ctrl;
-            decisions := Sync_adaptive.Controller.decisions ctrl;
-            samples := Sync_adaptive.Controller.samples ctrl;
-            r
-          | _ -> exec ()
-        in
-        (* The adaptive controller reads the live probe rings, so the
-           run is traced even without --trace. *)
-        let traced =
-          trace_out <> None
-          || match tier with `Adaptive -> true | _ -> false
+          try Loadgen.run instance base
+          with Invalid_argument m -> fail ("invalid config: " ^ m)
         in
         let report, events =
-          if traced then Sync_trace.Probe.with_tracing go else (go (), [])
+          if trace_out <> None then Sync_trace.Probe.with_tracing go
+          else (go (), [])
         in
-        (match tier with
-        | `Adaptive ->
-          Format.fprintf ppf
-            "adaptive controller: %d tier flip(s) over %d sample(s)@." !flips
-            !samples;
-          List.iter
-            (fun (d : Sync_adaptive.Controller.decision) ->
-              Format.fprintf ppf
-                "  flip %-24s -> %-8s (wait %.0f ns, wait/hold %.2f)@."
-                d.Sync_adaptive.Controller.d_site
-                (Sync_platform.Mutex.tier_name
-                   d.Sync_adaptive.Controller.d_tier)
-                d.Sync_adaptive.Controller.d_wait_ns
-                d.Sync_adaptive.Controller.d_ratio)
-            !decisions
-        | _ -> ());
         if csv then begin
           print_endline Report.csv_header;
           List.iter print_endline (Report.csv_rows report)

@@ -1,5 +1,4 @@
 open Sync_metrics
-open Sync_workload
 
 type outcome = {
   ok : bool;
@@ -104,10 +103,11 @@ let service =
           (Service_axis.to_json rows)) }
 
 (* Quick holds a live 1-vs-4-domain epoch measurement and the
-   committed rows to the same rule; full is the committed document. *)
+   committed rows to the same rule; full is the committed document,
+   epoch rows and timer-wheel rows, with the wheel's gates. *)
 let scaling =
   { name = "scaling"; experiment = "E23";
-    title = "scalable reader entry (epoch read path)";
+    title = "scalable reader entry (epoch read path) and timer-wheel ticks";
     run =
       (fun ~full ~progress ->
         let module S = Scaling_axis in
@@ -116,9 +116,14 @@ let scaling =
           S.run spec ~progress:(fun r ->
               progress (Bench_doc.row_line (Cell.row_doc r)))
         in
-        let doc = S.to_json spec rows in
-        let committed =
-          if full then []
+        let wheel = if full then S.wheel_rows () else [] in
+        let doc = S.to_json ~wheel spec rows in
+        let extra =
+          if full then
+            [ ("no wheel alarm fired or went missing in the timed window",
+               List.for_all (fun (r : S.wheel_row) -> r.intact) wheel);
+              ("wheel tick cost flat across pending counts (max/min <= 10x)",
+               S.wheel_ratio wheel <= 10.0) ]
           else
             [ ( "committed BENCH_E23.json epoch read throughput strictly rises \
                 with domains",
@@ -131,54 +136,7 @@ let scaling =
               List.for_all (fun (r : Cell.row) -> Cell.ok r.cell) rows);
              ("epoch read throughput strictly rises with domains",
               S.epoch_monotonic doc) ]
-          @ committed)
-          doc) }
-
-(* Quick is the CI slice: two cells under two arrival processes at two
-   domains, judged on the never-below-worst claim, which survives
-   shared-runner noise, and by the drift gate's E27 ratios against the
-   committed document. Full is the committed grid plus the wheel rows
-   and the claims that assume quiet cores. *)
-let adaptive =
-  { name = "adaptive"; experiment = "E27";
-    title = "self-tuning tier (adaptive vs static, live retiering)";
-    run =
-      (fun ~full ~progress ->
-        let module A = Adaptive_axis in
-        let d = A.default_spec () in
-        let spec =
-          if full then { d with domains = [ 1; 2; 4 ] }
-          else
-            { d with
-              cells =
-                [ ("bounded-buffer", "semaphore"); ("alarm-clock", "wheel") ];
-              arrivals = [ Loadgen.Poisson; Loadgen.Bursty ];
-              domains = [ 2 ] }
-        in
-        let t =
-          A.run ~progress:(fun r -> progress (Bench_doc.row_line (A.row_doc r))) spec
-        in
-        let wheel = if full then A.wheel_rows () else [] in
-        let doc = A.to_json ~wheel spec t in
-        let drift, gates =
-          if not full then Baseline.gate ~file:"BENCH_E27.json" doc
-          else
-            ( ignore,
-            [ ("adaptive win rate vs best static >= 0.8",
-               A.win_rate ~slack:spec.win_slack t >= 0.8);
-              ("no wheel alarm fired or went missing in the timed window",
-               List.for_all (fun (r : A.wheel_row) -> r.intact) wheel);
-              ("wheel tick cost flat across pending counts (max/min <= 10x)",
-               A.wheel_ratio wheel <= 10.0) ] )
-        in
-        judged
-          ([ ("every measured cell ran clean", A.all_ok t);
-             ("adaptive never below the worst static tier",
-              A.never_worst ~slack:spec.never_worst_slack t) ]
-          @ gates)
-          ~pp:(fun ppf ->
-            Bench_doc.pp ppf doc;
-            drift ppf)
+          @ extra)
           doc) }
 
 let exploration =
@@ -210,8 +168,7 @@ let micro =
           (Micro.to_json ~full rows)) }
 
 let all =
-  [ robustness; grid; observability; service; scaling; adaptive; exploration;
-    micro ]
+  [ robustness; grid; observability; service; scaling; exploration; micro ]
 
 let find name = List.find_opt (fun a -> a.name = name) all
 

@@ -1,4 +1,4 @@
-(** The live evaluation axes (E19–E27), one registry.
+(** The live evaluation axes (E19–E26), one registry.
 
     Bloom scores every mechanism on the same axes; each live axis here
     is one entry with one way to run it. [bloom_eval axis NAME] runs an

@@ -1,5 +1,4 @@
 open Sync_metrics
-open Sync_workload
 module Tier = Sync_prims.Tier
 module Prims = Sync_prims.Prims
 
@@ -8,18 +7,15 @@ type probe = {
   problem : string;
   mechanism : string;
   domains : int;
-  arrival : Loadgen.arrival option;
 }
 
 type group = { name : string; file : string; probes : probe list }
 
 (* Every cell on every tier, cell-major. *)
-let on_tiers ?arrival tiers cells =
+let on_tiers tiers cells =
   List.concat_map
     (fun (problem, mechanism, domains) ->
-      List.map
-        (fun tier -> { tier; problem; mechanism; domains; arrival })
-        tiers)
+      List.map (fun tier -> { tier; problem; mechanism; domains }) tiers)
     cells
 
 (* Contended restricted-class and queue-lock cells are preemption-bound
@@ -41,27 +37,15 @@ let sanity =
     grid "E23"
       (on_tiers
          (List.map (fun k -> `Queue k) Sync_prims.Queuelock.all)
-         [ ("bounded-buffer", "monitor", 1) ]);
-    { name = "E27"; file = "BENCH_E27.json";
-      probes =
-        on_tiers ~arrival:Loadgen.Poisson
-          [ `Default; `Fast; `Adaptive ]
-          [ ("bounded-buffer", "semaphore", 2) ] } ]
+         [ ("bounded-buffer", "monitor", 1) ]) ]
 
 let coords p =
   [ ("tier", Emit.Str (Tier.name p.tier)); ("problem", Emit.Str p.problem);
     ("mechanism", Emit.Str p.mechanism); ("domains", Emit.Int p.domains) ]
-  @
-  match p.arrival with
-  | Some a -> [ ("arrival", Emit.Str (Loadgen.arrival_name a)) ]
-  | None -> []
 
 let id p =
-  Printf.sprintf "%s/%s%s d=%d [%s]" p.mechanism p.problem
-    (match p.arrival with
-    | Some a -> " " ^ Loadgen.arrival_name a
-    | None -> "")
-    p.domains (Tier.name p.tier)
+  Printf.sprintf "%s/%s d=%d [%s]" p.mechanism p.problem p.domains
+    (Tier.name p.tier)
 
 type pair = {
   a : string;

@@ -10,10 +10,8 @@ type probe = {
   problem : string;
   mechanism : string;
   domains : int;
-  arrival : Sync_workload.Loadgen.arrival option;
-      (** [Some]: an E27 cell — open loop at the E27 rate, traced on
-          every tier; [None]: a closed-loop, untraced grid cell *)
 }
+(** A closed-loop, untraced grid cell. *)
 
 type group = {
   name : string;  (** the selection the probes lie in, e.g. ["E25"] *)
@@ -23,9 +21,8 @@ type group = {
 
 val sanity : group list
 (** A few cheap cells per selection of the tier grid (E20, E22, E25,
-    E23, all in [BENCH_GRID.json]) and of E27 ([BENCH_E27.json]),
-    chosen so the ratios inside a group compare mechanisms, tiers,
-    atomic classes or queue kinds. *)
+    E23, all in [BENCH_GRID.json]), chosen so the ratios inside a group
+    compare mechanisms, tiers, atomic classes or queue kinds. *)
 
 val coords : probe -> (string * Sync_metrics.Emit.t) list
 (** The probe's coordinates in its group's document. *)

@@ -2,7 +2,6 @@ open Sync_metrics
 open Sync_workload
 module Prims = Sync_prims.Prims
 module Tier = Sync_prims.Tier
-module Controller = Sync_adaptive.Controller
 
 type status = Bench_doc.status =
   | Supported
@@ -15,12 +14,10 @@ type t = {
   p50_ns : int;
   p99_ns : int;
   summary : Summary.t option;
-  flips : int;
 }
 
 let dead status =
-  { status; throughput_per_s = 0.; p50_ns = 0; p99_ns = 0; summary = None;
-    flips = 0 }
+  { status; throughput_per_s = 0.; p50_ns = 0; p99_ns = 0; summary = None }
 
 let unsupported ~feature ~reason = dead (Unsupported { feature; reason })
 
@@ -33,16 +30,7 @@ let failed e = dead (Failed e)
    failure of the tier's construction. *)
 let measure ?params ?(tier = `Default) ?(traced = false) ~problem ~mechanism
     config =
-  let run inst () =
-    match tier with
-    | `Adaptive ->
-      let report, ctrl =
-        Controller.with_controller (fun () -> Loadgen.run inst config)
-      in
-      (report, Controller.flips ctrl)
-    | _ -> (Loadgen.run inst config, 0)
-  in
-  let traced = traced || tier = `Adaptive in
+  let run inst () = Loadgen.run inst config in
   match Target.create ?params ~tier ~problem ~mechanism () with
   | Error e -> failed e
   | Ok inst -> (
@@ -50,7 +38,7 @@ let measure ?params ?(tier = `Default) ?(traced = false) ~problem ~mechanism
       if traced then fst (Sync_trace.Probe.with_tracing (run inst))
       else run inst ()
     with
-    | report, flips ->
+    | report ->
       let s = report.Report.summary in
       if s.Summary.total_failures > 0 then
         failed (Printf.sprintf "%d op failures" s.Summary.total_failures)
@@ -58,7 +46,7 @@ let measure ?params ?(tier = `Default) ?(traced = false) ~problem ~mechanism
         let q f = Summary.overall_quantile s f in
         { status = Supported; throughput_per_s = s.Summary.throughput_per_s;
           p50_ns = q (fun o -> o.Summary.p50_ns);
-          p99_ns = q (fun o -> o.Summary.p99_ns); summary = Some s; flips }
+          p99_ns = q (fun o -> o.Summary.p99_ns); summary = Some s }
     | exception Prims.Unsupported { feature; reason; _ } ->
       unsupported ~feature ~reason
     | exception e -> failed (Printexc.to_string e))

@@ -1,5 +1,5 @@
 (** One measured load cell — the unit every load grid (the tier grid,
-    E23's epoch rows, E27) and every perf gate is made of.
+    E23's epoch rows) and every perf gate is made of.
 
     A cell builds one mechanism x problem load target on one platform
     tier and drives it with the E20 workload engine. The outcome is
@@ -19,7 +19,6 @@ type t = {
   p50_ns : int;
   p99_ns : int;
   summary : Sync_metrics.Summary.t option;  (** [Some] iff [Supported] *)
-  flips : int;  (** adaptive-controller flips during the run; 0 otherwise *)
 }
 
 val measure :
@@ -28,8 +27,7 @@ val measure :
   Sync_workload.Loadgen.config -> t
 (** Build the target on [tier] (default [`Default]) and run it once
     under [config]. [traced] (default false) records probe events for
-    the run; the [`Adaptive] tier is always traced and runs under a
-    live {!Sync_adaptive.Controller}. *)
+    the run. *)
 
 val ok : t -> bool
 (** Not [Failed]: [Unsupported] is a valid scorecard outcome. *)

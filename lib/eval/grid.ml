@@ -44,9 +44,9 @@ let select name doc =
     (List.assoc name selections)
 
 let config () =
+  let duration_ms = Loadgen.duration_from_env ~default:150 in
   { Loadgen.default_config with
-    duration_ms = Loadgen.duration_from_env ~default:150; warmup_ms = 50;
-    seed = 42 }
+    duration_ms; warmup_ms = Loadgen.warmup_for duration_ms; seed = 42 }
 
 (* The quick slice is every target at one domain, since d>1 spin cells
    on a small shared box measure preemption, not the primitive; the

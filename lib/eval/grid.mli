@@ -30,7 +30,8 @@ val run : full:bool -> progress:(Cell.row -> unit) -> Cell.row list
     where the two absent pairs are typed rows. Full runs each target at
     1, 2 and 4 domains; quick at 1, plus the multi-domain cells of the
     drift gate ({!Baseline.sanity}). Closed loop on domains, the
-    [SYNC_LOAD_MS] window (default 150 ms), 50 ms warmup, seed 42. *)
+    [SYNC_LOAD_MS] window (default 150 ms), a warmup of 50 ms or the
+    window if shorter ({!Sync_workload.Loadgen.warmup_for}), seed 42. *)
 
 val document : full:bool -> Cell.row list -> Sync_metrics.Emit.t
 

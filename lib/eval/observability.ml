@@ -118,9 +118,9 @@ let ab_coords =
 
 let ab () =
   let config =
+    let duration_ms = Loadgen.duration_from_env ~default:200 in
     { Loadgen.default_config with
-      workers = 1; duration_ms = Loadgen.duration_from_env ~default:200;
-      warmup_ms = 50 }
+      workers = 1; duration_ms; warmup_ms = Loadgen.warmup_for duration_ms }
   in
   let best_of ~traced =
     List.fold_left

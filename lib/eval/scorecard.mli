@@ -3,7 +3,7 @@
     sections — expressiveness matrix and its agreement with the paper
     (E3), constraint independence (E4), modularity (E5) and the
     conformance run (E6) — followed by any live axes from the
-    {!Axis.all} registry (E19–E27) the caller asks for, each run at its
+    {!Axis.all} registry (E19–E26) the caller asks for, each run at its
     quick size. *)
 
 type t = {

@@ -18,7 +18,7 @@ type fast = {
 }
 
 (* Hot-swappable (E27) mutex: one extra indirection through an atomic
-   [cur] cell so the adaptive controller can retier a live site. The
+   [cur] cell so a live site can be retiered ([swap_to]). The
    swap protocol is epoch-quiesced in the Epochrw sense — the swapper
    itself is the grace period:
 
@@ -78,10 +78,9 @@ type t = {
    skips the reschedule entirely (nobody else waits on the domain's
    master lock), so a yield loop degenerates into a hot spin.
 
-   E27 makes the round count live-tunable: the adaptive controller
-   retunes it from observed wait distributions. The extra atomic load
-   sits on the already-contended slow path only — the uncontended CAS
-   never reads it. *)
+   The round count is live-tunable ([set_spin_rounds]). The extra
+   atomic load sits on the already-contended slow path only — the
+   uncontended CAS never reads it. *)
 let default_spin_rounds =
   if Domain.recommended_domain_count () > 1 then 8 else 0
 
@@ -138,7 +137,7 @@ let spin n ready = spin_from 0 n ready
 (* Probes per spin round of a contended default-tier acquire. *)
 let lock_probes = 25
 
-(* The default tier's acquire, also the adaptive [`Sys] cell's: a try,
+(* The default tier's acquire, also the swappable [`Sys] cell's: a try,
    then up to [lock_probes * spin_rounds ()] more in a [spin], then the
    blocking lock. A holder running on another core usually releases
    within the spin, so the handoff costs no futex sleep and wake. A
@@ -239,28 +238,7 @@ let swap_cell : tier -> Tier.cell = function
 let cell_tier (c : Tier.cell) : tier =
   match c.tier with (`Fast | `Queue _) as t -> t | _ -> `Sys
 
-(* The site registry the adaptive controller enumerates: entering a
-   [with_swappable] scope starts an empty registry, so a controller
-   only ever sees the sites of its own run. *)
-let sites_lock = Stdlib.Mutex.create ()
-
-let sites : t list ref = ref []
-
-let swap_sites () =
-  Stdlib.Mutex.lock sites_lock;
-  let s = !sites in
-  Stdlib.Mutex.unlock sites_lock;
-  s
-
-let with_swappable f =
-  Stdlib.Mutex.lock sites_lock;
-  (* Clear on entry, keep on exit: the controller typically starts
-     after the build scope closes (Target.create wraps only the
-     build), and must still be able to enumerate the run's sites. The
-     next scope clears the slate. *)
-  sites := [];
-  Stdlib.Mutex.unlock sites_lock;
-  Tier.with_tier `Adaptive f
+let with_swappable f = Tier.with_tier `Adaptive f
 
 let create ?(name = "mutex") () =
   if Detrt.active () then
@@ -276,21 +254,12 @@ let create ?(name = "mutex") () =
         let c = swap_cell `Sys in
         Swap { cur = Atomic.make c; held = c }
     in
-    let t =
-      { impl;
-        rid =
-          (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
-           else -1);
-        name;
-        acquired_at = 0 }
-    in
-    (match impl with
-    | Swap _ ->
-      Stdlib.Mutex.lock sites_lock;
-      sites := t :: !sites;
-      Stdlib.Mutex.unlock sites_lock
-    | _ -> ());
-    t
+    { impl;
+      rid =
+        (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
+         else -1);
+      name;
+      acquired_at = 0 }
   end
 
 (* Acquire through the indirection: lock the cell [cur] points at, then
@@ -298,7 +267,7 @@ let create ?(name = "mutex") () =
    replaces, so observing [cur == c] with [c] locked proves no newer
    cell is (or can become) lockable until we release — see the protocol
    note on [swap]. The retry loop terminates because each iteration
-   rides a distinct published swap, and swaps are controller-paced. *)
+   rides a distinct published swap, and swaps are caller-paced. *)
 let rec swap_lock s =
   let c = Atomic.get s.cur in
   c.lock ();

@@ -129,16 +129,9 @@ val tier_index : tier -> int
 val tier_of_index : int -> tier option
 
 val with_swappable : (unit -> 'a) -> 'a
-(** [with_swappable f] is [Tier.with_tier `Adaptive f] plus a fresh
-    site registry. Mutexes created inside the scope start on [`Sys].
-    The registry is cleared on entry and {e kept} on exit, so a
-    controller started after the build scope closes still enumerates
-    the run's sites via {!swap_sites}; the next scope clears the slate.
+(** [with_swappable f] is [Tier.with_tier `Adaptive f]: mutexes created
+    inside the scope are swappable sites that start on [`Sys].
     Concurrent scopes are not supported (see {!Sync_prims.Tier}). *)
-
-val swap_sites : unit -> t list
-(** Every swappable mutex created in the most recent scope, newest
-    first — the adaptive controller's enumeration point. *)
 
 val current_tier : t -> tier option
 (** The tier a swappable site currently routes to; [None] for
@@ -151,12 +144,12 @@ val swap_to : t -> tier -> bool
     the site with [arg = tier_index tier]. Returns [false] (and does
     nothing) if [t] is not swappable or already routes to [tier]. *)
 
-(** {1 Spin tuning (E27)} *)
+(** {1 Spin tuning} *)
 
 val spin_rounds : unit -> int
 (** Rounds a real thread spins before it parks. A contended fast-tier
     acquire spins this many backoff rounds; a contended default-tier
-    acquire (and the adaptive [`Sys] cell's) retries [try_lock] 25
+    acquire (and the swappable [`Sys] cell's) retries [try_lock] 25
     times per round; a real-thread {!Condition.wait} probes the
     condition's wakeup epoch 64 times per round. Those two spins
     ({!spin}) space their probes by [Domain.cpu_relax], yield the CPU

@@ -6,7 +6,7 @@
    one level-0 bucket plus, when a ring wraps, one cascade bucket per
    wrapped level — amortized O(1) per tick and, crucially, independent
    of the number of pending alarms (a binary heap pays O(log n) per
-   alarm; `bloom_eval axis adaptive --full` measures the gap at millions
+   alarm; `bloom_eval axis scaling --full` measures the gap at millions
    pending).
 
    Level choice is the smallest level whose span covers the relative

@@ -8,47 +8,18 @@ type t = {
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let check_limits ~who ~min_wait ~max_wait =
-  if not (is_pow2 min_wait) then
-    invalid_arg
-      (Printf.sprintf "%s: min_wait %d not a positive power of two" who
-         min_wait);
-  if not (is_pow2 max_wait) then
-    invalid_arg
-      (Printf.sprintf "%s: max_wait %d not a positive power of two" who
-         max_wait);
-  if min_wait > max_wait then
-    invalid_arg
-      (Printf.sprintf "%s: min_wait %d exceeds max_wait %d" who min_wait
-         max_wait)
+(* The spin bounds a backoff gets when [create] is passed none. *)
+let default_min_wait = 16
 
-(* Process-wide default spin bounds, read at {!create} time exactly like
-   the multicore probe: changing them affects backoffs created after the
-   call, never one already spinning. Both bounds live in one atomic so a
-   reader can never observe min from one setting and max from another. *)
-let default_limits = Atomic.make (16, 4096)
-
-let set_limits ~min_wait ~max_wait =
-  check_limits ~who:"Backoff.set_limits" ~min_wait ~max_wait;
-  Atomic.set default_limits (min_wait, max_wait)
-
-let limits () = Atomic.get default_limits
-
-let with_limits ~min_wait ~max_wait f =
-  check_limits ~who:"Backoff.with_limits" ~min_wait ~max_wait;
-  let saved = Atomic.get default_limits in
-  Atomic.set default_limits (min_wait, max_wait);
-  Fun.protect ~finally:(fun () -> Atomic.set default_limits saved) f
+let default_max_wait = 4096
 
 (* Spin-vs-yield is decided per backoff, at creation: tests that pin the
    process to one core (or scenarios that spawn more threads than
    cores) get a yield-first backoff without a process-wide mode flip,
    and the answer tracks [Domain.recommended_domain_count] at the time
    the contended loop starts rather than at module initialization. *)
-let create ?multicore ?min_wait ?max_wait () =
-  let dmin, dmax = Atomic.get default_limits in
-  let min_wait = Option.value min_wait ~default:dmin in
-  let max_wait = Option.value max_wait ~default:dmax in
+let create ?multicore ?(min_wait = default_min_wait)
+    ?(max_wait = default_max_wait) () =
   if not (is_pow2 min_wait) then
     invalid_arg
       (Printf.sprintf "Backoff.create: min_wait %d not a positive power of two"

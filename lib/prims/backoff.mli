@@ -20,25 +20,10 @@ type t
 val create : ?multicore:bool -> ?min_wait:int -> ?max_wait:int -> unit -> t
 (** [create ()] returns a fresh backoff in its initial (shortest) state.
     [min_wait] and [max_wait] bound the spin count; both must be positive
-    powers of two with [min_wait <= max_wait], and default to the
-    process-wide {!limits}, read at this call. [multicore] defaults to
-    [Domain.recommended_domain_count () > 1], probed at this call.
+    powers of two with [min_wait <= max_wait], and default to 16 and
+    4096. [multicore] defaults to [Domain.recommended_domain_count () > 1],
+    probed at this call.
     @raise Invalid_argument on invalid spin bounds. *)
-
-val set_limits : min_wait:int -> max_wait:int -> unit
-(** Retune the default spin bounds used by {!create} when none are
-    passed explicitly. Creation-scoped exactly like the multicore
-    probe: backoffs created after the call see the new bounds, ones
-    already spinning are unaffected — so the adaptive controller (and
-    tests) can tune spin-vs-park behaviour without a rebuild.
-    @raise Invalid_argument on invalid spin bounds. *)
-
-val limits : unit -> int * int
-(** The current default [(min_wait, max_wait)] pair. *)
-
-val with_limits : min_wait:int -> max_wait:int -> (unit -> 'a) -> 'a
-(** Run a thunk with {!set_limits} applied, restoring the previous
-    defaults afterwards (even on exception). *)
 
 val multicore : t -> bool
 (** The spin-vs-yield decision this backoff was created with. *)

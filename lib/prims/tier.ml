@@ -18,7 +18,7 @@ let name : t -> string = function
 
 let all : t list =
   [ `Default; `Fast; `Prim RW; `Prim CAS; `Prim FAA; `Prim LLSC; `Queue MCS;
-    `Queue CLH; `Queue Ticket; `Adaptive ]
+    `Queue CLH; `Queue Ticket ]
 
 let of_string s = List.find_opt (fun t -> name t = s) all
 

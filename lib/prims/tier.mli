@@ -25,8 +25,8 @@ type kind = MCS | CLH | Ticket
 
 type t = [ `Default | `Fast | `Prim of cls | `Queue of kind | `Adaptive ]
 (** Stdlib-backed; contention-adaptive (E22); one restricted atomic
-    class (E25); a queue lock
-    (E23); hot-swappable mutex sites (E27). *)
+    class (E25); a queue lock (E23); hot-swappable mutex sites
+    ({!Sync_platform.Mutex.with_swappable}, not in {!all}). *)
 
 val name : t -> string
 (** ["default"], ["fast"], ["rw"], ["cas"], ["faa"], ["llsc"],
@@ -34,9 +34,10 @@ val name : t -> string
     labels that committed BENCH files key their rows on. *)
 
 val of_string : string -> t option
+(** The tier in {!all} with this {!name}; [None] for ["adaptive"]. *)
 
 val all : t list
-(** Every tier, in {!name}'s order. *)
+(** Every selectable tier, in {!name}'s order: all but [`Adaptive]. *)
 
 (** A mutual-exclusion lock as closures: the one representation every
     non-default tier produces. *)

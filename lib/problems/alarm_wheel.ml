@@ -8,7 +8,7 @@
     falling behind. [tick] fires the due bucket, stamping each
     sleeper's flag, and broadcasts once; sleepers re-check their own
     flag (Mesa style). The mutex is a named site ("alarm-wheel.lock"),
-    so the adaptive controller can retier it under load.
+    so traces and profiles attribute its waits and holds.
 
     Carried as an alarm-clock solution (mechanism "wheel") the same
     way the epoch rw lock rides readers-writers: not one of the

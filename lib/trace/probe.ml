@@ -124,7 +124,7 @@ let min_actor = -max_actor - 1
    full of [""], whose index is 0 in every label table, and goes with its
    ring at [reset].
 
-   [pos] is atomic so a concurrent reader (the adaptive sampler) can use
+   [pos] is atomic so a concurrent reader ([snapshot]) can use
    it as a sequence lock: the owning thread fills every slot field and
    only then publishes with an [Atomic.set] (a release on OCaml's SC
    atomics), so any event below the published count is fully written. *)
@@ -447,36 +447,27 @@ let event_at b p =
     dur = w.(j + 2); arg = w.(j + 3); actor = h asr actor_shift;
     site = b.bsite.(i); op = label ((h lsr op_shift) land (max_labels - 1)) }
 
-(* The events numbered [from] onwards that are still in the ring, read
-   consistently while the owner may keep writing (the sampler path) —
-   and, once the owner has quiesced, simply every retained event.
-
-   [p0] is read before reading the slots and [p1] after: any slot the
-   owner touched meanwhile belongs to an event numbered below
-   [p1 + inflight] — those published by then, plus the ones a write in
-   progress has filled but not yet published (two: {!round_trip}
-   publishes a pair) — which overwrote the event numbered cap earlier.
-   Events in [max(lo, p1 + inflight - cap), p0) were therefore fully
-   published before the read began and untouched during it — no torn
-   slot can leak out. A quiesced ring has nothing in flight, so
-   [snapshot] reads with [inflight = 0] and keeps every retained event.
-   If the owner laps the reader by a full ring the window is empty and we
-   retry (bounded; in practice one pass suffices). The work is bounded
-   by the number of new events, so a periodic sampler's cost is
-   proportional to recording activity, not to ring capacity. *)
-let buffer_events_from ~inflight b ~from =
+(* Every event still in the ring. [p0] is read before reading the
+   slots and [p1] after: events the owner published meanwhile overwrote
+   the ones numbered cap earlier, so only events in
+   [max(lo, p1 - cap), p0) are kept. A quiesced ring reads [p1 = p0]
+   and keeps every retained event; a write still in progress could
+   tear the oldest kept slot, which is why snapshots are taken after
+   the traced region. If a writer laps the reader by a full ring the
+   window is empty and we retry (bounded). *)
+let buffer_events b =
   let rec attempt tries =
     let p0 = Atomic.get b.pos in
-    let lo = max from (max 0 (p0 - b.cap)) in
-    if p0 <= lo then ([], p0)
+    let lo = max 0 (p0 - b.cap) in
+    if p0 <= lo then []
     else begin
       let evs = Array.init (p0 - lo) (fun j -> event_at b (lo + j)) in
       let p1 = Atomic.get b.pos in
-      let lo' = max lo (p1 + inflight - b.cap) in
+      let lo' = max lo (p1 - b.cap) in
       if lo' >= p0 && tries < 8 then attempt (tries + 1)
       else
         let keep = max 0 (p0 - lo') in
-        (List.init keep (fun j -> evs.(p0 - lo - keep + j)), p0)
+        List.init keep (fun j -> evs.(p0 - lo - keep + j))
     end
   in
   attempt 0
@@ -493,29 +484,10 @@ let sort_events evs =
       match compare a.t0 b.t0 with 0 -> compare b.dur a.dur | c -> c)
     evs
 
-let all_events ~inflight () =
+let snapshot () =
   buffers ()
-  |> List.concat_map (fun b -> fst (buffer_events_from ~inflight b ~from:0))
+  |> List.concat_map buffer_events
   |> sort_events
-
-let snapshot = all_events ~inflight:0
-
-let live_snapshot = all_events ~inflight:2
-
-type cursor = (buffer * int) list
-
-let start_cursor : cursor = []
-
-let live_read cur =
-  let pairs =
-    List.map
-      (fun b ->
-        let from = try List.assq b cur with Not_found -> 0 in
-        let evs, next = buffer_events_from ~inflight:2 b ~from in
-        (evs, (b, next)))
-      (buffers ())
-  in
-  (List.concat_map fst pairs |> sort_events, List.map snd pairs)
 
 let total () =
   List.fold_left (fun acc b -> acc + Atomic.get b.pos) 0 (buffers ())

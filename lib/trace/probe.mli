@@ -193,28 +193,6 @@ val snapshot : unit -> event list
 (** Every retained event across all buffers, sorted by start time. Take
     it after the traced region has quiesced for a complete picture. *)
 
-val live_snapshot : unit -> event list
-(** {!snapshot}, named for the adaptive sampler's read path: it is safe
-    while recording threads keep writing. Each ring is read under a
-    seqlock on its atomic position counter, and only events fully
-    published before the read began and not overwritten during it are
-    returned — never a torn slot. Events recorded during the read are
-    simply missed until the next sample. *)
-
-type cursor
-(** Consumption frontier over the per-thread rings, for incremental
-    live reads. *)
-
-val start_cursor : cursor
-(** The frontier that has consumed nothing. *)
-
-val live_read : cursor -> event list * cursor
-(** Events recorded past the cursor (sorted by start time) and the
-    advanced cursor. Same seqlock guarantees as {!live_snapshot}, but
-    the work done is proportional to the {e new} events, not to ring
-    capacity — the periodic-sampler read path. Events overwritten
-    before being consumed are lost, exactly as in {!live_snapshot}. *)
-
 val total : unit -> int
 (** Events ever recorded since the last {!reset} (including dropped). *)
 

@@ -20,7 +20,7 @@ type wake_report = {
   handoffs : int;
   spurious : int;
   abandoned : int;
-  flips : int;  (** tier flips recorded by the adaptive controller *)
+  flips : int;  (** swappable-site tier flips ([Flip] instants) *)
   max_queue : int;  (** deepest queue observed at any park or wake *)
 }
 

@@ -9,7 +9,7 @@ module Probe = Sync_trace.Probe
    a noalloc C call, so a read allocates nothing. *)
 let[@inline] now_ns () = Sync_trace.Probe_clock.now_ns ()
 
-(* E27 adds the two shapes a self-tuning controller has to survive:
+(* Two arrival shapes whose contention regime moves during a run:
    [Diurnal] modulates a Poisson process with a slow sinusoid (rate
    swings between ~0.1x and ~1.9x of nominal over [diurnal_period_ms]),
    so the best tier changes during the run; [Bursty] is a two-state
@@ -73,6 +73,8 @@ let duration_of ~default = function
         (Printf.sprintf "SYNC_LOAD_MS=%S: not a positive number of milliseconds" s))
 
 let duration_from_env ~default = duration_of ~default (Sys.getenv_opt "SYNC_LOAD_MS")
+
+let warmup_for duration_ms = min 50 duration_ms
 
 (* Phases. Workers look the phase up after each completed operation and
    file the sample accordingly; the coordinator owns the transitions. *)

@@ -90,6 +90,11 @@ val duration_of : default:int -> string option -> int
     positive integer.
     @raise Invalid_argument naming [SYNC_LOAD_MS] on any other value. *)
 
+val warmup_for : int -> int
+(** The warmup the axis grids give a steady window of this many ms:
+    50 ms, or the window itself when it is shorter, so a shortened
+    [SYNC_LOAD_MS] run never spends most of its time warming up. *)
+
 val run : Target.instance -> config -> Report.t
 (** Execute one run and stop the instance. The report's summary covers
     only the steady-state window.

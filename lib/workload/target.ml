@@ -37,8 +37,6 @@ let bb (module B : Bb_intf.S) tier p =
   let put, get =
     match tier with
     | `Default | `Prim _ | `Queue _ | `Adaptive ->
-      (* The adaptive tier keeps the standard self-checking ring: it
-         retiers the locks around the resource, not the resource. *)
       let ring = Sync_resources.Ring.create ~work:p.work p.capacity in
       ( (fun ~pid:_ v -> Sync_resources.Ring.put ring v),
         fun ~pid:_ -> Sync_resources.Ring.get ring )
@@ -132,11 +130,11 @@ let disk (module D : Disk_intf.S) tier p =
    solution's synchronization. The historical objection (wall-clock
    load measures the driver) is priced in: every tier pays the same
    ticker, so tier-to-tier ratios isolate the synchronizer, which is
-   what the E27 grid compares. The ticker runs on its own domain, not a
+   what a tier grid compares. The ticker runs on its own domain, not a
    systhread: on the spawning domain it would share one runtime lock
-   with whatever else lives there (the E27 controller's sampler in
-   particular), and any long slice of that thread would stall the clock
-   itself — skewing the very tier comparison the target exists for. *)
+   with whatever else lives there, and any long slice of that thread
+   would stall the clock itself — skewing the very tier comparison the
+   target exists for. *)
 let alarm (module A : Alarm_intf.S) tier p =
   ignore p;
   let t = A.create () in
@@ -201,7 +199,7 @@ let table : (string * (string * (tier -> params -> instance)) list) list =
         ("pathexpr", slot (module Slot_path));
         ("csp", slot (module Slot_csp)); ("ccr", slot (module Slot_ccr));
         ("eventcount", slot (module Slot_evc)) ] );
-    (* E27: alarm clock with an embedded ticker (see [alarm] above).
+    (* Alarm clock with an embedded ticker (see [alarm] above).
        "wheel" is the timer-wheel solution whose tick cost is
        independent of pending alarms; "monitor" rides along as the
        classic priority-wait baseline. *)
@@ -242,12 +240,5 @@ let create ?(params = default_params) ?(tier = `Default) ~problem ~mechanism
            whatever tier the instance was built with. [`Prim c] builds
            can raise {!Sync_prims.Prims.Unsupported} (e.g. RW x FCFS
            semaphore); callers that grid over classes catch it as a
-           typed result. [`Adaptive] also starts a fresh site registry,
-           which the scope keeps on exit so the caller can start a
-           controller over [Mutex.swap_sites ()] after this returns. *)
-        let scope =
-          match tier with
-          | `Adaptive -> Mutex.with_swappable
-          | t -> Tier.with_tier t
-        in
-        Ok (scope (fun () -> build tier params)))
+           typed result. *)
+        Ok (Tier.with_tier tier (fun () -> build tier params)))

@@ -39,10 +39,7 @@ type tier = Sync_prims.Tier.t
     {!Sync_prims.Tier}). Mechanism code and semantics are identical
     across tiers; only the substrate's cost profile changes. [`Fast]
     also gives the bounded buffer the Vyukov {!Sync_resources.Fastring}
-    resource (E22). [`Adaptive] builds every platform mutex as a
-    hot-swappable site the E27 controller can retier live; the site
-    registry survives the build so the controller can enumerate it
-    afterwards. *)
+    resource (E22). *)
 
 type instance = {
   meta : Sync_taxonomy.Meta.t;  (** the driven solution's registry metadata *)
@@ -74,10 +71,9 @@ val create :
   ?params:params -> ?tier:tier -> problem:string -> mechanism:string ->
   unit -> (instance, string) result
 (** Build a fresh instance (fresh resource, fresh synchronizer). The
-    whole solution is built under {!Sync_prims.Tier.with_tier}[ tier]
-    ([`Adaptive]: {!Sync_platform.Mutex.with_swappable}); no effect
-    inside a {!Detrt} run, where the deterministic substrate always
-    wins. The error names the valid choices.
+    whole solution is built under {!Sync_prims.Tier.with_tier}[ tier];
+    no effect inside a {!Detrt} run, where the deterministic substrate
+    always wins. The error names the valid choices.
 
     With [~tier:(`Prim c)] the build runs under the class restriction
     and may raise {!Sync_prims.Prims.Unsupported} when the mechanism

@@ -10,26 +10,9 @@
 open Sync_platform
 module D = Sync_detsched.Detsched
 module Scenarios = Sync_detsched.Scenarios
-
-let entry name =
-  match Scenarios.find name with
-  | Some e -> e
-  | None -> Alcotest.failf "scenario %s not in catalog" name
+open Dpor_pins
 
 let scen name = (entry name).Scenarios.scen
-
-let distinct_messages failures =
-  List.sort_uniq compare (List.map snd failures)
-
-(* Exact DPOR counts for the scenarios the dpor-certify benchmark
-   explores: classes explored, backtrack points planted by races, and
-   sleep-redundant runs. They pin the analysis itself, so a change that
-   makes it cheaper must leave all three where they are. *)
-let check_counts name (r : D.dpor_report) counts =
-  Alcotest.(check (triple int int int))
-    (name ^ ": explored, races, redundant")
-    counts
-    (r.explored, r.races, r.redundant)
 
 (* ------------------------------------------------------------------ *)
 (* Small mutex/counter programs over raw [Detrt] tasks: the lost-update
@@ -325,30 +308,6 @@ let test_queue_lock_counts () =
    its Mesa control (strong-semaphore exclusion and FIFO drain are in
    test_explorer). *)
 
-let certify name counts ?affix () =
-  let e = entry name in
-  let r =
-    D.explore_dpor ~max_schedules:2_000_000 ~max_failures:100 e.Scenarios.scen
-  in
-  Alcotest.(check bool) (name ^ ": DPOR covers every class") true r.complete;
-  (match e.Scenarios.expect with
-  | Scenarios.Pass ->
-    Alcotest.(check (list string)) (name ^ ": no class fails") []
-      (distinct_messages r.failures)
-  | Scenarios.Fail ->
-    Alcotest.(check bool) (name ^ ": some class fails") true (r.failed > 0)
-  | Scenarios.Always_fail ->
-    Alcotest.(check int) (name ^ ": every class fails") r.explored r.failed);
-  check_counts name r counts;
-  Option.iter
-    (fun affix ->
-      List.iter
-        (fun (_, m) ->
-          if not (Astring.String.is_infix ~affix m) then
-            Alcotest.failf "%s: unexpected failure mode: %s" name m)
-        r.failures)
-    affix
-
 let e17_tests =
   let writer_first = "expected reader-first, got writer-first" in
   [ Alcotest.test_case "rw-sem all fail" `Quick
@@ -356,11 +315,7 @@ let e17_tests =
     Alcotest.test_case "rw-sem-baton pass" `Quick
       (certify "rw-sem-baton" (7200, 20474, 0));
     Alcotest.test_case "rw-ser pass" `Quick
-      (certify "rw-ser" (5376, 15270, 0));
-    Alcotest.test_case "rw-mon pass" `Slow
-      (certify "rw-mon" (1124352, 2713376, 0));
-    Alcotest.test_case "rw-mon-flip all fail" `Slow
-      (certify "rw-mon-flip" (958464, 1853216, 0) ~affix:writer_first) ]
+      (certify "rw-ser" (5376, 15270, 0)) ]
 
 let no_barging_tests =
   [ Alcotest.test_case "hoare monitor" `Quick
@@ -510,9 +465,10 @@ let test_report_fields () =
 
 (* ------------------------------------------------------------------ *)
 
-(* The suite is CPU-bound exploration (the two rw-mon certifications take
-   about a minute each), so it drops its priority first: the real-thread
-   stress suites running alongside it must not be starved of CPU. *)
+(* The suite is CPU-bound exploration, so it drops its priority first:
+   the real-thread stress suites running alongside it must not be
+   starved of CPU. The two rw-mon certifications (~20 s each) are
+   test_dpor_rw_mon, so that they run beside this suite. *)
 let () =
   ignore (Unix.nice 19);
   Alcotest.run "dpor"

@@ -265,6 +265,29 @@ let test_axis_cli_choices () =
       (String.split_on_char ' ' listed)
   | None -> Alcotest.failf "no axis list in %S" text
 
+(* The CLI answers a tier outside [Tier.all] (the swappable sites'
+   "adaptive" label among them) with exit 2 and the selectable names. *)
+let test_load_cli_tiers () =
+  let out = Filename.temp_file "bloom-eval-load" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/bloom_eval.exe load --tier adaptive --problem bounded-buffer \
+          --mechanism semaphore > %s 2>&1"
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "exit code" 2 code;
+  match Astring.String.cut ~sep:"(" (String.trim text) with
+  | Some (_, listed) ->
+    Alcotest.(check (list string))
+      "choices"
+      (List.map Sync_prims.Tier.name Sync_prims.Tier.all)
+      (Astring.String.cuts ~sep:" | "
+         (Astring.String.trim ~drop:(fun c -> c = ')') listed))
+  | None -> Alcotest.failf "no tier list in %S" text
+
 (* Every axis at its quick size, on 1 ms windows, run once for the two
    document tests below. The grids are real multi-domain loads, so the
    run drops its priority first: the real-thread suites running
@@ -292,8 +315,8 @@ let test_axis_documents () =
 
 (* The committed documents and the row counts they must keep. *)
 let committed =
-  [ ("BENCH_GRID.json", 426); ("BENCH_E23.json", 6);
-    ("BENCH_E24.json", 24); ("BENCH_E27.json", 108 + 4) ]
+  [ ("BENCH_GRID.json", 426); ("BENCH_E23.json", 6 + 4);
+    ("BENCH_E24.json", 24); ("BENCH_E52.json", 16) ]
 
 (* One shape for every committed file and every quick axis document:
    the header fields are present, each row has exactly coords, metrics
@@ -371,7 +394,7 @@ let test_oversubscribed () =
       { Cell.tier = `Default; problem = "fcfs"; mechanism = "monitor"; domains;
         cell =
           { Cell.status = Cell.Supported; throughput_per_s = 0.; p50_ns = 0;
-            p99_ns = 0; summary = None; flips = 0 } }
+            p99_ns = 0; summary = None } }
   in
   Alcotest.(check bool) "at the recommended count" false
     (List.mem_assoc "oversubscribed" (row n).coords);
@@ -468,6 +491,7 @@ let () =
       ( "axis",
         [ Alcotest.test_case "registry names" `Quick test_axis_names;
           Alcotest.test_case "cli choices" `Quick test_axis_cli_choices;
+          Alcotest.test_case "load tier choices" `Quick test_load_cli_tiers;
           Alcotest.test_case "documents carry experiment" `Slow
             test_axis_documents;
           Alcotest.test_case "one document shape" `Slow test_one_shape;

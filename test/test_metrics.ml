@@ -303,6 +303,24 @@ let test_load_ms_env () =
         [ (None, Some 150); (Some "", Some 150); (Some "200", Some 200);
           (Some "0", None); (Some "-5", None); (Some "abc", None) ])
 
+(* The axis grids warm up for 50 ms, or for the steady window when
+   SYNC_LOAD_MS makes it shorter: a 1 ms quick run spends 1 ms warming
+   up, not 50. The scaling axis's spec reads the variable as the grid's
+   config and the A/B row's do. *)
+let test_warmup_within_window () =
+  let saved = Option.value (Sys.getenv_opt "SYNC_LOAD_MS") ~default:"" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SYNC_LOAD_MS" saved)
+    (fun () ->
+      List.iter
+        (fun (value, expected) ->
+          Unix.putenv "SYNC_LOAD_MS" value;
+          let spec = Sync_eval.Scaling_axis.spec ~full:false in
+          Alcotest.(check int)
+            (if value = "" then "unset" else value)
+            expected spec.Sync_eval.Scaling_axis.warmup_ms)
+        [ ("", 50); ("1", 1); ("20", 20); ("50", 50); ("200", 50) ])
+
 let run_smoke mode =
   match
     Sync_workload.Target.create ~problem:"bounded-buffer"
@@ -431,4 +449,6 @@ let () =
           Alcotest.test_case "open-loop smoke" `Quick test_loadgen_open;
           Alcotest.test_case "rejects bad config" `Quick test_loadgen_rejects;
           Alcotest.test_case "SYNC_LOAD_MS values" `Quick test_load_ms_env;
+          Alcotest.test_case "warmup within the window" `Quick
+            test_warmup_within_window;
           Alcotest.test_case "unknown pair" `Quick test_target_unknown ] ) ]

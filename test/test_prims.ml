@@ -205,15 +205,17 @@ let test_rw_slot_overflow () =
    [bloom_eval load --tier] key on them. *)
 let test_tier_names () =
   Alcotest.(check (list string)) "labels"
-    [ "default"; "fast"; "rw"; "cas"; "faa"; "llsc"; "mcs"; "clh"; "ticket";
-      "adaptive" ]
+    [ "default"; "fast"; "rw"; "cas"; "faa"; "llsc"; "mcs"; "clh"; "ticket" ]
     (List.map Tier.name Tier.all);
   List.iter
     (fun t ->
       Alcotest.(check bool) (Tier.name t ^ " round-trips") true
         (Tier.of_string (Tier.name t) = Some t))
     Tier.all;
-  Alcotest.(check bool) "unknown label" true (Tier.of_string "sys" = None)
+  Alcotest.(check bool) "unknown label" true (Tier.of_string "sys" = None);
+  (* The swappable sites are not a selectable tier. *)
+  Alcotest.(check bool) "adaptive not selectable" true
+    (Tier.of_string "adaptive" = None)
 
 let sem_storm cls fairness () =
   let permits = 2 in
@@ -303,50 +305,6 @@ let test_backoff_creation_scoped () =
       Backoff.reset b;
       Backoff.once b)
     [ spin; yield ]
-
-(* The E27 actuator: [set_limits] retunes the defaults new backoffs
-   are created with; it is creation-scoped (like the multicore probe),
-   validated, and [with_limits] restores on any exit. *)
-let test_backoff_set_limits () =
-  let orig_min, orig_max = Backoff.limits () in
-  Fun.protect
-    ~finally:(fun () ->
-      Backoff.set_limits ~min_wait:orig_min ~max_wait:orig_max)
-    (fun () ->
-      Backoff.set_limits ~min_wait:4 ~max_wait:64;
-      Alcotest.(check (pair int int)) "retuned" (4, 64) (Backoff.limits ());
-      (* explicit bounds still win over the retuned defaults *)
-      ignore (Backoff.create ~min_wait:2 ~max_wait:2 ());
-      Alcotest.(check (pair int int))
-        "explicit create leaves defaults" (4, 64) (Backoff.limits ());
-      (* invalid bounds are rejected and leave the defaults in place *)
-      List.iter
-        (fun (mn, mx) ->
-          match Backoff.set_limits ~min_wait:mn ~max_wait:mx with
-          | () -> Alcotest.failf "accepted min=%d max=%d" mn mx
-          | exception Invalid_argument _ ->
-            Alcotest.(check (pair int int))
-              "defaults survive rejection" (4, 64) (Backoff.limits ()))
-        [ (0, 64); (3, 64); (64, 4); (4, 96); (-8, 8) ];
-      (* with_limits scopes the override and restores on raise *)
-      let inside = Backoff.with_limits ~min_wait:8 ~max_wait:8 Backoff.limits in
-      Alcotest.(check (pair int int)) "scoped" (8, 8) inside;
-      Alcotest.(check (pair int int)) "restored" (4, 64) (Backoff.limits ());
-      (match
-         Backoff.with_limits ~min_wait:16 ~max_wait:32 (fun () ->
-             raise Exit)
-       with
-      | () -> Alcotest.fail "Exit swallowed"
-      | exception Exit ->
-        Alcotest.(check (pair int int))
-          "restored on raise" (4, 64) (Backoff.limits ()));
-      (* a backoff created under the new limits still makes progress *)
-      let b = Backoff.create () in
-      for _ = 1 to 20 do
-        Backoff.once b
-      done;
-      Backoff.reset b;
-      Backoff.once b)
 
 (* ---------------------------------------------------------------- *)
 (* Hierarchy cells: structure and JSON shape on a tiny grid         *)
@@ -472,8 +430,6 @@ let () =
         [
           Alcotest.test_case "creation-scoped decision" `Quick
             test_backoff_creation_scoped;
-          Alcotest.test_case "set_limits retunes the defaults" `Quick
-            test_backoff_set_limits;
         ] );
       ( "hierarchy",
         [

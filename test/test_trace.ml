@@ -119,66 +119,6 @@ let test_domain_writers () =
     (writers * per_writer)
     distinct
 
-(* The seqlock read path under fire (the E27 sampler's): four domains
-   write flat out while the main thread drains [live_read]
-   incrementally through a cursor. A torn slot would surface as an
-   event whose fields disagree — every writer stamps its index into
-   both the site and the argument — and each ring must deliver its
-   events in order, without loss or duplication (nothing wraps here:
-   per-writer volume stays under the ring capacity). *)
-let test_live_read_hammer () =
-  let writers = 4 and per_writer = 50_000 in
-  Probe.reset ();
-  Probe.enable ();
-  let sites = Array.init writers (fun w -> Printf.sprintf "hammer-%d" w) in
-  let running = Atomic.make writers in
-  let doms =
-    List.init writers (fun w ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_writer do
-              Probe.instant Signal ~site:sites.(w) ~arg:((w * 1_000_000) + i)
-            done;
-            Atomic.decr running))
-  in
-  let seen = Array.make writers [] (* consumed args per writer, newest first *)
-  and torn = ref 0
-  and cursor = ref Probe.start_cursor in
-  let consume () =
-    let events, next = Probe.live_read !cursor in
-    cursor := next;
-    List.iter
-      (fun (e : Probe.event) ->
-        if e.Probe.kind = Probe.Signal then begin
-          let w = e.Probe.arg / 1_000_000 in
-          if w < 0 || w >= writers || not (String.equal e.Probe.site sites.(w))
-          then incr torn
-          else seen.(w) <- (e.Probe.arg mod 1_000_000) :: seen.(w)
-        end)
-      events
-  in
-  while Atomic.get running > 0 do
-    consume ();
-    Domain.cpu_relax ()
-  done;
-  List.iter Domain.join doms;
-  consume ();
-  Probe.disable ();
-  Alcotest.(check int) "no torn slot" 0 !torn;
-  Array.iteri
-    (fun w l ->
-      let l = List.rev l in
-      Alcotest.(check int)
-        (Printf.sprintf "writer %d delivered in full" w)
-        per_writer (List.length l);
-      ignore
-        (List.fold_left
-           (fun prev a ->
-             if a <= prev then
-               Alcotest.failf "writer %d: arg %d delivered after %d" w a prev;
-             a)
-           0 l))
-    seen
-
 (* Two live threads whose ids collide modulo the 256 buffer-lookup slots
    take turns recording. Each must keep finding its own ring: one ring
    per thread, every event kept, and no ring allocated per turn. Small
@@ -1111,8 +1051,6 @@ let () =
       ( "concurrency",
         [ Alcotest.test_case "domain-writers" `Quick
             (scrubbed test_domain_writers);
-          Alcotest.test_case "live-read hammer" `Quick
-            (scrubbed test_live_read_hammer);
           Alcotest.test_case "slot collision" `Quick
             (scrubbed test_slot_collision) ] );
       ( "disabled",

@@ -112,7 +112,7 @@ let serve_cmd =
   let grace =
     Arg.(value & opt int 2000
          & info [ "grace-ms" ] ~docv:"MS"
-             ~doc:"drain grace period before watchdog escalation")
+             ~doc:"drain grace period before force-close escalation")
   in
   let deadline =
     Arg.(value & opt int 250

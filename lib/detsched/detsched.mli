@@ -170,9 +170,9 @@ val explore_dpor :
 
     [workers > 1] partitions the top-level backtrack frontier across that
     many domains (the E20 engine's domain plumbing); results merge
-    deterministically. Scenarios that rely on process-global mutable
-    registries (fault plans, the deadlock watchdog) must keep
-    [workers = 1]. [max_schedules] is a shared budget across workers.
+    deterministically. Scenarios that rely on the process-global fault
+    plan registry must keep [workers = 1]. [max_schedules] is a shared
+    budget across workers.
 
     @raise Failure if the scenario is not schedule-deterministic. *)
 

@@ -116,7 +116,14 @@ let wheel_row pending =
   { pending; add_ns_per_alarm = float_of_int add_ns /. float_of_int pending;
     tick_ns; intact = fired = 0 && W.pending w = pending }
 
-let wheel_rows () = List.map wheel_row [ 1_000; 10_000; 100_000; 1_000_000 ]
+let wheel_populations = [ 1_000; 10_000; 100_000; 1_000_000 ]
+
+(* The run's first timed tick loop reads slow whichever population it
+   prices, so one untimed pass at the smallest population goes first
+   and is discarded. *)
+let wheel_rows () =
+  ignore (wheel_row (List.hd wheel_populations));
+  List.map wheel_row wheel_populations
 
 (* Max/min per-tick cost across the populations: the flatness number
    the committed document records and the full run gates on. *)

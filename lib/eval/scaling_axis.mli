@@ -36,7 +36,7 @@ type wheel_row = {
 
 val wheel_rows : unit -> wheel_row list
 (** Per-tick cost with 1k, 10k, 100k and 1M alarms pending, none due
-    inside the timed window. *)
+    inside the timed window, after one discarded warm-up pass at 1k. *)
 
 val wheel_ratio : wheel_row list -> float
 (** Max over min per-tick cost across the populations. *)

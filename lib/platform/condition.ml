@@ -127,6 +127,13 @@ let wait_for c (m : Mutex.t) ~deadline =
     true
   end
 
+(* Nothing but [wait_for] in a loop: a polling step is not a wakeup,
+   so it emits no [Spurious] instant. An expired [wait_for] returns
+   without releasing [m], so the [until ()] just evaluated is already
+   the final re-check. *)
+let rec await_for c m ~deadline until =
+  until () || (wait_for c m ~deadline && await_for c m ~deadline until)
+
 (* [wake] signals or broadcasts the lot's parked waiters. *)
 let[@inline] lot_wake r wake =
   if Atomic.get r.waiting > 0 then begin

@@ -42,9 +42,17 @@ val wait_for : t -> Mutex.t -> deadline:Deadline.t -> bool
     releases the mutex, yields, reacquires, and returns [true] — a
     spurious wakeup per polling step — or returns [false] immediately,
     with the mutex still held, once [deadline] has expired. Always call
-    in a predicate loop:
-    [while not p && Condition.wait_for c m ~deadline do () done; p].
-    Deterministic under {!Detrt}. *)
+    in a predicate loop; {!await_for} is that loop. Deterministic under
+    {!Detrt}. *)
+
+val await_for :
+  t -> Mutex.t -> deadline:Deadline.t -> (unit -> bool) -> bool
+(** [await_for c m ~deadline until] is the timed twin of {!await}: call
+    it with [m] held; it returns, with [m] held, whether [until ()]
+    holds, polling {!wait_for} while [until ()] is false and the
+    deadline has not expired. It emits no [Spurious] instant: a polling
+    step is not a wakeup. Under {!Detrt} it takes the scheduling points
+    of that loop written out by hand. *)
 
 val signal : t -> unit
 

@@ -116,6 +116,16 @@ let remove_at f i =
   done;
   f.len <- f.len - 1
 
+(* A deterministic mutex (the det half of the platform's [Mutex]
+   facade). Ownership is handed off directly on unlock; the receiving
+   waiter is picked by [choose]. *)
+type mutex = {
+  mutable owner : int; (* the holder's tid; -1 when free *)
+  mwaiters : fifo;
+  (* Packed [Obs] key, over ordinal -1 when created outside a run. *)
+  mkey : int;
+}
+
 type task = {
   tid : int;
   tname : string;
@@ -126,6 +136,9 @@ type task = {
   mutable joiners : task list;
   (* keys of the registers a task parked in [reg_await] watches *)
   mutable watch : int array;
+  (* the mutex a task blocked in [mutex_lock] waits for; a stuck run
+     follows these to name its circular wait *)
+  mutable awaits : mutex option;
   (* [Some] of this task, built once: what the DLS's current task holds *)
   some : task option;
 }
@@ -312,7 +325,7 @@ and exec s t body =
 let new_task s ~tid ~tname resume =
   let rec t =
     { tid; tname; sched = s; state = Unstarted; resume; t_exn = None;
-      joiners = []; watch = [||]; some = Some t }
+      joiners = []; watch = [||]; awaits = None; some = Some t }
   in
   if tid >= Array.length s.tasks then begin
     let a = Array.make (Int.max 8 (2 * Array.length s.tasks)) t in
@@ -364,7 +377,6 @@ let self_info () =
   match current (dls ()) with Some t -> Some (t.tid, t.tname) | None -> None
 
 let () =
-  Deadlock.set_task_provider self_info;
   Fault.set_task_provider (fun () -> Option.map fst (self_info ()));
   Sync_trace.Probe.set_task_provider (fun () -> Option.map fst (self_info ()))
 
@@ -381,25 +393,12 @@ let task_name t = t.tname
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic mutexes and condition variables (the det halves of the
-   platform's [Mutex]/[Condition] facades). Ownership is handed off
-   directly on unlock; the receiving waiter is picked by [choose].      *)
-
-type mutex = {
-  mutable owner : int; (* the holder's tid; -1 when free *)
-  mwaiters : fifo;
-  (* Packed [Obs] key, over ordinal -1 when created outside a run. *)
-  mkey : int;
-  (* Watchdog resource id; -1 when the watchdog was off at creation
-     (instrumentation is then skipped for this mutex). *)
-  mid : int;
-}
+   platform's [Mutex]/[Condition] facades). *)
 
 type cond = { cwaiters : fifo; ckey : int }
 
 let mutex () =
-  { owner = -1; mwaiters = fifo (); mkey = Obs.mutex_key (fresh_oid ());
-    mid = (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
-           else -1) }
+  { owner = -1; mwaiters = fifo (); mkey = Obs.mutex_key (fresh_oid ()) }
 
 let cond () = { cwaiters = fifo (); ckey = Obs.cond_key (fresh_oid ()) }
 
@@ -423,16 +422,13 @@ let mutex_lock m =
     Effect.perform Yield;
     (* still the same task: Yield re-enqueues and resumes us *)
     emit_op t m.mkey Obs.Lock;
-    if m.owner < 0 then begin
-      m.owner <- t.tid;
-      if m.mid >= 0 then Deadlock.acquired m.mid
-    end
+    if m.owner < 0 then m.owner <- t.tid
     else begin
-      if m.mid >= 0 then Deadlock.blocked m.mid;
+      t.awaits <- Some m;
       push m.mwaiters t.tid;
       Effect.perform Block;
       (* ownership was transferred to us by the releasing task *)
-      if m.mid >= 0 then Deadlock.acquired m.mid
+      t.awaits <- None
     end
 
 (* Non-blocking acquire. The preceding Yield makes the attempt itself a
@@ -444,10 +440,7 @@ let mutex_try_lock m =
   | Some t ->
     Effect.perform Yield;
     let ok = m.owner < 0 in
-    if ok then begin
-      m.owner <- t.tid;
-      if m.mid >= 0 then Deadlock.acquired m.mid
-    end;
+    if ok then m.owner <- t.tid;
     (match t.sched.observe with
     | None -> ()
     | Some f -> f (Obs.Op { tid = t.tid; obj = m.mkey; op = Obs.Try_lock ok }));
@@ -469,7 +462,6 @@ let mutex_unlock m =
   | Some t ->
     if m.owner <> t.tid then
       failwith "Detrt: mutex unlocked by a task that does not hold it";
-    if m.mid >= 0 then Deadlock.released m.mid;
     emit_op t m.mkey Obs.Unlock;
     release_mutex t.sched m;
     Effect.perform Yield
@@ -485,7 +477,6 @@ let cond_wait c m =
     (* Atomic release-and-park: no scheduling point between enqueueing
        ourselves and releasing the mutex, so signals cannot be lost. *)
     push c.cwaiters t.tid;
-    if m.mid >= 0 then Deadlock.released m.mid;
     release_mutex t.sched m;
     Effect.perform Block;
     (* Signalled: re-acquire like any newcomer (Mesa-style, matching the
@@ -618,6 +609,38 @@ let reg_await ~watch pred =
 
 (* ------------------------------------------------------------------ *)
 
+(* The circular wait of a stuck run: from each task in tid order, follow
+   the mutex it waits for to that mutex's owner until the walk returns
+   to its start (a cycle), leaves the mutexes, or has taken more hops
+   than there are tasks. Starting at the lowest tid on any cycle gives
+   every schedule of one DPOR class the same text:
+   ["a -> m1 -> b -> m0 -> a"]. *)
+let wait_cycle s =
+  let n = s.next_tid in
+  let rec walk start t hops acc =
+    match t.awaits with
+    | Some m when m.owner >= 0 && hops < n ->
+      let acc = (t, m) :: acc and o = s.tasks.(m.owner) in
+      if o == start then Some (List.rev acc) else walk start o (hops + 1) acc
+    | _ -> None
+  in
+  let rec from i =
+    if i >= n then None
+    else
+      match walk s.tasks.(i) s.tasks.(i) 0 [] with
+      | Some c -> Some c
+      | None -> from (i + 1)
+  in
+  Option.map
+    (fun c ->
+      let first = (fst (List.hd c)).tname in
+      String.concat " -> "
+        (List.concat_map
+           (fun (t, m) -> [ t.tname; Obs.objid_to_string (Obs.decode m.mkey) ])
+           c
+        @ [ first ]))
+    (from 0)
+
 let run ?(max_steps = 200_000) ?observe ~choose body =
   let d = dls () in
   if active () then failwith "Detrt.run: deterministic runs do not nest";
@@ -647,11 +670,9 @@ let run ?(max_steps = 200_000) ?observe ~choose body =
           (Array.to_list (Array.sub s.tasks 0 s.next_tid))
       in
       if stuck <> [] then begin
-        (* When the watchdog is on, the blocked/holds edges of the stuck
-           tasks are still registered: name the circular wait, if any. *)
         let cycle =
-          match Deadlock.find_cycle () with
-          | Some c -> "; wait-for cycle: " ^ Deadlock.cycle_to_string c
+          match wait_cycle s with
+          | Some c -> "; wait-for cycle: " ^ c
           | None -> ""
         in
         raise

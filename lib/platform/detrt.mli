@@ -22,7 +22,13 @@
     given an observer. *)
 
 exception Deadlock of string
-(** No task can make progress and at least one is blocked. *)
+(** No task can make progress and at least one is blocked. The message
+    lists the stuck tasks and, when some of them wait in [mutex_lock]
+    for each other's mutexes, appends the circular wait as
+    ["; wait-for cycle: a -> m1 -> b -> m0 -> a"]: each task by name,
+    then the mutex it waits for, whose owner comes next. The cycle
+    starts at its lowest task id, so every schedule that reaches the
+    same stuck state prints the same text. *)
 
 exception Step_limit of int
 (** The run exceeded [max_steps] scheduling decisions. *)
@@ -129,7 +135,7 @@ val relax : unit -> unit
 
 val self_info : unit -> (int * string) option
 (** [(tid, name)] of the current virtual task; [None] outside a run.
-    Also registered as the {!Deadlock} watchdog's task provider. *)
+    Also registered as the {!Fault} and probe task provider. *)
 
 val await_quiescence : unit -> unit
 (** Park the calling task until no other task is runnable — how the

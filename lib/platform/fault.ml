@@ -32,8 +32,8 @@ let active () = Option.is_some !current
    runs under [mask], so injection can never strike where the mechanism
    has no way left to restore consistency. The moral equivalent of
    disabling thread cancellation inside a cleanup handler. Actors are
-   keyed the same way the deadlock watchdog keys processes: virtual task
-   id inside a deterministic run, OS thread id otherwise. *)
+   keyed by virtual task id inside a deterministic run, OS thread id
+   otherwise. *)
 type actor = Vtask of int | Osthr of int
 
 let task_provider : (unit -> int option) ref = ref (fun () -> None)

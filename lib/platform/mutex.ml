@@ -54,9 +54,6 @@ type impl =
 
 type t = {
   impl : impl;
-  (* Watchdog resource id; -1 when the watchdog was off at creation and
-     always for Det mutexes, which carry their own id inside Detrt. *)
-  rid : int;
   name : string;
   (* Start of the current holder's Hold, 0 when tracing is off: positive
      once its Acquire is written, negated while a zero-wait Acquire is
@@ -242,7 +239,7 @@ let with_swappable f = Tier.with_tier `Adaptive f
 
 let create ?(name = "mutex") () =
   if Detrt.active () then
-    { impl = Det (Detrt.mutex ()); rid = -1; name; acquired_at = 0 }
+    { impl = Det (Detrt.mutex ()); name; acquired_at = 0 }
   else begin
     let impl =
       match Tier.current () with
@@ -254,12 +251,7 @@ let create ?(name = "mutex") () =
         let c = swap_cell `Sys in
         Swap { cur = Atomic.make c; held = c }
     in
-    { impl;
-      rid =
-        (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
-         else -1);
-      name;
-      acquired_at = 0 }
+    { impl; name; acquired_at = 0 }
   end
 
 (* Acquire through the indirection: lock the cell [cur] points at, then
@@ -323,9 +315,8 @@ let rec swap_to t tier =
 (* -- lock operations ----------------------------------------------- *)
 
 (* The bookkeeping-free operations, one arm per representation. The
-   public ones below wrap them in the single watchdog and probe
-   bracket; Condition calls them directly to release and re-acquire
-   around a park. *)
+   public ones below wrap them in the probe bracket; Condition calls
+   them directly to release and re-acquire around a park. *)
 let[@inline] raw_lock t =
   match t.impl with
   | Sys m -> sys_lock m
@@ -370,21 +361,15 @@ let close_hold t =
     else Probe.round_trip ~site:t.name ~t0:(-a)
   end
 
-let lock t =
-  let watched = t.rid >= 0 && Deadlock.enabled () in
-  if watched then Deadlock.blocked t.rid;
-  if Probe.enabled () then traced_lock t else raw_lock t;
-  if watched then Deadlock.acquired t.rid
+let lock t = if Probe.enabled () then traced_lock t else raw_lock t
 
 let unlock t =
   close_hold t;
-  if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
   raw_unlock t
 
 let try_lock t =
   let ok = raw_try t in
   if ok then begin
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
     (* A successful try_lock is a zero-wait acquire; emit the span so
        profiled acquire counts include try-lock users. *)
     t.acquired_at <- -Probe.now ()

@@ -12,13 +12,12 @@
     is identical on every tier; only the cost profile changes.
 
     [lock], [unlock] and [try_lock] wrap one bookkeeping-free operation
-    in a single bracket: the {!Deadlock} watchdog's edges when it was
-    enabled at creation, and acquire/hold probe spans when tracing. The
-    Hold starts at the instant the Acquire ends. A traced [lock] on a
-    real tier tries the lock first; when that succeeds its Acquire is
-    zero-wait ([dur = 0]), stamped by one clock read, and written
-    together with its Hold at release ({!Sync_trace.Probe.round_trip}):
-    an uncontended traced round trip is two clock reads and one ring
+    in acquire/hold probe spans when tracing. The Hold starts at the
+    instant the Acquire ends. A traced [lock] on a real tier tries the
+    lock first; when that succeeds its Acquire is zero-wait
+    ([dur = 0]), stamped by one clock read, and written together with
+    its Hold at release ({!Sync_trace.Probe.round_trip}): an
+    uncontended traced round trip is two clock reads and one ring
     publish. Det mutexes skip the try, so tracing adds no scheduling
     point.
 
@@ -48,17 +47,16 @@ type impl =
 
 type t = {
   impl : impl;
-  rid : int;
   name : string;
   mutable acquired_at : int;
 }
 
 val raw_lock : t -> unit
-(** Acquire with no probe/watchdog bookkeeping. Internal: used by
+(** Acquire with no probe bookkeeping. Internal: used by
     {!Condition} to re-acquire after a park or a timed-wait yield. *)
 
 val raw_unlock : t -> unit
-(** Release with no probe/watchdog bookkeeping. Internal: used by
+(** Release with no probe bookkeeping. Internal: used by
     {!Condition}. *)
 
 val spin : int -> (unit -> bool) -> bool

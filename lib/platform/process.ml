@@ -19,12 +19,6 @@ let spawn ?name ?backend f =
   let error = ref None in
   let error_mutex = Mutex.create () in
   let body () =
-    (match name with
-    | Some n when Deadlock.enabled () && backend <> `Det ->
-      (* Det tasks carry their name natively; threads/domains tell the
-         watchdog so cycle reports name the blocked processes. *)
-      Deadlock.name_self n
-    | _ -> ());
     try f ()
     with e ->
       Mutex.lock error_mutex;

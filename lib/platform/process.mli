@@ -25,9 +25,9 @@ val spawn : ?name:string -> ?backend:backend -> (unit -> unit) -> t
     re-raised by {!join}. Inside a {!Detrt} run the [backend] argument is
     overridden: processes always spawn as deterministic virtual tasks
     ([`Det]), so the scenario drivers work unchanged under controlled
-    scheduling. [name] labels the process in {!Deadlock} watchdog cycle
-    reports (det tasks are named natively; thread/domain processes
-    register the name with the watchdog when it is enabled). *)
+    scheduling. [name] names a det task (see {!Detrt.spawn}), which is
+    how a {!Detrt.Deadlock} report names it; thread and domain processes
+    ignore it. *)
 
 val join : t -> unit
 (** Wait for completion; re-raises the process's escaped exception, if

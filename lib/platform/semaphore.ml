@@ -14,9 +14,6 @@ module Counting = struct
     cond : Condition.t;
     mutable value : int;
     mutable weak_waiters : int;
-    (* Watchdog resource id for the weak (condition-loop) path; the strong
-       path's edges are reported by the Waitq itself. -1 = watchdog off. *)
-    srid : int;
   }
 
   (* Fast weak tier (E22): the value lives in an atomic that is never
@@ -36,7 +33,6 @@ module Counting = struct
     fwaiters : int Atomic.t; (* parked or about-to-park slow-path Ps *)
     flock : Stdlib.Mutex.t;
     fcond : Stdlib.Condition.t;
-    frid : int; (* watchdog id; -1 = watchdog off at creation *)
   }
 
   (* Class-restricted tier (E25): the whole semaphore protocol comes
@@ -44,34 +40,18 @@ module Counting = struct
      [`Strong] is rejected there with a typed {!Prims.Unsupported} —
      arrival-order grants need an order-assigning RMW — and the
      hierarchy axis records that as a result, not a crash. *)
-  type prim = {
-    psem : Prims.sem;
-    prid : int; (* watchdog id; -1 = watchdog off at creation *)
-  }
-
-  type t = Queued of queued | Fast of fast | Prim of prim
-
-  let queued ~fairness n ~srid =
-    Queued
-      { mutex = Mutex.create ~name:"sem.lock" (); fairness;
-        queue = Waitq.create ~name:"sem.q" (); cond = Condition.create ();
-        value = n; weak_waiters = 0; srid }
+  type t = Queued of queued | Fast of fast | Prim of Prims.sem
 
   let create ?(fairness = `Strong) n =
     if n < 0 then invalid_arg "Semaphore.Counting.create: negative value";
-    let rid () =
-      if Deadlock.enabled () then Deadlock.register ~kind:"semaphore" ()
-      else -1
-    in
-    let prim c = Prim { psem = Prims.make_sem c ~fairness n; prid = rid () } in
+    let prim c = Prim (Prims.make_sem c ~fairness n) in
     match if Detrt.active () then `Default else Sync_prims.Tier.current () with
     | `Fast when fairness = `Weak ->
       Fast
         { fvalue = Atomic.make n;
           fwaiters = Atomic.make 0;
           flock = Stdlib.Mutex.create ();
-          fcond = Stdlib.Condition.create ();
-          frid = rid () }
+          fcond = Stdlib.Condition.create () }
     | `Prim c -> prim c
     (* Queue tier (E23): semaphores map onto the FAA-class
        constructions — the FIFO ticket semaphore for [`Strong],
@@ -79,19 +59,10 @@ module Counting = struct
        covers semaphores too, not just mutexes. *)
     | `Queue _ -> prim Prims.FAA
     | `Default | `Fast | `Adaptive ->
-      queued ~fairness n ~srid:(rid ())
-
-  (* The watchdog bracket around a blocking wait: while [f x] runs,
-     this thread waits on resource [rid] (-1: watchdog off). *)
-  let blocked_on rid f x =
-    if rid >= 0 then Deadlock.blocked rid;
-    match f x with
-    | v ->
-      if rid >= 0 then Deadlock.unblocked ();
-      v
-    | exception e ->
-      if rid >= 0 then Deadlock.unblocked ();
-      raise e
+      Queued
+        { mutex = Mutex.create ~name:"sem.lock" (); fairness;
+          queue = Waitq.create ~name:"sem.q" (); cond = Condition.create ();
+          value = n; weak_waiters = 0 }
 
   (* ---------------- queued (default) tier ---------------- *)
 
@@ -122,7 +93,7 @@ module Counting = struct
           else Waitq.wait t.queue ~lock:t.mutex () ~on_abort:(redonate t)
         | `Weak -> (
           t.weak_waiters <- t.weak_waiters + 1;
-          match blocked_on t.srid weak_await t with
+          match weak_await t with
           | () ->
             t.weak_waiters <- t.weak_waiters - 1;
             t.value <- t.value - 1
@@ -144,12 +115,10 @@ module Counting = struct
               ~on_abort:(redonate t)
         | `Weak -> (
           t.weak_waiters <- t.weak_waiters + 1;
-          let rec poll () =
-            if t.value > 0 then true
-            else if Condition.wait_for t.cond t.mutex ~deadline then poll ()
-            else t.value > 0
-          in
-          match blocked_on t.srid poll () with
+          match
+            Condition.await_for t.cond t.mutex ~deadline (fun () ->
+                t.value > 0)
+          with
           | got ->
             t.weak_waiters <- t.weak_waiters - 1;
             if got then t.value <- t.value - 1;
@@ -233,7 +202,7 @@ module Counting = struct
           park false
         end
       in
-      (match blocked_on f.frid park true with
+      (match park true with
       | () -> ()
       | exception e ->
         Atomic.decr f.fwaiters;
@@ -275,30 +244,27 @@ module Counting = struct
 
   (* ---------------- class-restricted (E25) tier ---------------- *)
 
-  (* Try-first so an uncontended P never touches the watchdog; the
-     blocking path brackets the prim semaphore's own wait (spin/park
-     discipline lives inside [Sync_prims]) with the usual watchdog and
-     probe bookkeeping under the "sem.prim" site. *)
+  (* Try-first so an uncontended P records no span; the blocking path
+     brackets the prim semaphore's own wait (spin/park discipline lives
+     inside [Sync_prims]) with a probe span under the "sem.prim" site. *)
   let prim_p p =
     Fault.site "semaphore.pre-wait";
-    if not (p.psem.Prims.sm_try ()) then begin
+    if not (p.Prims.sm_try ()) then begin
       let t0 = Probe.now () in
-      blocked_on p.prid p.psem.Prims.sm_p ();
+      p.Prims.sm_p ();
       if t0 <> 0 then
-        Probe.span Wait ~site:"sem.prim" ~since:t0
-          ~arg:(p.psem.Prims.sm_waiters ())
+        Probe.span Wait ~site:"sem.prim" ~since:t0 ~arg:(p.Prims.sm_waiters ())
     end
 
   let prim_acquire_for p ~deadline =
     Fault.site "semaphore.pre-wait";
-    p.psem.Prims.sm_try ()
-    || blocked_on p.prid p.psem.Prims.sm_p_poll (fun () ->
-           Deadline.expired deadline)
+    p.Prims.sm_try ()
+    || p.Prims.sm_p_poll (fun () -> Deadline.expired deadline)
 
   let prim_v p n =
-    p.psem.Prims.sm_v n;
+    p.Prims.sm_v n;
     if Probe.enabled () then
-      Probe.instant Signal ~site:"sem.prim" ~arg:(p.psem.Prims.sm_waiters ())
+      Probe.instant Signal ~site:"sem.prim" ~arg:(p.Prims.sm_waiters ())
 
   (* ---------------- dispatch ---------------- *)
 
@@ -330,12 +296,12 @@ module Counting = struct
   let try_p = function
     | Queued q -> queued_try_p q
     | Fast f -> fast_try_dec f (Backoff.create ())
-    | Prim pr -> pr.psem.Prims.sm_try ()
+    | Prim pr -> pr.Prims.sm_try ()
 
   let value = function
     | Queued q -> Mutex.protect q.mutex (fun () -> q.value)
     | Fast f -> Atomic.get f.fvalue
-    | Prim pr -> pr.psem.Prims.sm_value ()
+    | Prim pr -> pr.Prims.sm_value ()
 
   let waiters = function
     | Queued q ->
@@ -344,7 +310,7 @@ module Counting = struct
           | `Strong -> Waitq.length q.queue
           | `Weak -> q.weak_waiters)
     | Fast f -> Atomic.get f.fwaiters
-    | Prim pr -> pr.psem.Prims.sm_waiters ()
+    | Prim pr -> pr.Prims.sm_waiters ()
 end
 
 (* Binary semaphores have no class-restricted tier of their own: they

@@ -10,17 +10,10 @@ type 'a waiter = {
 type 'a t = {
   mutable waiters : 'a waiter list; (* arrival order, oldest first *)
   mutable next_seq : int;
-  (* Watchdog resource id; -1 when the watchdog was off at creation. *)
-  qrid : int;
   name : string; (* trace site for wait/handoff/signal events *)
 }
 
-let create ?(name = "waitq") () =
-  { waiters = []; next_seq = 0;
-    qrid =
-      (if Deadlock.enabled () then Deadlock.register ~kind:"waitq" ()
-       else -1);
-    name }
+let create ?(name = "waitq") () = { waiters = []; next_seq = 0; name }
 
 let length t = List.length t.waiters
 
@@ -55,9 +48,7 @@ let wait ?on_abort t ~lock tag =
   let t0 = Probe.now () in
   let depth = if t0 = 0 then 0 else List.length t.waiters in
   let w = enqueue t tag in
-  if t.qrid >= 0 then Deadlock.blocked t.qrid;
   Condition.await w.cond lock ~site:t.name (fun () -> w.released);
-  if t.qrid >= 0 then Deadlock.unblocked ();
   Probe.span Wait ~site:t.name ~since:t0 ~arg:depth;
   post_wakeup on_abort
 
@@ -66,15 +57,7 @@ let wait_for ?on_abort t ~lock ~deadline tag =
   let t0 = Probe.now () in
   let depth = if t0 = 0 then 0 else List.length t.waiters in
   let w = enqueue t tag in
-  if t.qrid >= 0 then Deadlock.blocked t.qrid;
-  let rec park () =
-    if w.released then true
-    else if Condition.wait_for w.cond lock ~deadline then park ()
-    else w.released (* expired: final re-check, under the lock *)
-  in
-  let granted = park () in
-  if t.qrid >= 0 then Deadlock.unblocked ();
-  if granted then begin
+  if Condition.await_for w.cond lock ~deadline (fun () -> w.released) then begin
     Probe.span Wait ~site:t.name ~since:t0 ~arg:depth;
     post_wakeup on_abort;
     true

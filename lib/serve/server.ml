@@ -168,7 +168,6 @@ let shed t fd =
   close_quiet fd
 
 let acceptor_loop t () =
-  Deadlock.name_self "serve-acceptor";
   (* Closing an fd does NOT wake a thread already blocked in accept(2)
      on it, so a blocking accept would wedge the drain's join forever.
      Poll instead: select with a short timeout, re-checking the drain
@@ -212,8 +211,7 @@ let acceptor_loop t () =
   in
   loop ()
 
-let worker_loop t w () =
-  Deadlock.name_self (Printf.sprintf "serve-worker-%d" w);
+let worker_loop t () =
   let rec loop () =
     Semaphore.Counting.p t.ready;
     let next =
@@ -289,7 +287,7 @@ let start cfg =
       pool = [] }
   in
   t.acceptor <- Some (Thread.create (acceptor_loop t) ());
-  t.pool <- List.init cfg.workers (fun w -> Thread.create (worker_loop t w) ());
+  t.pool <- List.init cfg.workers (fun _ -> Thread.create (worker_loop t) ());
   t
 
 let drain t =
@@ -317,19 +315,11 @@ let drain t =
     in
     let clean = await () in
     if not clean then begin
-      (* 4. Escalation (E19): a drain that outlives its grace period is
-         diagnosed before we give up — if the watchdog sees a wait
-         cycle it is printed with process and resource names. *)
-      (match Deadlock.find_cycle () with
-      | Some cycle ->
-        Printf.eprintf "bloom_serve: stuck drain, wait cycle: %s\n%!"
-          (Deadlock.cycle_to_string cycle)
-      | None ->
-        Printf.eprintf
-          "bloom_serve: stuck drain (%d worker(s) still live after %d ms, no \
-           wait cycle found)\n\
-           %!"
-          (Atomic.get t.live_workers) t.cfg.grace_ms);
+      (* 4. Escalation: a drain that outlives its grace period says how
+         many workers are still live before it gives up. *)
+      Printf.eprintf
+        "bloom_serve: stuck drain (%d worker(s) still live after %d ms)\n%!"
+        (Atomic.get t.live_workers) t.cfg.grace_ms;
       (* Force-close queued and in-flight connections so blocked reads
          fail and the stuck workers can unwind. *)
       Mutex.protect t.q_lock (fun () ->

@@ -14,9 +14,10 @@
     closes, queued connections are still served, workers finish their
     in-flight request, reply, and hang up; the worker pool is woken in
     one batched [Semaphore.v_n] post (the E22 batching substrate). If
-    the drain exceeds its grace period the E19 deadlock watchdog is
-    consulted and any named wait-cycle is reported before the server
-    gives up and force-closes — a stuck drain is diagnosed, not hung.
+    the drain exceeds its grace period the server reports how many
+    workers are still live on stderr and force-closes every queued and
+    in-flight connection, so clients see EOF instead of a hang; the
+    stuck workers unwind once the service stops.
 
     Chaos: when configured, every connection gets a {!Chaos} stream
     seeded by [(seed, conn_id)]; byte-level faults are replayable by
@@ -30,7 +31,7 @@ type config = {
   accept_queue : int;  (** dispatch queue bound; beyond it, shed *)
   bucket_rate : float;  (** per-problem token refill, tokens/s *)
   bucket_burst : int;
-  grace_ms : int;  (** drain grace before watchdog escalation *)
+  grace_ms : int;  (** drain grace before the force-close escalation *)
   default_deadline_ns : int64;  (** budget for requests that send 0 *)
   chaos : Chaos.config option;
   service : Service.config;

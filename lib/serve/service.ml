@@ -21,7 +21,7 @@ type sched = {
 }
 
 (* Virtual ticks under a mutex; the ticker broadcasts every advance so
-   sleepers (Condition.wait_for, deadline-bounded) re-check. *)
+   sleepers (Condition.await_for, deadline-bounded) re-check. *)
 type timer = {
   t_lock : Mutex.t;
   t_cond : Condition.t;
@@ -158,29 +158,22 @@ let t_sleep t ~deadline_end_ns ticks =
     let deadline = Deadline.after_ns rem in
     Mutex.protect tm.t_lock (fun () ->
         let target = tm.t_ticks + ticks in
-        let rec wait () =
-          if tm.t_stop then Wire.Shutting_down
-          else if tm.t_ticks >= target then Wire.Ok (string_of_int tm.t_ticks)
-          else if Condition.wait_for tm.t_cond tm.t_lock ~deadline then wait ()
-          else if tm.t_ticks >= target then Wire.Ok (string_of_int tm.t_ticks)
-          else Wire.Deadline_exceeded
-        in
-        wait ())
+        if
+          not
+            (Condition.await_for tm.t_cond tm.t_lock ~deadline (fun () ->
+                 tm.t_stop || tm.t_ticks >= target))
+        then Wire.Deadline_exceeded
+        else if tm.t_stop then Wire.Shutting_down
+        else Wire.Ok (string_of_int tm.t_ticks))
   end
 
 (* RW lock, readers share / writer excludes, both sides timed. Releases
    broadcast: waiting writers and readers all re-check. *)
 let kv_read_acquire k ~deadline =
   Mutex.protect k.k_lock (fun () ->
-      let rec go () =
-        if not k.k_writer then begin
-          k.k_readers <- k.k_readers + 1;
-          true
-        end
-        else if Condition.wait_for k.k_cond k.k_lock ~deadline then go ()
-        else not k.k_writer && (k.k_readers <- k.k_readers + 1; true)
-      in
-      go ())
+      Condition.await_for k.k_cond k.k_lock ~deadline (fun () ->
+          not k.k_writer)
+      && (k.k_readers <- k.k_readers + 1; true))
 
 let kv_read_release k =
   Mutex.protect k.k_lock (fun () ->
@@ -189,16 +182,9 @@ let kv_read_release k =
 
 let kv_write_acquire k ~deadline =
   Mutex.protect k.k_lock (fun () ->
-      let rec go () =
-        if (not k.k_writer) && k.k_readers = 0 then begin
-          k.k_writer <- true;
-          true
-        end
-        else if Condition.wait_for k.k_cond k.k_lock ~deadline then go ()
-        else
-          (not k.k_writer) && k.k_readers = 0 && (k.k_writer <- true; true)
-      in
-      go ())
+      Condition.await_for k.k_cond k.k_lock ~deadline (fun () ->
+          (not k.k_writer) && k.k_readers = 0)
+      && (k.k_writer <- true; true))
 
 let kv_write_release k =
   Mutex.protect k.k_lock (fun () ->

@@ -85,6 +85,20 @@ let prog_scenario p =
             | Some (i, got, w) ->
               Error (Printf.sprintf "counter %d: got %d, want %d" i got w)) })
 
+(* Every deadlock these scenarios reach is a circular wait on mutexes
+   (only [deadlock-abba] deadlocks), so its report ends with the
+   runtime's wait-for cycle, and the set comparisons below compare the
+   cycle texts too. *)
+let check_cycles failures =
+  List.iter
+    (fun (_, m) ->
+      if Astring.String.is_infix ~affix:"eadlock" m then
+        Alcotest.(check bool)
+          ("deadlock names its wait-for cycle: " ^ m)
+          true
+          (Astring.String.is_infix ~affix:"; wait-for cycle: " m))
+    failures
+
 (* ------------------------------------------------------------------ *)
 (* The differential harness itself. [max_failures] is far above any
    suite scenario's failure count, and the harness asserts the cap was
@@ -102,6 +116,7 @@ let differential ?(max_schedules = 400_000) sc () =
     (List.length dfs.failures < max_failures);
   let dpor = D.explore_dpor ~max_schedules ~max_failures sc in
   Alcotest.(check bool) (sc.D.name ^ ": DPOR complete") true dpor.complete;
+  check_cycles dfs.failures;
   Alcotest.(check (list string))
     (sc.D.name ^ ": identical distinct failure messages")
     (distinct_messages dfs.failures)
@@ -368,6 +383,8 @@ let test_workers () =
   Alcotest.(check bool) "sequential complete" true seq.complete;
   Alcotest.(check bool) "parallel complete" true par.complete;
   Alcotest.(check bool) "used more than one worker" true (par.workers > 1);
+  check_cycles seq.failures;
+  check_cycles par.failures;
   Alcotest.(check (list string))
     "same distinct failures"
     (distinct_messages seq.failures)

@@ -551,54 +551,6 @@ let test_fault_mask_no_plan () =
   Alcotest.(check (float 0.0)) "10k masks allocate nothing" 0.0 allocated
 
 (* ------------------------------------------------------------------ *)
-(* Deadlock watchdog (wait-for graph) unit                             *)
-
-let test_deadlock_find_cycle () =
-  Deadlock.enable ();
-  Fun.protect ~finally:Deadlock.disable (fun () ->
-      let ra = Deadlock.register ~kind:"mutex" ~name:"res-a" () in
-      let rb = Deadlock.register ~kind:"mutex" ~name:"res-b" () in
-      let stop = Atomic.make false in
-      let actor name holds wants =
-        Testutil.spawn (fun () ->
-            Deadlock.name_self name;
-            Deadlock.acquired holds;
-            Deadlock.blocked wants;
-            while not (Atomic.get stop) do
-              Thread.yield ()
-            done;
-            Deadlock.unblocked ();
-            Deadlock.released holds)
-      in
-      let t1 = actor "proc-a" ra rb in
-      let t2 = actor "proc-b" rb ra in
-      Testutil.eventually "cycle detected" (fun () ->
-          Deadlock.find_cycle () <> None);
-      (match Deadlock.find_cycle () with
-      | None -> Alcotest.fail "cycle vanished"
-      | Some c ->
-        let s = Deadlock.cycle_to_string c in
-        let mem affix = Astring.String.is_infix ~affix s in
-        check_bool "names proc-a" true (mem "proc-a");
-        check_bool "names proc-b" true (mem "proc-b");
-        check_bool "names res-a" true (mem "res-a");
-        check_bool "names res-b" true (mem "res-b"));
-      (* The daemon sees it too. *)
-      let seen = Atomic.make false in
-      let cancel =
-        Deadlock.watch ~period_s:0.01
-          ~on_cycle:(fun _ -> Atomic.set seen true)
-          ()
-      in
-      Testutil.eventually "watchdog reports" (fun () -> Atomic.get seen);
-      cancel ();
-      Atomic.set stop true;
-      Sync_platform.Process.join t1;
-      Sync_platform.Process.join t2;
-      Deadlock.reset ();
-      check_bool "reset clears the graph" true (Deadlock.find_cycle () = None))
-
-(* ------------------------------------------------------------------ *)
 (* Tiers: one creation-time selector                                  *)
 
 module Tier = Sync_prims.Tier
@@ -1729,9 +1681,6 @@ let () =
             test_fault_mask;
           Alcotest.test_case "mask without a plan is free" `Quick
             test_fault_mask_no_plan ] );
-      ( "deadlock",
-        [ Alcotest.test_case "find_cycle names the circular wait" `Quick
-            test_deadlock_find_cycle ] );
       ( "fastpath",
         [ Alcotest.test_case "flag scoping" `Quick test_fastpath_flag;
           Alcotest.test_case "tier selection" `Quick

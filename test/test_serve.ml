@@ -423,6 +423,71 @@ let test_server_drain_idempotent () =
         | Ok Wire.Shutting_down | Error _ -> ()
         | Ok r -> Alcotest.failf "drained server answered: %s" (show_reply r))
 
+(* A drain that outlives its grace: the one worker sleeps far past it.
+   The drain gives up within about grace + 1 s and force-closes the
+   connection, so the client sees it closed instead of waiting out its
+   budget; the worker then unwinds with Shutting_down once the service
+   stops (a million 2 ms ticks cannot elapse, and its deadline has not
+   passed, so Shutting_down is the only reply left to it). *)
+let test_server_stuck_drain () =
+  let cfg =
+    { (Server.default_config (Server.Unix_sock (fresh_sock ()))) with
+      Server.workers = 1;
+      grace_ms = 200 }
+  in
+  let server = Server.start cfg in
+  Fun.protect ~finally:(fun () -> ignore (Server.drain server)) (fun () ->
+      match Client.connect (Server.sockaddr server) with
+      | Error e -> Alcotest.failf "connect: %s" e
+      | Ok c ->
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+            Alcotest.check reply_t "ping" (Wire.Ok "pong")
+              (request_exn c ~deadline_ns:500_000_000L Wire.Ping);
+            let reply = ref None in
+            let sleeper =
+              Thread.create
+                (fun () ->
+                  reply :=
+                    Some
+                      (Client.request c ~deadline_ns:10_000_000_000L
+                         (Wire.T_sleep 1_000_000)))
+                ()
+            in
+            (* Let the worker take the request into its sleep. *)
+            Thread.delay 0.2;
+            let ms_since t0 =
+              Int64.to_int
+                (Int64.div
+                   (Int64.sub (Sync_platform.Clock.now_ns ()) t0)
+                   1_000_000L)
+            in
+            let t0 = Sync_platform.Clock.now_ns () in
+            Alcotest.(check bool) "stuck drain is not clean" false
+              (Server.drain server);
+            let drain_ms = ms_since t0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "drain gave up within grace + 1 s (%d ms)"
+                 drain_ms)
+              true
+              (drain_ms < cfg.grace_ms + 1_000);
+            Thread.join sleeper;
+            (match !reply with
+            | Some (Error `Closed) -> ()
+            | Some (Ok r) ->
+              Alcotest.failf "sleeper answered: %s" (show_reply r)
+            | Some (Error e) ->
+              Alcotest.failf "sleeper: %s" (Client.error_to_string e)
+            | None -> Alcotest.fail "sleeper never returned");
+            Alcotest.(check bool)
+              (Printf.sprintf "client saw the close at once (%d ms)"
+                 (ms_since t0))
+              true
+              (ms_since t0 < cfg.grace_ms + 1_000);
+            Testutil.eventually "the stuck worker replied" (fun () ->
+                (Server.stats server).served = 2);
+            Alcotest.(check int) "not by its deadline" 0
+              (Server.stats server).deadline_exceeded))
+
 (* A chaotic in-process run must still terminate every request: typed
    outcomes only, zero hung client actors, clean drain. *)
 let test_server_chaos_run () =
@@ -510,6 +575,8 @@ let () =
             test_server_rejects_oversized;
           Alcotest.test_case "drain idempotent" `Quick
             test_server_drain_idempotent;
+          Alcotest.test_case "stuck drain escalates" `Quick
+            test_server_stuck_drain;
           Alcotest.test_case "chaotic run terminates" `Quick
             test_server_chaos_run ] );
       ( "drill",
